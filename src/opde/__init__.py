@@ -4,10 +4,11 @@ type, together with their recurrence, structure, derivative and Rodrigues
 representations.  All arithmetic is exact rational."""
 
 from .errors import (DegenerateDiscriminant, DegreeMismatch, DegreeOverflow,
-                     DivisionByZeroPoly, IndexOutOfPrintedRange, NoCaseMatches,
-                     NonPolynomialPhi, NotAdmissible, NotDivisible,
-                     NotReducible, NotSelfAdjoint, OpdeError, PhiDegreeTooHigh,
-                     SingularLeading, SingularMatrix)
+                     DivisionByZeroPoly, InconsistentRecursion,
+                     IndexOutOfPrintedRange, NoCaseMatches, NonPolynomialPhi,
+                     NotAdmissible, NotDivisible, NotReducible, NotSelfAdjoint,
+                     OpdeError, PhiDegreeTooHigh, SingularLeading,
+                     SingularMatrix)
 from .matrix import RationalMatrix
 from .pde import (DerivedEquation, HypergeometricPDE, apply_operator,
                   check_admissible, derived_pde, discriminant,

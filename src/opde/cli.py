@@ -79,12 +79,16 @@ def _params(args) -> AppellParams:
 
 
 def _cap_degree(n: int) -> int:
+    if n < 0:
+        raise CliError(f"degree bound must be nonnegative, got {n}")
     cap = os.environ.get("OPDE_MAX_DEGREE")
     if cap is not None:
         try:
             cap_n = int(cap)
         except ValueError:
             raise CliError(f"OPDE_MAX_DEGREE must be an integer, got {cap!r}")
+        if cap_n < 0:
+            raise CliError(f"OPDE_MAX_DEGREE must be nonnegative, got {cap_n}")
         if n > cap_n:
             print(f"note: degree bound clamped from {n} to OPDE_MAX_DEGREE={cap_n}",
                   file=sys.stderr)
@@ -135,10 +139,19 @@ def _render(payload: Dict[str, Any], fmt: str) -> str:
 
 def _output(args, text: str) -> None:
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as ex:
+            raise CliError(f"cannot write {args.out}: {ex.strerror}")
+        return
+    try:
         print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (e.g. `| head`): stop writing quietly,
+        # and point stdout at devnull so the exit-time flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _poly_payload(p, fmt: str):
@@ -193,11 +206,12 @@ def cmd_classify(args) -> int:
 
 
 def _build_family(args, pde: HypergeometricPDE, n: int) -> PolyVectorFamily:
+    # the relations emitted at degree k <= N read the family up to k + 1
     if args.family == "monic":
-        return build_monic(pde, n + 2)
+        return build_monic(pde, n + 1)
     params = _params(args)
     make = nonmonic_F_vector if args.family == "appell-F" else koornwinder_vector
-    return PolyVectorFamily([make(params, k) for k in range(n + 3)])
+    return PolyVectorFamily([make(params, k) for k in range(n + 2)])
 
 
 def cmd_build(args) -> int:

@@ -19,6 +19,16 @@ class DegreeOverflow(OpdeError):
     """A polynomial-vector entry exceeds the declared total degree."""
 
 
+class InconsistentRecursion(OpdeError):
+    """The x-row and y-row halves of the joint recursion disagree where they
+    overlap, so the recurrence matrices do not fit one monic family.
+    ``degree`` is the degree being built."""
+
+    def __init__(self, degree: int):
+        self.degree = degree
+        super().__init__(f"x- and y-recursions disagree at degree {degree}")
+
+
 class NotAdmissible(OpdeError):
     """Some eigenvalue gap a*k + e vanishes; the equation has no unique polynomial family.
 

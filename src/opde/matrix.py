@@ -2,8 +2,11 @@
 
 Sizes here are tiny (O(n) for desk-scale degrees), so a dense tuple-of-tuples
 of Fractions wins over anything clever: every operation is exact and the
-values are immutable after construction.  Rank uses fraction-free (Bareiss)
-elimination on an integer-scaled copy so there is no rank threshold anywhere.
+values are immutable after construction.  The one concession to sparsity is
+in the product, which skips zero entries: most operands are 0/1 shift,
+bidiagonal derivative or banded expansion matrices.  Rank uses fraction-free
+(Bareiss) elimination on an integer-scaled copy so there is no rank threshold
+anywhere.
 """
 
 from __future__ import annotations
@@ -93,10 +96,18 @@ class RationalMatrix:
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        cols = list(zip(*other.rows))
-        return RationalMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
-        )
+        # each nonzero a of a left row scales the nonzero entries of the
+        # matching right row; zero products are never formed
+        right = [[(k, b) for k, b in enumerate(row) if b] for row in other.rows]
+        out = []
+        for row in self.rows:
+            acc = [0] * other.ncols
+            for a, nonzero in zip(row, right):
+                if a:
+                    for k, b in nonzero:
+                        acc[k] += a * b
+            out.append(acc)
+        return RationalMatrix(out)
 
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(list(zip(*self.rows)))

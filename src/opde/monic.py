@@ -6,8 +6,9 @@ suite:
   * ``build_monic``: the production route.  Recurrence coefficients B_n, C_n
     come from closed-form entry tables in the equation coefficients
     (``subleading_matrices`` / ``monic_ttrr``), and the vectors are produced
-    by the joint recursive formula driven by the generalized inverse of the
-    stacked shift matrices.
+    by the joint recursive formula.  The generalized inverse of the stacked
+    shift matrices is not needed: the x-recursion fixes entries 0..n of
+    P_{n+1}, the y-recursion entries 1..n+1, and the overlap is checked.
 
   * ``solve_monic``: the oracle route.  The monic ansatz is substituted into
     the equation and all expansion matrices are solved for degree by degree,
@@ -23,14 +24,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .errors import NotAdmissible, NotSelfAdjoint
+from .errors import InconsistentRecursion, NotAdmissible, NotSelfAdjoint
 from .matrix import RationalMatrix
 from .pde import (HypergeometricPDE, apply_operator, check_admissible,
                   derived_pde, is_potentially_self_adjoint)
 from .poly import BivariatePoly
 from .vectors import (PolyVector, PolyVectorFamily, apply_matrix,
-                      expansion_matrices, joint_left_inverse, monomial_vector,
-                      shift_matrix)
+                      expansion_matrices, monomial_vector, shift_matrix)
 
 
 def _require_varpi(pde: HypergeometricPDE, k: int) -> Fraction:
@@ -152,7 +152,12 @@ class MonicFamily(PolyVectorFamily):
 
 def build_monic(pde: HypergeometricPDE, big_n: int) -> MonicFamily:
     """Monic family of degrees 0..N via the joint recursion, seeded by the
-    closed-form recurrence matrices."""
+    closed-form recurrence matrices.
+
+    The x- and y-recursions give L_{n,1} P_{n+1} and L_{n,2} P_{n+1}; as the
+    shift matrices only select entries, P_{n+1} is read off directly and the
+    n entries both recursions determine are checked for agreement
+    (InconsistentRecursion otherwise)."""
     check_admissible(pde, big_n)
     if not is_potentially_self_adjoint(pde):
         raise NotSelfAdjoint("no integrating-factor weight exists")
@@ -168,8 +173,9 @@ def build_monic(pde: HypergeometricPDE, big_n: int) -> MonicFamily:
             prev = vectors[n - 1]
             top = top - apply_matrix(t.c1, prev)
             bot = bot - apply_matrix(t.c2, prev)
-        stacked = PolyVector(list(top) + list(bot))
-        vectors.append(apply_matrix(joint_left_inverse(n), stacked))
+        if bot.entries[:n] != top.entries[1:]:
+            raise InconsistentRecursion(n + 1)
+        vectors.append(PolyVector(top.entries + bot.entries[n:]))
     return MonicFamily(pde, vectors)
 
 

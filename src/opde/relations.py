@@ -31,7 +31,7 @@ from .matrix import RationalMatrix
 from .monic import subleading_matrices
 from .pde import HypergeometricPDE
 from .poly import BivariatePoly
-from .vectors import (PolyVectorFamily, apply_matrix, derivative_matrix,
+from .vectors import (PolyVector, PolyVectorFamily, derivative_matrix,
                       expansion_matrices, shift_matrix)
 
 
@@ -120,7 +120,8 @@ def general_ttrr(fam: PolyVectorFamily, n: int) -> TtrrSet:
 
 
 class DerivativeFamily(PolyVectorFamily):
-    """The family Q_n = shift(n, axis) @ d/dx_axis P_{n+1}."""
+    """The family Q_n = shift(n, axis) @ d/dx_axis P_{n+1}: the derivative
+    vector without its last entry (axis 1) or its first entry (axis 2)."""
 
     def __init__(self, source: PolyVectorFamily, axis: int, up_to: Optional[int] = None):
         if axis not in (1, 2):
@@ -130,7 +131,7 @@ class DerivativeFamily(PolyVectorFamily):
         if up_to + 1 > source.max_n:
             raise ValueError("source family too short")
         vectors = [
-            apply_matrix(shift_matrix(n, axis), source.vector(n + 1).diff(axis))
+            PolyVector(source.vector(n + 1).diff(axis).entries[axis - 1:n + axis])
             for n in range(up_to + 1)
         ]
         super().__init__(vectors)

@@ -8,6 +8,12 @@ devices for that basis:
   * shift_matrix(n, axis): the 0/1 matrix L with  L @ xvec(n+1) == x_axis * xvec(n)
   * derivative_matrix(n, axis): the matrix E with  E @ xvec(n-1) == d/dx_axis xvec(n)
   * joint_left_inverse(n): the exact left inverse of the stacked shift matrices
+
+Applied to a vector, L only selects entries 0..n (axis 1) or 1..n+1 (axis
+2), so the vector routes (``build_monic``, ``DerivativeFamily``) slice instead
+of multiplying.  The matrices remain for the closed forms written as matrix
+products and for tests; the joint left inverse is a reference construction
+that no production route uses.
 """
 
 from __future__ import annotations
@@ -27,7 +33,10 @@ def monomial_vector(n: int) -> "PolyVector":
 
 def shift_matrix(n: int, axis: int) -> RationalMatrix:
     """(n+1) x (n+2) selection matrix mapping the degree-(n+1) basis onto
-    x * basis(n) (axis 1) or y * basis(n) (axis 2)."""
+    x * basis(n) (axis 1) or y * basis(n) (axis 2).
+
+    Its product with a vector keeps entries 0..n (axis 1) or 1..n+1 (axis
+    2); callers acting on polynomial vectors slice rather than multiply."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
     if axis == 1:
@@ -59,7 +68,12 @@ def stacked_shift(n: int) -> RationalMatrix:
 
 
 def joint_left_inverse(n: int) -> RationalMatrix:
-    """(n+2) x (2n+2) generalized inverse D with D @ stacked_shift(n) == I."""
+    """(n+2) x (2n+2) generalized inverse D with D @ stacked_shift(n) == I.
+
+    The joint recursion's textbook form recovers P_{n+1} as D applied to the
+    stacked x- and y-rows, which averages the entries both rows determine.
+    ``build_monic`` instead reads P_{n+1} off the rows and checks that those
+    entries agree; this function is kept as the reference for that identity."""
     ln = stacked_shift(n)
     lt = ln.transpose()
     return (lt @ ln).inverse() @ lt

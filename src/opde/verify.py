@@ -221,7 +221,8 @@ def _instance_suites(p: AppellParams, fam: PolyVectorFamily, label: str,
     w = appell_weight(p)
     for r in range(4):
         for s in range(4):
-            pear.check(verify_pearson(pde, w, r, s), f"(r,s)=({r},{s})")
+            pear.check(verify_pearson(pde, w, r, s, case=cases[0]),
+                       f"(r,s)=({r},{s})")
     results.append(pear)
 
     orth = SuiteResult("orthogonality-blocks")

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from opde import cli
 from opde.cli import main
 from opde.serialize import pde_to_json
 from opde.families import AppellParams, appell_pde
@@ -156,3 +161,65 @@ def test_conflicting_inputs(appell_file, capsys):
 
 def test_usage_error_missing_input(capsys):
     assert main(["classify"]) == 1
+
+
+@pytest.mark.parametrize("family", ["monic", "appell-F", "koornwinder"])
+def test_build_family_one_degree_above_n(family, monkeypatch, capsys):
+    # build reads the family up to degree N+1; one degree more changes nothing
+    argv = ["build", "--alpha", "3/2", "--beta", "5/7", "-N", "4",
+            "--family", family, "--format", "json"]
+    real = cli._build_family
+    depths = []
+
+    def build(args, pde, n, extra=0):
+        fam = real(args, pde, n + extra)
+        depths.append(fam.max_n)
+        return fam
+
+    monkeypatch.setattr(cli, "_build_family", build)
+    assert main(argv) == 0
+    shallow = capsys.readouterr().out
+    monkeypatch.setattr(cli, "_build_family",
+                        lambda args, pde, n: build(args, pde, n, extra=1))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == shallow
+    assert depths == [5, 6]
+
+
+@pytest.mark.parametrize("command", ["build", "verify", "rodrigues", "check"])
+def test_negative_degree_rejected(command, capsys):
+    assert main([command, "--alpha", "2", "--beta", "3", "-N", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: degree bound must be nonnegative, got -1\n"
+
+
+def test_negative_degree_cap_env_rejected(monkeypatch, capsys):
+    monkeypatch.setenv("OPDE_MAX_DEGREE", "-3")
+    assert main(["build", "--alpha", "1", "--beta", "1", "-N", "2"]) == 1
+    assert capsys.readouterr().err == "error: OPDE_MAX_DEGREE must be nonnegative, got -3\n"
+
+
+def test_out_file_unwritable(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    assert main(["build", "--alpha", "1", "--beta", "1", "-N", "1",
+                 "--out", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}:")
+    assert err.count("\n") == 1
+
+
+def test_closed_pipe_exits_quietly():
+    # the output (about 150 kB) overfills the pipe, so the writer meets a
+    # closed reader part-way, as under `opde build ... | head -3`
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("OPDE_MAX_DEGREE", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "opde.cli", "build", "--alpha", "2", "--beta", "3",
+         "-N", "8"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = [proc.stdout.readline() for _ in range(3)]
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert head[0] == b"{\n"
+    assert err == b""

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, seed, settings, strategies as st
 
 from opde.errors import SingularMatrix
 from opde.matrix import RationalMatrix
@@ -55,3 +56,59 @@ def test_shape_mismatch_raises():
         RationalMatrix([[1, 2], [3]])
     with pytest.raises(ValueError):
         RationalMatrix([[1]]) @ RationalMatrix([[1, 2], [3, 4]])
+
+
+def _textbook_product(a, b):
+    """(A B)_ij = sum_k A_ik B_kj over every k, zeros included."""
+    return [[sum((a[i, k] * b[k, j] for k in range(a.ncols)), Fraction(0))
+             for j in range(b.ncols)] for i in range(a.nrows)]
+
+
+# two draws in three are zero, as in shift, derivative and banded matrices
+_entries = st.one_of(st.just(0), st.just(0),
+                     st.fractions(min_value=-9, max_value=9, max_denominator=7))
+
+
+def _matrices(nrows, ncols):
+    row = st.lists(_entries, min_size=ncols, max_size=ncols)
+    return st.lists(row, min_size=nrows, max_size=nrows).map(RationalMatrix)
+
+
+@st.composite
+def _operands(draw, inner_mismatch=False):
+    m, k, n = (draw(st.integers(1, 5)) for _ in range(3))
+    k2 = draw(st.integers(1, 5).filter(lambda v: v != k)) if inner_mismatch else k
+    return draw(_matrices(m, k)), draw(_matrices(k2, n))
+
+
+_ONE_BY_ONE = RationalMatrix([[Fraction(-2, 3)]])
+_ROW = RationalMatrix([[0, Fraction(1, 2), 0, 3]])
+_COLUMN = RationalMatrix.column([5, 0, Fraction(-1, 7), 0])
+
+
+@seed(11012640)
+@settings(max_examples=150, deadline=None)
+@given(_operands())
+@example((_ONE_BY_ONE, _ONE_BY_ONE))
+@example((_ROW, _COLUMN))
+@example((_COLUMN, _ROW))
+@example((RationalMatrix.zeros(3, 4), _COLUMN))
+@example((_ROW, RationalMatrix.zeros(4, 2)))
+@example((RationalMatrix.zeros(2, 1), RationalMatrix.zeros(1, 3)))
+def test_matmul_matches_textbook_definition(pair):
+    a, b = pair
+    product = a @ b
+    assert product.shape == (a.nrows, b.ncols)
+    assert product.tolist() == _textbook_product(a, b)
+    assert all(type(v) is Fraction for row in product.rows for v in row)
+
+
+@seed(11012640)
+@settings(max_examples=30, deadline=None)
+@given(_operands(inner_mismatch=True))
+@example((_ROW, _ROW))
+@example((_COLUMN, _COLUMN))
+def test_matmul_shape_mismatch_raises(pair):
+    a, b = pair
+    with pytest.raises(ValueError, match="shape mismatch"):
+        a @ b

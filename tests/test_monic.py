@@ -1,16 +1,18 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from opde.errors import NotAdmissible, NotSelfAdjoint
+from opde import monic
+from opde.errors import InconsistentRecursion, NotAdmissible, NotSelfAdjoint
 from opde.families import AppellParams, appell_pde
 from opde.matrix import RationalMatrix
 from opde.monic import (build_monic, monic_ttrr, pde_residual, solve_monic,
                         subleading_matrices)
 from opde.pde import HypergeometricPDE, discriminant, is_potentially_self_adjoint
 from opde.poly import BivariatePoly, X, Y
-from opde.vectors import PolyVector, apply_matrix
+from opde.vectors import PolyVector, apply_matrix, joint_left_inverse
 
 P = HypergeometricPDE.from_coeffs
 
@@ -148,3 +150,32 @@ def test_closed_form_ttrr_matches_vectors(fam11):
             if c is not None:
                 rhs = rhs + apply_matrix(c, fam11.vector(n - 1))
             assert fam11.vector(n).scale(var) == rhs
+
+
+def test_joint_left_inverse_route_agrees(fam23):
+    # the generalized-inverse form of the joint recursion, which averages the
+    # entries both rows determine, gives the same vectors as build_monic
+    for n in range(1, 6):
+        t = monic_ttrr(fam23.pde, n)
+        cur, prev = fam23.vector(n), fam23.vector(n - 1)
+        top = cur.scale(X) - apply_matrix(t.b1, cur) - apply_matrix(t.c1, prev)
+        bot = cur.scale(Y) - apply_matrix(t.b2, cur) - apply_matrix(t.c2, prev)
+        stacked = PolyVector(list(top) + list(bot))
+        assert apply_matrix(joint_left_inverse(n), stacked) == fam23.vector(n + 1)
+
+
+def test_inconsistent_recursion_detected(monkeypatch):
+    real = monic.monic_ttrr
+
+    def corrupted(pde, n):
+        t = real(pde, n)
+        if n != 2:
+            return t
+        rows = t.b1.tolist()
+        rows[1][1] += 1  # row 0 alone would go unseen: only the x-row fixes entry 0
+        return dataclasses.replace(t, b1=RationalMatrix(rows))
+
+    monkeypatch.setattr(monic, "monic_ttrr", corrupted)
+    with pytest.raises(InconsistentRecursion) as info:
+        build_monic(appell_pde(AppellParams(2, 3)), 5)
+    assert info.value.degree == 3
