@@ -18,12 +18,11 @@ from .vectors import (PolyVector, PolyVectorFamily, apply_matrix,
                       derivative_matrix, expansion_matrices,
                       joint_left_inverse, monomial_vector, shift_matrix,
                       stacked_shift)
-from .monic import (MonicFamily, MonicTtrr, build_monic, monic_ttrr,
+from .monic import (MonicFamily, TtrrSet, build_monic, monic_ttrr,
                     pde_residual, solve_monic, subleading_matrices)
 from .relations import (DerivRep, DerivativeFamily, QTtrr, StructureSet,
-                        TtrrSet, derivative_family, derivative_representation,
-                        derivative_ttrr, general_ttrr,
-                        monic_derivative_representation,
+                        derivative_representation, derivative_ttrr,
+                        general_ttrr, monic_derivative_representation,
                         monic_structure_matrices, structure_matrices)
 from .weights import (PhiCase, WeightSpec, classify_phi, log_derivative,
                       phi_pair_consistent, phi_rs, verify_pearson)

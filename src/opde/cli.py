@@ -21,15 +21,16 @@ import sys
 from fractions import Fraction
 from typing import Any, Dict, List, Optional
 
-from .errors import (DegenerateDiscriminant, NotAdmissible, NotSelfAdjoint,
-                     OpdeError)
+from .errors import (DegenerateDiscriminant, NoCaseMatches, NotAdmissible,
+                     NotSelfAdjoint, OpdeError)
 from .families import (AppellParams, appell_pde, appell_phi_case, appell_weight,
                        koornwinder_vector, nonmonic_F_vector)
 from .matrix import RationalMatrix
 from .monic import build_monic
 from .pde import (HypergeometricPDE, check_admissible, discriminant,
                   is_potentially_self_adjoint)
-from .relations import derivative_representation, general_ttrr, structure_matrices
+from .relations import (DerivativeFamily, derivative_representation,
+                        general_ttrr, structure_matrices)
 from .rodrigues import rodrigues_eval
 from .serialize import (format_rational, matrix_to_json, parse_rational,
                         pde_from_json, poly_to_json, vector_to_json,
@@ -127,7 +128,7 @@ def _render(payload: Dict[str, Any], fmt: str) -> str:
         elif isinstance(value, dict):
             for k, v in value.items():
                 emit(f"{prefix}.{k}" if prefix else str(k), v)
-        elif isinstance(value, list):
+        elif isinstance(value, list) and value:
             for i, v in enumerate(value):
                 emit(f"{prefix}[{i}]", v)
         else:
@@ -191,7 +192,10 @@ def cmd_check(args) -> int:
 
 def cmd_classify(args) -> int:
     pde = _load_pde(args)
-    cases = classify_phi(pde)
+    try:
+        cases = classify_phi(pde)
+    except NoCaseMatches:
+        cases = []
     report = {
         "cases": [
             {"case": c.case_id, "condition": c.condition,
@@ -229,6 +233,7 @@ def cmd_build(args) -> int:
 
     vectors = [vector_to_json(fam.vector(k)) if args.format == "json"
                else [str(p) for p in fam.vector(k)] for k in range(n + 1)]
+    qfams = {j: DerivativeFamily(fam, j) for j in (1, 2)}
     matrices: Dict[str, Dict[str, Any]] = {}
     for k in range(n + 1):
         t = general_ttrr(fam, k)
@@ -240,7 +245,7 @@ def cmd_build(args) -> int:
             entry.update(W1=st.w1, S1=st.s1, T1=st.t1, W2=st.w2, S2=st.s2, T2=st.t2)
         if k >= 2:
             for j in (1, 2):
-                dr = derivative_representation(fam, k, j)
+                dr = derivative_representation(fam, k, j, qfams[j])
                 entry[f"V{j}"], entry[f"Y{j}"], entry[f"Z{j}"] = dr.v, dr.y, dr.z
         matrices[str(k)] = entry
 

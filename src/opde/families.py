@@ -24,14 +24,11 @@ from math import comb, factorial
 
 from .matrix import RationalMatrix
 from .pde import HypergeometricPDE
-from .poly import BivariatePoly, Scalar, pochhammer, rat
+from .poly import X, Y, BivariatePoly, Scalar, pochhammer, rat
 from .rodrigues import rodrigues_eval
 from .vectors import PolyVector, PolyVectorFamily
 from .weights import PhiCase, WeightSpec, classify_phi
 from . import golden
-
-_X = BivariatePoly.variable(1)
-_Y = BivariatePoly.variable(2)
 
 
 @dataclass(frozen=True)
@@ -144,7 +141,7 @@ def jacobi(a: Scalar, b: Scalar, n: int) -> BivariatePoly:
         c1 = (2 * k + a + b - 1) * (a * a - b * b)
         c2 = (2 * k + a + b - 1) * (2 * k + a + b) * (2 * k + a + b - 2)
         c3 = 2 * (k + a - 1) * (k + b - 1) * (2 * k + a + b)
-        nxt = ((c2 * _X + BivariatePoly.const(c1)) * p_cur - c3 * p_prev) * (1 / c0)
+        nxt = ((c2 * X + BivariatePoly.const(c1)) * p_cur - c3 * p_prev) * (1 / c0)
         p_prev, p_cur = p_cur, nxt
     return p_cur
 
@@ -156,15 +153,15 @@ def koornwinder(p: AppellParams, n: int, m: int) -> BivariatePoly:
     expanded exactly: the (1-x)^m prefactor clears every denominator of the
     inner substitution."""
     inner_poly = jacobi(0, p.beta - 1, m)
-    one_minus_x = BivariatePoly.const(1) - _X
-    lever = 2 * _Y - one_minus_x  # (1-x) * (2y/(1-x) - 1)
+    one_minus_x = BivariatePoly.const(1) - X
+    lever = 2 * Y - one_minus_x  # (1-x) * (2y/(1-x) - 1)
     inner = BivariatePoly.zero()
     for k in range(m + 1):
         c = inner_poly.coefficient(k, 0)
         if c != 0:
             inner = inner + c * lever**k * one_minus_x**(m - k)
     outer_poly = jacobi(2 * m + p.beta, p.alpha - 1, n)
-    t = 2 * _X - BivariatePoly.const(1)
+    t = 2 * X - BivariatePoly.const(1)
     outer = BivariatePoly.zero()
     for k in range(n + 1):
         c = outer_poly.coefficient(k, 0)

@@ -230,11 +230,6 @@ class RationalMatrix:
             raise ValueError("vstack needs equal column counts")
         return RationalMatrix(list(self.rows) + list(other.rows))
 
-    def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.nrows != other.nrows:
-            raise ValueError("hstack needs equal row counts")
-        return RationalMatrix([list(a) + list(b) for a, b in zip(self.rows, other.rows)])
-
     def _same_shape(self, other: "RationalMatrix") -> None:
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")

@@ -22,13 +22,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from .errors import InconsistentRecursion, NotAdmissible, NotSelfAdjoint
+from .errors import (InconsistentRecursion, NotAdmissible, NotSelfAdjoint,
+                     SingularMatrix)
 from .matrix import RationalMatrix
 from .pde import (HypergeometricPDE, apply_operator, check_admissible,
                   derived_pde, is_potentially_self_adjoint)
-from .poly import BivariatePoly
+from .poly import X, Y, BivariatePoly
 from .vectors import (PolyVector, PolyVectorFamily, apply_matrix,
                       expansion_matrices, monomial_vector, shift_matrix)
 
@@ -40,6 +42,7 @@ def _require_varpi(pde: HypergeometricPDE, k: int) -> Fraction:
     return v
 
 
+@lru_cache(maxsize=None)
 def subleading_matrices(pde: HypergeometricPDE, n: int
                         ) -> Tuple[RationalMatrix, Optional[RationalMatrix]]:
     """Closed forms for the two subleading expansion matrices of the monic
@@ -87,16 +90,16 @@ def subleading_matrices(pde: HypergeometricPDE, n: int
 
 
 @dataclass(frozen=True)
-class MonicTtrr:
-    """Recurrence matrices of x_j * P_n = A P_{n+1} + B P_n + C P_{n-1} for
-    the monic family; A is the shift matrix, C is absent at n = 0."""
+class TtrrSet:
+    """Recurrence matrices of x_j * P_n = A P_{n+1} + B P_n + C P_{n-1} on
+    both axes; C is absent at n = 0."""
 
     n: int
     a1: RationalMatrix
-    a2: RationalMatrix
     b1: RationalMatrix
-    b2: RationalMatrix
     c1: Optional[RationalMatrix]
+    a2: RationalMatrix
+    b2: RationalMatrix
     c2: Optional[RationalMatrix]
 
     def axis(self, j: int):
@@ -107,14 +110,16 @@ class MonicTtrr:
         raise ValueError("axis must be 1 or 2")
 
 
-def monic_ttrr(pde: HypergeometricPDE, n: int) -> MonicTtrr:
+def monic_ttrr(pde: HypergeometricPDE, n: int) -> TtrrSet:
+    """Closed-form recurrence matrices of the monic family; A is the shift
+    matrix."""
     check_admissible(pde, n)
     p = pde
     a1, a2 = shift_matrix(n, 1), shift_matrix(n, 2)
     if n == 0:
         b1 = RationalMatrix([[-p.f1 / p.e]])
         b2 = RationalMatrix([[-p.f2 / p.e]])
-        return MonicTtrr(0, a1, a2, b1, b2, None, None)
+        return TtrrSet(0, a1, b1, None, a2, b2, None)
 
     gn1, gn2 = subleading_matrices(pde, n)
     gp1, gp2 = subleading_matrices(pde, n + 1)
@@ -134,12 +139,12 @@ def monic_ttrr(pde: HypergeometricPDE, n: int) -> MonicTtrr:
             (-p.d3 * p.e**2 + mixed) / den,
             (-p.c2 * p.e**2 + p.f2 * (p.b2 * p.e - p.a * p.f2)) / den,
         ])
-        return MonicTtrr(1, a1, a2, b1, b2, c1, c2)
+        return TtrrSet(1, a1, b1, c1, a2, b2, c2)
 
     assert gn2 is not None and gp2 is not None
     c1 = gn2 @ shift_matrix(n - 2, 1) - a1 @ gp2 - b1 @ gn1
     c2 = gn2 @ shift_matrix(n - 2, 2) - a2 @ gp2 - b2 @ gn1
-    return MonicTtrr(n, a1, a2, b1, b2, c1, c2)
+    return TtrrSet(n, a1, b1, c1, a2, b2, c2)
 
 
 class MonicFamily(PolyVectorFamily):
@@ -161,14 +166,12 @@ def build_monic(pde: HypergeometricPDE, big_n: int) -> MonicFamily:
     check_admissible(pde, big_n)
     if not is_potentially_self_adjoint(pde):
         raise NotSelfAdjoint("no integrating-factor weight exists")
-    x = BivariatePoly.variable(1)
-    y = BivariatePoly.variable(2)
     vectors: List[PolyVector] = [PolyVector([BivariatePoly.const(1)])]
     for n in range(big_n):
         t = monic_ttrr(pde, n)
         cur = vectors[n]
-        top = cur.scale(x) - apply_matrix(t.b1, cur)
-        bot = cur.scale(y) - apply_matrix(t.b2, cur)
+        top = cur.scale(X) - apply_matrix(t.b1, cur)
+        bot = cur.scale(Y) - apply_matrix(t.b2, cur)
         if n >= 1:
             prev = vectors[n - 1]
             top = top - apply_matrix(t.c1, prev)
@@ -208,7 +211,7 @@ def solve_monic(pde: HypergeometricPDE, big_n: int) -> MonicFamily:
             pivot = op_cache[j][0] + lam * RationalMatrix.identity(j + 1)
             try:
                 gs[j] = -acc @ pivot.inverse()
-            except Exception:
+            except SingularMatrix:
                 # the pivot is (lam_n - lam_j) I, which vanishes exactly when
                 # the gap index n + j - 1 is an admissibility root
                 raise NotAdmissible(n + j - 1) from None

@@ -28,9 +28,6 @@ from typing import List, Tuple
 from .errors import DegenerateDiscriminant, NotAdmissible
 from .poly import BivariatePoly, rat
 
-_X = BivariatePoly.variable(1)
-_Y = BivariatePoly.variable(2)
-
 
 @dataclass(frozen=True)
 class HypergeometricPDE:
@@ -105,8 +102,6 @@ def check_admissible(pde: HypergeometricPDE, n_max: int) -> List[Fraction]:
         root = -pde.e / pde.a
         if root.denominator == 1 and root >= 0:
             raise NotAdmissible(int(root))
-    elif pde.e == 0:
-        raise NotAdmissible(0)
     return values
 
 

@@ -11,6 +11,11 @@ vector polynomial family (monic or not):
   * first structure relation     phi_j dP_n/dx_j = W P_{n+1} + S P_n + T P_{n-1}
   * derivative representation    P_n = V dP_{n+1}/dx_j + Y dP_n/dx_j + Z dP_{n-1}/dx_j
 
+Each general relation is one coefficient match (``_match``): expand the
+left-hand side in the monomial basis and peel its top three layers off
+against the family's expansion matrices, dividing by the family's cached
+leading inverses.
+
 The derivative representation is produced in two layouts: the wide form (V,
 Y, Z) acting on the raw derivative vectors, and the compact form acting on
 the Q vectors.  The compact form is the unique one and is what closed-form
@@ -24,29 +29,17 @@ equation coefficients; below their validity range the general route is used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
-from .errors import PhiDegreeTooHigh, SingularLeading, SingularMatrix
+from .errors import PhiDegreeTooHigh
 from .matrix import RationalMatrix
-from .monic import subleading_matrices
+from .monic import TtrrSet, subleading_matrices
 from .pde import HypergeometricPDE
-from .poly import BivariatePoly
+from .poly import X, Y, BivariatePoly
 from .vectors import (PolyVector, PolyVectorFamily, derivative_matrix,
                       expansion_matrices, shift_matrix)
 
-
-@dataclass(frozen=True)
-class TtrrSet:
-    n: int
-    a1: RationalMatrix
-    b1: RationalMatrix
-    c1: Optional[RationalMatrix]
-    a2: RationalMatrix
-    b2: RationalMatrix
-    c2: Optional[RationalMatrix]
-
-    def axis(self, j: int):
-        return (self.a1, self.b1, self.c1) if j == 1 else (self.a2, self.b2, self.c2)
+_Triple = Tuple[RationalMatrix, RationalMatrix, Optional[RationalMatrix]]
 
 
 @dataclass(frozen=True)
@@ -76,39 +69,50 @@ class StructureSet:
 
 @dataclass(frozen=True)
 class DerivRep:
-    """Derivative representation along one axis, wide and compact layouts."""
+    """Derivative representation along one axis.  The compact triple acts
+    on Q_n, Q_{n-1}, Q_{n-2}; the wide triple (v, y, z) acts on the raw
+    derivatives and is the compact one composed with the shift matrices,
+    since Q_k = shift(k, axis) @ dP_{k+1}."""
 
     n: int
     axis: int
-    v: RationalMatrix
-    y: RationalMatrix
-    z: RationalMatrix
     v_compact: RationalMatrix
     y_compact: RationalMatrix
     z_compact: RationalMatrix
 
+    @property
+    def v(self) -> RationalMatrix:
+        return self.v_compact @ shift_matrix(self.n, self.axis)
 
-def _inv_leading(fam: PolyVectorFamily, k: int) -> RationalMatrix:
-    try:
-        return fam.G(k, k).inverse()
-    except SingularMatrix:
-        raise SingularLeading(k) from None
+    @property
+    def y(self) -> RationalMatrix:
+        return self.y_compact @ shift_matrix(self.n - 1, self.axis)
+
+    @property
+    def z(self) -> RationalMatrix:
+        return self.z_compact @ shift_matrix(self.n - 2, self.axis)
 
 
-def _ttrr_axis(fam: PolyVectorFamily, n: int, j: int
-               ) -> Tuple[RationalMatrix, RationalMatrix, Optional[RationalMatrix]]:
-    a = fam.G(n, n) @ shift_matrix(n, j) @ _inv_leading(fam, n + 1)
-    if n == 0:
-        b = -(a @ fam.G(1, 0)) @ _inv_leading(fam, 0)
-        return a, b, None
-    b = (fam.G(n, n - 1) @ shift_matrix(n - 1, j) - a @ fam.G(n + 1, n)) @ _inv_leading(fam, n)
-    if n == 1:
-        c = -(a @ fam.G(2, 0) + b @ fam.G(1, 0)) @ _inv_leading(fam, 0)
-    else:
-        c = (fam.G(n, n - 2) @ shift_matrix(n - 2, j)
-             - a @ fam.G(n + 1, n - 1)
-             - b @ fam.G(n, n - 1)) @ _inv_leading(fam, n - 1)
-    return a, b, c
+def _match(lhs: PolyVector, fam: PolyVectorFamily, top: int) -> _Triple:
+    """The X_i of lhs = X_0 P_top + X_1 P_{top-1} + X_2 P_{top-2}, read off
+    the top three monomial layers: with H_i the expansion matrix of lhs at
+    degree top-i,
+
+        X_i = (H_i - sum_{k<i} X_k G_{top-k, top-i}) G_{top-i, top-i}^{-1}.
+
+    Terms below degree 0 are absent (None)."""
+    h = expansion_matrices(lhs, top)
+    xs: List[RationalMatrix] = []
+    for i in range(min(3, top + 1)):
+        acc = h[i]
+        for k, xk in enumerate(xs):
+            acc = acc - xk @ fam.G(top - k, top - i)
+        xs.append(acc @ fam.leading_inverse(top - i))
+    return tuple(xs) + (None,) * (3 - len(xs))
+
+
+def _ttrr_axis(fam: PolyVectorFamily, n: int, j: int) -> _Triple:
+    return _match(fam.vector(n).scale(X if j == 1 else Y), fam, n + 1)
 
 
 def general_ttrr(fam: PolyVectorFamily, n: int) -> TtrrSet:
@@ -139,11 +143,6 @@ class DerivativeFamily(PolyVectorFamily):
         self.axis = axis
 
 
-def derivative_family(fam: PolyVectorFamily, axis: int,
-                      up_to: Optional[int] = None) -> DerivativeFamily:
-    return DerivativeFamily(fam, axis, up_to)
-
-
 def derivative_ttrr(qfam: DerivativeFamily, n: int) -> QTtrr:
     """Unique recurrence of the derivative family along its own axis,
     read off the Q family's expansion matrices."""
@@ -164,12 +163,7 @@ def _structure_axis(fam: PolyVectorFamily, phi: BivariatePoly, n: int, j: int):
     if n < 1:
         raise ValueError("structure relations start at n = 1")
     phi_coefficients(phi)  # degree gate
-    lhs = fam.vector(n).diff(j).scale(phi)
-    h = expansion_matrices(lhs, n + 1)  # [H_{n+1}, H_n, ..., H_0]
-    w = h[0] @ _inv_leading(fam, n + 1)
-    s = (h[1] - w @ fam.G(n + 1, n)) @ _inv_leading(fam, n)
-    t = (h[2] - w @ fam.G(n + 1, n - 1) - s @ fam.G(n, n - 1)) @ _inv_leading(fam, n - 1)
-    return w, s, t
+    return _match(fam.vector(n).diff(j).scale(phi), fam, n + 1)
 
 
 def structure_matrices(fam: PolyVectorFamily, phi1: BivariatePoly,
@@ -228,15 +222,7 @@ def derivative_representation(fam: PolyVectorFamily, n: int, axis: int,
         raise ValueError("derivative representation starts at n = 2")
     if qfam is None:
         qfam = DerivativeFamily(fam, axis, n)
-    vq = fam.G(n, n) @ _inv_leading(qfam, n)
-    yq = (fam.G(n, n - 1) - vq @ qfam.G(n, n - 1)) @ _inv_leading(qfam, n - 1)
-    zq = (fam.G(n, n - 2) - vq @ qfam.G(n, n - 2)
-          - yq @ qfam.G(n - 1, n - 2)) @ _inv_leading(qfam, n - 2)
-    return DerivRep(n, axis,
-                    vq @ shift_matrix(n, axis),
-                    yq @ shift_matrix(n - 1, axis),
-                    zq @ shift_matrix(n - 2, axis),
-                    vq, yq, zq)
+    return DerivRep(n, axis, *_match(fam.vector(n), qfam, n))
 
 
 def monic_derivative_representation(pde: HypergeometricPDE, n: int, axis: int) -> DerivRep:
@@ -257,8 +243,4 @@ def monic_derivative_representation(pde: HypergeometricPDE, n: int, axis: int) -
           - vq @ shift_matrix(n, axis) @ gp2 @ derivative_matrix(n - 1, axis)
           - yq @ shift_matrix(n - 1, axis) @ gn1 @ derivative_matrix(n - 1, axis)
           ) @ v_compact(n - 2)
-    return DerivRep(n, axis,
-                    vq @ shift_matrix(n, axis),
-                    yq @ shift_matrix(n - 1, axis),
-                    zq @ shift_matrix(n - 2, axis),
-                    vq, yq, zq)
+    return DerivRep(n, axis, vq, yq, zq)

@@ -37,11 +37,8 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from .errors import DegreeMismatch, NotDivisible, NotReducible
-from .poly import BivariatePoly
+from .poly import X, Y, BivariatePoly
 from .weights import PhiCase, WeightSpec
-
-_X = BivariatePoly.variable(1)
-_Y = BivariatePoly.variable(2)
 
 
 @dataclass(frozen=True)
@@ -95,10 +92,10 @@ def _peel(phi: BivariatePoly, basis: List[BivariatePoly]
     return counts, Fraction(1)
 
 
-def _assemble(w: WeightSpec, case: PhiCase, pow10: int, pow01: int):
+def _assemble(w: WeightSpec, case: PhiCase):
     """Factor basis, the weight's own exponents, the phi multiplicity
     vectors, and the scalar contents of the two phi factors."""
-    basis: List[BivariatePoly] = [_X, _Y] + [q for q, _ in w.factors]
+    basis: List[BivariatePoly] = [X, Y] + [q for q, _ in w.factors]
     m10, c10 = _peel(case.phi10, basis)
     m01, c01 = _peel(case.phi01, basis)
     size = len(basis)
@@ -133,19 +130,7 @@ def rodrigues_eval(w: WeightSpec, case: PhiCase, n: int, m: int) -> BivariatePol
     normalized with constant 1; the result must have total degree n + m."""
     if n < 0 or m < 0:
         raise ValueError("need n, m >= 0")
-    basis, rho_exps, m10, c10, m01, c01 = _assemble(w, case, n, m)
-    exps = [rho_exps[i] + n * m10[i] + m * m01[i] for i in range(len(basis))]
-    expr = WeightedExpr(tuple(basis), tuple(exps),
-                        BivariatePoly.const(c10**n * c01**m))
-    for _ in range(n):
-        expr = weighted_diff(expr, 1)
-    for _ in range(m):
-        expr = weighted_diff(expr, 2)
-    out = _divide_out(expr, rho_exps)
-    if out.degree() != n + m:
-        raise DegreeMismatch(
-            f"Rodrigues output has degree {out.degree()}, expected {n + m}")
-    return out
+    return rodrigues_derivative_eval(w, case, n, m, 0, 0)
 
 
 def rodrigues_derivative_eval(w: WeightSpec, case: PhiCase,
@@ -155,7 +140,7 @@ def rodrigues_derivative_eval(w: WeightSpec, case: PhiCase,
     shifted weight rho * phi10^r * phi01^s.  Degree is n + m - r - s."""
     if not (0 <= r <= n and 0 <= s <= m):
         raise ValueError("need 0 <= r <= n and 0 <= s <= m")
-    basis, rho_exps, m10, c10, m01, c01 = _assemble(w, case, n, m)
+    basis, rho_exps, m10, c10, m01, c01 = _assemble(w, case)
     exps = [rho_exps[i] + n * m10[i] + m * m01[i] for i in range(len(basis))]
     expr = WeightedExpr(tuple(basis), tuple(exps),
                         BivariatePoly.const(c10**(n - r) * c01**(m - s)))
@@ -166,6 +151,7 @@ def rodrigues_derivative_eval(w: WeightSpec, case: PhiCase,
     shifted = [rho_exps[i] + r * m10[i] + s * m01[i] for i in range(len(basis))]
     out = _divide_out(expr, shifted)
     if out.degree() != n + m - r - s:
+        what = "output" if r == s == 0 else "derivative"
         raise DegreeMismatch(
-            f"Rodrigues derivative has degree {out.degree()}, expected {n + m - r - s}")
+            f"Rodrigues {what} has degree {out.degree()}, expected {n + m - r - s}")
     return out

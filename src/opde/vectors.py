@@ -14,13 +14,17 @@ Applied to a vector, L only selects entries 0..n (axis 1) or 1..n+1 (axis
 of multiplying.  The matrices remain for the closed forms written as matrix
 products and for tests; the joint left inverse is a reference construction
 that no production route uses.
+
+``PolyVectorFamily`` caches each vector's expansion matrices G_{n,k} and,
+through ``leading_inverse``, the inverse of each leading matrix G_{k,k}: the
+relation solves divide by the same few inverses many times.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence
 
-from .errors import DegreeOverflow
+from .errors import DegreeOverflow, SingularLeading, SingularMatrix
 from .matrix import RationalMatrix
 from .poly import BivariatePoly
 
@@ -173,6 +177,7 @@ class PolyVectorFamily:
             if v.max_degree() > n:
                 raise DegreeOverflow(f"vector at degree {n} has degree {v.max_degree()}")
         self._gcache: Dict[int, List[RationalMatrix]] = {}
+        self._icache: Dict[int, RationalMatrix] = {}
 
     @property
     def max_n(self) -> int:
@@ -188,3 +193,13 @@ class PolyVectorFamily:
         if n not in self._gcache:
             self._gcache[n] = expansion_matrices(self.vectors[n], n)
         return self._gcache[n][n - k]
+
+    def leading_inverse(self, k: int) -> RationalMatrix:
+        """Inverse of the leading matrix G_{k,k}, computed once per degree;
+        raises SingularLeading when G_{k,k} is singular."""
+        if k not in self._icache:
+            try:
+                self._icache[k] = self.G(k, k).inverse()
+            except SingularMatrix:
+                raise SingularLeading(k) from None
+        return self._icache[k]

@@ -6,8 +6,8 @@ it directly as the final acceptance gate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .errors import NoCaseMatches, OpdeError, PhiDegreeTooHigh
 from .families import (AppellParams, appell_pde, appell_phi_case, appell_weight,
@@ -18,7 +18,7 @@ from .matrix import RationalMatrix
 from .monic import build_monic, monic_ttrr, pde_residual, solve_monic, subleading_matrices
 from .pde import HypergeometricPDE, check_admissible, is_potentially_self_adjoint
 from .poly import BivariatePoly, X, Y
-from .relations import (derivative_family, derivative_representation,
+from .relations import (DerivativeFamily, derivative_representation,
                         derivative_ttrr, general_ttrr,
                         monic_derivative_representation,
                         monic_structure_matrices, structure_matrices)
@@ -57,11 +57,14 @@ def _first_bad_entry(got: PolyVector, want: PolyVector) -> Optional[int]:
     return None
 
 
-def _ttrr_rhs(t, j: int, fam: PolyVectorFamily, n: int) -> PolyVector:
-    a, b, c = t.axis(j)
-    rhs = apply_matrix(a, fam.vector(n + 1)) + apply_matrix(b, fam.vector(n))
-    if c is not None and n >= 1:
-        rhs = rhs + apply_matrix(c, fam.vector(n - 1))
+def _three_term(mats: Sequence[Optional[RationalMatrix]],
+                vector: Callable[[int], PolyVector], top: int) -> PolyVector:
+    """X_0 vector(top) + X_1 vector(top-1) + X_2 vector(top-2), the right-hand
+    side of every relation; an absent X_i (None) contributes nothing."""
+    rhs = apply_matrix(mats[0], vector(top))
+    for i, m in enumerate(mats[1:], 1):
+        if m is not None:
+            rhs = rhs + apply_matrix(m, vector(top - i))
     return rhs
 
 
@@ -99,14 +102,14 @@ def run_verification(pde: HypergeometricPDE, big_n: int,
     if not (adm.passed and sa.passed):
         return results
 
-    fam: PolyVectorFamily = build_monic(pde, big_n + 2)
-    label = "monic"
-    if family != "monic":
+    if family == "monic":
+        fam: PolyVectorFamily = build_monic(pde, big_n + 2)
+    else:
         if params is None:
             raise ValueError("non-monic families need the triangle parameters")
         build = nonmonic_F_vector if family == "appell-F" else koornwinder_vector
         fam = PolyVectorFamily([build(params, n) for n in range(big_n + 3)])
-        label = family
+    qfams = {j: DerivativeFamily(fam, j) for j in (1, 2)}
 
     if family == "monic":
         res = SuiteResult("eigen-residual")
@@ -140,20 +143,19 @@ def run_verification(pde: HypergeometricPDE, big_n: int,
                 same = all(x == y for x, y in zip(t.axis(j), tc.axis(j)))
                 ttrr.check(same, f"n={n} axis={j} closed-form/general mismatch")
         if corrupt == "ttrr-b1" and n == 1:
-            t = type(t)(t.n, t.a1, _corrupt_matrix(t.b1), t.c1, t.a2, t.b2, t.c2)
+            t = replace(t, b1=_corrupt_matrix(t.b1))
         for j, var in ((1, X), (2, Y)):
-            bad = _first_bad_entry(fam.vector(n).scale(var), _ttrr_rhs(t, j, fam, n))
+            bad = _first_bad_entry(fam.vector(n).scale(var),
+                                   _three_term(t.axis(j), fam.vector, n + 1))
             ttrr.check(bad is None, f"n={n} axis={j} entry={bad}")
     results.append(ttrr)
 
     qttrr = SuiteResult("derivative-family-ttrr")
     for j, var in ((1, X), (2, Y)):
-        qfam = derivative_family(fam, j)
+        qfam = qfams[j]
         for n in range(big_n + 1):
             qt = derivative_ttrr(qfam, n)
-            rhs = apply_matrix(qt.a, qfam.vector(n + 1)) + apply_matrix(qt.b, qfam.vector(n))
-            if qt.c is not None:
-                rhs = rhs + apply_matrix(qt.c, qfam.vector(n - 1))
+            rhs = _three_term((qt.a, qt.b, qt.c), qfam.vector, n + 1)
             bad = _first_bad_entry(qfam.vector(n).scale(var), rhs)
             qttrr.check(bad is None, f"n={n} axis={j} entry={bad}")
     results.append(qttrr)
@@ -166,12 +168,8 @@ def run_verification(pde: HypergeometricPDE, big_n: int,
         for n in range(1, big_n + 1):
             st = structure_matrices(fam, phi[1], phi[2], n)
             for j in (1, 2):
-                w, s, t = st.axis(j)
                 lhs = fam.vector(n).diff(j).scale(phi[j])
-                rhs = (apply_matrix(w, fam.vector(n + 1))
-                       + apply_matrix(s, fam.vector(n))
-                       + apply_matrix(t, fam.vector(n - 1)))
-                bad = _first_bad_entry(lhs, rhs)
+                bad = _first_bad_entry(lhs, _three_term(st.axis(j), fam.vector, n + 1))
                 struct.check(bad is None, f"n={n} axis={j} entry={bad}")
             if family == "monic" and n >= 3:
                 sm = monic_structure_matrices(pde, phi[1], phi[2], n)
@@ -180,10 +178,9 @@ def run_verification(pde: HypergeometricPDE, big_n: int,
                                  f"n={n} axis={j} closed-form/general mismatch")
         for n in range(2, big_n + 1):
             for j in (1, 2):
-                dr = derivative_representation(fam, n, j)
-                rhs = (apply_matrix(dr.v, fam.vector(n + 1).diff(j))
-                       + apply_matrix(dr.y, fam.vector(n).diff(j))
-                       + apply_matrix(dr.z, fam.vector(n - 1).diff(j)))
+                dr = derivative_representation(fam, n, j, qfams[j])
+                rhs = _three_term((dr.v, dr.y, dr.z),
+                                  lambda k: fam.vector(k).diff(j), n + 1)
                 bad = _first_bad_entry(fam.vector(n), rhs)
                 deriv.check(bad is None, f"n={n} axis={j} entry={bad}")
                 if family == "monic":
@@ -198,11 +195,12 @@ def run_verification(pde: HypergeometricPDE, big_n: int,
     results.append(deriv)
 
     if params is not None:
-        results.extend(_instance_suites(params, fam, label, big_n))
+        results.extend(_instance_suites(params, fam, qfams, family, big_n))
     return results
 
 
-def _instance_suites(p: AppellParams, fam: PolyVectorFamily, label: str,
+def _instance_suites(p: AppellParams, fam: PolyVectorFamily,
+                     qfams: Dict[int, DerivativeFamily], label: str,
                      big_n: int) -> List[SuiteResult]:
     results: List[SuiteResult] = []
     pde = appell_pde(p)
@@ -259,7 +257,7 @@ def _instance_suites(p: AppellParams, fam: PolyVectorFamily, label: str,
                     golden.check(golden_matrices(p, n, f"T{j}") == tm, f"T{j} n={n}")
             if n >= 2:
                 for j in (1, 2):
-                    dr = derivative_representation(fam, n, j)
+                    dr = derivative_representation(fam, n, j, qfams[j])
                     golden.check(golden_matrices(p, n, f"V{j}") == dr.v_compact, f"V{j} n={n}")
                     golden.check(golden_matrices(p, n, f"Y{j}") == dr.y_compact, f"Y{j} n={n}")
                     golden.check(golden_matrices(p, n, f"Z{j}") == dr.z_compact, f"Z{j} n={n}")

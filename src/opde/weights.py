@@ -32,11 +32,7 @@ from .errors import (DegenerateDiscriminant, NoCaseMatches, NonPolynomialPhi,
                      NotDivisible)
 from .matrix import RationalMatrix
 from .pde import HypergeometricPDE, discriminant, pearson_numerators
-from .poly import BivariatePoly, rat
-
-_X = BivariatePoly.variable(1)
-_Y = BivariatePoly.variable(2)
-_ONE = BivariatePoly.const(1)
+from .poly import ONE, X, Y, BivariatePoly, rat
 
 
 @dataclass(frozen=True)
@@ -129,7 +125,7 @@ def classify_phi(pde: HypergeometricPDE) -> List[PhiCase]:
     no polynomial pair exists the pattern is skipped.
     """
     p = pde
-    x, y = _X, _Y
+    x, y = X, Y
     found: List[PhiCase] = []
 
     def emit(case_id: str, condition: str, phi10: BivariatePoly, phi01: BivariatePoly):
@@ -165,11 +161,11 @@ def classify_phi(pde: HypergeometricPDE) -> List[PhiCase]:
 
     if p.a == 0 and p.b1 == 0 and p.c1 == 0 and p.c3 == 0:
         fx = BivariatePoly({(1, 0): p.b3, (0, 0): p.d3})
-        emit("iii", "a = b1 = c1 = c3 = 0", fx * fx, _ONE)
+        emit("iii", "a = b1 = c1 = c3 = 0", fx * fx, ONE)
 
     if p.a == 0 and p.b2 == 0 and p.b3 == 0 and p.c2 == 0:
         fy = BivariatePoly({(0, 1): p.c3, (0, 0): p.d3})
-        emit("iv", "a = b2 = b3 = c2 = 0", _ONE, fy * fy)
+        emit("iv", "a = b2 = b3 = c2 = 0", ONE, fy * fy)
 
     if p.a == 0 and p.b3 == 0 and p.c3 == 0 and p.d3 == 0:
         emit("v", "a = b3 = c3 = d3 = 0",
@@ -260,7 +256,7 @@ def log_derivative(w: WeightSpec, axis: int
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
     terms: List[Tuple[BivariatePoly, BivariatePoly]] = []  # (coeff * dQ, Q)
-    var = _X if axis == 1 else _Y
+    var = X if axis == 1 else Y
     exp = w.u if axis == 1 else w.v
     if exp != 0:
         terms.append((BivariatePoly.const(exp), var))
@@ -269,13 +265,13 @@ def log_derivative(w: WeightSpec, axis: int
         if wt != 0 and not dq.is_zero():
             terms.append((dq * wt, q))
     if not terms:
-        return BivariatePoly.zero(), _ONE
-    den = _ONE
+        return BivariatePoly.zero(), ONE
+    den = ONE
     for _, q in terms:
         den = den * q
     num = BivariatePoly.zero()
     for i, (top, _) in enumerate(terms):
-        rest = _ONE
+        rest = ONE
         for k, (_, q) in enumerate(terms):
             if k != i:
                 rest = rest * q

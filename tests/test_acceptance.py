@@ -17,7 +17,7 @@ from opde.families import (AppellParams, appell_pde, appell_phi_case,
                            orthogonality_blocks)
 from opde.monic import build_monic, monic_ttrr, pde_residual, subleading_matrices
 from opde.poly import X, Y
-from opde.relations import (derivative_family, derivative_representation,
+from opde.relations import (DerivativeFamily, derivative_representation,
                             derivative_ttrr, general_ttrr, structure_matrices)
 from opde.vectors import apply_matrix
 from opde.weights import classify_phi, verify_pearson
@@ -127,7 +127,7 @@ def test_criterion_06_identity_suites(fam11, fam23):
                         rhs = rhs + apply_matrix(c, fam.vector(n - 1))
                     assert fam.vector(n).scale(var) == rhs, ("ttrr", n, j)
             for j, var in ((1, X), (2, Y)):
-                qfam = derivative_family(fam, j)
+                qfam = DerivativeFamily(fam, j)
                 for n in range(8):
                     qt = derivative_ttrr(qfam, n)
                     rhs = apply_matrix(qt.a, qfam.vector(n + 1)) + apply_matrix(qt.b, qfam.vector(n))

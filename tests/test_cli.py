@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -54,6 +55,20 @@ def test_check_malformed_json(tmp_path, capsys):
     assert main(["check", "--pde", str(path)]) == 1
     err = capsys.readouterr().err
     assert "line 1" in err and "column" in err
+
+
+def test_classify_no_case_matches(tmp_path, capsys):
+    # fits none of the ten cases: an empty list and success, not exit 4
+    data = {"a": "0", "b1": "0", "c1": "1", "b2": "0", "c2": "1", "b3": "1",
+            "c3": "0", "d3": "0", "e": "-1", "f1": "0", "f2": "0"}
+    path = tmp_path / "nocase.json"
+    path.write_text(json.dumps(data))
+    assert main(["classify", "--pde", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"cases": []}
+    assert captured.err == ""
+    assert main(["classify", "--pde", str(path), "--format", "pretty"]) == 0
+    assert capsys.readouterr().out == "cases = []\n"
 
 
 def test_classify(appell_file, capsys):
@@ -223,3 +238,17 @@ def test_closed_pipe_exits_quietly():
     assert proc.returncode == 0
     assert head[0] == b"{\n"
     assert err == b""
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--alpha", "2", "--beta", "3", "-N", "6"],
+     "503b5c60b01227ceed0d4cf2c634aa8b5963a650872e947db745e0f929232824"),
+    (["--family", "koornwinder", "--alpha", "3/2", "--beta", "5/7", "-N", "4"],
+     "55ef3a537d2a4640ecc6964ca97f5025db5f523c3d51276eed466bc2b4dca391"),
+], ids=["monic", "koornwinder"])
+def test_build_json_digest(argv, digest, monkeypatch, capsys):
+    # pins the whole JSON document, byte for byte
+    monkeypatch.delenv("OPDE_MAX_DEGREE", raising=False)
+    assert main(["build", *argv, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from opde import monic
-from opde.errors import InconsistentRecursion, NotAdmissible, NotSelfAdjoint
+from opde.errors import (InconsistentRecursion, NotAdmissible, NotSelfAdjoint,
+                         SingularMatrix)
 from opde.families import AppellParams, appell_pde
 from opde.matrix import RationalMatrix
 from opde.monic import (build_monic, monic_ttrr, pde_residual, solve_monic,
@@ -179,3 +180,36 @@ def test_inconsistent_recursion_detected(monkeypatch):
     with pytest.raises(InconsistentRecursion) as info:
         build_monic(appell_pde(AppellParams(2, 3)), 5)
     assert info.value.degree == 3
+
+
+def test_monic_ttrr_rejects_bad_axis():
+    t = monic_ttrr(appell_pde(AppellParams(2, 3)), 1)
+    assert t.axis(2) == (t.a2, t.b2, t.c2)
+    with pytest.raises(ValueError):
+        t.axis(3)
+
+
+def test_subleading_matrices_once_per_degree():
+    pde = appell_pde(AppellParams(Fraction(5, 2), Fraction(1, 3)))
+    subleading_matrices.cache_clear()
+    build_monic(pde, 6)
+    info = subleading_matrices.cache_info()
+    # monic_ttrr(n) reads degrees n and n + 1 for n = 1..5
+    assert (info.misses, info.hits) == (6, 4)
+
+
+def test_solve_monic_reports_only_singular_pivots(monkeypatch):
+    pde = appell_pde(AppellParams(2, 3))
+
+    def failing(exc):
+        def inverse(self):
+            raise exc
+        return inverse
+
+    monkeypatch.setattr(RationalMatrix, "inverse", failing(SingularMatrix("pivot")))
+    with pytest.raises(NotAdmissible) as info:
+        solve_monic(pde, 2)
+    assert info.value.index == 0  # n = 1, j = 0
+    monkeypatch.setattr(RationalMatrix, "inverse", failing(RuntimeError("boom")))
+    with pytest.raises(RuntimeError, match="boom"):
+        solve_monic(pde, 2)

@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from opde.errors import PhiDegreeTooHigh
+from opde.errors import PhiDegreeTooHigh, SingularLeading
 from opde.families import (AppellParams, appell_pde, appell_phi_case,
                            nonmonic_F_vector)
 from opde.matrix import RationalMatrix
-from opde.monic import monic_ttrr
-from opde.poly import X, Y
-from opde.relations import (derivative_family, derivative_representation,
+from opde.monic import build_monic, monic_ttrr
+from opde.poly import ONE, X, Y
+from opde.relations import (DerivativeFamily, derivative_representation,
                             derivative_ttrr, general_ttrr,
                             monic_derivative_representation,
                             monic_structure_matrices, structure_matrices)
@@ -60,7 +60,7 @@ def test_ttrr_uniqueness_perturbation(fam23):
 
 
 def test_derivative_family_basics(fam11):
-    q1 = derivative_family(fam11, 1, 4)
+    q1 = DerivativeFamily(fam11, 1, 4)
     assert q1.vector(0) == PolyVector([1 + 0 * X])
     # expansion matrices factor through the source family's
     for n in range(1, 4):
@@ -74,7 +74,7 @@ def test_derivative_family_basics(fam11):
 
 
 def test_derivative_family_leading_matrix(fam11):
-    q1 = derivative_family(fam11, 1, 3)
+    q1 = DerivativeFamily(fam11, 1, 3)
     for n in range(1, 3):
         assert q1.G(n, n) == shift_matrix(n, 1) @ derivative_matrix(n + 1, 1)
 
@@ -92,7 +92,7 @@ def test_raw_derivative_leading_matrix_is_derivative_matrix(fam11):
 
 def test_derivative_ttrr_identity_and_dims(fam23):
     for axis, var in ((1, X), (2, Y)):
-        qfam = derivative_family(fam23, axis)
+        qfam = DerivativeFamily(fam23, axis)
         for n in range(5):
             qt = derivative_ttrr(qfam, n)
             assert qt.a.shape == (n + 1, n + 2)
@@ -110,7 +110,7 @@ def test_canonical_lift_satisfies_wide_recurrence(fam23):
     # valid recurrence for the raw derivative vectors, and compressing it
     # back returns the unique compact one
     axis, var = 1, X
-    qfam = derivative_family(fam23, axis)
+    qfam = DerivativeFamily(fam23, axis)
     for n in range(1, 4):
         qt = derivative_ttrr(qfam, n)
         lt = shift_matrix(n, axis).transpose()
@@ -221,3 +221,49 @@ def test_rank_facts():
         stacked_c = t.c1.vstack(t.c2)
         assert stacked_c.rank() == n
         assert t.c1.rank() == n  # single-axis block already has full column rank
+
+
+def test_singular_leading_matrix():
+    # G_{1,1} = [[1, 0], [1, 0]] has no inverse
+    fam = PolyVectorFamily([PolyVector([ONE]), PolyVector([X, X])])
+    with pytest.raises(SingularLeading) as info:
+        general_ttrr(fam, 0)
+    assert info.value.degree == 1
+
+
+def test_leading_inverse_once_per_degree(monkeypatch):
+    p = AppellParams(Fraction(3, 2), Fraction(5, 7))
+    fam = build_monic(appell_pde(p), 5)
+    phi = appell_phi_case(p)
+    qfam = DerivativeFamily(fam, 1)
+    inverted = []
+    real = RationalMatrix.inverse
+
+    def counting(self):
+        inverted.append(self)
+        return real(self)
+
+    monkeypatch.setattr(RationalMatrix, "inverse", counting)
+    for _ in range(2):
+        for n in range(5):
+            general_ttrr(fam, n)
+            if n >= 1:
+                structure_matrices(fam, phi.phi10, phi.phi01, n)
+    assert inverted == [fam.G(k, k) for k in (1, 0, 2, 3, 4, 5)]
+    inverted.clear()
+    for n in range(2, 5):
+        derivative_representation(fam, n, 1, qfam)
+        derivative_representation(fam, n, 1, qfam)
+    assert inverted == [qfam.G(k, k) for k in (2, 1, 0, 3, 4)]
+
+
+@pytest.mark.parametrize("axis", [1, 2])
+def test_shared_qfam_matches_per_call(fam23, p23, axis):
+    fam = PolyVectorFamily([nonmonic_F_vector(p23, n) for n in range(6)])
+    for family in (fam23, fam):
+        qfam = DerivativeFamily(family, axis)
+        for n in range(2, 5):
+            shared = derivative_representation(family, n, axis, qfam)
+            own = derivative_representation(family, n, axis)
+            assert shared == own
+            assert (shared.v, shared.y, shared.z) == (own.v, own.y, own.z)
