@@ -269,6 +269,8 @@ def cmd_rodrigues(args) -> int:
             weight = weight_from_json(_read_json(args.weight))
         except ValueError as ex:
             raise CliError(str(ex))
+        if not is_potentially_self_adjoint(pde):
+            raise NotSelfAdjoint("no integrating-factor weight exists")
         case = classify_phi(pde)[0]
     else:
         if args.alpha is None or args.beta is None:

@@ -162,16 +162,16 @@ class BivariatePoly:
             return _raw({e: c * v for e, v in self._terms.items()})
         if not isinstance(other, BivariatePoly):
             return NotImplemented
+        # sum every product, then drop the coefficients that cancelled
         out: Dict[Exponent, Fraction] = {}
+        get = out.get
+        right = list(other._terms.items())
         for (i1, j1), c1 in self._terms.items():
-            for (i2, j2), c2 in other._terms.items():
+            for (i2, j2), c2 in right:
                 e = (i1 + i2, j1 + j2)
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return _raw(out)
+                s = get(e)
+                out[e] = c1 * c2 if s is None else s + c1 * c2
+        return _raw({e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 

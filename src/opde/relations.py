@@ -37,7 +37,7 @@ from .monic import TtrrSet, subleading_matrices
 from .pde import HypergeometricPDE
 from .poly import X, Y, BivariatePoly
 from .vectors import (PolyVector, PolyVectorFamily, derivative_matrix,
-                      expansion_matrices, shift_matrix)
+                      expansion_layers, shift_matrix)
 
 _Triple = Tuple[RationalMatrix, RationalMatrix, Optional[RationalMatrix]]
 
@@ -101,9 +101,9 @@ def _match(lhs: PolyVector, fam: PolyVectorFamily, top: int) -> _Triple:
         X_i = (H_i - sum_{k<i} X_k G_{top-k, top-i}) G_{top-i, top-i}^{-1}.
 
     Terms below degree 0 are absent (None)."""
-    h = expansion_matrices(lhs, top)
+    h = expansion_layers(lhs, top, 3)
     xs: List[RationalMatrix] = []
-    for i in range(min(3, top + 1)):
+    for i in range(len(h)):
         acc = h[i]
         for k, xk in enumerate(xs):
             acc = acc - xk @ fam.G(top - k, top - i)

@@ -6,9 +6,12 @@ A weighted expression is
 
 over a factor basis fixed per computation (x, y, the supplied weight factors,
 plus whatever extra factors the weight-shift polynomials contribute).  The
-representation is closed under partial differentiation: one derivative
-decrements every factor exponent and folds the product rule, cleared of
-denominators, into the polynomial part.
+representation is closed under partial differentiation.  A factor is active
+for an axis when its exponent is nonzero and it depends on that axis; one
+derivative decrements the exponent of every active factor and folds the
+product rule, cleared of those factors' denominators, into the polynomial
+part.  Inactive factors are constants for that derivative: their exponents
+stay and they never enter the polynomial part.
 
 The degree-(n+m) eigensolution attached to a weight rho and factor pair
 (phi10, phi01) is
@@ -37,7 +40,7 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from .errors import DegreeMismatch, NotDivisible, NotReducible
-from .poly import X, Y, BivariatePoly
+from .poly import ONE, X, Y, ZERO, BivariatePoly
 from .weights import PhiCase, WeightSpec
 
 
@@ -53,29 +56,40 @@ class WeightedExpr:
 
 
 def weighted_diff(expr: WeightedExpr, axis: int) -> WeightedExpr:
-    """Exact partial derivative.  Every exponent drops by one; the polynomial
-    part becomes sum_i e_i * dF_i * prod_{j != i} F_j * poly + prod F_j * dpoly."""
-    facs = expr.factors
-    k = len(facs)
-    # prefix[i] = F_0 ... F_{i-1},  suffix[i] = F_{i+1} ... F_{k-1}
-    prefix = [BivariatePoly.const(1)]
-    for f in facs:
+    """Exact partial derivative.  Only active factors (nonzero exponent,
+    nonzero dF_i along the axis) lose one from their exponent; the polynomial
+    part becomes
+
+        prod_active F_j * dpoly + (sum_{i active} e_i dF_i prod_{active j != i} F_j) * poly.
+    """
+    exponents = list(expr.exponents)
+    active = []  # (F_i, e_i dF_i) of the active factors
+    for i, (f, e) in enumerate(zip(expr.factors, expr.exponents)):
+        df = f.diff(axis) if e != 0 else ZERO
+        if not df.is_zero():
+            active.append((f, e * df))
+            exponents[i] = e - 1
+    k = len(active)
+    # prefix[t] = F_0 ... F_{t-1},  suffix[t] = F_{t+1} ... F_{k-1} over the active factors
+    prefix = [ONE]
+    for f, _ in active:
         prefix.append(prefix[-1] * f)
-    suffix = [BivariatePoly.const(1)] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        suffix[i] = facs[i] * suffix[i + 1]
-    new_poly = prefix[k] * expr.poly.diff(axis)
-    for i, f in enumerate(facs):
-        df = f.diff(axis)
-        if expr.exponents[i] != 0 and not df.is_zero():
-            new_poly = new_poly + (expr.exponents[i] * df) * (prefix[i] * suffix[i + 1]) * expr.poly
-    return WeightedExpr(facs, tuple(e - 1 for e in expr.exponents), new_poly)
+    suffix = [ONE] * (k + 1)
+    for t in range(k - 1, -1, -1):
+        suffix[t] = active[t][0] * suffix[t + 1]
+    rule = ZERO
+    for t, (_, edf) in enumerate(active):
+        rule = rule + edf * (prefix[t] * suffix[t + 1])
+    new_poly = prefix[k] * expr.poly.diff(axis) + rule * expr.poly
+    return WeightedExpr(expr.factors, tuple(exponents), new_poly)
 
 
 def _peel(phi: BivariatePoly, basis: List[BivariatePoly]
           ) -> Tuple[List[int], Fraction]:
     """Write phi as const * prod basis[i]^mult[i], extending the basis with
     one opaque residual factor if needed."""
+    if phi.is_zero():
+        raise ValueError("a phi factor is the zero polynomial")
     counts = [0] * len(basis)
     rem = phi
     for idx, f in enumerate(basis):

@@ -157,10 +157,17 @@ def expansion_matrices(v: PolyVector, n: int) -> List[RationalMatrix]:
     Returns [G_n, G_{n-1}, ..., G_0] where G_k has shape len(v) x (k+1).
     Raises DegreeOverflow if an entry of v has total degree above n.
     """
+    return expansion_layers(v, n, n + 1)
+
+
+def expansion_layers(v: PolyVector, n: int, count: int) -> List[RationalMatrix]:
+    """The first ``count`` matrices of expansion_matrices(v, n), that is
+    [G_n, ..., G_{n-count+1}] (fewer if n < count - 1); the degree check
+    still covers all of v."""
     if v.max_degree() > n:
         raise DegreeOverflow(f"vector has degree {v.max_degree()} > {n}")
     out = []
-    for k in range(n, -1, -1):
+    for k in range(n, max(n - count, -1), -1):
         g = [[p.coefficient(k - c, c) for c in range(k + 1)] for p in v]
         out.append(RationalMatrix(g))
     return out

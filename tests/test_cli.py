@@ -136,6 +136,21 @@ def test_rodrigues_command_with_weight_file(tmp_path, capsys):
     assert len(by_index) == 3
 
 
+def test_rodrigues_not_self_adjoint(tmp_path, capsys):
+    # the equation has no integrating-factor weight: exit 3 like build, not 4
+    data = {"a": "0", "b1": "0", "c1": "1", "b2": "0", "c2": "1", "b3": "1",
+            "c3": "0", "d3": "0", "e": "-1", "f1": "0", "f2": "0"}
+    pde_path = tmp_path / "nsa.json"
+    pde_path.write_text(json.dumps(data))
+    weight_path = tmp_path / "w.json"
+    weight_path.write_text(json.dumps({"u": "1", "v": "0", "factors": []}))
+    assert main(["rodrigues", "--pde", str(pde_path), "--weight", str(weight_path),
+                 "-N", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no integrating-factor weight exists\n"
+
+
 def test_verify_ok(capsys):
     assert main(["verify", "--alpha", "1", "--beta", "1", "-N", "2"]) == 0
     out = capsys.readouterr().out
@@ -250,5 +265,28 @@ def test_build_json_digest(argv, digest, monkeypatch, capsys):
     # pins the whole JSON document, byte for byte
     monkeypatch.delenv("OPDE_MAX_DEGREE", raising=False)
     assert main(["build", *argv, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+DISK_PDE = {"a": "-1", "b1": "0", "c1": "1", "b2": "0", "c2": "1", "b3": "0",
+            "c3": "0", "d3": "0", "e": "-4", "f1": "0", "f2": "0"}
+DISK_WEIGHT = {"u": "0", "v": "0",
+               "factors": [[[[2, 0, "-1"], [0, 2, "-1"], [0, 0, "1"]], "1/2"]]}
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--pde", "pde.json", "--weight", "weight.json", "-N", "8"],
+     "8cf2c99fb4c82e5b5beb82c3af19646964ce866df1998b5d3cc42154bddb894b"),
+    (["--alpha", "2", "--beta", "3", "-N", "6"],
+     "39a47b1264dd6328825707dc06568e1e00405a1caba4c92c01f3dcccab628c51"),
+], ids=["disk", "triangle"])
+def test_rodrigues_json_digest(argv, digest, tmp_path, monkeypatch, capsys):
+    # pins the whole JSON document, byte for byte
+    monkeypatch.delenv("OPDE_MAX_DEGREE", raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pde.json").write_text(json.dumps(DISK_PDE))
+    (tmp_path / "weight.json").write_text(json.dumps(DISK_WEIGHT))
+    assert main(["rodrigues", *argv, "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from opde.errors import DivisionByZeroPoly, NotDivisible
 from opde.poly import NEG_INF, BivariatePoly, X, Y, ZERO, pochhammer, rat
@@ -91,3 +91,34 @@ def test_exact_division_round_trip(p, q):
 def test_diff_is_a_derivation(p, q):
     for axis in (1, 2):
         assert (p * q).diff(axis) == p.diff(axis) * q + p * q.diff(axis)
+
+
+def _textbook_product(p, q):
+    out = {}
+    for (i1, j1), c1 in p.terms():
+        for (i2, j2), c2 in q.terms():
+            e = (i1 + i2, j1 + j2)
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c != 0}
+
+
+@st.composite
+def _factor_pairs(draw):
+    p, r = draw(polys), draw(polys)
+    if draw(st.booleans()):
+        return p + r, p - r  # the cross terms of (p + r)(p - r) cancel
+    return p, r
+
+
+@seed(11012640)
+@settings(max_examples=100, deadline=None)
+@given(_factor_pairs())
+@example((X + Y, X - Y))
+@example((X * Y - 1, X * Y + 1))
+@example((ZERO, X + 1))
+@example((BivariatePoly.const(Fraction(-3, 4)), X**2 - Y))
+def test_product_matches_textbook_double_sum(pair):
+    p, q = pair
+    product = p * q
+    assert dict(product.terms()) == _textbook_product(p, q)  # no zero is stored
+    assert all(type(c) is Fraction for _, c in product.terms())

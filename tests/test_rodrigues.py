@@ -2,17 +2,20 @@ from fractions import Fraction
 
 import pytest
 
+from opde import rodrigues
 from opde.errors import DegreeMismatch, NotReducible
 from opde.families import (AppellParams, appell_pde, appell_phi_case,
                            appell_weight, connection_F, monic_appell_vector,
                            pochhammer)
 from opde.matrix import RationalMatrix
-from opde.pde import apply_operator, derived_pde
-from opde.poly import BivariatePoly, X, Y
+from opde.pde import HypergeometricPDE, apply_operator, derived_pde
+from opde.poly import ZERO, BivariatePoly, X, Y
 from opde.rodrigues import (WeightedExpr, rodrigues_derivative_eval,
                             rodrigues_eval, weighted_diff)
 from opde.vectors import PolyVector, expansion_matrices
-from opde.weights import PhiCase, WeightSpec
+from opde.weights import PhiCase, WeightSpec, classify_phi
+
+DISK = 1 - X**2 - Y**2
 
 
 def test_weighted_diff_power_rule():
@@ -40,7 +43,53 @@ def test_weighted_diff_product_rule_vs_direct():
 def test_weighted_diff_ignores_unrelated_axis():
     expr = WeightedExpr((X,), (Fraction(3, 2),), X + 1)
     out = weighted_diff(expr, 2)
+    assert out.exponents == (Fraction(3, 2),)
     assert out.poly == BivariatePoly.zero()
+
+
+def test_weighted_diff_leaves_inactive_factors():
+    # along x: the exponent-0 factor x and the x-free factor y are constants,
+    # so neither exponent moves and neither enters the polynomial part
+    expr = WeightedExpr((X, Y, DISK), (Fraction(0), Fraction(3, 2), Fraction(5, 2)),
+                        X * Y + 1)
+    out = weighted_diff(expr, 1)
+    assert out.exponents == (0, Fraction(3, 2), Fraction(3, 2))
+    assert out.poly == DISK * Y + Fraction(5, 2) * (-2 * X) * (X * Y + 1)
+    # along y every factor but x moves
+    out = weighted_diff(expr, 2)
+    assert out.exponents == (0, Fraction(1, 2), Fraction(3, 2))
+    assert out.poly == (Y * DISK * X + Fraction(3, 2) * DISK * (X * Y + 1)
+                        + Fraction(5, 2) * Y * (-2 * Y) * (X * Y + 1))
+
+
+def _disk_equation():
+    return HypergeometricPDE.from_coeffs(a=-1, c1=1, c2=1, e=-4)
+
+
+@pytest.mark.parametrize("which, n, m", [("disk", 4, 3), ("triangle", 3, 3)])
+def test_polynomial_part_stays_within_output_degree(which, n, m, p23, monkeypatch):
+    # no derivative may grow the polynomial part beyond what the output needs
+    if which == "disk":
+        w, case = WeightSpec(0, 0, ((DISK, Fraction(1, 2)),)), classify_phi(_disk_equation())[0]
+    else:
+        w, case = appell_weight(p23), appell_phi_case(p23)
+    degrees = []
+
+    def traced(expr, axis):
+        out = weighted_diff(expr, axis)
+        degrees.append(out.poly.degree())
+        return out
+
+    monkeypatch.setattr(rodrigues, "weighted_diff", traced)
+    assert rodrigues_eval(w, case, n, m).degree() == n + m
+    assert len(degrees) == n + m
+    assert max(degrees) <= n + m
+
+
+@pytest.mark.parametrize("phi10, phi01", [(ZERO, Y), (X, ZERO)], ids=["phi10", "phi01"])
+def test_zero_phi_rejected(phi10, phi01):
+    with pytest.raises(ValueError, match="zero polynomial"):
+        rodrigues_eval(WeightSpec(0, 0), PhiCase("s", "", phi10, phi01), 1, 0)
 
 
 def test_rodrigues_basic_values(p11):

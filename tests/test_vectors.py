@@ -7,7 +7,7 @@ from opde.errors import DegreeOverflow
 from opde.matrix import RationalMatrix
 from opde.poly import X, Y
 from opde.vectors import (PolyVector, apply_matrix, derivative_matrix,
-                          expansion_matrices, joint_left_inverse,
+                          expansion_layers, expansion_matrices, joint_left_inverse,
                           monomial_vector, shift_matrix, stacked_shift)
 
 
@@ -94,3 +94,14 @@ def test_expansion_round_trip():
 def test_expansion_degree_overflow():
     with pytest.raises(DegreeOverflow):
         expansion_matrices(PolyVector([X**3]), 2)
+
+
+@given(st.integers(0, 5), st.integers(1, 4))
+def test_expansion_layers_are_the_top_of_the_expansion(n, count):
+    v = PolyVector([X**n - 2 * Y, X * Y + Fraction(1, 3)])
+    assert expansion_layers(v, n + 2, count) == expansion_matrices(v, n + 2)[:count]
+
+
+def test_expansion_layers_check_the_whole_vector():
+    with pytest.raises(DegreeOverflow):
+        expansion_layers(PolyVector([X**5]), 3, 1)
