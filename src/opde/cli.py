@@ -369,7 +369,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except NotAdmissible as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_NOT_ADMISSIBLE
-    except NotSelfAdjoint as ex:
+    except (NotSelfAdjoint, DegenerateDiscriminant) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_NOT_SELF_ADJOINT
     except OpdeError as ex:

@@ -4,15 +4,14 @@ Sizes here are tiny (O(n) for desk-scale degrees), so a dense tuple-of-tuples
 of Fractions wins over anything clever: every operation is exact and the
 values are immutable after construction.  The one concession to sparsity is
 in the product, which skips zero entries: most operands are 0/1 shift,
-bidiagonal derivative or banded expansion matrices.  Rank uses fraction-free
-(Bareiss) elimination on an integer-scaled copy so there is no rank threshold
-anywhere.
+bidiagonal derivative or banded expansion matrices.  Inverse, determinant,
+rank and nullspace all read their answer off one exact Gauss-Jordan reduction
+(``_reduce``), so there is no rank threshold anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Callable, Iterable, List, Sequence, Tuple
 
 from .errors import SingularMatrix
@@ -127,95 +126,30 @@ class RationalMatrix:
         if self.nrows != self.ncols:
             raise SingularMatrix("only square matrices can be inverted")
         n = self.nrows
-        work = [list(r) + [Fraction(int(i == k)) for k in range(n)]
-                for i, r in enumerate(self.rows)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if work[r][col] != 0), None)
-            if piv is None:
-                raise SingularMatrix("matrix is singular")
-            work[col], work[piv] = work[piv], work[col]
-            inv_p = 1 / work[col][col]
-            work[col] = [v * inv_p for v in work[col]]
-            for r in range(n):
-                if r != col and work[r][col] != 0:
-                    f = work[r][col]
-                    work[r] = [v - f * w for v, w in zip(work[r], work[col])]
+        work, pivots, _ = _reduce(
+            [r + tuple(Fraction(int(i == k)) for k in range(n))
+             for i, r in enumerate(self.rows)], n)
+        if len(pivots) < n:
+            raise SingularMatrix("matrix is singular")
         return RationalMatrix([row[n:] for row in work])
 
     def det(self) -> Fraction:
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        work = [list(r) for r in self.rows]
-        out = Fraction(1)
-        for col in range(n):
-            piv = next((r for r in range(col, n) if work[r][col] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != col:
-                work[col], work[piv] = work[piv], work[col]
-                out = -out
-            out *= work[col][col]
-            inv_p = 1 / work[col][col]
-            for r in range(col + 1, n):
-                if work[r][col] != 0:
-                    f = work[r][col] * inv_p
-                    work[r] = [v - f * w for v, w in zip(work[r], work[col])]
-        return out
+        _, pivots, det = _reduce(self.rows, self.ncols)
+        return det if len(pivots) == self.nrows else Fraction(0)
 
     def rank(self) -> int:
-        """Exact rank by fraction-free (Bareiss) elimination on integer rows."""
-        work: List[List[int]] = []
-        for r in self.rows:
-            scale = 1
-            for v in r:
-                scale = scale * v.denominator // gcd(scale, v.denominator)
-            work.append([int(v * scale) for v in r])
-        nr, nc = self.nrows, self.ncols
-        rank = 0
-        prev = 1
-        row = 0
-        for col in range(nc):
-            piv = next((r for r in range(row, nr) if work[r][col] != 0), None)
-            if piv is None:
-                continue
-            work[row], work[piv] = work[piv], work[row]
-            for r in range(row + 1, nr):
-                for c in range(col + 1, nc):
-                    work[r][c] = (work[row][col] * work[r][c]
-                                  - work[r][col] * work[row][c]) // prev
-                work[r][col] = 0
-            prev = work[row][col]
-            rank += 1
-            row += 1
-            if row == nr:
-                break
-        return rank
+        """Exact rank: the number of pivots of the reduced row echelon form."""
+        return len(_reduce(self.rows, self.ncols)[1])
 
     def nullspace(self) -> List[List[Fraction]]:
-        """Exact basis of the right nullspace, via reduced row echelon form."""
-        nr, nc = self.nrows, self.ncols
-        work = [list(r) for r in self.rows]
-        pivots: List[int] = []
-        row = 0
-        for col in range(nc):
-            piv = next((r for r in range(row, nr) if work[r][col] != 0), None)
-            if piv is None:
-                continue
-            work[row], work[piv] = work[piv], work[row]
-            inv_p = 1 / work[row][col]
-            work[row] = [v * inv_p for v in work[row]]
-            for r in range(nr):
-                if r != row and work[r][col] != 0:
-                    f = work[r][col]
-                    work[r] = [v - f * w for v, w in zip(work[r], work[row])]
-            pivots.append(col)
-            row += 1
-            if row == nr:
-                break
-        free = [c for c in range(nc) if c not in pivots]
+        """Exact basis of the right nullspace, read off the reduced row echelon
+        form: one vector per free column, in column order."""
+        nc = self.ncols
+        work, pivots, _ = _reduce(self.rows, nc)
         basis = []
-        for fc in free:
+        for fc in (c for c in range(nc) if c not in pivots):
             vec = [Fraction(0)] * nc
             vec[fc] = Fraction(1)
             for prow, pcol in enumerate(pivots):
@@ -237,3 +171,33 @@ class RationalMatrix:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(v) for v in r) for r in self.rows)
         return f"RationalMatrix[{body}]"
+
+
+def _reduce(rows: Sequence[Sequence[Fraction]], ncols: int
+            ) -> Tuple[List[List[Fraction]], List[int], Fraction]:
+    """Gauss-Jordan reduction of ``rows`` to reduced row echelon form, pivoting
+    on the first ``ncols`` columns only (the rest ride along, as the identity
+    block of [A | I] does).  Returns the reduced rows, the pivot columns in
+    order, and the product of the pivots signed by the row swaps, which is the
+    determinant when every one of those columns has a pivot."""
+    work = [list(r) for r in rows]
+    nr = len(work)
+    pivots: List[int] = []
+    det = Fraction(1)
+    for col in range(ncols):
+        row = len(pivots)
+        piv = next((r for r in range(row, nr) if work[r][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != row:
+            work[row], work[piv] = work[piv], work[row]
+            det = -det
+        det *= work[row][col]
+        inv_p = 1 / work[row][col]
+        top = work[row] = [v * inv_p for v in work[row]]
+        for r in range(nr):
+            f = work[r][col]
+            if r != row and f != 0:
+                work[r] = [v - f * w for v, w in zip(work[r], top)]
+        pivots.append(col)
+    return work, pivots, det

@@ -128,14 +128,13 @@ class BivariatePoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # fold the right operand in, then drop the coefficients that cancelled
         out = dict(self._terms)
+        get = out.get
         for e, c in other._terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return _raw(out)
+            s = get(e)
+            out[e] = c if s is None else s + c
+        return _raw({e: c for e, c in out.items() if c})
 
     __radd__ = __add__
 

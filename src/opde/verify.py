@@ -7,20 +7,21 @@ it directly as the final acceptance gate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import NoCaseMatches, OpdeError, PhiDegreeTooHigh
-from .families import (AppellParams, appell_pde, appell_phi_case, appell_weight,
-                       connection_F, connection_K, functional, golden_matrices,
+from .families import (AppellParams, appell_pde, appell_weight, connection_F,
+                       connection_K, functional, golden_matrices,
                        koornwinder_vector, monic_appell_vector,
                        nonmonic_F_vector, orthogonality_blocks)
 from .matrix import RationalMatrix
-from .monic import build_monic, monic_ttrr, pde_residual, solve_monic, subleading_matrices
+from .monic import (TtrrSet, build_monic, monic_ttrr, pde_residual, solve_monic,
+                    subleading_matrices)
 from .pde import HypergeometricPDE, check_admissible, is_potentially_self_adjoint
 from .poly import BivariatePoly, X, Y
-from .relations import (DerivativeFamily, derivative_representation,
-                        derivative_ttrr, general_ttrr,
-                        monic_derivative_representation,
+from .relations import (DerivativeFamily, DerivRep, StructureSet,
+                        derivative_representation, derivative_ttrr,
+                        general_ttrr, monic_derivative_representation,
                         monic_structure_matrices, structure_matrices)
 from .vectors import PolyVector, PolyVectorFamily, apply_matrix
 from .weights import classify_phi, verify_pearson
@@ -134,9 +135,14 @@ def run_verification(pde: HypergeometricPDE, big_n: int,
             routes.check(bad is None, f"n={n} entry={bad}")
         results.append(routes)
 
+    # the general-route solutions, kept for the golden-table suite
+    ttrrs: Dict[int, TtrrSet] = {}
+    structs: Dict[int, StructureSet] = {}
+    dreps: Dict[Tuple[int, int], DerivRep] = {}
+
     ttrr = SuiteResult("ttrr-identity")
     for n in range(big_n + 1):
-        t = general_ttrr(fam, n)
+        t = ttrrs[n] = general_ttrr(fam, n)
         if family == "monic":
             tc = monic_ttrr(pde, n)
             for j in (1, 2):
@@ -166,7 +172,7 @@ def run_verification(pde: HypergeometricPDE, big_n: int,
         case = classify_phi(pde)[0]
         phi = {1: case.phi10, 2: case.phi01}
         for n in range(1, big_n + 1):
-            st = structure_matrices(fam, phi[1], phi[2], n)
+            st = structs[n] = structure_matrices(fam, phi[1], phi[2], n)
             for j in (1, 2):
                 lhs = fam.vector(n).diff(j).scale(phi[j])
                 bad = _first_bad_entry(lhs, _three_term(st.axis(j), fam.vector, n + 1))
@@ -178,7 +184,7 @@ def run_verification(pde: HypergeometricPDE, big_n: int,
                                  f"n={n} axis={j} closed-form/general mismatch")
         for n in range(2, big_n + 1):
             for j in (1, 2):
-                dr = derivative_representation(fam, n, j, qfams[j])
+                dr = dreps[n, j] = derivative_representation(fam, n, j, qfams[j])
                 rhs = _three_term((dr.v, dr.y, dr.z),
                                   lambda k: fam.vector(k).diff(j), n + 1)
                 bad = _first_bad_entry(fam.vector(n), rhs)
@@ -195,13 +201,18 @@ def run_verification(pde: HypergeometricPDE, big_n: int,
     results.append(deriv)
 
     if params is not None:
-        results.extend(_instance_suites(params, fam, qfams, family, big_n))
+        results.extend(_instance_suites(params, fam, family, big_n,
+                                        ttrrs, structs, dreps))
     return results
 
 
-def _instance_suites(p: AppellParams, fam: PolyVectorFamily,
-                     qfams: Dict[int, DerivativeFamily], label: str,
-                     big_n: int) -> List[SuiteResult]:
+def _instance_suites(p: AppellParams, fam: PolyVectorFamily, label: str,
+                     big_n: int, ttrrs: Dict[int, TtrrSet],
+                     structs: Dict[int, StructureSet],
+                     dreps: Dict[Tuple[int, int], DerivRep]) -> List[SuiteResult]:
+    """The triangle's own suites.  The golden tables are compared against
+    the relations the identity suites already solved (``ttrrs``, ``structs``
+    and ``dreps``, keyed by degree and by (degree, axis))."""
     results: List[SuiteResult] = []
     pde = appell_pde(p)
 
@@ -234,30 +245,30 @@ def _instance_suites(p: AppellParams, fam: PolyVectorFamily,
     results.append(orth)
 
     if label == "monic":
+        # series-route vectors, shared with the biorthogonality suite
+        appell = [monic_appell_vector(p, n) for n in range(max(min(big_n, 6), 4) + 1)]
         series = SuiteResult("series-route")
         for n in range(min(big_n, 6) + 1):
-            bad = _first_bad_entry(fam.vector(n), monic_appell_vector(p, n))
+            bad = _first_bad_entry(fam.vector(n), appell[n])
             series.check(bad is None, f"n={n} entry={bad}")
         results.append(series)
 
         golden = SuiteResult("golden-agreement")
         for n in range(min(big_n, 7) + 1):
-            t = general_ttrr(fam, n)
+            t = ttrrs[n]
             golden.check(golden_matrices(p, n, "B1") == t.b1, f"B1 n={n}")
             golden.check(golden_matrices(p, n, "B2") == t.b2, f"B2 n={n}")
             if n >= 1:
                 golden.check(golden_matrices(p, n, "C1") == t.c1, f"C1 n={n}")
                 golden.check(golden_matrices(p, n, "C2") == t.c2, f"C2 n={n}")
-                case = appell_phi_case(p)
-                st = structure_matrices(fam, case.phi10, case.phi01, n)
                 for j in (1, 2):
-                    wm, sm, tm = st.axis(j)
+                    wm, sm, tm = structs[n].axis(j)
                     golden.check(golden_matrices(p, n, f"W{j}") == wm, f"W{j} n={n}")
                     golden.check(golden_matrices(p, n, f"S{j}") == sm, f"S{j} n={n}")
                     golden.check(golden_matrices(p, n, f"T{j}") == tm, f"T{j} n={n}")
             if n >= 2:
                 for j in (1, 2):
-                    dr = derivative_representation(fam, n, j, qfams[j])
+                    dr = dreps[n, j]
                     golden.check(golden_matrices(p, n, f"V{j}") == dr.v_compact, f"V{j} n={n}")
                     golden.check(golden_matrices(p, n, f"Y{j}") == dr.y_compact, f"Y{j} n={n}")
                     golden.check(golden_matrices(p, n, f"Z{j}") == dr.z_compact, f"Z{j} n={n}")
@@ -274,17 +285,15 @@ def _instance_suites(p: AppellParams, fam: PolyVectorFamily,
         results.append(conn)
 
         bio = SuiteResult("biorthogonality")
-        for big in range(5):
-            for nm in range(big + 1):
-                f_poly = nonmonic_F_vector(p, big)[nm]
-                for big2 in range(5):
-                    for kl in range(big2 + 1):
-                        a_poly = monic_appell_vector(p, big2)[kl]
-                        val = functional(p, f_poly * a_poly)
-                        same = (big, nm) == (big2, kl)
-                        if same:
-                            bio.check(val != 0, f"diagonal ({big},{nm}) vanished")
-                        else:
-                            bio.check(val == 0, f"off-diagonal ({big},{nm})x({big2},{kl})={val}")
+        f_polys = [(big, nm, f) for big in range(5)
+                   for nm, f in enumerate(nonmonic_F_vector(p, big))]
+        a_polys = [(big2, kl, a) for big2 in range(5) for kl, a in enumerate(appell[big2])]
+        for big, nm, f_poly in f_polys:
+            for big2, kl, a_poly in a_polys:
+                val = functional(p, f_poly * a_poly)
+                if (big, nm) == (big2, kl):
+                    bio.check(val != 0, f"diagonal ({big},{nm}) vanished")
+                else:
+                    bio.check(val == 0, f"off-diagonal ({big},{nm})x({big2},{kl})={val}")
         results.append(bio)
     return results

@@ -290,3 +290,41 @@ def test_rodrigues_json_digest(argv, digest, tmp_path, monkeypatch, capsys):
     assert main(["rodrigues", *argv, "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--alpha", "3/2", "--beta", "5/7", "-N", "7"],
+     "0e87de350690c6003c596857251c276aba300f0bb3fe8ed257fcfdd31d621454"),
+    (["--pde", "pde.json", "-N", "4"],
+     "0e1087c8ad94d3cdb004e4456ae1b16706aa2d6cd23a23be55bae7b601bf8c18"),
+], ids=["triangle", "disk"])
+def test_verify_digest(argv, digest, tmp_path, monkeypatch, capsys):
+    # pins every suite line: names, check counts and notes
+    monkeypatch.delenv("OPDE_MAX_DEGREE", raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pde.json").write_text(json.dumps(DISK_PDE))
+    assert main(["verify", *argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+ZERO_DISCRIMINANT = {"a": "0", "b1": "0", "c1": "0", "b2": "0", "c2": "0", "b3": "0",
+                     "c3": "0", "d3": "0", "e": "-1", "f1": "0", "f2": "0"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["check"], ["build", "-N", "2"], ["verify", "-N", "2"],
+    ["rodrigues", "--weight", "weight.json", "-N", "2"],
+], ids=["check", "build", "verify", "rodrigues"])
+def test_zero_discriminant_exits_3(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pde.json").write_text(json.dumps(ZERO_DISCRIMINANT))
+    (tmp_path / "weight.json").write_text(json.dumps(DISK_WEIGHT))
+    assert main([argv[0], "--pde", "pde.json", *argv[1:]]) == 3
+    captured = capsys.readouterr()
+    if argv[0] == "check":
+        assert json.loads(captured.out)["note"] == "discriminant is identically zero"
+        assert captured.err == ""
+    else:
+        assert captured.out == ""
+        assert captured.err == "error: discriminant is identically zero\n"

@@ -111,3 +111,84 @@ def test_matmul_shape_mismatch_raises(pair):
     a, b = pair
     with pytest.raises(ValueError, match="shape mismatch"):
         a @ b
+
+
+def _cofactor_det(rows):
+    """Laplace expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum(((-1) ** k * a * _cofactor_det([r[:k] + r[k + 1:] for r in rows[1:]])
+                for k, a in enumerate(rows[0]) if a), Fraction(0))
+
+
+@st.composite
+def _solvable(draw):
+    """Zero-heavy matrices of every shape up to 6x6, a third of them square,
+    with a row replaced by a combination of two others in half the draws."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        n = m
+    rows = draw(_matrices(m, n)).tolist()
+    if m >= 2 and draw(st.booleans()):
+        a, b, target = (draw(st.integers(0, m - 1)) for _ in range(3))
+        c = draw(_entries)
+        rows[target] = [x + c * y for x, y in zip(rows[a], rows[b])]
+    return RationalMatrix(rows)
+
+
+def _applied(m, vec):
+    return [sum((a * v for a, v in zip(row, vec)), Fraction(0)) for row in m.rows]
+
+
+@seed(11012640)
+@settings(max_examples=200, deadline=None)
+@given(_solvable())
+@example(_ONE_BY_ONE)
+@example(RationalMatrix([[0]]))
+@example(RationalMatrix.zeros(3, 3))
+@example(RationalMatrix.zeros(2, 4))
+@example(RationalMatrix([[1, 2, 3], [2, 4, 6], [1, 0, 1]]))
+@example(RationalMatrix([[0, 1], [1, 0]]))
+def test_solved_forms_agree(m):
+    rank, basis = m.rank(), m.nullspace()
+    assert rank + len(basis) == m.ncols
+    assert rank <= min(m.shape)
+    for vec in basis:
+        assert len(vec) == m.ncols
+        assert all(type(v) is Fraction for v in vec)
+        assert all(v == 0 for v in _applied(m, vec))
+    if m.nrows != m.ncols:
+        with pytest.raises(ValueError):
+            m.det()
+        with pytest.raises(SingularMatrix):
+            m.inverse()
+        return
+    det = m.det()
+    assert type(det) is Fraction
+    if m.nrows <= 4:
+        assert det == _cofactor_det(m.tolist())
+    assert (det != 0) == (rank == m.nrows)
+    if det != 0:
+        assert m @ m.inverse() == RationalMatrix.identity(m.nrows)
+        assert m.inverse() @ m == RationalMatrix.identity(m.nrows)
+    else:
+        with pytest.raises(SingularMatrix):
+            m.inverse()
+
+
+def test_solved_forms_small_cases():
+    assert _ONE_BY_ONE.inverse() == RationalMatrix([[Fraction(-3, 2)]])
+    assert _ONE_BY_ONE.det() == Fraction(-2, 3)
+    assert _ONE_BY_ONE.rank() == 1 and _ONE_BY_ONE.nullspace() == []
+    zero = RationalMatrix.zeros(2, 3)
+    assert zero.rank() == 0
+    assert zero.nullspace() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert RationalMatrix.zeros(2, 2).det() == 0
+    # rank 2 of 3: the one free column is the last, its vector read off the
+    # reduced rows
+    deficient = RationalMatrix([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
+    assert deficient.det() == 0
+    assert deficient.rank() == 2
+    assert deficient.nullspace() == [[-1, -1, 1]]
+    # a row swap flips the sign of the pivot product
+    assert RationalMatrix([[0, 1], [1, 0]]).det() == -1

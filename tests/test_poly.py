@@ -122,3 +122,18 @@ def test_product_matches_textbook_double_sum(pair):
     product = p * q
     assert dict(product.terms()) == _textbook_product(p, q)  # no zero is stored
     assert all(type(c) is Fraction for _, c in product.terms())
+
+
+@seed(11012640)
+@settings(max_examples=100, deadline=None)
+@given(polys, polys, st.booleans())
+@example(X + Y, ZERO, True)  # p + (-p): every term cancels
+@example(X**2 + 3 * Y - 1, X - 3 * Y, False)
+@example(ZERO, ZERO, False)
+def test_sum_matches_termwise_sum(p, r, cancel):
+    q = r - p if cancel else r  # p + (r - p) cancels every term of p not in r
+    a, b = dict(p.terms()), dict(q.terms())
+    want = {e: a.get(e, 0) + b.get(e, 0) for e in a.keys() | b.keys()}
+    total = p + q
+    assert dict(total.terms()) == {e: c for e, c in want.items() if c != 0}  # no zero is stored
+    assert all(type(c) is Fraction for _, c in total.terms())

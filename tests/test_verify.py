@@ -61,3 +61,22 @@ def test_degenerate_discriminant_check_exit(tmp_path, capsys):
     assert main(["check", "--pde", str(path)]) == 3
     report = json.loads(capsys.readouterr().out)
     assert report["potentially_self_adjoint"] is None
+
+def test_golden_agreement_reuses_solved_relations(p11, monkeypatch):
+    # the identity suites solve each relation once; the golden tables are
+    # compared against those solutions, not against a second solve
+    import opde.verify as verify
+    calls = {}
+    for name in ("general_ttrr", "structure_matrices", "derivative_representation",
+                 "monic_appell_vector"):
+        def counted(*args, _f=getattr(verify, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(verify, name, counted)
+    results = run_verification(appell_pde(p11), 3, params=p11)
+    assert all(r.passed for r in results), [r.line() for r in results]
+    assert calls == {"general_ttrr": 4, "structure_matrices": 3,
+                     "derivative_representation": 4, "monic_appell_vector": 5}
+    checks = {r.name: r.checks for r in results}
+    assert checks["golden-agreement"] == 2 * 4 + 2 * 3 + 6 * 3 + 6 * 2
+    assert checks["biorthogonality"] == 225
