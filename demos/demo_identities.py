@@ -14,7 +14,8 @@ Run:  python demos/demo_identities.py
 
 from opde import (AppellParams, appell_pde, apply_matrix, build_monic,
                   classify_phi, derivative_representation, general_ttrr,
-                  golden_matrices, structure_matrices, X)
+                  structure_matrices, X)
+from opde.golden import golden_matrix
 
 params = AppellParams(2, 3)
 fam = build_monic(appell_pde(params), 6)
@@ -28,9 +29,9 @@ rhs = (apply_matrix(t.a1, fam.vector(n + 1)) + apply_matrix(t.b1, fam.vector(n))
        + apply_matrix(t.c1, fam.vector(n - 1)))
 print(f"\nrecurrence identity at degree {n} (x axis):", lhs == rhs)
 print("recurrence B matches its entry table:",
-      t.b1 == golden_matrices(params, n, "B1"))
+      t.b1 == golden_matrix(params.alpha, params.beta, n, "B1"))
 print("recurrence C matches its entry table:",
-      t.c1 == golden_matrices(params, n, "C1"))
+      t.c1 == golden_matrix(params.alpha, params.beta, n, "C1"))
 
 st = structure_matrices(fam, case.phi10, case.phi01, n)
 lhs = fam.vector(n).diff(2).scale(case.phi01)
@@ -38,9 +39,9 @@ rhs = (apply_matrix(st.w2, fam.vector(n + 1)) + apply_matrix(st.s2, fam.vector(n
        + apply_matrix(st.t2, fam.vector(n - 1)))
 print(f"\nstructure identity at degree {n} (y axis):", lhs == rhs)
 print("structure W matches its entry table:",
-      st.w2 == golden_matrices(params, n, "W2"))
+      st.w2 == golden_matrix(params.alpha, params.beta, n, "W2"))
 print("structure T matches its entry table:",
-      st.t2 == golden_matrices(params, n, "T2"))
+      st.t2 == golden_matrix(params.alpha, params.beta, n, "T2"))
 
 dr = derivative_representation(fam, n, 1)
 rhs = (apply_matrix(dr.v, fam.vector(n + 1).diff(1))
@@ -49,7 +50,7 @@ rhs = (apply_matrix(dr.v, fam.vector(n + 1).diff(1))
 print(f"\nderivative representation at degree {n} (x axis):",
       rhs == fam.vector(n))
 print("compact V is the diagonal of reciprocals:",
-      dr.v_compact == golden_matrices(params, n, "V1"))
+      dr.v_compact == golden_matrix(params.alpha, params.beta, n, "V1"))
 
 # perturbing any single recurrence entry breaks the identity: uniqueness
 bad = t.b1.tolist()

@@ -20,8 +20,8 @@ from .vectors import (PolyVector, PolyVectorFamily, apply_matrix,
                       stacked_shift)
 from .monic import (MonicFamily, TtrrSet, build_monic, monic_ttrr,
                     pde_residual, solve_monic, subleading_matrices)
-from .relations import (DerivRep, DerivativeFamily, QTtrr, StructureSet,
-                        derivative_representation, derivative_ttrr,
+from .relations import (DerivRep, DerivativeFamily, QTtrr, Relations,
+                        StructureSet, derivative_representation, derivative_ttrr,
                         general_ttrr, monic_derivative_representation,
                         monic_structure_matrices, structure_matrices)
 from .weights import (PhiCase, WeightSpec, classify_phi, log_derivative,
@@ -30,8 +30,8 @@ from .rodrigues import (WeightedExpr, rodrigues_derivative_eval,
                         rodrigues_eval, weighted_diff)
 from .families import (AppellParams, appell_pde, appell_phi_case,
                        appell_weight, connection_F, connection_K, functional,
-                       golden_matrices, jacobi, koornwinder,
-                       koornwinder_vector, moment, monic_appell_family,
+                       jacobi, koornwinder, koornwinder_vector, make_family,
+                       moment, monic_appell_family,
                        monic_appell_series, monic_appell_vector, nonmonic_F,
                        nonmonic_F_vector, orthogonality_blocks)
 from .verify import SuiteResult, run_verification

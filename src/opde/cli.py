@@ -24,18 +24,15 @@ from typing import Any, Dict, List, Optional
 from .errors import (DegenerateDiscriminant, NoCaseMatches, NotAdmissible,
                      NotSelfAdjoint, OpdeError)
 from .families import (AppellParams, appell_pde, appell_phi_case, appell_weight,
-                       koornwinder_vector, nonmonic_F_vector)
+                       make_family)
 from .matrix import RationalMatrix
-from .monic import build_monic
 from .pde import (HypergeometricPDE, check_admissible, discriminant,
                   is_potentially_self_adjoint)
-from .relations import (DerivativeFamily, derivative_representation,
-                        general_ttrr, structure_matrices)
+from .relations import Relations
 from .rodrigues import rodrigues_eval
 from .serialize import (format_rational, matrix_to_json, parse_rational,
                         pde_from_json, poly_to_json, vector_to_json,
                         weight_from_json)
-from .vectors import PolyVectorFamily
 from .verify import run_verification
 from .weights import classify_phi
 
@@ -209,43 +206,29 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _build_family(args, pde: HypergeometricPDE, n: int) -> PolyVectorFamily:
-    # the relations emitted at degree k <= N read the family up to k + 1
-    if args.family == "monic":
-        return build_monic(pde, n + 1)
-    params = _params(args)
-    make = nonmonic_F_vector if args.family == "appell-F" else koornwinder_vector
-    return PolyVectorFamily([make(params, k) for k in range(n + 2)])
-
-
 def cmd_build(args) -> int:
     pde = _load_pde(args)
     if args.family != "monic" and (args.alpha is None or args.beta is None):
         raise CliError(f"family {args.family!r} needs --alpha and --beta")
     n = _cap_degree(args.degree)
-    fam = _build_family(args, pde, n)
-    phi = None
-    try:
-        case = classify_phi(pde)
-        phi = (case[0].phi10, case[0].phi01)
-    except OpdeError:
-        pass
+    params = _params(args) if args.family != "monic" else None
+    # the relations emitted at degree k <= N read the family up to k + 1
+    rel = Relations(make_family(pde, args.family, params, n + 1), pde, n)
 
-    vectors = [vector_to_json(fam.vector(k)) if args.format == "json"
-               else [str(p) for p in fam.vector(k)] for k in range(n + 1)]
-    qfams = {j: DerivativeFamily(fam, j) for j in (1, 2)}
+    vectors = [vector_to_json(rel.fam.vector(k)) if args.format == "json"
+               else [str(p) for p in rel.fam.vector(k)] for k in range(n + 1)]
     matrices: Dict[str, Dict[str, Any]] = {}
     for k in range(n + 1):
-        t = general_ttrr(fam, k)
+        t = rel.ttrr[k]
         entry: Dict[str, Any] = {"A1": t.a1, "B1": t.b1, "A2": t.a2, "B2": t.b2}
         if k >= 1:
             entry["C1"], entry["C2"] = t.c1, t.c2
-        if phi is not None and k >= 1 and phi[0].degree() <= 2 and phi[1].degree() <= 2:
-            st = structure_matrices(fam, phi[0], phi[1], k)
+        if k in rel.structure:
+            st = rel.structure[k]
             entry.update(W1=st.w1, S1=st.s1, T1=st.t1, W2=st.w2, S2=st.s2, T2=st.t2)
         if k >= 2:
             for j in (1, 2):
-                dr = derivative_representation(fam, k, j, qfams[j])
+                dr = rel.deriv[k, j]
                 entry[f"V{j}"], entry[f"Y{j}"], entry[f"Z{j}"] = dr.v, dr.y, dr.z
         matrices[str(k)] = entry
 
@@ -296,15 +279,8 @@ def cmd_verify(args) -> int:
     params = _params(args) if args.alpha is not None and args.beta is not None else None
     if args.family != "monic" and params is None:
         raise CliError(f"family {args.family!r} needs --alpha and --beta")
-    try:
-        results = run_verification(pde, n, params=params, family=args.family,
-                                   corrupt=args.corrupt)
-    except NotAdmissible as ex:
-        print(f"FAIL admissibility: {ex}")
-        return EXIT_NOT_ADMISSIBLE
-    except NotSelfAdjoint as ex:
-        print(f"FAIL self-adjointness: {ex}")
-        return EXIT_NOT_SELF_ADJOINT
+    results = run_verification(pde, n, params=params, family=args.family,
+                               corrupt=args.corrupt)
     lines = [r.line() for r in results]
     _output(args, "\n".join(lines))
     for r in results:

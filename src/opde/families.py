@@ -21,14 +21,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from typing import Optional
 
 from .matrix import RationalMatrix
+from .monic import build_monic
 from .pde import HypergeometricPDE
 from .poly import X, Y, BivariatePoly, Scalar, pochhammer, rat
 from .rodrigues import rodrigues_eval
 from .vectors import PolyVector, PolyVectorFamily
 from .weights import PhiCase, WeightSpec, classify_phi
-from . import golden
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,7 @@ def appell_phi_case(p: AppellParams) -> PhiCase:
 
 # -- moment functional ------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def moment(p: AppellParams, i: int, j: int) -> Fraction:
     """L[x^i y^j] with L normalized to L[1] = 1: a ratio of rising
     factorials.  The closed form is pinned against a brute-force iterated
@@ -219,13 +221,16 @@ def connection_K(p: AppellParams, n: int) -> RationalMatrix:
     return RationalMatrix.from_function(n + 1, n + 1, entry)
 
 
-GOLDEN_KINDS = ("B1", "B2", "C1", "C2", "W1", "W2", "S1", "S2",
-                "T1", "T2", "V1", "V2", "Y1", "Y2", "Z1", "Z2")
+# -- family selection ------------------------------------------------------------
 
-
-def golden_matrices(p: AppellParams, n: int, which: str) -> RationalMatrix:
-    """Closed-form entry tables for the monic triangle family's recurrence,
-    structure and derivative-representation matrices (kept in a separate
-    module so that agreement tests against the general constructions are
-    genuinely independent)."""
-    return golden.golden_matrix(p.alpha, p.beta, n, which)
+def make_family(pde: HypergeometricPDE, name: str, params: Optional[AppellParams],
+                top: int) -> PolyVectorFamily:
+    """The named solution family through degree top: the monic family of any
+    equation, or one of the triangle's non-monic families, which need the
+    triangle parameters."""
+    if name == "monic":
+        return build_monic(pde, top)
+    if params is None:
+        raise ValueError("non-monic families need the triangle parameters")
+    make = nonmonic_F_vector if name == "appell-F" else koornwinder_vector
+    return PolyVectorFamily([make(params, n) for n in range(top + 1)])

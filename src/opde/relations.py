@@ -24,20 +24,26 @@ entry tables list; the wide form follows by composing with shift matrices.
 Monic families additionally admit closed-form routes (structure relations
 for n >= 3, derivative representations for n >= 2) built purely from the
 equation coefficients; below their validity range the general route is used.
+
+``Relations`` is the relation table of one family through a degree bound:
+it classifies the weight-shift factors once and solves every general
+relation once.  ``build`` emits this table and ``verify`` checks it, so the
+two commands see the same matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .errors import PhiDegreeTooHigh
+from .errors import NoCaseMatches, PhiDegreeTooHigh
 from .matrix import RationalMatrix
 from .monic import TtrrSet, subleading_matrices
 from .pde import HypergeometricPDE
 from .poly import X, Y, BivariatePoly
 from .vectors import (PolyVector, PolyVectorFamily, derivative_matrix,
                       expansion_layers, shift_matrix)
+from .weights import PhiCase, classify_phi
 
 _Triple = Tuple[RationalMatrix, RationalMatrix, Optional[RationalMatrix]]
 
@@ -64,6 +70,8 @@ class StructureSet:
     t2: RationalMatrix
 
     def axis(self, j: int):
+        if j not in (1, 2):
+            raise ValueError("axis must be 1 or 2")
         return (self.w1, self.s1, self.t1) if j == 1 else (self.w2, self.s2, self.t2)
 
 
@@ -244,3 +252,31 @@ def monic_derivative_representation(pde: HypergeometricPDE, n: int, axis: int) -
           - yq @ shift_matrix(n - 1, axis) @ gn1 @ derivative_matrix(n - 1, axis)
           ) @ v_compact(n - 2)
     return DerivRep(n, axis, vq, yq, zq)
+
+
+class Relations:
+    """Every general relation of one family through degree big_n, solved
+    once; the family must reach degree big_n + 1.  ttrr[n] for n <= big_n,
+    structure[n] for 1 <= n <= big_n and deriv[n, axis] for 2 <= n <= big_n.
+    ``cases`` lists the matching weight-factor cases; when there is none, or
+    the first pair is not quadratic, ``structure`` is empty and ``skipped``
+    says why."""
+
+    def __init__(self, fam: PolyVectorFamily, pde: HypergeometricPDE, big_n: int):
+        self.fam = fam
+        self.qfams = {j: DerivativeFamily(fam, j) for j in (1, 2)}
+        self.ttrr: List[TtrrSet] = [general_ttrr(fam, n) for n in range(big_n + 1)]
+        self.cases: List[PhiCase] = []
+        self.structure: Dict[int, StructureSet] = {}
+        self.skipped: Optional[str] = None
+        try:
+            self.cases = classify_phi(pde)
+            phi1, phi2 = self.cases[0].phi10, self.cases[0].phi01
+            # the degree gate raises at n = 1, before anything is stored
+            for n in range(1, big_n + 1):
+                self.structure[n] = structure_matrices(fam, phi1, phi2, n)
+        except (NoCaseMatches, PhiDegreeTooHigh) as ex:
+            self.skipped = f"skipped: {ex}"
+        self.deriv: Dict[Tuple[int, int], DerivRep] = {
+            (n, j): derivative_representation(fam, n, j, self.qfams[j])
+            for n in range(2, big_n + 1) for j in (1, 2)}

@@ -40,8 +40,8 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from .errors import DegreeMismatch, NotDivisible, NotReducible
-from .poly import ONE, X, Y, ZERO, BivariatePoly
-from .weights import PhiCase, WeightSpec
+from .poly import X, Y, ZERO, BivariatePoly
+from .weights import PhiCase, WeightSpec, product_rule
 
 
 @dataclass(frozen=True)
@@ -69,18 +69,8 @@ def weighted_diff(expr: WeightedExpr, axis: int) -> WeightedExpr:
         if not df.is_zero():
             active.append((f, e * df))
             exponents[i] = e - 1
-    k = len(active)
-    # prefix[t] = F_0 ... F_{t-1},  suffix[t] = F_{t+1} ... F_{k-1} over the active factors
-    prefix = [ONE]
-    for f, _ in active:
-        prefix.append(prefix[-1] * f)
-    suffix = [ONE] * (k + 1)
-    for t in range(k - 1, -1, -1):
-        suffix[t] = active[t][0] * suffix[t + 1]
-    rule = ZERO
-    for t, (_, edf) in enumerate(active):
-        rule = rule + edf * (prefix[t] * suffix[t + 1])
-    new_poly = prefix[k] * expr.poly.diff(axis) + rule * expr.poly
+    prod, rule = product_rule(active)
+    new_poly = prod * expr.poly.diff(axis) + rule * expr.poly
     return WeightedExpr(expr.factors, tuple(exponents), new_poly)
 
 

@@ -7,24 +7,23 @@ it directly as the final acceptance gate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
-from .errors import NoCaseMatches, OpdeError, PhiDegreeTooHigh
+from .errors import OpdeError
 from .families import (AppellParams, appell_pde, appell_weight, connection_F,
-                       connection_K, functional, golden_matrices,
-                       koornwinder_vector, monic_appell_vector,
-                       nonmonic_F_vector, orthogonality_blocks)
+                       connection_K, functional, koornwinder_vector,
+                       make_family, monic_appell_vector, nonmonic_F_vector,
+                       orthogonality_blocks)
+from .golden import golden_matrix
 from .matrix import RationalMatrix
-from .monic import (TtrrSet, build_monic, monic_ttrr, pde_residual, solve_monic,
-                    subleading_matrices)
+from .monic import monic_ttrr, pde_residual, solve_monic, subleading_matrices
 from .pde import HypergeometricPDE, check_admissible, is_potentially_self_adjoint
 from .poly import BivariatePoly, X, Y
-from .relations import (DerivativeFamily, DerivRep, StructureSet,
-                        derivative_representation, derivative_ttrr,
-                        general_ttrr, monic_derivative_representation,
-                        monic_structure_matrices, structure_matrices)
-from .vectors import PolyVector, PolyVectorFamily, apply_matrix
-from .weights import classify_phi, verify_pearson
+from .relations import (Relations, derivative_ttrr,
+                        monic_derivative_representation,
+                        monic_structure_matrices)
+from .vectors import PolyVector, apply_matrix
+from .weights import verify_pearson
 
 
 @dataclass
@@ -82,10 +81,10 @@ def run_verification(pde: HypergeometricPDE, big_n: int,
     """Run every applicable invariant suite at degree bound big_n.
 
     ``params`` unlocks the moment-functional and golden-table suites of the
-    built-in triangle instance.  ``family`` selects which solution family the
-    identity suites run on.  ``corrupt`` injects a single fault (for testing
-    the verifier itself): "ttrr-b1" bumps entry (0,0) of the degree-1
-    recurrence matrix on axis 1.
+    built-in triangle instance; ``pde`` is then that triangle's equation.
+    ``family`` selects which solution family the identity suites run on.
+    ``corrupt`` injects a single fault (for testing the verifier itself):
+    "ttrr-b1" bumps entry (0,0) of the degree-1 recurrence matrix on axis 1.
     """
     results: List[SuiteResult] = []
 
@@ -103,14 +102,8 @@ def run_verification(pde: HypergeometricPDE, big_n: int,
     if not (adm.passed and sa.passed):
         return results
 
-    if family == "monic":
-        fam: PolyVectorFamily = build_monic(pde, big_n + 2)
-    else:
-        if params is None:
-            raise ValueError("non-monic families need the triangle parameters")
-        build = nonmonic_F_vector if family == "appell-F" else koornwinder_vector
-        fam = PolyVectorFamily([build(params, n) for n in range(big_n + 3)])
-    qfams = {j: DerivativeFamily(fam, j) for j in (1, 2)}
+    rel = Relations(make_family(pde, family, params, big_n + 2), pde, big_n)
+    fam = rel.fam
 
     if family == "monic":
         res = SuiteResult("eigen-residual")
@@ -135,14 +128,9 @@ def run_verification(pde: HypergeometricPDE, big_n: int,
             routes.check(bad is None, f"n={n} entry={bad}")
         results.append(routes)
 
-    # the general-route solutions, kept for the golden-table suite
-    ttrrs: Dict[int, TtrrSet] = {}
-    structs: Dict[int, StructureSet] = {}
-    dreps: Dict[Tuple[int, int], DerivRep] = {}
-
     ttrr = SuiteResult("ttrr-identity")
     for n in range(big_n + 1):
-        t = ttrrs[n] = general_ttrr(fam, n)
+        t = rel.ttrr[n]
         if family == "monic":
             tc = monic_ttrr(pde, n)
             for j in (1, 2):
@@ -158,7 +146,7 @@ def run_verification(pde: HypergeometricPDE, big_n: int,
 
     qttrr = SuiteResult("derivative-family-ttrr")
     for j, var in ((1, X), (2, Y)):
-        qfam = qfams[j]
+        qfam = rel.qfams[j]
         for n in range(big_n + 1):
             qt = derivative_ttrr(qfam, n)
             rhs = _three_term((qt.a, qt.b, qt.c), qfam.vector, n + 1)
@@ -166,58 +154,47 @@ def run_verification(pde: HypergeometricPDE, big_n: int,
             qttrr.check(bad is None, f"n={n} axis={j} entry={bad}")
     results.append(qttrr)
 
-    struct = SuiteResult("structure-identity")
-    deriv = SuiteResult("derivative-representation")
-    try:
-        case = classify_phi(pde)[0]
-        phi = {1: case.phi10, 2: case.phi01}
-        for n in range(1, big_n + 1):
-            st = structs[n] = structure_matrices(fam, phi[1], phi[2], n)
+    struct = SuiteResult("structure-identity", note=rel.skipped)
+    for n, st in rel.structure.items():
+        phi = {1: rel.cases[0].phi10, 2: rel.cases[0].phi01}
+        for j in (1, 2):
+            lhs = fam.vector(n).diff(j).scale(phi[j])
+            bad = _first_bad_entry(lhs, _three_term(st.axis(j), fam.vector, n + 1))
+            struct.check(bad is None, f"n={n} axis={j} entry={bad}")
+        if family == "monic" and n >= 3:
+            sm = monic_structure_matrices(pde, phi[1], phi[2], n)
             for j in (1, 2):
-                lhs = fam.vector(n).diff(j).scale(phi[j])
-                bad = _first_bad_entry(lhs, _three_term(st.axis(j), fam.vector, n + 1))
-                struct.check(bad is None, f"n={n} axis={j} entry={bad}")
-            if family == "monic" and n >= 3:
-                sm = monic_structure_matrices(pde, phi[1], phi[2], n)
-                for j in (1, 2):
-                    struct.check(sm.axis(j) == st.axis(j),
-                                 f"n={n} axis={j} closed-form/general mismatch")
-        for n in range(2, big_n + 1):
-            for j in (1, 2):
-                dr = dreps[n, j] = derivative_representation(fam, n, j, qfams[j])
-                rhs = _three_term((dr.v, dr.y, dr.z),
-                                  lambda k: fam.vector(k).diff(j), n + 1)
-                bad = _first_bad_entry(fam.vector(n), rhs)
-                deriv.check(bad is None, f"n={n} axis={j} entry={bad}")
-                if family == "monic":
-                    dm = monic_derivative_representation(pde, n, j)
-                    same = (dm.v_compact, dm.y_compact, dm.z_compact) == \
-                           (dr.v_compact, dr.y_compact, dr.z_compact)
-                    deriv.check(same, f"n={n} axis={j} closed-form/general mismatch")
-    except (NoCaseMatches, PhiDegreeTooHigh) as ex:
-        struct.note = f"skipped: {ex}"
-        deriv.note = struct.note
+                struct.check(sm.axis(j) == st.axis(j),
+                             f"n={n} axis={j} closed-form/general mismatch")
     results.append(struct)
+
+    deriv = SuiteResult("derivative-representation")
+    for (n, j), dr in rel.deriv.items():
+        rhs = _three_term((dr.v, dr.y, dr.z), lambda k: fam.vector(k).diff(j), n + 1)
+        bad = _first_bad_entry(fam.vector(n), rhs)
+        deriv.check(bad is None, f"n={n} axis={j} entry={bad}")
+        if family == "monic":
+            dm = monic_derivative_representation(pde, n, j)
+            same = (dm.v_compact, dm.y_compact, dm.z_compact) == \
+                   (dr.v_compact, dr.y_compact, dr.z_compact)
+            deriv.check(same, f"n={n} axis={j} closed-form/general mismatch")
     results.append(deriv)
 
     if params is not None:
-        results.extend(_instance_suites(params, fam, family, big_n,
-                                        ttrrs, structs, dreps))
+        results.extend(_instance_suites(params, rel, family, big_n))
     return results
 
 
-def _instance_suites(p: AppellParams, fam: PolyVectorFamily, label: str,
-                     big_n: int, ttrrs: Dict[int, TtrrSet],
-                     structs: Dict[int, StructureSet],
-                     dreps: Dict[Tuple[int, int], DerivRep]) -> List[SuiteResult]:
-    """The triangle's own suites.  The golden tables are compared against
-    the relations the identity suites already solved (``ttrrs``, ``structs``
-    and ``dreps``, keyed by degree and by (degree, axis))."""
+def _instance_suites(p: AppellParams, rel: Relations, label: str,
+                     big_n: int) -> List[SuiteResult]:
+    """The triangle's own suites.  The classification and the golden tables
+    are checked against the relation table the identity suites checked."""
     results: List[SuiteResult] = []
     pde = appell_pde(p)
+    fam = rel.fam
 
     cls = SuiteResult("classification")
-    cases = classify_phi(pde)
+    cases = rel.cases
     cls.check([c.case_id for c in cases] == ["vi", "ix", "x"],
               f"cases={[c.case_id for c in cases]}")
     want10, want01 = X * (1 - X - Y), Y * (1 - X - Y)
@@ -255,23 +232,26 @@ def _instance_suites(p: AppellParams, fam: PolyVectorFamily, label: str,
 
         golden = SuiteResult("golden-agreement")
         for n in range(min(big_n, 7) + 1):
-            t = ttrrs[n]
-            golden.check(golden_matrices(p, n, "B1") == t.b1, f"B1 n={n}")
-            golden.check(golden_matrices(p, n, "B2") == t.b2, f"B2 n={n}")
+            t = rel.ttrr[n]
+            golden.check(golden_matrix(p.alpha, p.beta, n, "B1") == t.b1, f"B1 n={n}")
+            golden.check(golden_matrix(p.alpha, p.beta, n, "B2") == t.b2, f"B2 n={n}")
             if n >= 1:
-                golden.check(golden_matrices(p, n, "C1") == t.c1, f"C1 n={n}")
-                golden.check(golden_matrices(p, n, "C2") == t.c2, f"C2 n={n}")
+                golden.check(golden_matrix(p.alpha, p.beta, n, "C1") == t.c1, f"C1 n={n}")
+                golden.check(golden_matrix(p.alpha, p.beta, n, "C2") == t.c2, f"C2 n={n}")
                 for j in (1, 2):
-                    wm, sm, tm = structs[n].axis(j)
-                    golden.check(golden_matrices(p, n, f"W{j}") == wm, f"W{j} n={n}")
-                    golden.check(golden_matrices(p, n, f"S{j}") == sm, f"S{j} n={n}")
-                    golden.check(golden_matrices(p, n, f"T{j}") == tm, f"T{j} n={n}")
+                    wm, sm, tm = rel.structure[n].axis(j)
+                    golden.check(golden_matrix(p.alpha, p.beta, n, f"W{j}") == wm, f"W{j} n={n}")
+                    golden.check(golden_matrix(p.alpha, p.beta, n, f"S{j}") == sm, f"S{j} n={n}")
+                    golden.check(golden_matrix(p.alpha, p.beta, n, f"T{j}") == tm, f"T{j} n={n}")
             if n >= 2:
                 for j in (1, 2):
-                    dr = dreps[n, j]
-                    golden.check(golden_matrices(p, n, f"V{j}") == dr.v_compact, f"V{j} n={n}")
-                    golden.check(golden_matrices(p, n, f"Y{j}") == dr.y_compact, f"Y{j} n={n}")
-                    golden.check(golden_matrices(p, n, f"Z{j}") == dr.z_compact, f"Z{j} n={n}")
+                    dr = rel.deriv[n, j]
+                    golden.check(golden_matrix(p.alpha, p.beta, n, f"V{j}") == dr.v_compact,
+                                 f"V{j} n={n}")
+                    golden.check(golden_matrix(p.alpha, p.beta, n, f"Y{j}") == dr.y_compact,
+                                 f"Y{j} n={n}")
+                    golden.check(golden_matrix(p.alpha, p.beta, n, f"Z{j}") == dr.z_compact,
+                                 f"Z{j} n={n}")
         results.append(golden)
 
         conn = SuiteResult("connections")

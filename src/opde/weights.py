@@ -26,13 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import (DegenerateDiscriminant, NoCaseMatches, NonPolynomialPhi,
                      NotDivisible)
 from .matrix import RationalMatrix
 from .pde import HypergeometricPDE, discriminant, pearson_numerators
-from .poly import ONE, X, Y, BivariatePoly, rat
+from .poly import ONE, X, Y, ZERO, BivariatePoly, rat
 
 
 @dataclass(frozen=True)
@@ -245,6 +245,25 @@ def phi_pair_consistent(pde: HypergeometricPDE, phi10: BivariatePoly,
     return all(lhs == rhs for lhs, rhs in checks)
 
 
+def product_rule(pairs: Sequence[Tuple[BivariatePoly, BivariatePoly]]
+                 ) -> Tuple[BivariatePoly, BivariatePoly]:
+    """For pairs (F_i, c_i): (prod_i F_i, sum_i c_i prod_{j != i} F_j), from
+    prefix and suffix products.  With c_i = e_i dF_i the second is the
+    derivative of prod F_i^(e_i) divided by prod F_i^(e_i - 1)."""
+    k = len(pairs)
+    # prefix[t] = F_0 ... F_{t-1},  suffix[t] = F_{t+1} ... F_{k-1}
+    prefix = [ONE]
+    for f, _ in pairs:
+        prefix.append(prefix[-1] * f)
+    suffix = [ONE] * (k + 1)
+    for t in range(k - 1, -1, -1):
+        suffix[t] = pairs[t][0] * suffix[t + 1]
+    rule = ZERO
+    for t, (_, c) in enumerate(pairs):
+        rule = rule + c * (prefix[t] * suffix[t + 1])
+    return prefix[k], rule
+
+
 def log_derivative(w: WeightSpec, axis: int
                    ) -> Tuple[BivariatePoly, BivariatePoly]:
     """(num, den) with (d rho / d x_axis) / rho = num / den as a formal
@@ -255,27 +274,16 @@ def log_derivative(w: WeightSpec, axis: int
     """
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
-    terms: List[Tuple[BivariatePoly, BivariatePoly]] = []  # (coeff * dQ, Q)
+    terms: List[Tuple[BivariatePoly, BivariatePoly]] = []  # (Q, coeff * dQ)
     var = X if axis == 1 else Y
     exp = w.u if axis == 1 else w.v
     if exp != 0:
-        terms.append((BivariatePoly.const(exp), var))
+        terms.append((var, BivariatePoly.const(exp)))
     for q, wt in w.factors:
         dq = q.diff(axis)
         if wt != 0 and not dq.is_zero():
-            terms.append((dq * wt, q))
-    if not terms:
-        return BivariatePoly.zero(), ONE
-    den = ONE
-    for _, q in terms:
-        den = den * q
-    num = BivariatePoly.zero()
-    for i, (top, _) in enumerate(terms):
-        rest = ONE
-        for k, (_, q) in enumerate(terms):
-            if k != i:
-                rest = rest * q
-        num = num + top * rest
+            terms.append((q, dq * wt))
+    den, num = product_rule(terms)
     return num, den
 
 

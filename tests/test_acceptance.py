@@ -11,10 +11,10 @@ from fractions import Fraction
 from opde.cli import main as cli_main
 from opde.families import (AppellParams, appell_pde, appell_phi_case,
                            appell_weight, connection_F, connection_K,
-                           functional, golden_matrices, koornwinder,
-                           koornwinder_vector, monic_appell_series,
-                           monic_appell_vector, nonmonic_F, nonmonic_F_vector,
-                           orthogonality_blocks)
+                           functional, koornwinder, koornwinder_vector,
+                           monic_appell_series, monic_appell_vector,
+                           nonmonic_F, nonmonic_F_vector, orthogonality_blocks)
+from opde.golden import golden_matrix
 from opde.monic import build_monic, monic_ttrr, pde_residual, subleading_matrices
 from opde.poly import X, Y
 from opde.relations import (DerivativeFamily, derivative_representation,
@@ -63,23 +63,23 @@ def test_criterion_03_golden_agreement(p11, fam11, p23, fam23):
             case = appell_phi_case(p)
             for n in range(8):
                 t = general_ttrr(fam, n)
-                assert golden_matrices(p, n, "B1") == t.b1
-                assert golden_matrices(p, n, "B2") == t.b2
+                assert golden_matrix(p.alpha, p.beta, n, "B1") == t.b1
+                assert golden_matrix(p.alpha, p.beta, n, "B2") == t.b2
                 if n >= 1:
-                    assert golden_matrices(p, n, "C1") == t.c1
-                    assert golden_matrices(p, n, "C2") == t.c2
+                    assert golden_matrix(p.alpha, p.beta, n, "C1") == t.c1
+                    assert golden_matrix(p.alpha, p.beta, n, "C2") == t.c2
                     st = structure_matrices(fam, case.phi10, case.phi01, n)
                     for j in (1, 2):
                         w, s, tt = st.axis(j)
-                        assert golden_matrices(p, n, f"W{j}") == w
-                        assert golden_matrices(p, n, f"S{j}") == s
-                        assert golden_matrices(p, n, f"T{j}") == tt
+                        assert golden_matrix(p.alpha, p.beta, n, f"W{j}") == w
+                        assert golden_matrix(p.alpha, p.beta, n, f"S{j}") == s
+                        assert golden_matrix(p.alpha, p.beta, n, f"T{j}") == tt
                 if n >= 2:
                     for j in (1, 2):
                         dr = derivative_representation(fam, n, j)
-                        assert golden_matrices(p, n, f"V{j}") == dr.v_compact
-                        assert golden_matrices(p, n, f"Y{j}") == dr.y_compact
-                        assert golden_matrices(p, n, f"Z{j}") == dr.z_compact
+                        assert golden_matrix(p.alpha, p.beta, n, f"V{j}") == dr.v_compact
+                        assert golden_matrix(p.alpha, p.beta, n, f"Y{j}") == dr.y_compact
+                        assert golden_matrix(p.alpha, p.beta, n, f"Z{j}") == dr.z_compact
 
 
 def test_criterion_04_spot_values(p11, p23):

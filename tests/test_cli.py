@@ -198,22 +198,44 @@ def test_build_family_one_degree_above_n(family, monkeypatch, capsys):
     # build reads the family up to degree N+1; one degree more changes nothing
     argv = ["build", "--alpha", "3/2", "--beta", "5/7", "-N", "4",
             "--family", family, "--format", "json"]
-    real = cli._build_family
+    real = cli.make_family
     depths = []
 
-    def build(args, pde, n, extra=0):
-        fam = real(args, pde, n + extra)
+    def build(pde, name, params, top, extra=0):
+        fam = real(pde, name, params, top + extra)
         depths.append(fam.max_n)
         return fam
 
-    monkeypatch.setattr(cli, "_build_family", build)
+    monkeypatch.setattr(cli, "make_family", build)
     assert main(argv) == 0
     shallow = capsys.readouterr().out
-    monkeypatch.setattr(cli, "_build_family",
-                        lambda args, pde, n: build(args, pde, n, extra=1))
+    monkeypatch.setattr(cli, "make_family",
+                        lambda pde, name, params, top: build(pde, name, params, top, extra=1))
     assert main(argv) == 0
     assert capsys.readouterr().out == shallow
     assert depths == [5, 6]
+
+
+def test_build_solves_each_relation_once(monkeypatch, capsys):
+    # build emits the relation table: one solve per relation, one classification
+    import opde
+    modules = [m for name, m in sys.modules.items()
+               if name == "opde" or name.startswith("opde.")]
+    calls = {}
+    for name in ("general_ttrr", "structure_matrices", "derivative_representation",
+                 "classify_phi"):
+        real = getattr(opde, name)
+
+        def counted(*args, _f=real, _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _f(*args, **kwargs)
+        for mod in modules:
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counted)
+    assert main(["build", "--alpha", "3/2", "--beta", "5/7", "-N", "4"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["matrices"]) == 5
+    assert calls == {"general_ttrr": 5, "structure_matrices": 4,
+                     "derivative_representation": 2 * 3, "classify_phi": 1}
 
 
 @pytest.mark.parametrize("command", ["build", "verify", "rodrigues", "check"])

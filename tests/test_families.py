@@ -4,10 +4,11 @@ import pytest
 
 from opde.errors import IndexOutOfPrintedRange
 from opde.families import (AppellParams, connection_F,
-                           connection_K, functional, golden_matrices, jacobi,
+                           connection_K, functional, jacobi,
                            koornwinder, koornwinder_vector, moment,
                            monic_appell_series, monic_appell_vector,
                            nonmonic_F, nonmonic_F_vector, orthogonality_blocks)
+from opde.golden import golden_matrix
 from opde.matrix import RationalMatrix
 from opde.poly import BivariatePoly, X, Y
 from opde.vectors import apply_matrix
@@ -164,28 +165,28 @@ def test_biorthogonality_small(p11):
 
 
 def test_golden_spot_values(p11):
-    assert golden_matrices(p11, 1, "C1")[0, 0] == Fraction(1, 18)
-    w1 = golden_matrices(p11, 3, "W1")
+    assert golden_matrix(p11.alpha, p11.beta, 1, "C1")[0, 0] == Fraction(1, 18)
+    w1 = golden_matrix(p11.alpha, p11.beta, 3, "W1")
     assert all(w1[i, i] == i - 3 and w1[i, i + 1] == i - 3 for i in range(4))
-    v1 = golden_matrices(p11, 2, "V1")
+    v1 = golden_matrix(p11.alpha, p11.beta, 2, "V1")
     assert v1 == RationalMatrix([[Fraction(1, 3), 0, 0],
                                  [0, Fraction(1, 2), 0],
                                  [0, 0, 1]])
 
 
 def test_golden_spot_value_B0(p23):
-    b0 = golden_matrices(p23, 0, "B1")
+    b0 = golden_matrix(p23.alpha, p23.beta, 0, "B1")
     assert b0 == RationalMatrix([[p23.alpha / (p23.alpha + p23.beta + 1)]])
 
 
 def test_golden_out_of_range():
     p = AppellParams(1, 1)
     with pytest.raises(IndexOutOfPrintedRange):
-        golden_matrices(p, 0, "C1")
+        golden_matrix(p.alpha, p.beta, 0, "C1")
     with pytest.raises(IndexOutOfPrintedRange):
-        golden_matrices(p, 1, "Z2")
+        golden_matrix(p.alpha, p.beta, 1, "Z2")
     with pytest.raises(KeyError):
-        golden_matrices(p, 2, "Q7")
+        golden_matrix(p.alpha, p.beta, 2, "Q7")
 
 
 def test_params_validation():

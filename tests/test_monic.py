@@ -13,6 +13,7 @@ from opde.monic import (build_monic, monic_ttrr, pde_residual, solve_monic,
                         subleading_matrices)
 from opde.pde import HypergeometricPDE, discriminant, is_potentially_self_adjoint
 from opde.poly import BivariatePoly, X, Y
+from opde.relations import StructureSet
 from opde.vectors import PolyVector, apply_matrix, joint_left_inverse
 
 P = HypergeometricPDE.from_coeffs
@@ -187,6 +188,11 @@ def test_monic_ttrr_rejects_bad_axis():
     assert t.axis(2) == (t.a2, t.b2, t.c2)
     with pytest.raises(ValueError):
         t.axis(3)
+    st = StructureSet(1, t.a1, t.b1, t.c1, t.a2, t.b2, t.c2)
+    assert st.axis(2) == (t.a2, t.b2, t.c2)
+    for j in (0, 3):
+        with pytest.raises(ValueError):
+            st.axis(j)
 
 
 def test_subleading_matrices_once_per_degree():

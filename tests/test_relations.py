@@ -1,18 +1,21 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from opde.errors import PhiDegreeTooHigh, SingularLeading
+from opde.cli import main
+from opde.errors import NoCaseMatches, PhiDegreeTooHigh, SingularLeading
 from opde.families import (AppellParams, appell_pde, appell_phi_case,
                            nonmonic_F_vector)
 from opde.matrix import RationalMatrix
 from opde.monic import build_monic, monic_ttrr
 from opde.poly import ONE, X, Y
-from opde.relations import (DerivativeFamily, derivative_representation,
-                            derivative_ttrr, general_ttrr,
-                            monic_derivative_representation,
+from opde.relations import (DerivativeFamily, Relations,
+                            derivative_representation, derivative_ttrr,
+                            general_ttrr, monic_derivative_representation,
                             monic_structure_matrices, structure_matrices)
+from opde.serialize import pde_to_json
 from opde.vectors import (PolyVector, PolyVectorFamily, apply_matrix,
                           derivative_matrix, shift_matrix, stacked_shift)
 
@@ -267,3 +270,26 @@ def test_shared_qfam_matches_per_call(fam23, p23, axis):
             own = derivative_representation(family, n, axis)
             assert shared == own
             assert (shared.v, shared.y, shared.z) == (own.v, own.y, own.z)
+
+
+def test_relations_without_phi_pair(monkeypatch, tmp_path, capsys):
+    # no weight-factor case: the structure relations are skipped with their
+    # reason, the recurrences and derivative representations are still solved
+    import opde.relations as relations
+
+    def no_case(pde):
+        raise NoCaseMatches("equation fits none of the ten closed-form cases")
+    monkeypatch.setattr(relations, "classify_phi", no_case)
+    pde = appell_pde(AppellParams(2, 3))
+    rel = Relations(build_monic(pde, 4), pde, 3)
+    assert rel.cases == [] and rel.structure == {}
+    assert rel.skipped == "skipped: equation fits none of the ten closed-form cases"
+    assert len(rel.ttrr) == 4
+    assert sorted(rel.deriv) == [(2, 1), (2, 2), (3, 1), (3, 2)]
+    path = tmp_path / "appell.json"
+    path.write_text(json.dumps(pde_to_json(pde)))
+    assert main(["verify", "--pde", str(path), "-N", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert ("PASS structure-identity (0 checks) "
+            "[skipped: equation fits none of the ten closed-form cases]") in lines
+    assert "PASS derivative-representation (8 checks)" in lines

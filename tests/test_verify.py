@@ -65,14 +65,16 @@ def test_degenerate_discriminant_check_exit(tmp_path, capsys):
 def test_golden_agreement_reuses_solved_relations(p11, monkeypatch):
     # the identity suites solve each relation once; the golden tables are
     # compared against those solutions, not against a second solve
+    import opde.relations as relations
     import opde.verify as verify
     calls = {}
-    for name in ("general_ttrr", "structure_matrices", "derivative_representation",
-                 "monic_appell_vector"):
-        def counted(*args, _f=getattr(verify, name), _name=name, **kwargs):
+    for module, name in ((relations, "general_ttrr"), (relations, "structure_matrices"),
+                         (relations, "derivative_representation"),
+                         (verify, "monic_appell_vector")):
+        def counted(*args, _f=getattr(module, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             return _f(*args, **kwargs)
-        monkeypatch.setattr(verify, name, counted)
+        monkeypatch.setattr(module, name, counted)
     results = run_verification(appell_pde(p11), 3, params=p11)
     assert all(r.passed for r in results), [r.line() for r in results]
     assert calls == {"general_ttrr": 4, "structure_matrices": 3,
