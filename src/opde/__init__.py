@@ -31,9 +31,8 @@ from .rodrigues import (WeightedExpr, rodrigues_derivative_eval,
 from .families import (AppellParams, appell_pde, appell_phi_case,
                        appell_weight, connection_F, connection_K, functional,
                        jacobi, koornwinder, koornwinder_vector, make_family,
-                       moment, monic_appell_family,
-                       monic_appell_series, monic_appell_vector, nonmonic_F,
-                       nonmonic_F_vector, orthogonality_blocks)
+                       moment, monic_appell_series, monic_appell_vector,
+                       nonmonic_F, nonmonic_F_vector, orthogonality_blocks)
 from .verify import SuiteResult, run_verification
 
 __version__ = "0.1.0"

@@ -28,11 +28,13 @@ from .families import (AppellParams, appell_pde, appell_phi_case, appell_weight,
 from .matrix import RationalMatrix
 from .pde import (HypergeometricPDE, check_admissible, discriminant,
                   is_potentially_self_adjoint)
+from .poly import BivariatePoly
 from .relations import Relations
 from .rodrigues import rodrigues_eval
 from .serialize import (format_rational, matrix_to_json, parse_rational,
                         pde_from_json, poly_to_json, vector_to_json,
                         weight_from_json)
+from .vectors import PolyVector
 from .verify import run_verification
 from .weights import classify_phi
 
@@ -43,6 +45,15 @@ class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_PARSE):
         super().__init__(message)
         self.code = code
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse reports a usage error as a usage block with exit 2, the code
+    of a non-admissible equation; raise it to ``main`` instead, which prints
+    one ``error:`` line and exits 1."""
+
+    def error(self, message: str):
+        raise CliError(message)
 
 
 def _read_json(path: str) -> Any:
@@ -74,6 +85,15 @@ def _params(args) -> AppellParams:
         return AppellParams(parse_rational(args.alpha), parse_rational(args.beta))
     except ValueError as ex:
         raise CliError(str(ex))
+
+
+def _family_params(args) -> Optional[AppellParams]:
+    """The triangle parameters when given; a non-monic family needs them."""
+    if args.alpha is not None and args.beta is not None:
+        return _params(args)
+    if args.family != "monic":
+        raise CliError(f"family {args.family!r} needs --alpha and --beta")
+    return None
 
 
 def _cap_degree(n: int) -> int:
@@ -112,9 +132,22 @@ def _pretty_matrix(m: RationalMatrix) -> str:
     return "\n".join("[ " + "  ".join(c.rjust(width) for c in row) + " ]" for row in cells)
 
 
+def _jsonable(value: Any) -> Any:
+    """The payload with every matrix, vector and polynomial in its JSON form."""
+    if isinstance(value, RationalMatrix):
+        return matrix_to_json(value)
+    if isinstance(value, PolyVector):
+        return vector_to_json(value)
+    if isinstance(value, BivariatePoly):
+        return poly_to_json(value)
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_jsonable(v) for v in value]
+    return value
+
+
 def _render(payload: Dict[str, Any], fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(payload, indent=2)
     lines: List[str] = []
 
     def emit(prefix: str, value: Any) -> None:
@@ -125,7 +158,7 @@ def _render(payload: Dict[str, Any], fmt: str) -> str:
         elif isinstance(value, dict):
             for k, v in value.items():
                 emit(f"{prefix}.{k}" if prefix else str(k), v)
-        elif isinstance(value, list) and value:
+        elif isinstance(value, (list, PolyVector)) and len(value):
             for i, v in enumerate(value):
                 emit(f"{prefix}[{i}]", v)
         else:
@@ -152,16 +185,18 @@ def _output(args, text: str) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _poly_payload(p, fmt: str):
-    if fmt == "json":
-        return poly_to_json(p)
-    return str(p)
+def _emit(args, payload: Dict[str, Any]) -> None:
+    """Write a command's payload in the requested format."""
+    if args.format == "json":
+        _output(args, json.dumps(_jsonable(payload), indent=2))
+    else:
+        _output(args, _render(payload, args.format))
 
 
 def cmd_check(args) -> int:
     pde = _load_pde(args)
     n = _cap_degree(args.degree)
-    report: Dict[str, Any] = {"discriminant": _poly_payload(discriminant(pde), args.format)}
+    report: Dict[str, Any] = {"discriminant": discriminant(pde)}
     code = 0
     try:
         varpi = check_admissible(pde, n)
@@ -182,8 +217,7 @@ def cmd_check(args) -> int:
             report["potentially_self_adjoint"] = sa
             if not sa:
                 code = EXIT_NOT_SELF_ADJOINT
-    _output(args, json.dumps(report, indent=2) if args.format == "json"
-            else _render(report, args.format))
+    _emit(args, report)
     return code
 
 
@@ -196,51 +230,23 @@ def cmd_classify(args) -> int:
     report = {
         "cases": [
             {"case": c.case_id, "condition": c.condition,
-             "phi10": _poly_payload(c.phi10, args.format),
-             "phi01": _poly_payload(c.phi01, args.format)}
+             "phi10": c.phi10, "phi01": c.phi01}
             for c in cases
         ]
     }
-    _output(args, json.dumps(report, indent=2) if args.format == "json"
-            else _render(report, args.format))
+    _emit(args, report)
     return 0
 
 
 def cmd_build(args) -> int:
     pde = _load_pde(args)
-    if args.family != "monic" and (args.alpha is None or args.beta is None):
-        raise CliError(f"family {args.family!r} needs --alpha and --beta")
+    params = _family_params(args)
     n = _cap_degree(args.degree)
-    params = _params(args) if args.family != "monic" else None
     # the relations emitted at degree k <= N read the family up to k + 1
     rel = Relations(make_family(pde, args.family, params, n + 1), pde, n)
-
-    vectors = [vector_to_json(rel.fam.vector(k)) if args.format == "json"
-               else [str(p) for p in rel.fam.vector(k)] for k in range(n + 1)]
-    matrices: Dict[str, Dict[str, Any]] = {}
-    for k in range(n + 1):
-        t = rel.ttrr[k]
-        entry: Dict[str, Any] = {"A1": t.a1, "B1": t.b1, "A2": t.a2, "B2": t.b2}
-        if k >= 1:
-            entry["C1"], entry["C2"] = t.c1, t.c2
-        if k in rel.structure:
-            st = rel.structure[k]
-            entry.update(W1=st.w1, S1=st.s1, T1=st.t1, W2=st.w2, S2=st.s2, T2=st.t2)
-        if k >= 2:
-            for j in (1, 2):
-                dr = rel.deriv[k, j]
-                entry[f"V{j}"], entry[f"Y{j}"], entry[f"Z{j}"] = dr.v, dr.y, dr.z
-        matrices[str(k)] = entry
-
-    if args.format == "json":
-        payload = {"family": args.family, "N": n, "vectors": vectors,
-                   "matrices": {k: {name: matrix_to_json(m) for name, m in entry.items()}
-                                for k, entry in matrices.items()}}
-        _output(args, json.dumps(payload, indent=2))
-    else:
-        payload = {"family": args.family, "N": n, "vectors": vectors,
-                   "matrices": matrices}
-        _output(args, _render(payload, args.format))
+    _emit(args, {"family": args.family, "N": n,
+                 "vectors": [rel.fam.vector(k) for k in range(n + 1)],
+                 "matrices": {str(k): rel.matrices(k) for k in range(n + 1)}})
     return 0
 
 
@@ -265,20 +271,15 @@ def cmd_rodrigues(args) -> int:
     for total in range(n + 1):
         for m in range(total + 1):
             poly = rodrigues_eval(weight, case, total - m, m)
-            outputs.append({"n": total - m, "m": m,
-                            "poly": _poly_payload(poly, args.format)})
-    payload = {"N": n, "rodrigues": outputs}
-    _output(args, json.dumps(payload, indent=2) if args.format == "json"
-            else _render(payload, args.format))
+            outputs.append({"n": total - m, "m": m, "poly": poly})
+    _emit(args, {"N": n, "rodrigues": outputs})
     return 0
 
 
 def cmd_verify(args) -> int:
     pde = _load_pde(args)
     n = _cap_degree(args.degree)
-    params = _params(args) if args.alpha is not None and args.beta is not None else None
-    if args.family != "monic" and params is None:
-        raise CliError(f"family {args.family!r} needs --alpha and --beta")
+    params = _family_params(args)
     results = run_verification(pde, n, params=params, family=args.family,
                                corrupt=args.corrupt)
     lines = [r.line() for r in results]
@@ -294,20 +295,22 @@ def cmd_verify(args) -> int:
 
 
 def _parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _ArgumentParser(
         prog="opde",
         description="Exact bivariate orthogonal polynomial families from "
                     "admissible second-order equations of hypergeometric type.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, family: bool = False) -> None:
+    def common(p: argparse.ArgumentParser, family: bool = False,
+               formats: bool = True) -> None:
         p.add_argument("--pde", help="equation coefficients as JSON (file path or - for stdin)")
         p.add_argument("--alpha", help="triangle weight exponent parameter, e.g. 3/2")
         p.add_argument("--beta", help="triangle weight exponent parameter")
         p.add_argument("-N", "--degree", type=int, default=6,
                        help="degree bound (default 6)")
-        p.add_argument("--format", choices=("json", "latex", "pretty"),
-                       default="json")
+        if formats:
+            p.add_argument("--format", choices=("json", "latex", "pretty"),
+                           default="json")
         p.add_argument("--out", help="write output to a file instead of stdout")
         if family:
             p.add_argument("--family", choices=("monic", "appell-F", "koornwinder"),
@@ -320,7 +323,7 @@ def _parser() -> argparse.ArgumentParser:
     common(rod)
     rod.add_argument("--weight", help="weight specification JSON (with --pde)")
     ver = sub.add_parser("verify", help="run all invariant suites")
-    common(ver, family=True)
+    common(ver, family=True, formats=False)
     ver.add_argument("--corrupt", choices=("ttrr-b1",),
                      help="testing aid: inject a fault to confirm detection")
     return top
@@ -336,8 +339,8 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except CliError as ex:
         print(f"error: {ex}", file=sys.stderr)

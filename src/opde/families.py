@@ -44,10 +44,6 @@ class AppellParams:
             raise ValueError("parameters must be positive")
 
 
-def params(alpha: Scalar, beta: Scalar) -> AppellParams:
-    return AppellParams(rat(alpha), rat(beta))
-
-
 def appell_pde(p: AppellParams) -> HypergeometricPDE:
     return HypergeometricPDE.from_coeffs(
         a=-1, b1=1, b2=1, e=-(p.alpha + p.beta + 1), f1=p.alpha, f2=p.beta)
@@ -118,10 +114,6 @@ def monic_appell_series(p: AppellParams, n: int, m: int) -> BivariatePoly:
 
 def monic_appell_vector(p: AppellParams, n: int) -> PolyVector:
     return PolyVector([monic_appell_series(p, n - k, k) for k in range(n + 1)])
-
-
-def monic_appell_family(p: AppellParams, big_n: int) -> PolyVectorFamily:
-    return PolyVectorFamily([monic_appell_vector(p, n) for n in range(big_n + 1)])
 
 
 # -- classical univariate building block ---------------------------------------

@@ -27,8 +27,9 @@ equation coefficients; below their validity range the general route is used.
 
 ``Relations`` is the relation table of one family through a degree bound:
 it classifies the weight-shift factors once and solves every general
-relation once.  ``build`` emits this table and ``verify`` checks it, so the
-two commands see the same matrices.
+relation once, and ``Relations.matrices`` names the matrices of each
+degree.  ``build`` emits this table and ``verify`` checks it, so the two
+commands see the same matrices under the same names.
 """
 
 from __future__ import annotations
@@ -280,3 +281,23 @@ class Relations:
         self.deriv: Dict[Tuple[int, int], DerivRep] = {
             (n, j): derivative_representation(fam, n, j, self.qfams[j])
             for n in range(2, big_n + 1) for j in (1, 2)}
+
+    def matrices(self, n: int, compact: bool = False) -> Dict[str, RationalMatrix]:
+        """Every matrix solved at degree n under its printed name: A, B
+        (and C from n = 1) per axis, then W, S, T per axis when the
+        structure relations were solved, then V, Y, Z per axis from n = 2,
+        in the wide form or, with ``compact``, the compact form."""
+        t = self.ttrr[n]
+        out = {"A1": t.a1, "B1": t.b1, "A2": t.a2, "B2": t.b2}
+        if n >= 1:
+            out.update(C1=t.c1, C2=t.c2)
+        if n in self.structure:
+            st = self.structure[n]
+            out.update(W1=st.w1, S1=st.s1, T1=st.t1, W2=st.w2, S2=st.s2, T2=st.t2)
+        if n >= 2:
+            for j in (1, 2):
+                dr = self.deriv[n, j]
+                out[f"V{j}"], out[f"Y{j}"], out[f"Z{j}"] = (
+                    (dr.v_compact, dr.y_compact, dr.z_compact) if compact
+                    else (dr.v, dr.y, dr.z))
+        return out

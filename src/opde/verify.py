@@ -42,19 +42,18 @@ class SuiteResult:
         if not ok:
             self.failures.append(pinpoint)
 
+    def agree(self, got: PolyVector, want: PolyVector, where: str) -> None:
+        """One check that two vectors agree entry by entry; a failure names
+        the first entry that differs."""
+        bad = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), None)
+        self.check(bad is None, f"{where} entry={bad}")
+
     def line(self) -> str:
         if self.passed:
             extra = f" [{self.note}]" if self.note else ""
             return f"PASS {self.name} ({self.checks} checks){extra}"
         return (f"FAIL {self.name} ({len(self.failures)}/{self.checks} checks): "
                 f"first failure {self.failures[0]}")
-
-
-def _first_bad_entry(got: PolyVector, want: PolyVector) -> Optional[int]:
-    for k, (a, b) in enumerate(zip(got, want)):
-        if a != b:
-            return k
-    return None
 
 
 def _three_term(mats: Sequence[Optional[RationalMatrix]],
@@ -108,9 +107,8 @@ def run_verification(pde: HypergeometricPDE, big_n: int,
     if family == "monic":
         res = SuiteResult("eigen-residual")
         for n in range(big_n + 1):
-            bad = _first_bad_entry(pde_residual(fam, n),
-                                   PolyVector([BivariatePoly.zero()] * (n + 1)))
-            res.check(bad is None, f"n={n} entry={bad}")
+            res.agree(pde_residual(fam, n),
+                      PolyVector([BivariatePoly.zero()] * (n + 1)), f"n={n}")
         results.append(res)
 
         sub = SuiteResult("subleading-closed-form")
@@ -124,8 +122,7 @@ def run_verification(pde: HypergeometricPDE, big_n: int,
         routes = SuiteResult("construction-routes")
         oracle = solve_monic(pde, big_n)
         for n in range(big_n + 1):
-            bad = _first_bad_entry(fam.vector(n), oracle.vector(n))
-            routes.check(bad is None, f"n={n} entry={bad}")
+            routes.agree(fam.vector(n), oracle.vector(n), f"n={n}")
         results.append(routes)
 
     ttrr = SuiteResult("ttrr-identity")
@@ -139,9 +136,8 @@ def run_verification(pde: HypergeometricPDE, big_n: int,
         if corrupt == "ttrr-b1" and n == 1:
             t = replace(t, b1=_corrupt_matrix(t.b1))
         for j, var in ((1, X), (2, Y)):
-            bad = _first_bad_entry(fam.vector(n).scale(var),
-                                   _three_term(t.axis(j), fam.vector, n + 1))
-            ttrr.check(bad is None, f"n={n} axis={j} entry={bad}")
+            ttrr.agree(fam.vector(n).scale(var),
+                       _three_term(t.axis(j), fam.vector, n + 1), f"n={n} axis={j}")
     results.append(ttrr)
 
     qttrr = SuiteResult("derivative-family-ttrr")
@@ -150,8 +146,7 @@ def run_verification(pde: HypergeometricPDE, big_n: int,
         for n in range(big_n + 1):
             qt = derivative_ttrr(qfam, n)
             rhs = _three_term((qt.a, qt.b, qt.c), qfam.vector, n + 1)
-            bad = _first_bad_entry(qfam.vector(n).scale(var), rhs)
-            qttrr.check(bad is None, f"n={n} axis={j} entry={bad}")
+            qttrr.agree(qfam.vector(n).scale(var), rhs, f"n={n} axis={j}")
     results.append(qttrr)
 
     struct = SuiteResult("structure-identity", note=rel.skipped)
@@ -159,8 +154,7 @@ def run_verification(pde: HypergeometricPDE, big_n: int,
         phi = {1: rel.cases[0].phi10, 2: rel.cases[0].phi01}
         for j in (1, 2):
             lhs = fam.vector(n).diff(j).scale(phi[j])
-            bad = _first_bad_entry(lhs, _three_term(st.axis(j), fam.vector, n + 1))
-            struct.check(bad is None, f"n={n} axis={j} entry={bad}")
+            struct.agree(lhs, _three_term(st.axis(j), fam.vector, n + 1), f"n={n} axis={j}")
         if family == "monic" and n >= 3:
             sm = monic_structure_matrices(pde, phi[1], phi[2], n)
             for j in (1, 2):
@@ -171,8 +165,7 @@ def run_verification(pde: HypergeometricPDE, big_n: int,
     deriv = SuiteResult("derivative-representation")
     for (n, j), dr in rel.deriv.items():
         rhs = _three_term((dr.v, dr.y, dr.z), lambda k: fam.vector(k).diff(j), n + 1)
-        bad = _first_bad_entry(fam.vector(n), rhs)
-        deriv.check(bad is None, f"n={n} axis={j} entry={bad}")
+        deriv.agree(fam.vector(n), rhs, f"n={n} axis={j}")
         if family == "monic":
             dm = monic_derivative_representation(pde, n, j)
             same = (dm.v_compact, dm.y_compact, dm.z_compact) == \
@@ -223,51 +216,33 @@ def _instance_suites(p: AppellParams, rel: Relations, label: str,
 
     if label == "monic":
         # series-route vectors, shared with the biorthogonality suite
-        appell = [monic_appell_vector(p, n) for n in range(max(min(big_n, 6), 4) + 1)]
+        appell = [monic_appell_vector(p, n) for n in range(min(big_n, 6) + 1)]
         series = SuiteResult("series-route")
-        for n in range(min(big_n, 6) + 1):
-            bad = _first_bad_entry(fam.vector(n), appell[n])
-            series.check(bad is None, f"n={n} entry={bad}")
+        for n, a_vec in enumerate(appell):
+            series.agree(fam.vector(n), a_vec, f"n={n}")
         results.append(series)
 
         golden = SuiteResult("golden-agreement")
         for n in range(min(big_n, 7) + 1):
-            t = rel.ttrr[n]
-            golden.check(golden_matrix(p.alpha, p.beta, n, "B1") == t.b1, f"B1 n={n}")
-            golden.check(golden_matrix(p.alpha, p.beta, n, "B2") == t.b2, f"B2 n={n}")
-            if n >= 1:
-                golden.check(golden_matrix(p.alpha, p.beta, n, "C1") == t.c1, f"C1 n={n}")
-                golden.check(golden_matrix(p.alpha, p.beta, n, "C2") == t.c2, f"C2 n={n}")
-                for j in (1, 2):
-                    wm, sm, tm = rel.structure[n].axis(j)
-                    golden.check(golden_matrix(p.alpha, p.beta, n, f"W{j}") == wm, f"W{j} n={n}")
-                    golden.check(golden_matrix(p.alpha, p.beta, n, f"S{j}") == sm, f"S{j} n={n}")
-                    golden.check(golden_matrix(p.alpha, p.beta, n, f"T{j}") == tm, f"T{j} n={n}")
-            if n >= 2:
-                for j in (1, 2):
-                    dr = rel.deriv[n, j]
-                    golden.check(golden_matrix(p.alpha, p.beta, n, f"V{j}") == dr.v_compact,
-                                 f"V{j} n={n}")
-                    golden.check(golden_matrix(p.alpha, p.beta, n, f"Y{j}") == dr.y_compact,
-                                 f"Y{j} n={n}")
-                    golden.check(golden_matrix(p.alpha, p.beta, n, f"Z{j}") == dr.z_compact,
-                                 f"Z{j} n={n}")
+            for name, m in rel.matrices(n, compact=True).items():
+                if not name.startswith("A"):
+                    golden.check(golden_matrix(p.alpha, p.beta, n, name) == m,
+                                 f"{name} n={n}")
         results.append(golden)
 
         conn = SuiteResult("connections")
         for n in range(min(big_n, 5) + 1):
-            fv = apply_matrix(connection_F(p, n), fam.vector(n))
-            bad = _first_bad_entry(fv, nonmonic_F_vector(p, n))
-            conn.check(bad is None, f"F n={n} entry={bad}")
-            kv = apply_matrix(connection_K(p, n), fam.vector(n))
-            bad = _first_bad_entry(kv, koornwinder_vector(p, n))
-            conn.check(bad is None, f"K n={n} entry={bad}")
+            conn.agree(apply_matrix(connection_F(p, n), fam.vector(n)),
+                       nonmonic_F_vector(p, n), f"F n={n}")
+            conn.agree(apply_matrix(connection_K(p, n), fam.vector(n)),
+                       koornwinder_vector(p, n), f"K n={n}")
         results.append(conn)
 
         bio = SuiteResult("biorthogonality")
-        f_polys = [(big, nm, f) for big in range(5)
+        degrees = range(min(big_n, 4) + 1)
+        f_polys = [(big, nm, f) for big in degrees
                    for nm, f in enumerate(nonmonic_F_vector(p, big))]
-        a_polys = [(big2, kl, a) for big2 in range(5) for kl, a in enumerate(appell[big2])]
+        a_polys = [(big2, kl, a) for big2 in degrees for kl, a in enumerate(appell[big2])]
         for big, nm, f_poly in f_polys:
             for big2, kl, a_poly in a_polys:
                 val = functional(p, f_poly * a_poly)

@@ -193,6 +193,25 @@ def test_usage_error_missing_input(capsys):
     assert main(["classify"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "--family", "foo"], ["build", "-N", "abc"], [],
+    ["verify", "--format", "json", "--alpha", "1", "--beta", "1"],
+], ids=["bad-choice", "bad-int", "no-command", "verify-format"])
+def test_argument_errors_exit_1(argv, capsys):
+    # argparse's own exit code 2 would read as "not admissible"
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["build", "--help"])
+    assert exit_info.value.code == 0
+    assert "--family" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("family", ["monic", "appell-F", "koornwinder"])
 def test_build_family_one_degree_above_n(family, monkeypatch, capsys):
     # build reads the family up to degree N+1; one degree more changes nothing
@@ -287,6 +306,27 @@ def test_build_json_digest(argv, digest, monkeypatch, capsys):
     # pins the whole JSON document, byte for byte
     monkeypatch.delenv("OPDE_MAX_DEGREE", raising=False)
     assert main(["build", *argv, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["build", "-N", "4", "--format", "pretty"],
+     "8ca2ee8fd50c55b79b69c696360091cf7e115ce5abb911151539558230d46e39"),
+    (["build", "-N", "4", "--format", "latex"],
+     "eaee27fb3259d3e59d51ff1c71f9e08ac82bb0a4f118955c034e00365b9d0f4a"),
+    (["check", "--format", "pretty"],
+     "bb198bf29d835a90f0b6ebbfbfe9c844d447649178a098e04e810314b179e41d"),
+    (["classify", "--format", "pretty"],
+     "8d01d996d5f51f2fc2fadead9d1c6ad488080dba9eb09f963a1fe5eb8f97ca34"),
+    (["rodrigues", "-N", "4", "--format", "pretty"],
+     "2413670e93dae154ff8e5171cbbae4f943737b37f1b1e735be98091563c98ff7"),
+], ids=["build-pretty", "build-latex", "check-pretty", "classify-pretty",
+        "rodrigues-pretty"])
+def test_text_output_digest(argv, digest, monkeypatch, capsys):
+    # pins the whole text document, byte for byte
+    monkeypatch.delenv("OPDE_MAX_DEGREE", raising=False)
+    assert main([*argv, "--alpha", "3/2", "--beta", "5/7"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

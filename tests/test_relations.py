@@ -286,6 +286,8 @@ def test_relations_without_phi_pair(monkeypatch, tmp_path, capsys):
     assert rel.skipped == "skipped: equation fits none of the ten closed-form cases"
     assert len(rel.ttrr) == 4
     assert sorted(rel.deriv) == [(2, 1), (2, 2), (3, 1), (3, 2)]
+    for n in range(4):
+        assert not [k for k in rel.matrices(n) if k[0] in "WST"]
     path = tmp_path / "appell.json"
     path.write_text(json.dumps(pde_to_json(pde)))
     assert main(["verify", "--pde", str(path), "-N", "3"]) == 0
@@ -293,3 +295,21 @@ def test_relations_without_phi_pair(monkeypatch, tmp_path, capsys):
     assert ("PASS structure-identity (0 checks) "
             "[skipped: equation fits none of the ten closed-form cases]") in lines
     assert "PASS derivative-representation (8 checks)" in lines
+
+
+def test_relations_matrices_names_and_forms():
+    pde = appell_pde(AppellParams(Fraction(3, 2), Fraction(5, 7)))
+    rel = Relations(build_monic(pde, 4), pde, 3)
+    wst = ["W1", "S1", "T1", "W2", "S2", "T2"]
+    assert list(rel.matrices(0)) == ["A1", "B1", "A2", "B2"]
+    assert list(rel.matrices(1)) == ["A1", "B1", "A2", "B2", "C1", "C2", *wst]
+    assert list(rel.matrices(2, compact=True)) == [
+        "A1", "B1", "A2", "B2", "C1", "C2", *wst, "V1", "Y1", "Z1", "V2", "Y2", "Z2"]
+    for n in (2, 3):
+        wide, compact = rel.matrices(n), rel.matrices(n, compact=True)
+        assert list(wide) == list(compact)
+        for j in (1, 2):
+            assert wide[f"V{j}"] == compact[f"V{j}"] @ shift_matrix(n, j)
+            assert wide[f"Y{j}"] == compact[f"Y{j}"] @ shift_matrix(n - 1, j)
+            assert wide[f"Z{j}"] == compact[f"Z{j}"] @ shift_matrix(n - 2, j)
+        assert wide["W1"] is rel.structure[n].w1 and wide["B2"] is rel.ttrr[n].b2

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from opde.families import appell_pde
 from opde.pde import HypergeometricPDE
 from opde.verify import run_verification
@@ -78,7 +80,14 @@ def test_golden_agreement_reuses_solved_relations(p11, monkeypatch):
     results = run_verification(appell_pde(p11), 3, params=p11)
     assert all(r.passed for r in results), [r.line() for r in results]
     assert calls == {"general_ttrr": 4, "structure_matrices": 3,
-                     "derivative_representation": 4, "monic_appell_vector": 5}
+                     "derivative_representation": 4, "monic_appell_vector": 4}
     checks = {r.name: r.checks for r in results}
     assert checks["golden-agreement"] == 2 * 4 + 2 * 3 + 6 * 3 + 6 * 2
-    assert checks["biorthogonality"] == 225
+    assert checks["biorthogonality"] == 100
+
+
+@pytest.mark.parametrize("big_n, pairs", [(0, 1), (4, 225)])
+def test_biorthogonality_respects_degree_bound(big_n, pairs, p11):
+    # F and Appell polynomials of degree <= min(N, 4), every pair checked once
+    results = run_verification(appell_pde(p11), big_n, params=p11)
+    assert {r.name: r.checks for r in results}["biorthogonality"] == pairs
