@@ -258,6 +258,7 @@ def cmd_rodrigues(args) -> int:
             weight = weight_from_json(_read_json(args.weight))
         except ValueError as ex:
             raise CliError(str(ex))
+        check_admissible(pde, n)
         if not is_potentially_self_adjoint(pde):
             raise NotSelfAdjoint("no integrating-factor weight exists")
         case = classify_phi(pde)[0]

@@ -1,13 +1,17 @@
 """Exact bivariate polynomials over the rationals.
 
-A polynomial in x, y is stored as a dict mapping exponent pairs (i, j) to
-nonzero Fraction coefficients:
+A polynomial in x, y is stored as integer numerators over one common
+denominator: a dict mapping exponent pairs (i, j) to nonzero int numerators,
+and a positive int denominator.
 
-    x^2*y - 1/3  →  {(2, 1): Fraction(1), (0, 0): Fraction(-1, 3)}
+    x^2*y - 1/3  →  ({(2, 1): 3, (0, 0): -1}, 3)
 
-The zero polynomial is the empty dict.  All arithmetic is exact; no floats
-ever enter a coefficient.  Monomials are compared in graded lexicographic
-order with x > y, so within one total degree x^n > x^(n-1)y > ... > y^n.
+The form is canonical: the denominator and the numerators have no common
+factor, and the zero polynomial is the empty dict over 1.  Arithmetic runs on
+the integers and normalizes once per result; ``coefficient``, ``terms`` and
+``evaluate`` return Fractions in lowest terms.  No floats ever enter a
+coefficient.  Monomials are compared in graded lexicographic order with
+x > y, so within one total degree x^n > x^(n-1)y > ... > y^n.
 
 The degree of the zero polynomial is the sentinel ``NEG_INF`` (an actual
 minus infinity, not -1), so that degree arithmetic such as
@@ -17,6 +21,7 @@ deg(p*q) = deg(p) + deg(q) stays honest.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, Iterable, Tuple, Union
 
 from .errors import DivisionByZeroPoly, NotDivisible
@@ -53,9 +58,11 @@ def _grlex_key(e: Exponent) -> Tuple[int, int]:
 
 
 class BivariatePoly:
-    """Immutable exact polynomial in two variables."""
+    """Immutable exact polynomial in two variables: nonzero int numerators
+    ``_terms`` over the common denominator ``_den`` > 0, with
+    gcd(_den, *numerators) == 1."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: Dict[Exponent, Scalar] | None = None):
         clean: Dict[Exponent, Fraction] = {}
@@ -66,7 +73,10 @@ class BivariatePoly:
                 c = rat(c)
                 if c != 0:
                     clean[(i, j)] = c
-        self._terms = clean
+        # over the lcm of lowest-terms denominators no factor is common to all
+        den = lcm(*(c.denominator for c in clean.values()))
+        self._terms = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self._den = den
 
     # -- constructors -------------------------------------------------------
 
@@ -102,11 +112,14 @@ class BivariatePoly:
         return max(i + j for i, j in self._terms)
 
     def coefficient(self, i: int, j: int) -> Fraction:
-        return self._terms.get((i, j), Fraction(0))
+        return Fraction(self._terms.get((i, j), 0), self._den)
 
     def terms(self) -> Iterable[Tuple[Exponent, Fraction]]:
         """Terms sorted leading-first (graded lex descending)."""
-        return sorted(self._terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
+        den = self._den
+        return [(e, Fraction(c, den))
+                for e, c in sorted(self._terms.items(), key=lambda t: _grlex_key(t[0]),
+                                   reverse=True)]
 
     def leading_exponent(self) -> Exponent:
         if not self._terms:
@@ -117,7 +130,7 @@ class BivariatePoly:
         """Coefficient of the minimal monomial in graded lex order."""
         if not self._terms:
             return Fraction(0)
-        return self._terms[min(self._terms, key=_grlex_key)]
+        return Fraction(self._terms[min(self._terms, key=_grlex_key)], self._den)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -128,18 +141,26 @@ class BivariatePoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        # fold the right operand in, then drop the coefficients that cancelled
-        out = dict(self._terms)
+        a, b = self._den, other._den
+        if a == b:
+            out = dict(self._terms)
+            get = out.get
+            for e, c in other._terms.items():
+                out[e] = get(e, 0) + c
+            return _make(out, a)
+        # scale both operands to the lcm of the denominators
+        g = gcd(a, b)
+        sa, sb = b // g, a // g
+        out = {e: c * sa for e, c in self._terms.items()}
         get = out.get
         for e, c in other._terms.items():
-            s = get(e)
-            out[e] = c if s is None else s + c
-        return _raw({e: c for e, c in out.items() if c})
+            out[e] = get(e, 0) + c * sb
+        return _make(out, a * sa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _raw({e: -c for e, c in self._terms.items()})
+        return _raw({e: -c for e, c in self._terms.items()}, self._den)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -155,22 +176,21 @@ class BivariatePoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = rat(other)
-            if c == 0:
+            num, den = other.numerator, other.denominator
+            if num == 0:
                 return BivariatePoly.zero()
-            return _raw({e: c * v for e, v in self._terms.items()})
+            return _make({e: num * c for e, c in self._terms.items()}, self._den * den)
         if not isinstance(other, BivariatePoly):
             return NotImplemented
-        # sum every product, then drop the coefficients that cancelled
-        out: Dict[Exponent, Fraction] = {}
+        # convolve the numerators, multiply the denominators
+        out: Dict[Exponent, int] = {}
         get = out.get
         right = list(other._terms.items())
         for (i1, j1), c1 in self._terms.items():
             for (i2, j2), c2 in right:
                 e = (i1 + i2, j1 + j2)
-                s = get(e)
-                out[e] = c1 * c2 if s is None else s + c1 * c2
-        return _raw({e: c for e, c in out.items() if c})
+                out[e] = get(e, 0) + c1 * c2
+        return _make(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -188,46 +208,59 @@ class BivariatePoly:
 
     def diff(self, axis: int) -> "BivariatePoly":
         """Exact partial derivative, axis 1 = d/dx, axis 2 = d/dy."""
-        out: Dict[Exponent, Fraction] = {}
-        for (i, j), c in self._terms.items():
-            if axis == 1 and i > 0:
-                out[(i - 1, j)] = c * i
-            elif axis == 2 and j > 0:
-                out[(i, j - 1)] = c * j
-        if axis not in (1, 2):
+        if axis == 1:
+            out = {(i - 1, j): c * i for (i, j), c in self._terms.items() if i}
+        elif axis == 2:
+            out = {(i, j - 1): c * j for (i, j), c in self._terms.items() if j}
+        else:
             raise ValueError("axis must be 1 or 2")
-        return _raw(out)
+        return _make(out, self._den)
 
     def evaluate(self, x: Scalar, y: Scalar) -> Fraction:
         x, y = rat(x), rat(y)
-        total = Fraction(0)
-        for (i, j), c in self._terms.items():
-            total += c * x**i * y**j
-        return total
+        total = sum((c * x**i * y**j for (i, j), c in self._terms.items()), Fraction(0))
+        return total / self._den
 
     def exact_div(self, q: "BivariatePoly") -> "BivariatePoly":
         """Return r with self = q*r, or raise NotDivisible.
 
         Single-divisor graded-lex division: since the order is multiplicative,
         a failed leading-term division proves there is no polynomial quotient.
+        The division runs on the numerators: each step scales the remainder
+        and the quotient by just enough to keep the quotient term integral.
         """
         if not isinstance(q, BivariatePoly):
             q = _coerce(q)
         if q.is_zero():
             raise DivisionByZeroPoly("division by the zero polynomial")
-        rem = self
-        quot: Dict[Exponent, Fraction] = {}
-        qe = q.leading_exponent()
-        qc = q._terms[qe]
-        while not rem.is_zero():
-            re = rem.leading_exponent()
-            di, dj = re[0] - qe[0], re[1] - qe[1]
+        rem = dict(self._terms)
+        quot: Dict[Exponent, int] = {}
+        scale = 1  # self numerators * scale == q numerators * quot + rem
+        divisor = list(q._terms.items())
+        qi, qj = q.leading_exponent()
+        qc = q._terms[(qi, qj)]
+        while rem:
+            ri, rj = max(rem, key=_grlex_key)
+            di, dj = ri - qi, rj - qj
             if di < 0 or dj < 0:
                 raise NotDivisible(f"{self} is not divisible by {q}")
-            c = rem._terms[re] / qc
-            quot[(di, dj)] = c
-            rem = rem - q * BivariatePoly.monomial(di, dj, c)
-        return _raw(quot)
+            rc = rem[(ri, rj)]
+            g = gcd(rc, qc) if qc > 0 else -gcd(rc, qc)  # so that lift > 0
+            lift, t = qc // g, rc // g
+            if lift != 1:
+                rem = {e: c * lift for e, c in rem.items()}
+                quot = {e: c * lift for e, c in quot.items()}
+                scale *= lift
+            quot[(di, dj)] = t
+            for (i, j), c in divisor:
+                e = (i + di, j + dj)
+                v = rem.get(e, 0) - t * c
+                if v:
+                    rem[e] = v
+                else:
+                    del rem[e]
+        # self / q = (quot / scale) * (q._den / self._den)
+        return _make({e: c * q._den for e, c in quot.items()}, scale * self._den)
 
     # -- comparison / hashing / display --------------------------------------
 
@@ -235,10 +268,10 @@ class BivariatePoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._terms.items())))
 
     def __bool__(self):
         return bool(self._terms)
@@ -270,10 +303,23 @@ class BivariatePoly:
         return f"BivariatePoly({self})"
 
 
-def _raw(terms: Dict[Exponent, Fraction]) -> BivariatePoly:
+def _raw(terms: Dict[Exponent, int], den: int) -> BivariatePoly:
     p = BivariatePoly.__new__(BivariatePoly)
     p._terms = terms
+    p._den = den
     return p
+
+
+def _make(terms: Dict[Exponent, int], den: int) -> BivariatePoly:
+    """The canonical polynomial with numerators ``terms`` over ``den`` > 0:
+    zero numerators dropped, the common factor divided out."""
+    terms = {e: c for e, c in terms.items() if c}
+    if den != 1:
+        g = gcd(den, *terms.values())  # den itself when every term cancelled
+        if g != 1:
+            den //= g
+            terms = {e: c // g for e, c in terms.items()}
+    return _raw(terms, den)
 
 
 def _coerce(x) -> BivariatePoly:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Tuple
 
 from .errors import DegreeMismatch, NotDivisible, NotReducible
@@ -96,9 +97,11 @@ def _peel(phi: BivariatePoly, basis: List[BivariatePoly]
     return counts, Fraction(1)
 
 
+@lru_cache(maxsize=None)
 def _assemble(w: WeightSpec, case: PhiCase):
     """Factor basis, the weight's own exponents, the phi multiplicity
-    vectors, and the scalar contents of the two phi factors."""
+    vectors, and the scalar contents of the two phi factors; computed once
+    per (weight, factor pair), as tuples so no caller can change them."""
     basis: List[BivariatePoly] = [X, Y] + [q for q, _ in w.factors]
     m10, c10 = _peel(case.phi10, basis)
     m01, c01 = _peel(case.phi01, basis)
@@ -106,7 +109,7 @@ def _assemble(w: WeightSpec, case: PhiCase):
     m10 += [0] * (size - len(m10))
     m01 += [0] * (size - len(m01))
     rho_exps = [w.u, w.v] + [wt for _, wt in w.factors] + [Fraction(0)] * (size - 2 - len(w.factors))
-    return basis, rho_exps, m10, c10, m01, c01
+    return tuple(basis), tuple(rho_exps), tuple(m10), c10, tuple(m01), c01
 
 
 def _divide_out(expr: WeightedExpr, rho_exps: List[Fraction]) -> BivariatePoly:
@@ -125,7 +128,7 @@ def _divide_out(expr: WeightedExpr, rho_exps: List[Fraction]) -> BivariatePoly:
                 poly = poly.exact_div(f**(-t))
             except NotDivisible:
                 raise NotReducible(
-                    f"polynomial part is not divisible by {f}^{-t}") from None
+                    f"polynomial part is not divisible by ({f})^{-t}") from None
     return poly
 
 
@@ -146,7 +149,7 @@ def rodrigues_derivative_eval(w: WeightSpec, case: PhiCase,
         raise ValueError("need 0 <= r <= n and 0 <= s <= m")
     basis, rho_exps, m10, c10, m01, c01 = _assemble(w, case)
     exps = [rho_exps[i] + n * m10[i] + m * m01[i] for i in range(len(basis))]
-    expr = WeightedExpr(tuple(basis), tuple(exps),
+    expr = WeightedExpr(basis, tuple(exps),
                         BivariatePoly.const(c10**(n - r) * c01**(m - s)))
     for _ in range(n - r):
         expr = weighted_diff(expr, 1)

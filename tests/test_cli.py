@@ -151,6 +151,21 @@ def test_rodrigues_not_self_adjoint(tmp_path, capsys):
     assert captured.err == "error: no integrating-factor weight exists\n"
 
 
+def test_rodrigues_not_admissible(tmp_path, capsys):
+    # a*k + e vanishes at k = 2: exit 2 like check, build and verify, not 4
+    data = {"a": "1", "b1": "0", "c1": "1", "b2": "0", "c2": "1", "b3": "0",
+            "c3": "0", "d3": "0", "e": "-2", "f1": "0", "f2": "0"}
+    pde_path = tmp_path / "bad.json"
+    pde_path.write_text(json.dumps(data))
+    weight_path = tmp_path / "w.json"
+    weight_path.write_text(json.dumps(DISK_WEIGHT))
+    assert main(["rodrigues", "--pde", str(pde_path), "--weight", str(weight_path),
+                 "-N", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: equation is not admissible: a*k + e = 0 at k = 2\n"
+
+
 def test_verify_ok(capsys):
     assert main(["verify", "--alpha", "1", "--beta", "1", "-N", "2"]) == 0
     out = capsys.readouterr().out
@@ -340,9 +355,11 @@ DISK_WEIGHT = {"u": "0", "v": "0",
 @pytest.mark.parametrize("argv, digest", [
     (["--pde", "pde.json", "--weight", "weight.json", "-N", "8"],
      "8cf2c99fb4c82e5b5beb82c3af19646964ce866df1998b5d3cc42154bddb894b"),
+    (["--pde", "pde.json", "--weight", "weight.json", "-N", "12"],
+     "0ef3e4ba045301d409943ff5c8583755d9efa703d473ac383b091905924f0d66"),
     (["--alpha", "2", "--beta", "3", "-N", "6"],
      "39a47b1264dd6328825707dc06568e1e00405a1caba4c92c01f3dcccab628c51"),
-], ids=["disk", "triangle"])
+], ids=["disk", "disk-12", "triangle"])
 def test_rodrigues_json_digest(argv, digest, tmp_path, monkeypatch, capsys):
     # pins the whole JSON document, byte for byte
     monkeypatch.delenv("OPDE_MAX_DEGREE", raising=False)

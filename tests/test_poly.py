@@ -137,3 +137,96 @@ def test_sum_matches_termwise_sum(p, r, cancel):
     total = p + q
     assert dict(total.terms()) == {e: c for e, c in want.items() if c != 0}  # no zero is stored
     assert all(type(c) is Fraction for _, c in total.terms())
+
+
+def _grlex(e):
+    return (e[0] + e[1], e[0])
+
+
+def _textbook_quotient(a, b):
+    """Graded-lex long division of Fraction dicts; None when b does not divide a."""
+    rem, quot = dict(a), {}
+    lead = max(b, key=_grlex)
+    while rem:
+        top = max(rem, key=_grlex)
+        d = (top[0] - lead[0], top[1] - lead[1])
+        if d[0] < 0 or d[1] < 0:
+            return None
+        c = rem[top] / b[lead]
+        quot[d] = c
+        for (i, j), v in b.items():
+            e = (i + d[0], j + d[1])
+            rem[e] = rem.get(e, Fraction(0)) - c * v
+            if rem[e] == 0:
+                del rem[e]
+    return quot
+
+
+def _assert_fraction_terms(p):
+    assert all(type(c) is Fraction for _, c in p.terms())
+
+
+@seed(11012640)
+@settings(max_examples=100, deadline=None)
+@given(polys, polys)
+@example(X * Fraction(1, 2) + Y * Fraction(1, 2), ZERO)  # common factor 1/2
+@example(ZERO, X)
+def test_every_route_reaches_one_canonical_form(p, q):
+    routes = [(p * Fraction(1, 3)) * 3, p + q - q, BivariatePoly(dict(p.terms())), -(-p),
+              p * Fraction(7, 4) * Fraction(4, 7), (p * (q * q + 1)).exact_div(q * q + 1)]
+    for other in routes:
+        assert other == p
+        assert hash(other) == hash(p)
+        _assert_fraction_terms(other)
+
+
+@seed(11012640)
+@settings(max_examples=100, deadline=None)
+@given(polys, coeffs)
+@example(BivariatePoly({(2, 0): Fraction(1, 2), (0, 1): Fraction(3, 2)}), Fraction(2, 3))
+def test_diff_and_scaling_match_fraction_dicts(p, c):
+    terms = dict(p.terms())
+    for axis in (1, 2):
+        want = {}
+        for (i, j), v in terms.items():
+            k = i if axis == 1 else j
+            if k:
+                want[(i - 1, j) if axis == 1 else (i, j - 1)] = v * k
+        assert dict(p.diff(axis).terms()) == want
+        _assert_fraction_terms(p.diff(axis))
+    scaled = p * c
+    assert dict(scaled.terms()) == {e: v * c for e, v in terms.items() if v * c != 0}
+    assert scaled == c * p
+    _assert_fraction_terms(scaled)
+
+
+@seed(11012640)
+@settings(max_examples=100, deadline=None)
+@given(polys, coeffs, st.one_of(coeffs, st.integers(-5, 5)))
+@example(ZERO, Fraction(1, 2), 3)
+@example(X**3 * Y * Fraction(-2, 9) + 1, Fraction(-3, 2), Fraction(5, 7))
+def test_evaluate_matches_fraction_dict(p, x, y):
+    want = sum((c * Fraction(x)**i * Fraction(y)**j for (i, j), c in p.terms()), Fraction(0))
+    got = p.evaluate(x, y)
+    assert type(got) is Fraction
+    assert got == want
+
+
+@seed(11012640)
+@settings(max_examples=100, deadline=None)
+@given(polys, polys, polys)
+@example(X + 1, Fraction(-3, 5) * X**2 + Y, ZERO)
+@example(X + 1, -2 * X + 3, Y)  # a negative leading numerator that is not a unit
+def test_exact_division_matches_fraction_dict(p, q, r):
+    if q.is_zero():
+        return
+    for dividend in (p * q, p * q + r):
+        want = _textbook_quotient(dict(dividend.terms()), dict(q.terms()))
+        if want is None:
+            with pytest.raises(NotDivisible):
+                dividend.exact_div(q)
+        else:
+            got = dividend.exact_div(q)
+            assert dict(got.terms()) == want
+            assert got == BivariatePoly(want) and hash(got) == hash(BivariatePoly(want))
+            _assert_fraction_terms(got)

@@ -230,6 +230,15 @@ def test_not_reducible_outside_supported_class():
         rodrigues_eval(w, case, 1, 0)
 
 
+def test_not_reducible_names_the_factor_power():
+    # a weight that is not the equation's: the factor is printed in parentheses
+    w = WeightSpec(0, 0, ((1 - X**2 - Y**2, Fraction(1, 2)),))
+    phi = 1 + X**2 + Y**2
+    with pytest.raises(NotReducible) as info:
+        rodrigues_eval(w, PhiCase("synthetic", "", phi, phi), 1, 1)
+    assert str(info.value) == "polynomial part is not divisible by (-x^2 - y^2 + 1)^2"
+
+
 def test_degree_mismatch_on_degenerate_parameters():
     # weight x^(1/2) with factor x: the first derivative already collapses
     w = WeightSpec(Fraction(1, 2), 0)
