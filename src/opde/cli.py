@@ -36,7 +36,7 @@ from .serialize import (format_rational, matrix_to_json, parse_rational,
                         weight_from_json)
 from .vectors import PolyVector
 from .verify import run_verification
-from .weights import classify_phi
+from .weights import classify_phi, verify_pearson
 
 EXIT_PARSE, EXIT_NOT_ADMISSIBLE, EXIT_NOT_SELF_ADJOINT, EXIT_VERIFY = 1, 2, 3, 4
 
@@ -127,7 +127,7 @@ def _latex_matrix(m: RationalMatrix) -> str:
 
 
 def _pretty_matrix(m: RationalMatrix) -> str:
-    cells = [[format_rational(v) for v in row] for row in m.rows]
+    cells = matrix_to_json(m)
     width = max((len(c) for row in cells for c in row), default=1)
     return "\n".join("[ " + "  ".join(c.rjust(width) for c in row) + " ]" for row in cells)
 
@@ -262,6 +262,9 @@ def cmd_rodrigues(args) -> int:
         if not is_potentially_self_adjoint(pde):
             raise NotSelfAdjoint("no integrating-factor weight exists")
         case = classify_phi(pde)[0]
+        if not verify_pearson(pde, weight, case=case):
+            raise CliError("weight does not satisfy the Pearson equations of this equation",
+                           EXIT_VERIFY)
     else:
         if args.alpha is None or args.beta is None:
             raise CliError("provide --weight with --pde, or --alpha and --beta")

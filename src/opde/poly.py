@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, Iterable, Mapping, Tuple, Union
 
 from .errors import DivisionByZeroPoly, NotDivisible
 
@@ -120,6 +121,11 @@ class BivariatePoly:
         return [(e, Fraction(c, den))
                 for e, c in sorted(self._terms.items(), key=lambda t: _grlex_key(t[0]),
                                    reverse=True)]
+
+    def as_integers(self) -> Tuple[Mapping[Exponent, int], int]:
+        """Read-only view of the nonzero int numerators by exponent, and their
+        common denominator."""
+        return MappingProxyType(self._terms), self._den
 
     def leading_exponent(self) -> Exponent:
         if not self._terms:

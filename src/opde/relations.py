@@ -35,6 +35,7 @@ commands see the same matrices under the same names.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import NoCaseMatches, PhiDegreeTooHigh
@@ -200,13 +201,16 @@ def monic_structure_matrices(pde: HypergeometricPDE, phi1: BivariatePoly,
         e_n2 = derivative_matrix(n - 2, j)
 
         def quad(m: int) -> RationalMatrix:
-            # qx2 * x^2 + qxy * xy + qy2 * y^2 acting from degree m to m+2
-            return (qx2 * (shift_matrix(m, 1) @ shift_matrix(m + 1, 1))
-                    + qxy * (shift_matrix(m, 2) @ shift_matrix(m + 1, 1))
-                    + qy2 * (shift_matrix(m, 2) @ shift_matrix(m + 1, 2)))
+            # qx2 * x^2 + qxy * xy + qy2 * y^2 acting from degree m to m+2:
+            # x^2, xy and y^2 times xvec(m) sit at offsets 0, 1, 2 of xvec(m+2)
+            band = {0: qx2, 1: qxy, 2: qy2}
+            return RationalMatrix.from_function(
+                m + 1, m + 3, lambda i, k: band.get(k - i, 0))
 
         def lin(m: int) -> RationalMatrix:
-            return lx * shift_matrix(m, 1) + ly * shift_matrix(m, 2)
+            band = {0: lx, 1: ly}
+            return RationalMatrix.from_function(
+                m + 1, m + 2, lambda i, k: band.get(k - i, 0))
 
         w = e_n @ quad(n - 1)
         s = e_n @ lin(n - 1) - w @ gp1 + gn1 @ (e_n1 @ quad(n - 2))
@@ -242,7 +246,10 @@ def monic_derivative_representation(pde: HypergeometricPDE, n: int, axis: int) -
         raise ValueError("derivative representation starts at n = 2")
 
     def v_compact(m: int) -> RationalMatrix:
-        return (shift_matrix(m, axis) @ derivative_matrix(m + 1, axis)).inverse()
+        # the inverse of that diagonal at degree m, entry by entry
+        diag = [m + 1 - i if axis == 1 else i + 1 for i in range(m + 1)]
+        return RationalMatrix.from_function(
+            m + 1, m + 1, lambda i, k: Fraction(1, diag[i]) if i == k else 0)
 
     gn1, gn2 = subleading_matrices(pde, n)
     gp1, gp2 = subleading_matrices(pde, n + 1)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Any, Dict, List
 
 from .matrix import RationalMatrix
@@ -26,7 +27,14 @@ PDE_FIELDS = ("a", "b1", "c1", "b2", "c2", "b3", "c3", "d3", "e", "f1", "f2")
 
 
 def format_rational(q: Fraction) -> str:
-    return str(q)
+    return _format_ratio(q.numerator, q.denominator)
+
+
+def _format_ratio(a: int, den: int) -> str:
+    """The wire string of a/den for den > 0, in lowest terms: "p/q", or "p"
+    when q is 1 (the same text as str(Fraction(a, den)))."""
+    g = gcd(a, den)
+    return str(a // g) if g == den else f"{a // g}/{den // g}"
 
 
 def parse_rational(s: Any) -> Fraction:
@@ -60,7 +68,9 @@ def poly_from_json(data: Any) -> BivariatePoly:
 
 
 def matrix_to_json(m: RationalMatrix) -> List[List[str]]:
-    return [[format_rational(v) for v in row] for row in m.rows]
+    num, den = m.as_integers()
+    return [[_format_ratio(a, den) for a in row] for row in num]
+
 
 
 def matrix_from_json(data: Any) -> RationalMatrix:

@@ -15,6 +15,12 @@ of multiplying.  The matrices remain for the closed forms written as matrix
 products and for tests; the joint left inverse is a reference construction
 that no production route uses.
 
+Both boundaries between matrices and polynomials stay on the integers:
+``expansion_layers`` builds each G_{n,k} from the polynomials' int
+numerators over the lcm of their denominators, and ``apply_matrix``
+multiplies polynomials by the matrix's int numerators and divides by its
+common denominator once per row.
+
 ``PolyVectorFamily`` caches each vector's expansion matrices G_{n,k} and,
 through ``leading_inverse``, the inverse of each leading matrix G_{k,k}: the
 relation solves divide by the same few inverses many times.
@@ -22,6 +28,8 @@ relation solves divide by the same few inverses many times.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterable, List, Sequence
 
 from .errors import DegreeOverflow, SingularLeading, SingularMatrix
@@ -44,9 +52,11 @@ def shift_matrix(n: int, axis: int) -> RationalMatrix:
     if n < 0:
         raise ValueError("degree must be nonnegative")
     if axis == 1:
-        return RationalMatrix.from_function(n + 1, n + 2, lambda i, k: int(k == i))
+        return RationalMatrix.from_integers(
+            [[int(k == i) for k in range(n + 2)] for i in range(n + 1)])
     if axis == 2:
-        return RationalMatrix.from_function(n + 1, n + 2, lambda i, k: int(k == i + 1))
+        return RationalMatrix.from_integers(
+            [[int(k == i + 1) for k in range(n + 2)] for i in range(n + 1)])
     raise ValueError("axis must be 1 or 2")
 
 
@@ -60,9 +70,11 @@ def derivative_matrix(n: int, axis: int) -> RationalMatrix:
     if n < 1:
         raise ValueError("derivative_matrix needs n >= 1")
     if axis == 1:
-        return RationalMatrix.from_function(n + 1, n, lambda i, k: (n - i) if k == i else 0)
+        return RationalMatrix.from_integers(
+            [[n - i if k == i else 0 for k in range(n)] for i in range(n + 1)])
     if axis == 2:
-        return RationalMatrix.from_function(n + 1, n, lambda i, k: i if k == i - 1 else 0)
+        return RationalMatrix.from_integers(
+            [[i if k == i - 1 else 0 for k in range(n)] for i in range(n + 1)])
     raise ValueError("axis must be 1 or 2")
 
 
@@ -140,14 +152,15 @@ def apply_matrix(m: RationalMatrix, v: PolyVector) -> PolyVector:
     """Matrix-vector product of a rational matrix with a polynomial vector."""
     if m.ncols != len(v):
         raise ValueError(f"shape mismatch: {m.shape} @ vector of length {len(v)}")
+    num, den = m.as_integers()
+    inv_den = Fraction(1, den)
     out = []
-    for i in range(m.nrows):
+    for row in num:
         acc = BivariatePoly.zero()
-        for k, p in enumerate(v):
-            c = m[i, k]
-            if c != 0:
+        for c, p in zip(row, v):
+            if c:
                 acc = acc + p * c
-        out.append(acc)
+        out.append(acc * inv_den)
     return PolyVector(out)
 
 
@@ -166,11 +179,12 @@ def expansion_layers(v: PolyVector, n: int, count: int) -> List[RationalMatrix]:
     still covers all of v."""
     if v.max_degree() > n:
         raise DegreeOverflow(f"vector has degree {v.max_degree()} > {n}")
-    out = []
-    for k in range(n, max(n - count, -1), -1):
-        g = [[p.coefficient(k - c, c) for c in range(k + 1)] for p in v]
-        out.append(RationalMatrix(g))
-    return out
+    forms = [p.as_integers() for p in v]
+    den = lcm(*(d for _, d in forms))
+    scaled = [(terms.get, den // d) for terms, d in forms]
+    return [RationalMatrix.from_integers(
+                [[get((k - c, c), 0) * s for c in range(k + 1)] for get, s in scaled], den)
+            for k in range(n, max(n - count, -1), -1)]
 
 
 class PolyVectorFamily:

@@ -166,6 +166,21 @@ def test_rodrigues_not_admissible(tmp_path, capsys):
     assert captured.err == "error: equation is not admissible: a*k + e = 0 at k = 2\n"
 
 
+def test_rodrigues_weight_of_another_equation(tmp_path, capsys):
+    # the disk weight given with the triangle equation at (2, 3): the Pearson
+    # check names the fault before any Rodrigues formula is evaluated
+    pde_path = tmp_path / "eq.json"
+    pde_path.write_text(json.dumps(pde_to_json(appell_pde(AppellParams(2, 3)))))
+    weight_path = tmp_path / "w.json"
+    weight_path.write_text(json.dumps(DISK_WEIGHT))
+    assert main(["rodrigues", "--pde", str(pde_path), "--weight", str(weight_path),
+                 "-N", "2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: weight does not satisfy the Pearson equations "
+                            "of this equation\n")
+
+
 def test_verify_ok(capsys):
     assert main(["verify", "--alpha", "1", "--beta", "1", "-N", "2"]) == 0
     out = capsys.readouterr().out

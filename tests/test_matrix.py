@@ -1,10 +1,16 @@
+import random
+from contextlib import contextmanager
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
 from opde.errors import SingularMatrix
 from opde.matrix import RationalMatrix
+from opde.poly import X
+from opde.relations import _match
+from opde.vectors import PolyVectorFamily, apply_matrix
 
 
 def test_matmul_and_identity():
@@ -140,6 +146,54 @@ def _applied(m, vec):
     return [sum((a * v for a, v in zip(row, vec)), Fraction(0)) for row in m.rows]
 
 
+def _fraction_reduce(rows, ncols):
+    """Reference Gauss-Jordan reduction on Fraction rows: scale each pivot row
+    to 1 and clear its column.  Returns the reduced rows, the pivot columns
+    and the pivot product signed by the row swaps."""
+    work = [list(r) for r in rows]
+    nr = len(work)
+    pivots = []
+    det = Fraction(1)
+    for col in range(ncols):
+        row = len(pivots)
+        piv = next((r for r in range(row, nr) if work[r][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != row:
+            work[row], work[piv] = work[piv], work[row]
+            det = -det
+        det *= work[row][col]
+        inv_p = 1 / work[row][col]
+        top = work[row] = [v * inv_p for v in work[row]]
+        for r in range(nr):
+            f = work[r][col]
+            if r != row and f != 0:
+                work[r] = [v - f * w for v, w in zip(work[r], top)]
+        pivots.append(col)
+    return work, pivots, det
+
+
+def _reference_solved_forms(m):
+    """(inverse rows or None, det or None, rank, nullspace) of ``m`` from the
+    Fraction reduction; det and inverse only for square matrices."""
+    rows, nc = m.tolist(), m.ncols
+    work, pivots, det = _fraction_reduce(rows, nc)
+    basis = []
+    for fc in (c for c in range(nc) if c not in pivots):
+        vec = [Fraction(0)] * nc
+        vec[fc] = Fraction(1)
+        for prow, pcol in enumerate(pivots):
+            vec[pcol] = -work[prow][fc]
+        basis.append(vec)
+    if m.nrows != nc:
+        return None, None, len(pivots), basis
+    full = len(pivots) == nc
+    augmented, _, _ = _fraction_reduce(
+        [r + [Fraction(int(i == k)) for k in range(nc)] for i, r in enumerate(rows)], nc)
+    inverse = [r[nc:] for r in augmented] if full else None
+    return inverse, det if full else Fraction(0), len(pivots), basis
+
+
 @seed(11012640)
 @settings(max_examples=200, deadline=None)
 @given(_solvable())
@@ -151,6 +205,13 @@ def _applied(m, vec):
 @example(RationalMatrix([[0, 1], [1, 0]]))
 def test_solved_forms_agree(m):
     rank, basis = m.rank(), m.nullspace()
+    ref_inverse, ref_det, ref_rank, ref_basis = _reference_solved_forms(m)
+    assert rank == ref_rank
+    assert basis == ref_basis
+    if ref_det is not None:
+        assert m.det() == ref_det
+    if ref_inverse is not None:
+        assert m.inverse().rows == tuple(map(tuple, ref_inverse))
     assert rank + len(basis) == m.ncols
     assert rank <= min(m.shape)
     for vec in basis:
@@ -192,3 +253,131 @@ def test_solved_forms_small_cases():
     assert deficient.nullspace() == [[-1, -1, 1]]
     # a row swap flips the sign of the pivot product
     assert RationalMatrix([[0, 1], [1, 0]]).det() == -1
+
+
+# -- storage: int numerator rows over one common denominator -------------------
+
+
+@seed(11012640)
+@settings(max_examples=100, deadline=None)
+@given(_operands())
+def test_canonical_form_is_route_independent(pair):
+    m, _ = pair
+    z = RationalMatrix([[Fraction(1, 7 + i + k) for k in range(m.ncols)]
+                        for i in range(m.nrows)])
+    routes = [(m * Fraction(1, 3)) * 3, m + z - z, RationalMatrix(m.tolist()),
+              m.transpose().transpose()]
+    for other in routes:
+        assert other == m
+        assert hash(other) == hash(m)
+        assert other.as_integers() == m.as_integers()
+    num, den = m.as_integers()
+    assert den > 0
+    assert gcd(den, *(a for r in num for a in r)) == 1
+
+
+def test_zero_matrix_is_over_one():
+    m = RationalMatrix([[Fraction(1, 2), Fraction(-1, 3)]])
+    assert (m - m).as_integers() == (((0, 0),), 1)
+    assert (m * 0) == RationalMatrix.zeros(1, 2)
+
+
+def test_mixed_int_and_fraction_construction():
+    m = RationalMatrix([[1, Fraction(1, 2)], [Fraction(-2, 3), 0]])
+    assert m.as_integers() == (((6, 3), (-4, 0)), 6)
+    assert m == RationalMatrix([[Fraction(2, 2), Fraction(3, 6)],
+                                [Fraction(-4, 6), Fraction(0)]])
+    assert RationalMatrix([[2, 4]]).as_integers() == (((2, 4),), 1)
+    assert RationalMatrix.from_integers([[2, 4]], -6) == \
+        RationalMatrix([[Fraction(-1, 3), Fraction(-2, 3)]])
+
+
+@pytest.mark.parametrize("rows", [[[1.5]], [[1, 0.0]], [[Fraction(1, 2), 2.0]]])
+def test_float_entries_rejected(rows):
+    with pytest.raises(TypeError):
+        RationalMatrix(rows)
+
+
+def test_float_scalar_rejected():
+    with pytest.raises(TypeError):
+        RationalMatrix([[1]]) * 0.5
+
+
+@pytest.mark.parametrize("rows", [[], [[]], [[1, 2], [3]]])
+def test_empty_or_ragged_rejected(rows):
+    with pytest.raises(ValueError):
+        RationalMatrix(rows)
+
+
+@seed(11012640)
+@settings(max_examples=60, deadline=None)
+@given(_solvable())
+def test_entries_read_back_as_fractions(m):
+    rows = m.rows
+    assert m.tolist() == [list(r) for r in rows]
+    for i in range(m.nrows):
+        assert m.row(i) == rows[i]
+        for k in range(m.ncols):
+            assert m[i, k] == rows[i][k]
+            assert type(m[i, k]) is Fraction
+    assert all(type(v) is Fraction for r in rows for v in r)
+    assert all(type(v) is Fraction for r in m.tolist() for v in r)
+    assert all(type(v) is Fraction for i in range(m.nrows) for v in m.row(i))
+
+
+# -- no Fraction arithmetic in the matrix hot path ------------------------------
+
+_FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                       "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
+                       "__mod__", "__rmod__", "__divmod__", "__rdivmod__", "__pow__",
+                       "__rpow__", "__neg__", "__pos__", "__abs__")
+
+
+@contextmanager
+def _counting_fraction_operators():
+    """Count every call of an arithmetic operator of Fraction while active."""
+    count = [0]
+    saved = {name: getattr(Fraction, name) for name in _FRACTION_OPERATORS}
+
+    def counted(fn):
+        def wrapper(*args):
+            count[0] += 1
+            return fn(*args)
+        return wrapper
+
+    try:
+        for name, fn in saved.items():
+            setattr(Fraction, name, counted(fn))
+        yield count
+    finally:
+        for name, fn in saved.items():
+            setattr(Fraction, name, fn)
+
+
+def _random_matrix(rng, n):
+    return RationalMatrix([[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+                           for _ in range(n)])
+
+
+def test_matrix_hot_path_runs_without_fraction_arithmetic():
+    rng = random.Random(11012640)
+    a, b = _random_matrix(rng, 10), _random_matrix(rng, 10)
+    assert a.det() != 0
+    with _counting_fraction_operators() as count:
+        product, difference, inverse = a @ b, a - b, a.inverse()
+    assert count[0] == 0
+    assert a.as_integers()[1] != 1 and inverse.as_integers()[1] != 1
+    assert product.tolist() == _textbook_product(a, b)
+    assert difference.rows == tuple(tuple(x - y for x, y in zip(ra, rb))
+                                    for ra, rb in zip(a.rows, b.rows))
+    assert a @ inverse == RationalMatrix.identity(10)
+
+
+def test_relation_match_runs_without_fraction_arithmetic(fam23):
+    fam = PolyVectorFamily(fam23.vectors[:10])
+    lhs = fam.vector(8).scale(X)
+    with _counting_fraction_operators() as count:
+        a, b, c = _match(lhs, fam, 9)
+    assert count[0] == 0
+    assert apply_matrix(a, fam.vector(9)) + apply_matrix(b, fam.vector(8)) \
+        + apply_matrix(c, fam.vector(7)) == lhs

@@ -105,3 +105,16 @@ def test_expansion_layers_are_the_top_of_the_expansion(n, count):
 def test_expansion_layers_check_the_whole_vector():
     with pytest.raises(DegreeOverflow):
         expansion_layers(PolyVector([X**5]), 3, 1)
+
+
+def test_expansion_layers_over_mixed_denominators():
+    # entry denominators 1, 3, 4 and 10: every layer is read off each entry's
+    # numerators over the lcm and must equal the entry-by-entry expansion
+    v = PolyVector([X**3 + 2 * Y, Fraction(1, 3) * X * Y**2 - Fraction(2, 3) * X,
+                    Fraction(3, 4) * Y**3 + Fraction(1, 2), Fraction(7, 10) * X**2 * Y])
+    layers = expansion_layers(v, 3, 4)
+    for k, g in zip(range(3, -1, -1), layers):
+        assert g == RationalMatrix([[p.coefficient(k - c, c) for c in range(k + 1)]
+                                    for p in v])
+    assert layers[0].as_integers()[1] == 60
+    assert layers[3].as_integers()[1] == 2
