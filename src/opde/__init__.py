@@ -14,7 +14,7 @@ from .pde import (DerivedEquation, HypergeometricPDE, apply_operator,
                   check_admissible, derived_pde, discriminant,
                   is_potentially_self_adjoint, pearson_numerators)
 from .poly import ONE, X, Y, ZERO, BivariatePoly, pochhammer, rat
-from .vectors import (PolyVector, PolyVectorFamily, apply_matrix,
+from .vectors import (PolyVector, PolyVectorFamily, apply_matrix, combine,
                       derivative_matrix, expansion_matrices,
                       joint_left_inverse, monomial_vector, shift_matrix,
                       stacked_shift)
@@ -31,7 +31,7 @@ from .rodrigues import (WeightedExpr, rodrigues_derivative_eval,
 from .families import (AppellParams, appell_pde, appell_phi_case,
                        appell_weight, connection_F, connection_K, functional,
                        jacobi, koornwinder, koornwinder_vector, make_family,
-                       moment, monic_appell_series, monic_appell_vector,
+                       moment, moment_table, monic_appell_series, monic_appell_vector,
                        nonmonic_F, nonmonic_F_vector, orthogonality_blocks)
 from .verify import SuiteResult, run_verification
 

@@ -13,6 +13,15 @@ The latter two are connected to the monic family by explicit invertible
 matrices, which the test suite verifies against three independent
 construction routes.  The moment functional is normalized to L[1] = 1 so
 every moment is an exact rational.
+
+``moment`` is the closed form of one moment, kept as the oracle.  The
+checks read ``moment_table`` instead: every moment through a degree as int
+numerators over one common denominator, memoised per degree.  ``functional``
+is one integer dot product of a polynomial's numerators with that table, and
+``orthogonality_blocks`` reads L[x^(m-i) y^i q] off it by shifting the
+exponents of q, so neither forms a monomial product or sums Fractions.  The
+nested-Jacobi family memoises the Jacobi polynomials and the powers of its
+linear substitutions, so each one costs one product.
 """
 
 from __future__ import annotations
@@ -20,10 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
-from typing import Optional
+from math import comb, factorial, lcm
+from typing import List, Optional, Tuple
 
-from .matrix import RationalMatrix
+from .matrix import IntRows, RationalMatrix
 from .monic import build_monic
 from .pde import HypergeometricPDE
 from .poly import X, Y, BivariatePoly, Scalar, pochhammer, rat
@@ -71,23 +80,51 @@ def moment(p: AppellParams, i: int, j: int) -> Fraction:
             / pochhammer(p.alpha + p.beta + 1, i + j))
 
 
+@lru_cache(maxsize=None)
+def moment_table(p: AppellParams, degree: int) -> Tuple[IntRows, int]:
+    """Every moment L[x^i y^j] with i + j <= degree as int numerators over one
+    common denominator: L[x^i y^j] = rows[i][j] / den.  Built from the three
+    rising-factorial lists of ``moment``'s closed form, which stays the
+    oracle the table is pinned against."""
+    if degree < 0:
+        raise ValueError("need degree >= 0")
+    a, b = _rising(p.alpha, degree), _rising(p.beta, degree)
+    c = _rising(p.alpha + p.beta + 1, degree)
+    vals = [[a[i] * b[j] / c[i + j] for j in range(degree + 1 - i)]
+            for i in range(degree + 1)]
+    den = lcm(*(v.denominator for r in vals for v in r))
+    return tuple(tuple(v.numerator * (den // v.denominator) for v in r) for r in vals), den
+
+
+def _rising(x: Fraction, degree: int) -> List[Fraction]:
+    """[(x)_0, (x)_1, ..., (x)_degree]."""
+    out = [Fraction(1)]
+    for t in range(degree):
+        out.append(out[-1] * (x + t))
+    return out
+
+
 def functional(p: AppellParams, poly: BivariatePoly) -> Fraction:
-    """L applied to an arbitrary polynomial, term by term."""
-    total = Fraction(0)
-    for (i, j), c in poly.terms():
-        total += c * moment(p, i, j)
-    return total
+    """L applied to an arbitrary polynomial: one integer dot product of its
+    numerators with the moment table."""
+    terms, den = poly.as_integers()
+    table, tden = moment_table(p, max((i + j for i, j in terms), default=0))
+    return Fraction(sum(c * table[i][j] for (i, j), c in terms.items()), den * tden)
 
 
 def orthogonality_blocks(p: AppellParams, fam: PolyVectorFamily,
                          n: int, m: int) -> RationalMatrix:
     """The (m+1) x (n+1) matrix L[xvec(m) P_n^T]; zero when m < n, and an
-    invertible matrix H_n when m = n."""
-    rows = []
-    for i in range(m + 1):
-        mono = BivariatePoly.monomial(m - i, i)
-        rows.append([functional(p, mono * q) for q in fam.vector(n)])
-    return RationalMatrix(rows)
+    invertible matrix H_n when m = n.  Entry (r, k) reads L[x^(m-r) y^r q_k]
+    off the moment table by shifting the exponents of q_k, with every q_k
+    scaled to the lcm of their denominators."""
+    table, tden = moment_table(p, n + m)
+    forms = [q.as_integers() for q in fam.vector(n)]
+    den = lcm(*(d for _, d in forms))
+    cols = [[(i, j, c * (den // d)) for (i, j), c in terms.items()] for terms, d in forms]
+    return RationalMatrix.from_integers(
+        [[sum(c * table[i + m - r][j + r] for i, j, c in col) for col in cols]
+         for r in range(m + 1)], den * tden)
 
 
 # -- monic family by terminating double series --------------------------------
@@ -118,49 +155,57 @@ def monic_appell_vector(p: AppellParams, n: int) -> PolyVector:
 
 # -- classical univariate building block ---------------------------------------
 
+@lru_cache(maxsize=None)
 def jacobi(a: Scalar, b: Scalar, n: int) -> BivariatePoly:
     """Degree-n Jacobi polynomial in x, classical normalization
-    P_n(1) = (a+1)_n / n!, by the exact three-term recurrence."""
+    P_n(1) = (a+1)_n / n!, by the exact three-term recurrence; memoised, so
+    each degree costs one recurrence step."""
     a, b = rat(a), rat(b)
     if a <= -1 or b <= -1:
         raise ValueError("need a, b > -1")
     if n < 0:
         raise ValueError("need n >= 0")
-    p_prev = BivariatePoly.const(1)
     if n == 0:
-        return p_prev
-    p_cur = BivariatePoly({(1, 0): (a + b + 2) / 2, (0, 0): (a - b) / 2})
-    for k in range(2, n + 1):
-        c0 = 2 * k * (k + a + b) * (2 * k + a + b - 2)
-        c1 = (2 * k + a + b - 1) * (a * a - b * b)
-        c2 = (2 * k + a + b - 1) * (2 * k + a + b) * (2 * k + a + b - 2)
-        c3 = 2 * (k + a - 1) * (k + b - 1) * (2 * k + a + b)
-        nxt = ((c2 * X + BivariatePoly.const(c1)) * p_cur - c3 * p_prev) * (1 / c0)
-        p_prev, p_cur = p_cur, nxt
-    return p_cur
+        return BivariatePoly.const(1)
+    if n == 1:
+        return BivariatePoly({(1, 0): (a + b + 2) / 2, (0, 0): (a - b) / 2})
+    c0 = 2 * n * (n + a + b) * (2 * n + a + b - 2)
+    c1 = (2 * n + a + b - 1) * (a * a - b * b)
+    c2 = (2 * n + a + b - 1) * (2 * n + a + b) * (2 * n + a + b - 2)
+    c3 = 2 * (n + a - 1) * (n + b - 1) * (2 * n + a + b)
+    return ((c2 * X + BivariatePoly.const(c1)) * jacobi(a, b, n - 1)
+            - c3 * jacobi(a, b, n - 2)) * (1 / c0)
 
 
 # -- nested-Jacobi family -------------------------------------------------------
+
+_ONE_MINUS_X = BivariatePoly.const(1) - X
+_LEVER = 2 * Y - _ONE_MINUS_X  # (1-x) * (2y/(1-x) - 1)
+_SHIFTED_X = 2 * X - BivariatePoly.const(1)
+
+
+@lru_cache(maxsize=None)
+def _power(base: BivariatePoly, k: int) -> BivariatePoly:
+    """base**k, one product per power on top of the memoised lower one."""
+    return BivariatePoly.const(1) if k == 0 else _power(base, k - 1) * base
+
 
 def koornwinder(p: AppellParams, n: int, m: int) -> BivariatePoly:
     """P_n^(2m+beta, alpha-1)(2x-1) (1-x)^m P_m^(0, beta-1)(2y/(1-x) - 1),
     expanded exactly: the (1-x)^m prefactor clears every denominator of the
     inner substitution."""
     inner_poly = jacobi(0, p.beta - 1, m)
-    one_minus_x = BivariatePoly.const(1) - X
-    lever = 2 * Y - one_minus_x  # (1-x) * (2y/(1-x) - 1)
     inner = BivariatePoly.zero()
     for k in range(m + 1):
         c = inner_poly.coefficient(k, 0)
         if c != 0:
-            inner = inner + c * lever**k * one_minus_x**(m - k)
+            inner = inner + c * _power(_LEVER, k) * _power(_ONE_MINUS_X, m - k)
     outer_poly = jacobi(2 * m + p.beta, p.alpha - 1, n)
-    t = 2 * X - BivariatePoly.const(1)
     outer = BivariatePoly.zero()
     for k in range(n + 1):
         c = outer_poly.coefficient(k, 0)
         if c != 0:
-            outer = outer + c * t**k
+            outer = outer + c * _power(_SHIFTED_X, k)
     return outer * inner
 
 

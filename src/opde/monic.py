@@ -31,8 +31,8 @@ from .matrix import RationalMatrix
 from .pde import (HypergeometricPDE, apply_operator, check_admissible,
                   derived_pde, is_potentially_self_adjoint)
 from .poly import X, Y, BivariatePoly
-from .vectors import (PolyVector, PolyVectorFamily, apply_matrix,
-                      expansion_matrices, monomial_vector, shift_matrix)
+from .vectors import (PolyVector, PolyVectorFamily, combine, expansion_matrices,
+                      monomial_vector, shift_matrix)
 
 
 def _require_varpi(pde: HypergeometricPDE, k: int) -> Fraction:
@@ -170,12 +170,12 @@ def build_monic(pde: HypergeometricPDE, big_n: int) -> MonicFamily:
     for n in range(big_n):
         t = monic_ttrr(pde, n)
         cur = vectors[n]
-        top = cur.scale(X) - apply_matrix(t.b1, cur)
-        bot = cur.scale(Y) - apply_matrix(t.b2, cur)
+        x_known, y_known = [(t.b1, cur)], [(t.b2, cur)]
         if n >= 1:
-            prev = vectors[n - 1]
-            top = top - apply_matrix(t.c1, prev)
-            bot = bot - apply_matrix(t.c2, prev)
+            x_known.append((t.c1, vectors[n - 1]))
+            y_known.append((t.c2, vectors[n - 1]))
+        top = cur.scale(X) - combine(x_known)
+        bot = cur.scale(Y) - combine(y_known)
         if bot.entries[:n] != top.entries[1:]:
             raise InconsistentRecursion(n + 1)
         vectors.append(PolyVector(top.entries + bot.entries[n:]))
@@ -215,11 +215,7 @@ def solve_monic(pde: HypergeometricPDE, big_n: int) -> MonicFamily:
                 # the pivot is (lam_n - lam_j) I, which vanishes exactly when
                 # the gap index n + j - 1 is an admissibility root
                 raise NotAdmissible(n + j - 1) from None
-        vec = [BivariatePoly.zero()] * (n + 1)
-        for k, g in gs.items():
-            piece = apply_matrix(g, monomial_vector(k))
-            vec = [a + b for a, b in zip(vec, piece)]
-        vectors.append(PolyVector(vec))
+        vectors.append(combine([(g, monomial_vector(k)) for k, g in gs.items()]))
     return MonicFamily(pde, vectors)
 
 

@@ -94,6 +94,17 @@ class BivariatePoly:
         return cls({(i, j): rat(c)})
 
     @classmethod
+    def from_integers(cls, terms: Mapping[Exponent, int], den: int = 1) -> "BivariatePoly":
+        """The polynomial ``terms / den`` for int numerators keyed by
+        nonnegative exponent pairs and a nonzero int ``den``, in canonical
+        form; ``terms`` is copied, never kept."""
+        if den == 0:
+            raise ZeroDivisionError("polynomial denominator is zero")
+        if den < 0:
+            return _make({e: -c for e, c in terms.items()}, -den)
+        return _make(terms, den)
+
+    @classmethod
     def variable(cls, axis: int) -> "BivariatePoly":
         if axis == 1:
             return cls({(1, 0): Fraction(1)})

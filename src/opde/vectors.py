@@ -17,9 +17,11 @@ that no production route uses.
 
 Both boundaries between matrices and polynomials stay on the integers:
 ``expansion_layers`` builds each G_{n,k} from the polynomials' int
-numerators over the lcm of their denominators, and ``apply_matrix``
-multiplies polynomials by the matrix's int numerators and divides by its
-common denominator once per row.
+numerators over the lcm of their denominators, and ``combine`` forms
+sum_i M_i @ v_i as one integer accumulation per entry over the lcm of every
+denominator involved, normalized once per entry.  ``apply_matrix`` is the
+one-pair case; the relation right-hand sides, the joint recursion and the
+oracle's assembly all go through ``combine``.
 
 ``PolyVectorFamily`` caches each vector's expansion matrices G_{n,k} and,
 through ``leading_inverse``, the inverse of each leading matrix G_{k,k}: the
@@ -28,13 +30,12 @@ relation solves divide by the same few inverses many times.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import DegreeOverflow, SingularLeading, SingularMatrix
 from .matrix import RationalMatrix
-from .poly import BivariatePoly
+from .poly import BivariatePoly, Exponent
 
 def monomial_vector(n: int) -> "PolyVector":
     """The column vector (x^n, x^(n-1)y, ..., y^n)."""
@@ -148,20 +149,42 @@ class PolyVector:
         return "PolyVector(" + ", ".join(str(p) for p in self) + ")"
 
 
+def combine(pairs: Sequence[Tuple[RationalMatrix, PolyVector]]) -> PolyVector:
+    """sum_i M_i @ v_i for matrices M_i with one row count.
+
+    Each entry is one integer accumulation of matrix numerators times
+    polynomial numerators, over the lcm of every matrix-times-entry
+    denominator, normalized once at the end."""
+    if not pairs:
+        raise ValueError("combine needs at least one (matrix, vector) pair")
+    nrows = pairs[0][0].nrows
+    parts = []
+    for m, v in pairs:
+        if m.ncols != len(v):
+            raise ValueError(f"shape mismatch: {m.shape} @ vector of length {len(v)}")
+        if m.nrows != nrows:
+            raise ValueError(f"row-count mismatch: {m.nrows} rows against {nrows}")
+        num, den = m.as_integers()
+        forms = [q.as_integers() for q in v]
+        parts.append((num, [(den * d, list(terms.items())) for terms, d in forms]))
+    total = lcm(*(d for _, cols in parts for d, _ in cols))
+    out = []
+    for r in range(nrows):
+        acc: Dict[Exponent, int] = {}
+        get = acc.get
+        for num, cols in parts:
+            for c, (d, items) in zip(num[r], cols):
+                if c:
+                    c *= total // d
+                    for e, t in items:
+                        acc[e] = get(e, 0) + c * t
+        out.append(BivariatePoly.from_integers(acc, total))
+    return PolyVector(out)
+
+
 def apply_matrix(m: RationalMatrix, v: PolyVector) -> PolyVector:
     """Matrix-vector product of a rational matrix with a polynomial vector."""
-    if m.ncols != len(v):
-        raise ValueError(f"shape mismatch: {m.shape} @ vector of length {len(v)}")
-    num, den = m.as_integers()
-    inv_den = Fraction(1, den)
-    out = []
-    for row in num:
-        acc = BivariatePoly.zero()
-        for c, p in zip(row, v):
-            if c:
-                acc = acc + p * c
-        out.append(acc * inv_den)
-    return PolyVector(out)
+    return combine([(m, v)])
 
 
 def expansion_matrices(v: PolyVector, n: int) -> List[RationalMatrix]:

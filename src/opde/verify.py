@@ -22,7 +22,7 @@ from .poly import BivariatePoly, X, Y
 from .relations import (Relations, derivative_ttrr,
                         monic_derivative_representation,
                         monic_structure_matrices)
-from .vectors import PolyVector, apply_matrix
+from .vectors import PolyVector, apply_matrix, combine
 from .weights import verify_pearson
 
 
@@ -60,11 +60,7 @@ def _three_term(mats: Sequence[Optional[RationalMatrix]],
                 vector: Callable[[int], PolyVector], top: int) -> PolyVector:
     """X_0 vector(top) + X_1 vector(top-1) + X_2 vector(top-2), the right-hand
     side of every relation; an absent X_i (None) contributes nothing."""
-    rhs = apply_matrix(mats[0], vector(top))
-    for i, m in enumerate(mats[1:], 1):
-        if m is not None:
-            rhs = rhs + apply_matrix(m, vector(top - i))
-    return rhs
+    return combine([(m, vector(top - i)) for i, m in enumerate(mats) if m is not None])
 
 
 def _corrupt_matrix(m: RationalMatrix) -> RationalMatrix:
@@ -207,8 +203,7 @@ def _instance_suites(p: AppellParams, rel: Relations, label: str,
     orth = SuiteResult("orthogonality-blocks")
     for n in range(min(big_n, 6) + 1):
         for m in range(n):
-            block = orthogonality_blocks(p, fam, n, m)
-            zero = all(v == 0 for row in block.rows for v in row)
+            zero = orthogonality_blocks(p, fam, n, m) == RationalMatrix.zeros(m + 1, n + 1)
             orth.check(zero, f"m={m} n={n} nonzero block")
         hn = orthogonality_blocks(p, fam, n, n)
         orth.check(hn.det() != 0, f"H_{n} singular")

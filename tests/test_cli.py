@@ -391,7 +391,9 @@ def test_rodrigues_json_digest(argv, digest, tmp_path, monkeypatch, capsys):
      "0e87de350690c6003c596857251c276aba300f0bb3fe8ed257fcfdd31d621454"),
     (["--pde", "pde.json", "-N", "4"],
      "0e1087c8ad94d3cdb004e4456ae1b16706aa2d6cd23a23be55bae7b601bf8c18"),
-], ids=["triangle", "disk"])
+    (["--alpha", "3/2", "--beta", "5/7", "-N", "5", "--family", "koornwinder"],
+     "5acb7670c4282fbadf14a292c137e9c3ab35b696531db8080ecd6e6fab4f8a9d"),
+], ids=["triangle", "disk", "koornwinder"])
 def test_verify_digest(argv, digest, tmp_path, monkeypatch, capsys):
     # pins every suite line: names, check counts and notes
     monkeypatch.delenv("OPDE_MAX_DEGREE", raising=False)

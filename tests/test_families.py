@@ -1,17 +1,20 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import example, given, seed, settings, strategies as st
 
 from opde.errors import IndexOutOfPrintedRange
-from opde.families import (AppellParams, connection_F,
+from opde.families import (AppellParams, appell_pde, connection_F,
                            connection_K, functional, jacobi,
-                           koornwinder, koornwinder_vector, moment,
+                           koornwinder, koornwinder_vector, moment, moment_table,
                            monic_appell_series, monic_appell_vector,
                            nonmonic_F, nonmonic_F_vector, orthogonality_blocks)
 from opde.golden import golden_matrix
 from opde.matrix import RationalMatrix
+from opde.monic import build_monic
 from opde.poly import BivariatePoly, X, Y
-from opde.vectors import apply_matrix
+from opde.vectors import PolyVector, PolyVectorFamily, apply_matrix
 
 
 # -- independent oracle for the moment closed form ----------------------------
@@ -194,3 +197,64 @@ def test_params_validation():
         AppellParams(0, 1)
     with pytest.raises(ValueError):
         AppellParams(1, Fraction(-1, 2))
+
+
+# -- the integer moment table behind functional and orthogonality_blocks -------
+
+_POINTS = [AppellParams(1, 1), AppellParams(2, 3), AppellParams(Fraction(3, 2), Fraction(5, 7))]
+
+
+@pytest.mark.parametrize("p", _POINTS, ids=["1,1", "2,3", "3/2,5/7"])
+def test_moment_table_matches_moment(p):
+    rows, den = moment_table(p, 12)
+    assert [len(r) for r in rows] == list(range(13, 0, -1))
+    assert den > 0 and gcd(den, *(c for r in rows for c in r)) == 1
+    for i in range(13):
+        for j in range(13 - i):
+            assert Fraction(rows[i][j], den) == moment(p, i, j), (i, j)
+
+
+_coefficients = st.builds(Fraction, st.integers(-30, 30), st.sampled_from((1, 2, 3, 4, 7, 10)))
+
+
+@seed(11012640)
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_POINTS),
+       st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)), _coefficients,
+                       max_size=8))
+@example(_POINTS[2], {})  # the zero polynomial
+@example(_POINTS[2], {(0, 0): Fraction(1, 3), (3, 4): Fraction(-7, 10), (1, 0): 2})
+def test_functional_matches_a_fraction_sum(p, terms):
+    poly = BivariatePoly(terms)
+    want = sum((c * moment(p, i, j) for (i, j), c in poly.terms()), Fraction(0))
+    got = functional(p, poly)
+    assert type(got) is Fraction
+    assert got == want
+
+
+def test_orthogonality_blocks_run_without_fraction_arithmetic(fraction_ops):
+    p = _POINTS[2]
+    fam = build_monic(appell_pde(p), 6)
+    moment_table(p, 12)
+    with fraction_ops() as count:
+        h6 = orthogonality_blocks(p, fam, 6, 6)
+    assert count[0] == 0
+    want = [[sum((c * moment(p, i + 6 - r, j + r) for (i, j), c in q.terms()), Fraction(0))
+             for q in fam.vector(6)] for r in range(7)]
+    assert h6 == RationalMatrix(want)
+    assert h6.det() != 0
+
+
+def test_orthogonality_blocks_catch_a_bumped_coefficient():
+    # one coefficient of P_3 moved by 1/5: the family is no longer orthogonal
+    # to the lower degrees, and the blocks with m < 3 show it
+    p = _POINTS[2]
+    fam = build_monic(appell_pde(p), 4)
+    assert all(orthogonality_blocks(p, fam, 3, m) == RationalMatrix.zeros(m + 1, 4)
+               for m in range(3))
+    p3 = list(fam.vector(3))
+    p3[1] = p3[1] + Fraction(1, 5) * X * Y
+    bumped = PolyVectorFamily([*fam.vectors[:3], PolyVector(p3), fam.vector(4)])
+    nonzero = [m for m in range(3)
+               if orthogonality_blocks(p, bumped, 3, m) != RationalMatrix.zeros(m + 1, 4)]
+    assert nonzero

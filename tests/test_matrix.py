@@ -1,5 +1,4 @@
 import random
-from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 
@@ -327,43 +326,16 @@ def test_entries_read_back_as_fractions(m):
 
 # -- no Fraction arithmetic in the matrix hot path ------------------------------
 
-_FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
-                       "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
-                       "__mod__", "__rmod__", "__divmod__", "__rdivmod__", "__pow__",
-                       "__rpow__", "__neg__", "__pos__", "__abs__")
-
-
-@contextmanager
-def _counting_fraction_operators():
-    """Count every call of an arithmetic operator of Fraction while active."""
-    count = [0]
-    saved = {name: getattr(Fraction, name) for name in _FRACTION_OPERATORS}
-
-    def counted(fn):
-        def wrapper(*args):
-            count[0] += 1
-            return fn(*args)
-        return wrapper
-
-    try:
-        for name, fn in saved.items():
-            setattr(Fraction, name, counted(fn))
-        yield count
-    finally:
-        for name, fn in saved.items():
-            setattr(Fraction, name, fn)
-
-
 def _random_matrix(rng, n):
     return RationalMatrix([[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
                            for _ in range(n)])
 
 
-def test_matrix_hot_path_runs_without_fraction_arithmetic():
+def test_matrix_hot_path_runs_without_fraction_arithmetic(fraction_ops):
     rng = random.Random(11012640)
     a, b = _random_matrix(rng, 10), _random_matrix(rng, 10)
     assert a.det() != 0
-    with _counting_fraction_operators() as count:
+    with fraction_ops() as count:
         product, difference, inverse = a @ b, a - b, a.inverse()
     assert count[0] == 0
     assert a.as_integers()[1] != 1 and inverse.as_integers()[1] != 1
@@ -373,10 +345,10 @@ def test_matrix_hot_path_runs_without_fraction_arithmetic():
     assert a @ inverse == RationalMatrix.identity(10)
 
 
-def test_relation_match_runs_without_fraction_arithmetic(fam23):
+def test_relation_match_runs_without_fraction_arithmetic(fam23, fraction_ops):
     fam = PolyVectorFamily(fam23.vectors[:10])
     lhs = fam.vector(8).scale(X)
-    with _counting_fraction_operators() as count:
+    with fraction_ops() as count:
         a, b, c = _match(lhs, fam, 9)
     assert count[0] == 0
     assert apply_matrix(a, fam.vector(9)) + apply_matrix(b, fam.vector(8)) \

@@ -230,3 +230,32 @@ def test_exact_division_matches_fraction_dict(p, q, r):
             assert dict(got.terms()) == want
             assert got == BivariatePoly(want) and hash(got) == hash(BivariatePoly(want))
             _assert_fraction_terms(got)
+
+
+@seed(11012640)
+@settings(max_examples=100, deadline=None)
+@given(polys, st.integers(1, 12), st.sampled_from([1, -1]))
+@example(ZERO, 5, -1)
+@example(X * Fraction(1, 2) + Y * Fraction(3, 2), 4, 1)  # common factor 1/2
+def test_from_integers_is_route_independent(p, k, sign):
+    # numerators and denominator lifted by a common factor, a zero term added
+    terms, den = p.as_integers()
+    lifted = {e: sign * k * c for e, c in terms.items()}
+    lifted[(7, 7)] = 0
+    q = BivariatePoly.from_integers(lifted, sign * k * den)
+    for route in (p, BivariatePoly(dict(p.terms())), p + X - X):
+        assert q == route
+        assert hash(q) == hash(route)
+        assert q.as_integers() == route.as_integers()
+
+
+def test_from_integers_copies_and_validates():
+    terms = {(2, 1): 6, (0, 0): -2}
+    p = BivariatePoly.from_integers(terms, 18)
+    terms[(0, 0)] = 5
+    assert p == X**2 * Y * Fraction(1, 3) - Fraction(1, 9)
+    assert p.as_integers() == ({(2, 1): 3, (0, 0): -1}, 9)
+    assert BivariatePoly.from_integers({(1, 0): 0}, 7).as_integers() == ({}, 1)
+    assert BivariatePoly.from_integers({}) == ZERO
+    with pytest.raises(ZeroDivisionError):
+        BivariatePoly.from_integers({(0, 0): 1}, 0)

@@ -1,12 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from opde.errors import DegreeOverflow
 from opde.matrix import RationalMatrix
-from opde.poly import X, Y
-from opde.vectors import (PolyVector, apply_matrix, derivative_matrix,
+from opde.poly import BivariatePoly, X, Y
+from opde.vectors import (PolyVector, apply_matrix, combine, derivative_matrix,
                           expansion_layers, expansion_matrices, joint_left_inverse,
                           monomial_vector, shift_matrix, stacked_shift)
 
@@ -118,3 +119,94 @@ def test_expansion_layers_over_mixed_denominators():
                                     for p in v])
     assert layers[0].as_integers()[1] == 60
     assert layers[3].as_integers()[1] == 2
+
+
+# -- combine: one fused integer accumulation per entry ---------------------------
+
+def _per_entry_reference(m, v):
+    """The textbook product: one polynomial per nonzero entry, summed row by row."""
+    out = []
+    for row in m.rows:
+        acc = BivariatePoly.zero()
+        for c, p in zip(row, v):
+            if c:
+                acc = acc + p * c
+        out.append(acc)
+    return PolyVector(out)
+
+
+_DENS = (1, 3, 4, 10)
+_rationals = st.builds(Fraction, st.integers(-20, 20), st.sampled_from(_DENS))
+_polys = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), _rationals,
+                         max_size=5).map(BivariatePoly)
+
+
+@st.composite
+def _pairs(draw):
+    nrows = draw(st.integers(1, 4))
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        ncols = draw(st.integers(1, 4))
+        zero = draw(st.integers(0, 3)) == 0
+        rows = [[Fraction(0) if zero else draw(_rationals) for _ in range(ncols)]
+                for _ in range(nrows)]
+        pairs.append((RationalMatrix(rows),
+                      PolyVector(draw(st.lists(_polys, min_size=ncols, max_size=ncols)))))
+    return pairs
+
+
+@seed(11012640)
+@settings(max_examples=150, deadline=None)
+@given(_pairs())
+def test_combine_matches_the_per_entry_loop(pairs):
+    want = _per_entry_reference(*pairs[0])
+    for m, v in pairs[1:]:
+        want = want + _per_entry_reference(m, v)
+    assert combine(pairs) == want
+    for m, v in pairs:
+        assert apply_matrix(m, v) == _per_entry_reference(m, v)
+
+
+def test_combine_of_zero_matrices_is_the_zero_vector():
+    v = PolyVector([X * Fraction(1, 3), Y + Fraction(1, 4)])
+    out = combine([(RationalMatrix.zeros(3, 2), v),
+                   (RationalMatrix.zeros(3, 1), PolyVector([X]))])
+    assert out == PolyVector([BivariatePoly.zero()] * 3)
+    assert all(p.as_integers() == ({}, 1) for p in out)
+
+
+def test_combine_over_mixed_denominators():
+    # matrix denominators 3 and 10 against entry denominators 1, 3 and 4
+    m1 = RationalMatrix([[Fraction(1, 3), 2], [0, Fraction(-2, 3)]])
+    m2 = RationalMatrix([[Fraction(3, 10)], [Fraction(7, 10)]])
+    v1 = PolyVector([X + 1, Fraction(1, 3) * Y])
+    v2 = PolyVector([Fraction(3, 4) * X * Y - Fraction(1, 4)])
+    out = combine([(m1, v1), (m2, v2)])
+    assert out[0] == Fraction(1, 3) * X + Fraction(1, 3) + Fraction(2, 3) * Y \
+        + Fraction(9, 40) * X * Y - Fraction(3, 40)
+    assert out[1] == Fraction(-2, 9) * Y + Fraction(21, 40) * X * Y - Fraction(7, 40)
+
+
+def test_combine_rejects_mismatched_shapes():
+    v2 = PolyVector([X, Y])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        combine([(RationalMatrix.identity(3), v2)])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        apply_matrix(RationalMatrix.identity(3), v2)
+    with pytest.raises(ValueError, match="row-count mismatch"):
+        combine([(RationalMatrix.identity(2), v2), (RationalMatrix.zeros(3, 2), v2)])
+    with pytest.raises(ValueError):
+        combine([])
+
+
+def test_combine_runs_without_fraction_arithmetic(fraction_ops):
+    rng = random.Random(11012640)
+    m = RationalMatrix([[Fraction(rng.randint(-9, 9), rng.choice(_DENS)) for _ in range(10)]
+                        for _ in range(10)])
+    v = PolyVector([BivariatePoly({(rng.randint(0, 4), rng.randint(0, 4)):
+                                   Fraction(rng.randint(1, 9), rng.choice(_DENS))
+                                   for _ in range(4)}) for _ in range(10)])
+    with fraction_ops() as count:
+        out = combine([(m, v), (m, v)])
+    assert count[0] == 0
+    assert out == _per_entry_reference(m * 2, v)
