@@ -27,7 +27,7 @@ from .relations import (DerivRep, DerivativeFamily, QTtrr, Relations,
 from .weights import (PhiCase, WeightSpec, classify_phi, log_derivative,
                       phi_pair_consistent, phi_rs, verify_pearson)
 from .rodrigues import (WeightedExpr, rodrigues_derivative_eval,
-                        rodrigues_eval, weighted_diff)
+                        rodrigues_eval, rodrigues_table, weighted_diff)
 from .families import (AppellParams, appell_pde, appell_phi_case,
                        appell_weight, connection_F, connection_K, functional,
                        jacobi, koornwinder, koornwinder_vector, make_family,

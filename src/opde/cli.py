@@ -28,12 +28,10 @@ from .families import (AppellParams, appell_pde, appell_phi_case, appell_weight,
 from .matrix import RationalMatrix
 from .pde import (HypergeometricPDE, check_admissible, discriminant,
                   is_potentially_self_adjoint)
-from .poly import BivariatePoly
 from .relations import Relations
-from .rodrigues import rodrigues_eval
+from .rodrigues import rodrigues_table
 from .serialize import (format_rational, matrix_to_json, parse_rational,
-                        pde_from_json, poly_to_json, vector_to_json,
-                        weight_from_json)
+                        pde_from_json, to_json_text, weight_from_json)
 from .vectors import PolyVector
 from .verify import run_verification
 from .weights import classify_phi, verify_pearson
@@ -67,9 +65,13 @@ def _read_json(path: str) -> Any:
         raise CliError(f"malformed JSON in {path} at line {ex.lineno} column {ex.colno}: {ex.msg}")
 
 
-def _load_pde(args) -> HypergeometricPDE:
+def _one_input(args) -> None:
     if args.pde and (args.alpha is not None or args.beta is not None):
         raise CliError("choose one input: --pde FILE, or --alpha with --beta")
+
+
+def _load_pde(args) -> HypergeometricPDE:
+    _one_input(args)
     if args.pde:
         try:
             return pde_from_json(_read_json(args.pde))
@@ -132,21 +134,6 @@ def _pretty_matrix(m: RationalMatrix) -> str:
     return "\n".join("[ " + "  ".join(c.rjust(width) for c in row) + " ]" for row in cells)
 
 
-def _jsonable(value: Any) -> Any:
-    """The payload with every matrix, vector and polynomial in its JSON form."""
-    if isinstance(value, RationalMatrix):
-        return matrix_to_json(value)
-    if isinstance(value, PolyVector):
-        return vector_to_json(value)
-    if isinstance(value, BivariatePoly):
-        return poly_to_json(value)
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def _render(payload: Dict[str, Any], fmt: str) -> str:
     lines: List[str] = []
 
@@ -188,7 +175,7 @@ def _output(args, text: str) -> None:
 def _emit(args, payload: Dict[str, Any]) -> None:
     """Write a command's payload in the requested format."""
     if args.format == "json":
-        _output(args, json.dumps(_jsonable(payload), indent=2))
+        _output(args, to_json_text(payload))
     else:
         _output(args, _render(payload, args.format))
 
@@ -251,6 +238,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_rodrigues(args) -> int:
+    _one_input(args)
     n = _cap_degree(args.degree)
     if args.weight:
         pde = _load_pde(args)
@@ -271,12 +259,9 @@ def cmd_rodrigues(args) -> int:
         params = _params(args)
         weight = appell_weight(params)
         case = appell_phi_case(params)
-    outputs = []
-    for total in range(n + 1):
-        for m in range(total + 1):
-            poly = rodrigues_eval(weight, case, total - m, m)
-            outputs.append({"n": total - m, "m": m, "poly": poly})
-    _emit(args, {"N": n, "rodrigues": outputs})
+    table = rodrigues_table(weight, case, n)
+    _emit(args, {"N": n, "rodrigues": [{"n": k, "m": m, "poly": poly}
+                                       for (k, m), poly in table.items()]})
     return 0
 
 

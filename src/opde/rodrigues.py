@@ -38,11 +38,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Tuple
+from math import lcm
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import DegreeMismatch, NotDivisible, NotReducible
-from .poly import X, Y, ZERO, BivariatePoly
-from .weights import PhiCase, WeightSpec, product_rule
+from .poly import ONE, X, Y, BivariatePoly
+from .weights import PhiCase, WeightSpec
 
 
 @dataclass(frozen=True)
@@ -61,18 +62,70 @@ def weighted_diff(expr: WeightedExpr, axis: int) -> WeightedExpr:
     nonzero dF_i along the axis) lose one from their exponent; the polynomial
     part becomes
 
-        prod_active F_j * dpoly + (sum_{i active} e_i dF_i prod_{active j != i} F_j) * poly.
+        prod_active F_j * dpoly + (sum_{i active} e_i G_i) * poly,
+        G_i = dF_i prod_{active j != i} F_j,
+
+    summed as int numerators over one denominator and normalized once.
     """
     exponents = list(expr.exponents)
-    active = []  # (F_i, e_i dF_i) of the active factors
-    for i, (f, e) in enumerate(zip(expr.factors, expr.exponents)):
-        df = f.diff(axis) if e != 0 else ZERO
-        if not df.is_zero():
-            active.append((f, e * df))
-            exponents[i] = e - 1
-    prod, rule = product_rule(active)
-    new_poly = prod * expr.poly.diff(axis) + rule * expr.poly
-    return WeightedExpr(expr.factors, tuple(exponents), new_poly)
+    active, prod, prod_den, rules = _step_rule(
+        expr.factors, tuple(e != 0 for e in exponents), axis)
+    den = prod_den
+    for i, (_, g_den) in zip(active, rules):
+        den = lcm(den, exponents[i].denominator * g_den)
+    # stencil[k] = [P, R]: the monomial c x^i y^j of the polynomial part adds
+    # c * (deg * P + R) at k + (i, j), deg its power of the axis variable;
+    # P terms are stored one power of that variable down
+    dx, dy = (1, 0) if axis == 1 else (0, 1)
+    scale = den // prod_den
+    stencil = {(a - dx, b - dy): [c * scale, 0] for (a, b), c in prod}
+    for i, (g, g_den) in zip(active, rules):
+        e = exponents[i]
+        scale = e.numerator * (den // (e.denominator * g_den))
+        for k, c in g:
+            stencil.setdefault(k, [0, 0])[1] += c * scale
+        exponents[i] = e - 1
+    full = [(a, b, p, r) for (a, b), (p, r) in stencil.items()]
+    rule_only = [(a, b, r) for a, b, _, r in full if r]
+    terms, poly_den = expr.poly.as_integers()
+    out: Dict[Tuple[int, int], int] = {}
+    get = out.get
+    for (i, j), c in terms.items():
+        deg = i if axis == 1 else j
+        if deg:
+            for a, b, p, r in full:
+                k = (a + i, b + j)
+                out[k] = get(k, 0) + c * (deg * p + r)
+        else:
+            for a, b, r in rule_only:
+                k = (a + i, b + j)
+                out[k] = get(k, 0) + c * r
+    return WeightedExpr(expr.factors, tuple(exponents),
+                        BivariatePoly.from_integers(out, poly_den * den))
+
+
+@lru_cache(maxsize=None)
+def _step_rule(factors: Tuple[BivariatePoly, ...], live: Tuple[bool, ...], axis: int):
+    """The product rule of one derivative step, for the factors flagged
+    ``live`` (nonzero exponent): the indices of the active ones, the
+    numerator terms and denominator of their product, and of each G_i."""
+    active = tuple(i for i, (f, on) in enumerate(zip(factors, live))
+                   if on and not f.diff(axis).is_zero())
+    prod = ONE
+    rules = []
+    for i in active:
+        prod = prod * factors[i]
+        g = factors[i].diff(axis)
+        for j in active:
+            if j != i:
+                g = g * factors[j]
+        rules.append(_integer_terms(g))
+    return (active, *_integer_terms(prod), tuple(rules))
+
+
+def _integer_terms(p: BivariatePoly):
+    terms, den = p.as_integers()
+    return tuple(terms.items()), den
 
 
 def _peel(phi: BivariatePoly, basis: List[BivariatePoly]
@@ -112,9 +165,11 @@ def _assemble(w: WeightSpec, case: PhiCase):
     return tuple(basis), tuple(rho_exps), tuple(m10), c10, tuple(m01), c01
 
 
-def _divide_out(expr: WeightedExpr, rho_exps: List[Fraction]) -> BivariatePoly:
+def _divide_out(expr: WeightedExpr, rho_exps: Sequence[Fraction], degree: int,
+                what: str = "output") -> BivariatePoly:
     """Divide a differentiated expression by the weight: subtract exponents
-    and fold the integer residuals back into the polynomial part."""
+    and fold the integer residuals back into the polynomial part, which must
+    have total degree ``degree``."""
     poly = expr.poly
     for f, have, want in zip(expr.factors, expr.exponents, rho_exps):
         res = have - want
@@ -129,7 +184,18 @@ def _divide_out(expr: WeightedExpr, rho_exps: List[Fraction]) -> BivariatePoly:
             except NotDivisible:
                 raise NotReducible(
                     f"polynomial part is not divisible by ({f})^{-t}") from None
+    if poly.degree() != degree:
+        raise DegreeMismatch(f"Rodrigues {what} has degree {poly.degree()}, expected {degree}")
     return poly
+
+
+def _bracket(w: WeightSpec, case: PhiCase, n: int, m: int, r: int = 0, s: int = 0
+             ) -> WeightedExpr:
+    """rho * phi10^n * phi01^m over the factor basis, with the scalar
+    contents of the n - r and m - s factors that get differentiated."""
+    basis, rho_exps, m10, c10, m01, c01 = _assemble(w, case)
+    exps = tuple(rho_exps[i] + n * m10[i] + m * m01[i] for i in range(len(basis)))
+    return WeightedExpr(basis, exps, BivariatePoly.const(c10**(n - r) * c01**(m - s)))
 
 
 def rodrigues_eval(w: WeightSpec, case: PhiCase, n: int, m: int) -> BivariatePoly:
@@ -140,6 +206,36 @@ def rodrigues_eval(w: WeightSpec, case: PhiCase, n: int, m: int) -> BivariatePol
     return rodrigues_derivative_eval(w, case, n, m, 0, 0)
 
 
+def rodrigues_table(w: WeightSpec, case: PhiCase, N: int
+                    ) -> Dict[Tuple[int, int], BivariatePoly]:
+    """Every output ``rodrigues_eval(w, case, n, m)`` with n + m <= N, keyed
+    by (n, m) in order of total degree, then m ascending.
+
+    Outputs whose brackets rho * phi10^n * phi01^m coincide (on the disk,
+    phi10 = phi01, every pair of one total degree) share one chain of
+    y-derivatives; each output branches its x-derivatives from step m of its
+    chain.  Partial derivatives commute, so every output is the polynomial
+    the x-first evaluation gives, and the outputs are divided out in key
+    order, so an unsupported weight fails at the same first pair."""
+    if N < 0:
+        raise ValueError("need N >= 0")
+    rho_exps = _assemble(w, case)[1]
+    chains: Dict[Tuple[tuple, BivariatePoly], List[WeightedExpr]] = {}
+    out: Dict[Tuple[int, int], BivariatePoly] = {}
+    for total in range(N + 1):
+        for m in range(total + 1):
+            n = total - m
+            root = _bracket(w, case, n, m)
+            chain = chains.setdefault((root.exponents, root.poly), [root])
+            while len(chain) <= m:
+                chain.append(weighted_diff(chain[-1], 2))
+            expr = chain[m]
+            for _ in range(n):
+                expr = weighted_diff(expr, 1)
+            out[(n, m)] = _divide_out(expr, rho_exps, total)
+    return out
+
+
 def rodrigues_derivative_eval(w: WeightSpec, case: PhiCase,
                               n: int, m: int, r: int, s: int) -> BivariatePoly:
     """Rodrigues form of the (r, s) partial derivative of the (n, m) output:
@@ -147,18 +243,12 @@ def rodrigues_derivative_eval(w: WeightSpec, case: PhiCase,
     shifted weight rho * phi10^r * phi01^s.  Degree is n + m - r - s."""
     if not (0 <= r <= n and 0 <= s <= m):
         raise ValueError("need 0 <= r <= n and 0 <= s <= m")
-    basis, rho_exps, m10, c10, m01, c01 = _assemble(w, case)
-    exps = [rho_exps[i] + n * m10[i] + m * m01[i] for i in range(len(basis))]
-    expr = WeightedExpr(basis, tuple(exps),
-                        BivariatePoly.const(c10**(n - r) * c01**(m - s)))
+    basis, rho_exps, m10, _, m01, _ = _assemble(w, case)
+    expr = _bracket(w, case, n, m, r, s)
     for _ in range(n - r):
         expr = weighted_diff(expr, 1)
     for _ in range(m - s):
         expr = weighted_diff(expr, 2)
     shifted = [rho_exps[i] + r * m10[i] + s * m01[i] for i in range(len(basis))]
-    out = _divide_out(expr, shifted)
-    if out.degree() != n + m - r - s:
-        what = "output" if r == s == 0 else "derivative"
-        raise DegreeMismatch(
-            f"Rodrigues {what} has degree {out.degree()}, expected {n + m - r - s}")
-    return out
+    return _divide_out(expr, shifted, n + m - r - s,
+                       "output" if r == s == 0 else "derivative")

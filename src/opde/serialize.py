@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import gcd
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, List, Tuple
 
 from .matrix import RationalMatrix
 from .pde import HypergeometricPDE
@@ -45,10 +46,16 @@ def parse_rational(s: Any) -> Fraction:
     return Fraction(s)
 
 
+def _wire_terms(p: BivariatePoly) -> Tuple[List[Tuple[Tuple[int, int], int]], int]:
+    """The int numerators of p by exponent pair in wire order (total degree
+    descending, then the y-power ascending), and their common denominator."""
+    terms, den = p.as_integers()
+    return sorted(terms.items(), key=lambda t: (-t[0][0] - t[0][1], t[0][1])), den
+
+
 def poly_to_json(p: BivariatePoly) -> List[list]:
-    triples = [(i, j, format_rational(c)) for (i, j), c in p.terms()]
-    triples.sort(key=lambda t: (-(t[0] + t[1]), t[1]))
-    return [list(t) for t in triples]
+    terms, den = _wire_terms(p)
+    return [[i, j, _format_ratio(a, den)] for (i, j), a in terms]
 
 
 def poly_from_json(data: Any) -> BivariatePoly:
@@ -70,7 +77,6 @@ def poly_from_json(data: Any) -> BivariatePoly:
 def matrix_to_json(m: RationalMatrix) -> List[List[str]]:
     num, den = m.as_integers()
     return [[_format_ratio(a, den) for a in row] for row in num]
-
 
 
 def matrix_from_json(data: Any) -> RationalMatrix:
@@ -123,3 +129,73 @@ def weight_from_json(data: Any) -> WeightSpec:
         factors.append((poly_from_json(item[0]), parse_rational(item[1])))
     return WeightSpec(parse_rational(data["u"]), parse_rational(data["v"]),
                       tuple(factors))
+
+
+def to_json_text(value: Any) -> str:
+    """``value`` as JSON text indented by two spaces, written straight from
+    the integer storage of every polynomial and matrix in it: byte for byte
+    what ``json.dumps(tree, indent=2)`` writes for the tree that puts each
+    polynomial, vector and matrix in its wire form.  Dicts need str keys;
+    floats, like every other type, are a TypeError."""
+    parts: List[str] = []
+    _write(value, "\n", parts.append)
+    return "".join(parts)
+
+
+def _write(value: Any, nl: str, put: Callable[[str], None]) -> None:
+    """Append ``value`` at the indentation that ``nl`` (a newline and the
+    indentation of the enclosing line) gives."""
+    if isinstance(value, str):
+        put(encode_basestring_ascii(value))
+    elif value is None:
+        put("null")
+    elif value is True:
+        put("true")
+    elif value is False:
+        put("false")
+    elif isinstance(value, int):
+        put(int.__repr__(value))
+    elif isinstance(value, BivariatePoly):
+        terms, den = _wire_terms(value)
+        i1 = nl + "  "
+        i2 = i1 + "  "
+        put(_array([f'{i1}[{i2}{i},{i2}{j},{i2}"{_format_ratio(a, den)}"{i1}]'
+                    for (i, j), a in terms], nl))
+    elif isinstance(value, RationalMatrix):
+        num, den = value.as_integers()
+        i1 = nl + "  "
+        i2 = i1 + "  "
+        put(_array([i1 + _array([f'{i2}"{_format_ratio(a, den)}"' for a in row], i1)
+                    for row in num], nl))
+    elif isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            put(sep + encode_basestring_ascii(key) + ": ")
+            _write(item, inner, put)
+            sep = "," + inner
+        put(nl + "}")
+    elif isinstance(value, (list, PolyVector)):
+        if not len(value):
+            put("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in value:
+            put(sep)
+            _write(item, inner, put)
+            sep = "," + inner
+        put(nl + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _array(items: List[str], nl: str) -> str:
+    """A JSON array of items that each start with their own newline and
+    indentation; ``nl`` is that of the line holding the array."""
+    return "[" + ",".join(items) + nl + "]" if items else "[]"

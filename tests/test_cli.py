@@ -226,7 +226,8 @@ def test_usage_error_missing_input(capsys):
 @pytest.mark.parametrize("argv", [
     ["build", "--family", "foo"], ["build", "-N", "abc"], [],
     ["verify", "--format", "json", "--alpha", "1", "--beta", "1"],
-], ids=["bad-choice", "bad-int", "no-command", "verify-format"])
+    ["rodrigues", "--pde", "pde.json", "--alpha", "1", "--beta", "1"],
+], ids=["bad-choice", "bad-int", "no-command", "verify-format", "rodrigues-two-inputs"])
 def test_argument_errors_exit_1(argv, capsys):
     # argparse's own exit code 2 would read as "not admissible"
     assert main(argv) == 1
@@ -374,7 +375,10 @@ DISK_WEIGHT = {"u": "0", "v": "0",
      "0ef3e4ba045301d409943ff5c8583755d9efa703d473ac383b091905924f0d66"),
     (["--alpha", "2", "--beta", "3", "-N", "6"],
      "39a47b1264dd6328825707dc06568e1e00405a1caba4c92c01f3dcccab628c51"),
-], ids=["disk", "disk-12", "triangle"])
+    # the command of the benchmark's disk-rodrigues workload
+    (["--pde", "pde.json", "--weight", "weight.json", "-N", "18"],
+     "9a65f36cf66095f6deb3ebf2bb4695fbdaa7d439ef147cbf28da75b167779c49"),
+], ids=["disk", "disk-12", "triangle", "disk-18"])
 def test_rodrigues_json_digest(argv, digest, tmp_path, monkeypatch, capsys):
     # pins the whole JSON document, byte for byte
     monkeypatch.delenv("OPDE_MAX_DEGREE", raising=False)

@@ -11,7 +11,7 @@ from opde.matrix import RationalMatrix
 from opde.pde import HypergeometricPDE, apply_operator, derived_pde
 from opde.poly import ZERO, BivariatePoly, X, Y
 from opde.rodrigues import (WeightedExpr, rodrigues_derivative_eval,
-                            rodrigues_eval, weighted_diff)
+                            rodrigues_eval, rodrigues_table, weighted_diff)
 from opde.vectors import PolyVector, expansion_matrices
 from opde.weights import PhiCase, WeightSpec, classify_phi
 
@@ -62,17 +62,40 @@ def test_weighted_diff_leaves_inactive_factors():
                         + Fraction(5, 2) * Y * (-2 * Y) * (X * Y + 1))
 
 
+def test_weighted_diff_fraction_work_is_exponent_bookkeeping(fraction_ops):
+    # the polynomial part is combined on int numerators: the only Fraction
+    # arithmetic is e_i - 1 per active factor, whatever the polynomial's size
+    factors = (X, Y, DISK)
+    exps = (Fraction(0), Fraction(3, 2), Fraction(5, 2))
+    polys = (X * Y + 1, (X + 2 * Y - Fraction(1, 3))**12 * (Y - Fraction(2, 7))**5)
+    for axis, active in ((1, 1), (2, 2)):
+        counts = []
+        for poly in polys:
+            expr = WeightedExpr(factors, exps, poly)
+            weighted_diff(expr, axis)  # fills the product-rule cache
+            with fraction_ops() as count:
+                weighted_diff(expr, axis)
+            counts.append(count[0])
+        assert counts == [active, active]
+
+
 def _disk_equation():
     return HypergeometricPDE.from_coeffs(a=-1, c1=1, c2=1, e=-4)
 
 
-@pytest.mark.parametrize("which, n, m", [("disk", 4, 3), ("triangle", 3, 3)])
-def test_polynomial_part_stays_within_output_degree(which, n, m, p23, monkeypatch):
-    # no derivative may grow the polynomial part beyond what the output needs
+def _instance(which, p=None):
     if which == "disk":
-        w, case = WeightSpec(0, 0, ((DISK, Fraction(1, 2)),)), classify_phi(_disk_equation())[0]
-    else:
-        w, case = appell_weight(p23), appell_phi_case(p23)
+        return WeightSpec(0, 0, ((DISK, Fraction(1, 2)),)), classify_phi(_disk_equation())[0]
+    return appell_weight(p), appell_phi_case(p)
+
+
+@pytest.mark.parametrize("which, n, m, table", [
+    ("disk", 4, 3, False), ("triangle", 3, 3, False),
+    ("disk", 4, 3, True), ("triangle", 3, 3, True),
+], ids=["disk-4-3", "triangle-3-3", "disk-table-7", "triangle-table-6"])
+def test_polynomial_part_stays_within_output_degree(which, n, m, table, p23, monkeypatch):
+    # no derivative may grow the polynomial part beyond what the output needs
+    w, case = _instance(which, p23)
     degrees = []
 
     def traced(expr, axis):
@@ -81,9 +104,76 @@ def test_polynomial_part_stays_within_output_degree(which, n, m, p23, monkeypatc
         return out
 
     monkeypatch.setattr(rodrigues, "weighted_diff", traced)
-    assert rodrigues_eval(w, case, n, m).degree() == n + m
-    assert len(degrees) == n + m
+    if table:
+        outputs = rodrigues_table(w, case, n + m)
+        assert all(p.degree() == a + b for (a, b), p in outputs.items())
+        # one step per pair on the triangle; on the disk each total degree t
+        # shares one y-chain of t steps, and x-branches of sum_m (t - m) steps
+        pairs = sum(t * (t + 1) for t in range(n + m + 1))
+        shared = sum(t + t * (t + 1) // 2 for t in range(n + m + 1))
+        assert len(degrees) == (shared if which == "disk" else pairs)
+    else:
+        assert rodrigues_eval(w, case, n, m).degree() == n + m
+        assert len(degrees) == n + m
     assert max(degrees) <= n + m
+
+
+@pytest.mark.parametrize("which, p, top", [
+    ("disk", None, 10),
+    ("triangle", AppellParams(2, 3), 8),
+    ("triangle", AppellParams(Fraction(3, 2), Fraction(5, 7)), 8),
+], ids=["disk", "triangle-2-3", "triangle-3/2-5/7"])
+def test_table_matches_per_pair_oracle(which, p, top):
+    w, case = _instance(which, p)
+    table = rodrigues_table(w, case, top)
+    pairs = [(t - m, m) for t in range(top + 1) for m in range(t + 1)]
+    assert list(table) == pairs
+    for n, m in pairs:
+        assert table[(n, m)] == rodrigues_derivative_eval(w, case, n, m, 0, 0)
+    assert rodrigues_table(w, case, 0) == {(0, 0): BivariatePoly.const(1)}
+
+
+_FAILING = {
+    "not-reducible": (WeightSpec(0, 0, ((1 - X - Y, Fraction(1, 2)),)),
+                      PhiCase("synthetic", "", X, Y)),
+    "not-divisible": (WeightSpec(0, 0, ((DISK, Fraction(1, 2)),)),
+                      PhiCase("synthetic", "", 1 + X**2 + Y**2, 1 + X**2 + Y**2)),
+    "degree-mismatch": (WeightSpec(Fraction(1, 2), 0),
+                        PhiCase("synthetic", "", X, BivariatePoly.const(1))),
+    # outputs that collapse to zero later in the order: at (3, 0) on the
+    # disk, where every pair of total degree 3 shares one chain, and at (2, 1)
+    # on the triangle
+    "disk-collapse": (WeightSpec(0, 0, ((DISK, Fraction(-3)),)),
+                      PhiCase("synthetic", "", DISK, DISK)),
+    "triangle-collapse": (WeightSpec(-4, -1, ((1 - X - Y, Fraction(-3)),)),
+                          appell_phi_case(AppellParams(2, 3))),
+}
+
+
+@pytest.mark.parametrize("name", list(_FAILING))
+def test_table_fails_like_the_per_pair_loop(name, monkeypatch):
+    w, case = _FAILING[name]
+    divide = rodrigues._divide_out
+
+    def run(evaluate):
+        # the expression each output divides, in order, up to the failing one
+        seen = []
+
+        def spy(expr, *args):
+            seen.append((expr.exponents, expr.poly))
+            return divide(expr, *args)
+
+        monkeypatch.setattr(rodrigues, "_divide_out", spy)
+        with pytest.raises((NotReducible, DegreeMismatch)) as info:
+            evaluate()
+        return type(info.value), str(info.value), seen
+
+    def per_pair():
+        for t in range(4):
+            for m in range(t + 1):
+                rodrigues_derivative_eval(w, case, t - m, m, 0, 0)
+
+    assert run(lambda: rodrigues_table(w, case, 3)) == run(per_pair)
 
 
 @pytest.mark.parametrize("phi10, phi01", [(ZERO, Y), (X, ZERO)], ids=["phi10", "phi01"])

@@ -1,15 +1,18 @@
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from opde import cli
 from opde.families import AppellParams, appell_pde, appell_weight
-from opde.matrix import RationalMatrix
+from opde.matrix import RationalMatrix, _raw
 from opde.poly import BivariatePoly, X, Y
 from opde.serialize import (format_rational, matrix_from_json, matrix_to_json,
                             parse_rational, pde_from_json, pde_to_json,
-                            poly_from_json, poly_to_json, vector_from_json,
-                            vector_to_json, weight_from_json, weight_to_json)
+                            poly_from_json, poly_to_json, to_json_text,
+                            vector_from_json, vector_to_json, weight_from_json,
+                            weight_to_json)
 from opde.vectors import PolyVector
 
 coeffs = st.fractions(min_value=-99, max_value=99, max_denominator=12)
@@ -98,3 +101,69 @@ def test_weight_round_trip():
     from opde.weights import WeightSpec
     w2 = WeightSpec(Fraction(1, 2), 0, ((BivariatePoly.const(1) - X - Y, Fraction(3)),))
     assert weight_from_json(weight_to_json(w2)) == w2
+
+
+def _tree(value):
+    """The JSON tree of a payload, built from the Fraction view of every
+    polynomial and matrix: the oracle of ``to_json_text``."""
+    if isinstance(value, BivariatePoly):
+        triples = [[i, j, format_rational(c)] for (i, j), c in value.terms()]
+        return sorted(triples, key=lambda t: (-(t[0] + t[1]), t[1]))
+    if isinstance(value, RationalMatrix):
+        return [[format_rational(c) for c in row] for row in value.rows]
+    if isinstance(value, PolyVector):
+        return [_tree(p) for p in value]
+    if isinstance(value, dict):
+        return {k: _tree(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_tree(v) for v in value]
+    return value
+
+
+_WRITER_CASES = {
+    "scalars": [True, False, None, 0, -7, 10**40, "", "plain"],
+    "non-ascii": {"name": "Koornwinder – ω² \"quoted\"\n", "ü": ["é"]},
+    "empty": {"list": [], "dict": {}, "nested": [[], {}, [[]]]},
+    "empty-top-list": [],
+    "empty-top-dict": {},
+    "zero-poly": BivariatePoly.zero(),
+    "polys": [X - Fraction(1, 3), (X + Fraction(1, 2) * Y - 3)**4, BivariatePoly.const(-5)],
+    "vector": PolyVector([Y - Fraction(1, 3), X * Y, BivariatePoly.zero()]),
+    "matrix": RationalMatrix([[Fraction(1, 2), 0, -3], [4, Fraction(-5, 6), 0]]),
+    "matrix-1x1": RationalMatrix([[0]]),
+    # no public constructor makes a matrix without columns
+    "matrix-no-columns": _raw(((), ()), 1),
+    "mixed": {"N": 2, "rows": [{"n": 1, "m": 0, "poly": X}],
+              "matrices": {"0": {"A1": RationalMatrix([[1, 0]])}}},
+}
+
+
+@pytest.mark.parametrize("name", list(_WRITER_CASES))
+def test_writer_matches_json_dumps(name):
+    value = _WRITER_CASES[name]
+    assert to_json_text(value) == json.dumps(_tree(value), indent=2)
+
+
+def test_writer_rejects_what_json_cannot_carry_exactly():
+    for bad in (0.5, Fraction(1, 2), {1: "a"}, object()):
+        with pytest.raises(TypeError):
+            to_json_text(bad)
+
+
+@pytest.mark.parametrize("point", [["2", "3"], ["3/2", "5/7"]], ids=["2,3", "3/2,5/7"])
+@pytest.mark.parametrize("argv", [
+    ["check"], ["classify"], ["build", "-N", "3"],
+    ["build", "-N", "2", "--family", "koornwinder"], ["rodrigues", "-N", "5"],
+], ids=["check", "classify", "build", "build-koornwinder", "rodrigues"])
+def test_writer_matches_json_dumps_on_command_payloads(argv, point, monkeypatch, capsys):
+    payloads = []
+
+    def spy(payload):
+        payloads.append(payload)
+        return to_json_text(payload)
+
+    monkeypatch.delenv("OPDE_MAX_DEGREE", raising=False)
+    monkeypatch.setattr(cli, "to_json_text", spy)
+    assert cli.main([*argv, "--alpha", point[0], "--beta", point[1]]) == 0
+    [payload] = payloads
+    assert capsys.readouterr().out == json.dumps(_tree(payload), indent=2) + "\n"
