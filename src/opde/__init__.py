@@ -16,8 +16,7 @@ from .pde import (DerivedEquation, HypergeometricPDE, apply_operator,
 from .poly import ONE, X, Y, ZERO, BivariatePoly, pochhammer, rat
 from .vectors import (PolyVector, PolyVectorFamily, apply_matrix, combine,
                       derivative_matrix, expansion_matrices,
-                      joint_left_inverse, monomial_vector, shift_matrix,
-                      stacked_shift)
+                      joint_left_inverse, monomial_vector, shift_matrix)
 from .monic import (MonicFamily, TtrrSet, build_monic, monic_ttrr,
                     pde_residual, solve_monic, subleading_matrices)
 from .relations import (DerivRep, DerivativeFamily, QTtrr, Relations,

@@ -23,8 +23,7 @@ from typing import Any, Dict, List, Optional
 
 from .errors import (DegenerateDiscriminant, NoCaseMatches, NotAdmissible,
                      NotSelfAdjoint, OpdeError)
-from .families import (AppellParams, appell_pde, appell_phi_case, appell_weight,
-                       make_family)
+from .families import AppellParams, appell_pde, appell_weight, make_family
 from .matrix import RationalMatrix
 from .pde import (HypergeometricPDE, check_admissible, discriminant,
                   is_potentially_self_adjoint)
@@ -240,25 +239,23 @@ def cmd_build(args) -> int:
 def cmd_rodrigues(args) -> int:
     _one_input(args)
     n = _cap_degree(args.degree)
+    if not args.weight and (args.alpha is None or args.beta is None):
+        raise CliError("provide --weight with --pde, or --alpha and --beta")
+    pde = _load_pde(args)
     if args.weight:
-        pde = _load_pde(args)
         try:
             weight = weight_from_json(_read_json(args.weight))
         except ValueError as ex:
             raise CliError(str(ex))
-        check_admissible(pde, n)
-        if not is_potentially_self_adjoint(pde):
-            raise NotSelfAdjoint("no integrating-factor weight exists")
-        case = classify_phi(pde)[0]
-        if not verify_pearson(pde, weight, case=case):
-            raise CliError("weight does not satisfy the Pearson equations of this equation",
-                           EXIT_VERIFY)
     else:
-        if args.alpha is None or args.beta is None:
-            raise CliError("provide --weight with --pde, or --alpha and --beta")
-        params = _params(args)
-        weight = appell_weight(params)
-        case = appell_phi_case(params)
+        weight = appell_weight(_params(args))
+    check_admissible(pde, n)
+    if not is_potentially_self_adjoint(pde):
+        raise NotSelfAdjoint("no integrating-factor weight exists")
+    case = classify_phi(pde)[0]
+    if not verify_pearson(pde, weight, case=case):
+        raise CliError("weight does not satisfy the Pearson equations of this equation",
+                       EXIT_VERIFY)
     table = rodrigues_table(weight, case, n)
     _emit(args, {"N": n, "rodrigues": [{"n": k, "m": m, "poly": poly}
                                        for (k, m), poly in table.items()]})

@@ -120,11 +120,17 @@ def _beta_gamma(pde: HypergeometricPDE) -> Tuple[BivariatePoly, BivariatePoly]:
     return beta, gamma
 
 
-def _omega_theta(pde: HypergeometricPDE) -> Tuple[BivariatePoly, BivariatePoly]:
+def pearson_shifts(pde: HypergeometricPDE
+                   ) -> Tuple[Tuple[BivariatePoly, BivariatePoly],
+                              Tuple[BivariatePoly, BivariatePoly]]:
+    """What one derivative adds to the Pearson numerators (beta, gamma):
+    (d(alpha)/dx, omega) per x-derivative, (theta, d(alpha)/dy) per
+    y-derivative."""
     a_, b_, c_ = pde.quad_xx(), pde.quad_xy(), pde.quad_yy()
+    alpha = discriminant(pde)
     omega = 2 * a_ * b_.diff(1) - b_ * a_.diff(1)
     theta = 2 * c_ * b_.diff(2) - b_ * c_.diff(2)
-    return omega, theta
+    return (alpha.diff(1), omega), (theta, alpha.diff(2))
 
 
 def pearson_numerators(pde: HypergeometricPDE, r: int = 0, s: int = 0
@@ -137,9 +143,8 @@ def pearson_numerators(pde: HypergeometricPDE, r: int = 0, s: int = 0
     beta, gamma = _beta_gamma(pde)
     if r == 0 and s == 0:
         return beta, gamma
-    alpha = discriminant(pde)
-    omega, theta = _omega_theta(pde)
-    return beta + r * alpha.diff(1) + s * theta, gamma + r * omega + s * alpha.diff(2)
+    (bx, gx), (by, gy) = pearson_shifts(pde)
+    return beta + r * bx + s * by, gamma + r * gx + s * gy
 
 
 def is_potentially_self_adjoint(pde: HypergeometricPDE, r: int = 0, s: int = 0) -> bool:

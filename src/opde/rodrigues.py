@@ -35,15 +35,17 @@ ERRATA.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from .errors import DegreeMismatch, NotDivisible, NotReducible
 from .poly import ONE, X, Y, BivariatePoly
-from .weights import PhiCase, WeightSpec
+
+if TYPE_CHECKING:  # weights imports this module; the types annotate only
+    from .weights import PhiCase, WeightSpec
 
 
 @dataclass(frozen=True)
@@ -189,13 +191,21 @@ def _divide_out(expr: WeightedExpr, rho_exps: Sequence[Fraction], degree: int,
     return poly
 
 
+def shifted_weight(w: WeightSpec, case: PhiCase, r: int, s: int) -> WeightedExpr:
+    """rho * phi10^r * phi01^s over the factor basis of (w, case), up to the
+    scalar contents of the phi factors: polynomial part 1."""
+    basis, rho_exps, m10, _, m01, _ = _assemble(w, case)
+    return WeightedExpr(basis, tuple(e + r * a + s * b
+                                     for e, a, b in zip(rho_exps, m10, m01)), ONE)
+
+
 def _bracket(w: WeightSpec, case: PhiCase, n: int, m: int, r: int = 0, s: int = 0
              ) -> WeightedExpr:
     """rho * phi10^n * phi01^m over the factor basis, with the scalar
     contents of the n - r and m - s factors that get differentiated."""
-    basis, rho_exps, m10, c10, m01, c01 = _assemble(w, case)
-    exps = tuple(rho_exps[i] + n * m10[i] + m * m01[i] for i in range(len(basis)))
-    return WeightedExpr(basis, exps, BivariatePoly.const(c10**(n - r) * c01**(m - s)))
+    _, _, _, c10, _, c01 = _assemble(w, case)
+    return replace(shifted_weight(w, case, n, m),
+                   poly=BivariatePoly.const(c10**(n - r) * c01**(m - s)))
 
 
 def rodrigues_eval(w: WeightSpec, case: PhiCase, n: int, m: int) -> BivariatePoly:
@@ -219,7 +229,7 @@ def rodrigues_table(w: WeightSpec, case: PhiCase, N: int
     order, so an unsupported weight fails at the same first pair."""
     if N < 0:
         raise ValueError("need N >= 0")
-    rho_exps = _assemble(w, case)[1]
+    rho_exps = shifted_weight(w, case, 0, 0).exponents
     chains: Dict[Tuple[tuple, BivariatePoly], List[WeightedExpr]] = {}
     out: Dict[Tuple[int, int], BivariatePoly] = {}
     for total in range(N + 1):
@@ -243,12 +253,10 @@ def rodrigues_derivative_eval(w: WeightSpec, case: PhiCase,
     shifted weight rho * phi10^r * phi01^s.  Degree is n + m - r - s."""
     if not (0 <= r <= n and 0 <= s <= m):
         raise ValueError("need 0 <= r <= n and 0 <= s <= m")
-    basis, rho_exps, m10, _, m01, _ = _assemble(w, case)
     expr = _bracket(w, case, n, m, r, s)
     for _ in range(n - r):
         expr = weighted_diff(expr, 1)
     for _ in range(m - s):
         expr = weighted_diff(expr, 2)
-    shifted = [rho_exps[i] + r * m10[i] + s * m01[i] for i in range(len(basis))]
-    return _divide_out(expr, shifted, n + m - r - s,
+    return _divide_out(expr, shifted_weight(w, case, r, s).exponents, n + m - r - s,
                        "output" if r == s == 0 else "derivative")

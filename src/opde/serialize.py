@@ -38,8 +38,13 @@ def _format_ratio(a: int, den: int) -> str:
     return str(a // g) if g == den else f"{a // g}/{den // g}"
 
 
+def _is_int(v: Any) -> bool:
+    """A JSON integer: bool is an int subclass, but true/false are no numbers."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def parse_rational(s: Any) -> Fraction:
-    if isinstance(s, int):
+    if _is_int(s):
         return Fraction(s)
     if not isinstance(s, str) or not _RAT.match(s):
         raise ValueError(f"not an exact rational string: {s!r}")
@@ -66,7 +71,7 @@ def poly_from_json(data: Any) -> BivariatePoly:
         if not (isinstance(item, list) and len(item) == 3):
             raise ValueError(f"bad polynomial term: {item!r}")
         i, j, c = item
-        if not (isinstance(i, int) and isinstance(j, int) and i >= 0 and j >= 0):
+        if not (_is_int(i) and _is_int(j) and i >= 0 and j >= 0):
             raise ValueError(f"bad exponents in term: {item!r}")
         if (i, j) in terms:
             raise ValueError(f"duplicate exponent pair {(i, j)}")

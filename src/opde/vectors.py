@@ -79,19 +79,15 @@ def derivative_matrix(n: int, axis: int) -> RationalMatrix:
     raise ValueError("axis must be 1 or 2")
 
 
-def stacked_shift(n: int) -> RationalMatrix:
-    """The (2n+2) x (n+2) joint matrix stacking the x shift over the y shift."""
-    return shift_matrix(n, 1).vstack(shift_matrix(n, 2))
-
-
 def joint_left_inverse(n: int) -> RationalMatrix:
-    """(n+2) x (2n+2) generalized inverse D with D @ stacked_shift(n) == I.
+    """(n+2) x (2n+2) generalized inverse D with D @ L_n == I, where L_n stacks
+    the x shift over the y shift.
 
     The joint recursion's textbook form recovers P_{n+1} as D applied to the
     stacked x- and y-rows, which averages the entries both rows determine.
     ``build_monic`` instead reads P_{n+1} off the rows and checks that those
     entries agree; this function is kept as the reference for that identity."""
-    ln = stacked_shift(n)
+    ln = shift_matrix(n, 1).vstack(shift_matrix(n, 2))
     lt = ln.transpose()
     return (lt @ ln).inverse() @ lt
 

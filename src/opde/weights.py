@@ -19,20 +19,24 @@ x^u y^v prod Q_i^(w_i) and certified against the Pearson system
     (d rho / dx) / rho = beta^(r,s) / alpha,
     (d rho / dy) / rho = gamma^(r,s) / alpha,
 
-cross-multiplied into exact polynomial identities.
+cross-multiplied into exact polynomial identities.  Both log-derivatives
+are read off one step of the Rodrigues kernel ``rodrigues.weighted_diff``,
+the one place that differentiates a weight.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import (DegenerateDiscriminant, NoCaseMatches, NonPolynomialPhi,
                      NotDivisible)
 from .matrix import RationalMatrix
-from .pde import HypergeometricPDE, discriminant, pearson_numerators
-from .poly import ONE, X, Y, ZERO, BivariatePoly, rat
+from .pde import (HypergeometricPDE, discriminant, pearson_numerators,
+                  pearson_shifts)
+from .poly import ONE, X, Y, BivariatePoly, rat
+from .rodrigues import WeightedExpr, shifted_weight, weighted_diff
 
 
 @dataclass(frozen=True)
@@ -62,15 +66,6 @@ class WeightSpec:
                 raise ValueError("constant weight factor carries no information")
             clean.append((q, rat(w)))
         object.__setattr__(self, "factors", tuple(clean))
-
-    def with_phi(self, case: PhiCase, r: int, s: int) -> "WeightSpec":
-        """The derivative weight rho^(r,s) = phi10^r phi01^s rho."""
-        extra = []
-        if r:
-            extra.append((case.phi10, Fraction(r)))
-        if s:
-            extra.append((case.phi01, Fraction(s)))
-        return WeightSpec(self.u, self.v, self.factors + tuple(extra))
 
 
 def _normalize_sign(p: BivariatePoly) -> BivariatePoly:
@@ -132,11 +127,9 @@ def classify_phi(pde: HypergeometricPDE) -> List[PhiCase]:
         if phi10.is_zero() or phi01.is_zero():
             return  # degenerate instance of the pattern: no usable factor pair
         if not phi_pair_consistent(pde, phi10, phi01):
-            b0, g0 = pearson_numerators(pde, 0, 0)
-            b10, g10 = pearson_numerators(pde, 1, 0)
-            b01, g01 = pearson_numerators(pde, 0, 1)
-            phi10 = _solve_phi(pde, b10 - b0, g10 - g0)
-            phi01 = _solve_phi(pde, b01 - b0, g01 - g0)
+            shift10, shift01 = pearson_shifts(pde)
+            phi10 = _solve_phi(pde, *shift10)
+            phi01 = _solve_phi(pde, *shift01)
             if phi10 is None or phi01 is None:
                 return
         found.append(PhiCase(case_id, condition,
@@ -233,35 +226,25 @@ def phi_pair_consistent(pde: HypergeometricPDE, phi10: BivariatePoly,
     alpha = discriminant(pde)
     if alpha.is_zero():
         raise DegenerateDiscriminant("discriminant is identically zero")
-    b0, g0 = pearson_numerators(pde, 0, 0)
-    b10, g10 = pearson_numerators(pde, 1, 0)
-    b01, g01 = pearson_numerators(pde, 0, 1)
-    checks = [
-        (phi10.diff(1) * alpha, (b10 - b0) * phi10),
-        (phi10.diff(2) * alpha, (g10 - g0) * phi10),
-        (phi01.diff(1) * alpha, (b01 - b0) * phi01),
-        (phi01.diff(2) * alpha, (g01 - g0) * phi01),
-    ]
-    return all(lhs == rhs for lhs, rhs in checks)
+    return all(phi.diff(1) * alpha == db * phi and phi.diff(2) * alpha == dg * phi
+               for phi, (db, dg) in zip((phi10, phi01), pearson_shifts(pde)))
 
 
-def product_rule(pairs: Sequence[Tuple[BivariatePoly, BivariatePoly]]
-                 ) -> Tuple[BivariatePoly, BivariatePoly]:
-    """For pairs (F_i, c_i): (prod_i F_i, sum_i c_i prod_{j != i} F_j), from
-    prefix and suffix products.  With c_i = e_i dF_i the second is the
-    derivative of prod F_i^(e_i) divided by prod F_i^(e_i - 1)."""
-    k = len(pairs)
-    # prefix[t] = F_0 ... F_{t-1},  suffix[t] = F_{t+1} ... F_{k-1}
-    prefix = [ONE]
-    for f, _ in pairs:
-        prefix.append(prefix[-1] * f)
-    suffix = [ONE] * (k + 1)
-    for t in range(k - 1, -1, -1):
-        suffix[t] = pairs[t][0] * suffix[t + 1]
-    rule = ZERO
-    for t, (_, c) in enumerate(pairs):
-        rule = rule + c * (prefix[t] * suffix[t + 1])
-    return prefix[k], rule
+# the factor pair (1, 1): its r = s = 0 form is rho alone over rho's own basis
+_NO_SHIFT = PhiCase("-", "rho alone", ONE, ONE)
+
+
+def _log_derivative(rho: WeightedExpr, axis: int
+                    ) -> Tuple[BivariatePoly, BivariatePoly]:
+    """(num, den) with (d rho / d x_axis) / rho = num / den, read off one
+    Rodrigues step of (rho, 1): num is its polynomial part and den the
+    product of the factors whose exponent the step moved."""
+    step = weighted_diff(rho, axis)
+    den = ONE
+    for f, before, after in zip(rho.factors, rho.exponents, step.exponents):
+        if before != after:
+            den = den * f
+    return step.poly, den
 
 
 def log_derivative(w: WeightSpec, axis: int
@@ -274,17 +257,7 @@ def log_derivative(w: WeightSpec, axis: int
     """
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
-    terms: List[Tuple[BivariatePoly, BivariatePoly]] = []  # (Q, coeff * dQ)
-    var = X if axis == 1 else Y
-    exp = w.u if axis == 1 else w.v
-    if exp != 0:
-        terms.append((var, BivariatePoly.const(exp)))
-    for q, wt in w.factors:
-        dq = q.diff(axis)
-        if wt != 0 and not dq.is_zero():
-            terms.append((q, dq * wt))
-    den, num = product_rule(terms)
-    return num, den
+    return _log_derivative(shifted_weight(w, _NO_SHIFT, 0, 0), axis)
 
 
 def verify_pearson(pde: HypergeometricPDE, w: WeightSpec, r: int = 0, s: int = 0,
@@ -296,8 +269,8 @@ def verify_pearson(pde: HypergeometricPDE, w: WeightSpec, r: int = 0, s: int = 0
         raise DegenerateDiscriminant("discriminant is identically zero")
     if case is None:
         case = classify_phi(pde)[0]
-    w_rs = w.with_phi(case, r, s)
     beta_rs, gamma_rs = pearson_numerators(pde, r, s)
-    nx, dx = log_derivative(w_rs, 1)
-    ny, dy = log_derivative(w_rs, 2)
+    rho_rs = shifted_weight(w, case, r, s)
+    nx, dx = _log_derivative(rho_rs, 1)
+    ny, dy = _log_derivative(rho_rs, 2)
     return nx * alpha == beta_rs * dx and ny * alpha == gamma_rs * dy

@@ -10,7 +10,7 @@ import pytest
 from opde import cli
 from opde.cli import main
 from opde.serialize import pde_to_json
-from opde.families import AppellParams, appell_pde
+from opde.families import AppellParams, appell_pde, appell_weight
 
 APPELL11 = json.dumps(pde_to_json(appell_pde(AppellParams(1, 1))))
 
@@ -181,6 +181,25 @@ def test_rodrigues_weight_of_another_equation(tmp_path, capsys):
                             "of this equation\n")
 
 
+def test_rodrigues_triangle_runs_the_weight_checks(monkeypatch, capsys):
+    # --alpha/--beta take the same checks as --pde with --weight; a failing
+    # Pearson check (forced here: the triangle weight always passes) exits 4
+    seen = []
+
+    def failing(pde, weight, case):
+        seen.append((pde, weight, case.case_id))
+        return False
+
+    monkeypatch.setattr(cli, "verify_pearson", failing)
+    assert main(["rodrigues", "--alpha", "2", "--beta", "3", "-N", "1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: weight does not satisfy the Pearson equations "
+                            "of this equation\n")
+    p = AppellParams(2, 3)
+    assert seen == [(appell_pde(p), appell_weight(p), "vi")]
+
+
 def test_verify_ok(capsys):
     assert main(["verify", "--alpha", "1", "--beta", "1", "-N", "2"]) == 0
     out = capsys.readouterr().out
@@ -227,9 +246,18 @@ def test_usage_error_missing_input(capsys):
     ["build", "--family", "foo"], ["build", "-N", "abc"], [],
     ["verify", "--format", "json", "--alpha", "1", "--beta", "1"],
     ["rodrigues", "--pde", "pde.json", "--alpha", "1", "--beta", "1"],
-], ids=["bad-choice", "bad-int", "no-command", "verify-format", "rodrigues-two-inputs"])
-def test_argument_errors_exit_1(argv, capsys):
+    ["check", "--pde", "bool-pde.json"],
+    ["rodrigues", "--pde", "disk.json", "--weight", "bool-weight.json"],
+], ids=["bad-choice", "bad-int", "no-command", "verify-format", "rodrigues-two-inputs",
+        "pde-bool-coefficient", "weight-bool-exponent"])
+def test_argument_errors_exit_1(argv, tmp_path, monkeypatch, capsys):
     # argparse's own exit code 2 would read as "not admissible"
+    monkeypatch.chdir(tmp_path)
+    # JSON true is no number, though Python's bool is an int
+    (tmp_path / "bool-pde.json").write_text(json.dumps({**DISK_PDE, "e": True}))
+    (tmp_path / "disk.json").write_text(json.dumps(DISK_PDE))
+    (tmp_path / "bool-weight.json").write_text(json.dumps(
+        {"u": "0", "v": "0", "factors": [[[[True, 1, "-1"], [0, 0, "1"]], "1/2"]]}))
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -17,8 +17,7 @@ from opde.relations import (DerivativeFamily, Relations,
                             monic_structure_matrices, structure_matrices)
 from opde.serialize import pde_to_json
 from opde.vectors import (PolyVector, PolyVectorFamily, apply_matrix,
-                          derivative_matrix, shift_matrix, stacked_shift)
-
+                          derivative_matrix, shift_matrix)
 
 def test_general_ttrr_reduces_to_monic(fam11):
     for n in range(5):
@@ -215,7 +214,8 @@ def test_edge_entries_univariate_only_for_monic(p23, fam23):
 
 def test_rank_facts():
     for n in range(6):
-        assert stacked_shift(n).rank() == n + 2
+        # the joint matrix stacking the x shift over the y shift
+        assert shift_matrix(n, 1).vstack(shift_matrix(n, 2)).rank() == n + 2
         for j in (1, 2):
             assert shift_matrix(n, j).rank() == n + 1
     pde = appell_pde(AppellParams(2, 3))

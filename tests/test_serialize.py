@@ -31,7 +31,7 @@ def test_rational_strings():
 
 
 def test_rational_rejects_decimals():
-    for bad in ("0.5", "1e3", "1/0", "1/-3", "", "x", None, 1.5):
+    for bad in ("0.5", "1e3", "1/0", "1/-3", "", "x", None, 1.5, True, False):
         with pytest.raises(ValueError):
             parse_rational(bad)
 
@@ -66,6 +66,9 @@ def test_poly_rejects_duplicates_and_bad_terms():
         poly_from_json([[0, 0]])
     with pytest.raises(ValueError):
         poly_from_json({"0": "1"})
+    for term in ([True, 1, "-1"], [0, False, "1"]):
+        with pytest.raises(ValueError, match="bad exponents"):
+            poly_from_json([term])
 
 
 @given(polys)
@@ -92,6 +95,10 @@ def test_pde_requires_all_keys():
     data["b3"] = "0"
     data["zz"] = "1"
     with pytest.raises(ValueError, match="unknown"):
+        pde_from_json(data)
+    del data["zz"]
+    data["e"] = True
+    with pytest.raises(ValueError, match="not an exact rational"):
         pde_from_json(data)
 
 

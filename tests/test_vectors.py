@@ -9,7 +9,12 @@ from opde.matrix import RationalMatrix
 from opde.poly import BivariatePoly, X, Y
 from opde.vectors import (PolyVector, apply_matrix, combine, derivative_matrix,
                           expansion_layers, expansion_matrices, joint_left_inverse,
-                          monomial_vector, shift_matrix, stacked_shift)
+                          monomial_vector, shift_matrix)
+
+
+def stacked_shift(n: int) -> RationalMatrix:
+    """The (2n+2) x (n+2) joint matrix stacking the x shift over the y shift."""
+    return shift_matrix(n, 1).vstack(shift_matrix(n, 2))
 
 
 def test_shift_matrix_examples():

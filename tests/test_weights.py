@@ -2,12 +2,20 @@ from fractions import Fraction
 
 import pytest
 
+import json
+from pathlib import Path
+
+from opde import rodrigues, weights
 from opde.errors import NoCaseMatches
-from opde.families import appell_pde, appell_weight
-from opde.pde import HypergeometricPDE, discriminant
+from opde.families import AppellParams, appell_pde, appell_weight
+from opde.pde import HypergeometricPDE, discriminant, is_potentially_self_adjoint
 from opde.poly import BivariatePoly, ONE, X, Y
+from opde.rodrigues import rodrigues_table
+from opde.serialize import pde_from_json, weight_from_json
 from opde.weights import (WeightSpec, classify_phi, log_derivative,
                           phi_pair_consistent, phi_rs, verify_pearson)
+
+INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"
 
 P = HypergeometricPDE.from_coeffs
 
@@ -133,3 +141,56 @@ def test_weight_spec_validation():
         WeightSpec(1, 1, ((BivariatePoly.zero(), Fraction(1)),))
     with pytest.raises(ValueError):
         WeightSpec(1, 1, ((BivariatePoly.const(2), Fraction(1)),))
+
+
+def test_verify_pearson_with_a_constant_factor():
+    # pattern (v) with b1 = 0: phi10 is the constant 1, which the factor
+    # basis carries with multiplicity zero
+    pde = P(c1=1, b2=1, c2=1, e=-1)
+    assert is_potentially_self_adjoint(pde)
+    case = classify_phi(pde)[0]
+    assert case.case_id == "v" and case.phi10 == ONE
+    w = WeightSpec(0, 0, ((1 + Y, Fraction(-1)),))
+    for r in range(3):
+        for s in range(3):
+            assert isinstance(verify_pearson(pde, w, r, s, case=case), bool)
+
+
+def test_verify_pearson_disk():
+    pde = pde_from_json(json.loads((INPUTS / "disk_pde.json").read_text()))
+    data = json.loads((INPUTS / "disk_weight.json").read_text())
+    w = weight_from_json(data)
+    assert w.factors[0][1] == Fraction(1, 2)
+    data["factors"][0][1] = "3/2"
+    wrong = weight_from_json(data)
+    for r in range(3):
+        for s in range(3):
+            assert verify_pearson(pde, w, r, s), (r, s)
+            assert not verify_pearson(pde, wrong, r, s), (r, s)
+
+
+def test_table_and_pearson_read_one_exponent_helper(monkeypatch):
+    p = AppellParams(Fraction(3, 2), Fraction(5, 7))
+    pde, w = appell_pde(p), appell_weight(p)
+    case = classify_phi(pde)[0]
+    seen = []
+    helper = rodrigues.shifted_weight
+
+    def recording(w_, case_, r, s):
+        expr = helper(w_, case_, r, s)
+        seen.append((r, s, expr))
+        return expr
+
+    monkeypatch.setattr(rodrigues, "shifted_weight", recording)
+    monkeypatch.setattr(weights, "shifted_weight", recording)
+    rodrigues_table(w, case, 3)
+    assert (0, 0) in {(r, s) for r, s, _ in seen}
+    calls = len(seen)
+    assert verify_pearson(pde, w, 1, 2, case=case)
+    assert [(r, s) for r, s, _ in seen[calls:]] == [(1, 2)]
+    # basis x, y, 1 - x - y; phi10 = x (1 - x - y), phi01 = y (1 - x - y)
+    rho, m10, m01 = (p.alpha - 1, p.beta - 1, 0), (1, 0, 1), (0, 1, 1)
+    for r, s, expr in seen:
+        assert expr.factors == (X, Y, 1 - X - Y)
+        assert expr.exponents == tuple(e + r * a + s * b for e, a, b in zip(rho, m10, m01))
+        assert expr.poly == ONE
