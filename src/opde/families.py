@@ -26,11 +26,10 @@ linear substitutions, so each one costs one product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .matrix import IntRows, RationalMatrix
 from .monic import build_monic
@@ -41,16 +40,20 @@ from .vectors import PolyVector, PolyVectorFamily
 from .weights import PhiCase, WeightSpec, classify_phi
 
 
-@dataclass(frozen=True)
-class AppellParams:
+class _AppellParamsFields(NamedTuple):
     alpha: Fraction
     beta: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", rat(self.alpha))
-        object.__setattr__(self, "beta", rat(self.beta))
-        if self.alpha <= 0 or self.beta <= 0:
+
+class AppellParams(_AppellParamsFields):
+    __slots__ = ()
+
+    # NamedTuple._replace skips this check: build new values through cls(...)
+    def __new__(cls, alpha: Scalar, beta: Scalar) -> "AppellParams":
+        alpha, beta = rat(alpha), rat(beta)
+        if alpha <= 0 or beta <= 0:
             raise ValueError("parameters must be positive")
+        return super().__new__(cls, alpha, beta)
 
 
 def appell_pde(p: AppellParams) -> HypergeometricPDE:

@@ -20,10 +20,9 @@ the single place where they are translated to 0-based indexing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import (InconsistentRecursion, NotAdmissible, NotSelfAdjoint,
                      SingularMatrix)
@@ -89,8 +88,7 @@ def subleading_matrices(pde: HypergeometricPDE, n: int
     return gnm1, RationalMatrix(g2)
 
 
-@dataclass(frozen=True)
-class TtrrSet:
+class TtrrSet(NamedTuple):
     """Recurrence matrices of x_j * P_n = A P_{n+1} + B P_n + C P_{n-1} on
     both axes; C is absent at n = 0."""
 

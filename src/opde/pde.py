@@ -21,16 +21,14 @@ and constant term mu = lambda_n + (r+s) e + (r+s)(r+s-1) a.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .errors import DegenerateDiscriminant, NotAdmissible
 from .poly import BivariatePoly, rat
 
 
-@dataclass(frozen=True)
-class HypergeometricPDE:
+class HypergeometricPDE(NamedTuple):
     a: Fraction
     b1: Fraction
     c1: Fraction
@@ -68,8 +66,7 @@ class HypergeometricPDE:
         return -n * ((n - 1) * self.a + self.e)
 
 
-@dataclass(frozen=True)
-class DerivedEquation:
+class DerivedEquation(NamedTuple):
     """The equation satisfied by the (r, s) partial derivative of a degree-n
     eigensolution of ``pde``."""
 

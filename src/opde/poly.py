@@ -61,9 +61,9 @@ def _grlex_key(e: Exponent) -> Tuple[int, int]:
 class BivariatePoly:
     """Immutable exact polynomial in two variables: nonzero int numerators
     ``_terms`` over the common denominator ``_den`` > 0, with
-    gcd(_den, *numerators) == 1."""
+    gcd(_den, *numerators) == 1.  ``_hash`` is set by the first ``hash``."""
 
-    __slots__ = ("_terms", "_den")
+    __slots__ = ("_terms", "_den", "_hash")
 
     def __init__(self, terms: Dict[Exponent, Scalar] | None = None):
         clean: Dict[Exponent, Fraction] = {}
@@ -288,7 +288,11 @@ class BivariatePoly:
         return self._den == other._den and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self._den, frozenset(self._terms.items())))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash((self._den, frozenset(self._terms.items())))
+            return h
 
     def __bool__(self):
         return bool(self._terms)

@@ -34,9 +34,8 @@ commands see the same matrices under the same names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import NoCaseMatches, PhiDegreeTooHigh
 from .matrix import RationalMatrix
@@ -50,8 +49,7 @@ from .weights import PhiCase, classify_phi
 _Triple = Tuple[RationalMatrix, RationalMatrix, Optional[RationalMatrix]]
 
 
-@dataclass(frozen=True)
-class QTtrr:
+class QTtrr(NamedTuple):
     """Recurrence triple of the derivative family, for its own axis."""
 
     n: int
@@ -61,8 +59,7 @@ class QTtrr:
     c: Optional[RationalMatrix]
 
 
-@dataclass(frozen=True)
-class StructureSet:
+class StructureSet(NamedTuple):
     n: int
     w1: RationalMatrix
     s1: RationalMatrix
@@ -77,8 +74,7 @@ class StructureSet:
         return (self.w1, self.s1, self.t1) if j == 1 else (self.w2, self.s2, self.t2)
 
 
-@dataclass(frozen=True)
-class DerivRep:
+class DerivRep(NamedTuple):
     """Derivative representation along one axis.  The compact triple acts
     on Q_n, Q_{n-1}, Q_{n-2}; the wide triple (v, y, z) acts on the raw
     derivatives and is the compact one composed with the shift matrices,

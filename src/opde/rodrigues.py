@@ -35,11 +35,10 @@ ERRATA.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Sequence, Tuple
 
 from .errors import DegreeMismatch, NotDivisible, NotReducible
 from .poly import ONE, X, Y, BivariatePoly
@@ -48,15 +47,21 @@ if TYPE_CHECKING:  # weights imports this module; the types annotate only
     from .weights import PhiCase, WeightSpec
 
 
-@dataclass(frozen=True)
-class WeightedExpr:
+class _WeightedExprFields(NamedTuple):
     factors: Tuple[BivariatePoly, ...]
     exponents: Tuple[Fraction, ...]
     poly: BivariatePoly
 
-    def __post_init__(self):
-        if len(self.factors) != len(self.exponents):
+
+class WeightedExpr(_WeightedExprFields):
+    __slots__ = ()
+
+    # NamedTuple._replace skips this check: build new values through cls(...)
+    def __new__(cls, factors: Tuple[BivariatePoly, ...],
+                exponents: Tuple[Fraction, ...], poly: BivariatePoly) -> "WeightedExpr":
+        if len(factors) != len(exponents):
             raise ValueError("one exponent per factor")
+        return super().__new__(cls, factors, exponents, poly)
 
 
 def weighted_diff(expr: WeightedExpr, axis: int) -> WeightedExpr:
@@ -204,8 +209,9 @@ def _bracket(w: WeightSpec, case: PhiCase, n: int, m: int, r: int = 0, s: int = 
     """rho * phi10^n * phi01^m over the factor basis, with the scalar
     contents of the n - r and m - s factors that get differentiated."""
     _, _, _, c10, _, c01 = _assemble(w, case)
-    return replace(shifted_weight(w, case, n, m),
-                   poly=BivariatePoly.const(c10**(n - r) * c01**(m - s)))
+    root = shifted_weight(w, case, n, m)
+    return WeightedExpr(root.factors, root.exponents,
+                        BivariatePoly.const(c10**(n - r) * c01**(m - s)))
 
 
 def rodrigues_eval(w: WeightSpec, case: PhiCase, n: int, m: int) -> BivariatePoly:

@@ -26,46 +26,48 @@ the one place that differentiates a weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import (DegenerateDiscriminant, NoCaseMatches, NonPolynomialPhi,
                      NotDivisible)
 from .matrix import RationalMatrix
 from .pde import (HypergeometricPDE, discriminant, pearson_numerators,
                   pearson_shifts)
-from .poly import ONE, X, Y, BivariatePoly, rat
+from .poly import ONE, X, Y, BivariatePoly, Scalar, rat
 from .rodrigues import WeightedExpr, shifted_weight, weighted_diff
 
 
-@dataclass(frozen=True)
-class PhiCase:
+class PhiCase(NamedTuple):
     case_id: str
     condition: str
     phi10: BivariatePoly
     phi01: BivariatePoly
 
 
-@dataclass(frozen=True)
-class WeightSpec:
-    """rho = x^u * y^v * prod Q_i^(w_i), with fixed polynomial factors Q_i."""
-
+class _WeightSpecFields(NamedTuple):
     u: Fraction
     v: Fraction
-    factors: Tuple[Tuple[BivariatePoly, Fraction], ...] = ()
+    factors: Tuple[Tuple[BivariatePoly, Fraction], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "u", rat(self.u))
-        object.__setattr__(self, "v", rat(self.v))
+
+class WeightSpec(_WeightSpecFields):
+    """rho = x^u * y^v * prod Q_i^(w_i), with fixed polynomial factors Q_i."""
+
+    __slots__ = ()
+
+    # NamedTuple._replace skips this check: build new values through cls(...)
+    def __new__(cls, u: Scalar, v: Scalar,
+                factors: Tuple[Tuple[BivariatePoly, Scalar], ...] = ()) -> "WeightSpec":
+        u, v = rat(u), rat(v)
         clean = []
-        for q, w in self.factors:
+        for q, w in factors:
             if q.is_zero():
                 raise ValueError("zero weight factor")
             if q.degree() == 0:
                 raise ValueError("constant weight factor carries no information")
             clean.append((q, rat(w)))
-        object.__setattr__(self, "factors", tuple(clean))
+        return super().__new__(cls, u, v, tuple(clean))
 
 
 def _normalize_sign(p: BivariatePoly) -> BivariatePoly:

@@ -219,6 +219,20 @@ def test_verify_trivial_degree_zero(capsys):
     assert main(["verify", "--alpha", "2", "--beta", "3", "-N", "0"]) == 0
 
 
+@pytest.mark.parametrize("alpha, beta, degree", [("1/2", "1/2", "0"), ("1/3", "2/3", "2")])
+def test_verify_where_alpha_plus_beta_is_one(alpha, beta, degree):
+    # the printed B tables divide by 2n - 1 + alpha + beta, zero at n = 0
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "opde.cli", "verify", "--alpha", alpha, "--beta", beta,
+         "-N", degree], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert "PASS golden-agreement" in proc.stdout
+    assert "[B1, B2 at n=0 skipped: d0 = 0]" in proc.stdout
+    assert "FAIL" not in proc.stdout
+
+
 def test_degree_cap_env(monkeypatch, capsys):
     monkeypatch.setenv("OPDE_MAX_DEGREE", "2")
     assert main(["build", "--alpha", "1", "--beta", "1", "-N", "6"]) == 0

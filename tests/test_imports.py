@@ -18,3 +18,15 @@ def test_module_imports_first_in_fresh_interpreter(module):
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # the records are NamedTuples: importing the command line loads neither
+    # dataclasses nor the inspect module it pulls in.  -S keeps site .pth
+    # files from importing them first.
+    code = ("import sys; sys.path.insert(0, 'src'); import opde.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -175,7 +174,7 @@ def test_inconsistent_recursion_detected(monkeypatch):
             return t
         rows = t.b1.tolist()
         rows[1][1] += 1  # row 0 alone would go unseen: only the x-row fixes entry 0
-        return dataclasses.replace(t, b1=RationalMatrix(rows))
+        return t._replace(b1=RationalMatrix(rows))
 
     monkeypatch.setattr(monic, "monic_ttrr", corrupted)
     with pytest.raises(InconsistentRecursion) as info:

@@ -259,3 +259,16 @@ def test_from_integers_copies_and_validates():
     assert BivariatePoly.from_integers({}) == ZERO
     with pytest.raises(ZeroDivisionError):
         BivariatePoly.from_integers({(0, 0): 1}, 0)
+
+
+def test_hash_is_kept_and_route_independent():
+    half = (X + Y) ** 2 * Fraction(1, 2)
+    first = hash(half)
+    assert hash(half) == first  # the second call reads the stored hash
+    routes = [X**2 * Fraction(1, 2) + X * Y + Y**2 * Fraction(1, 2),
+              BivariatePoly({(2, 0): Fraction(1, 2), (1, 1): 1, (0, 2): Fraction(1, 2)}),
+              BivariatePoly.from_integers({(2, 0): -3, (1, 1): -6, (0, 2): -3}, -6),
+              ((X + Y) ** 3 * Fraction(1, 2)).exact_div(X + Y)]
+    for q in routes:
+        assert q == half and hash(q) == first
+        assert {half: "found"}[q] == "found"
