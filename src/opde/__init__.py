@@ -31,7 +31,8 @@ from .families import (AppellParams, appell_pde, appell_phi_case,
                        appell_weight, connection_F, connection_K, functional,
                        jacobi, koornwinder, koornwinder_vector, make_family,
                        moment, moment_table, monic_appell_series, monic_appell_vector,
-                       nonmonic_F, nonmonic_F_vector, orthogonality_blocks)
+                       nonmonic_F, nonmonic_F_vector, orthogonality_blocks,
+                       pairing)
 from .verify import SuiteResult, run_verification
 
 __version__ = "0.1.0"

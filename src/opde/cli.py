@@ -265,6 +265,8 @@ def cmd_rodrigues(args) -> int:
 def cmd_verify(args) -> int:
     pde = _load_pde(args)
     n = _cap_degree(args.degree)
+    if args.corrupt == "ttrr-b1" and n < 1:
+        raise CliError("fault ttrr-b1 corrupts the degree-1 recurrence: it needs -N >= 1")
     params = _family_params(args)
     results = run_verification(pde, n, params=params, family=args.family,
                                corrupt=args.corrupt)

@@ -18,25 +18,34 @@ every moment is an exact rational.
 checks read ``moment_table`` instead: every moment through a degree as int
 numerators over one common denominator, memoised per degree.  ``functional``
 is one integer dot product of a polynomial's numerators with that table, and
-``orthogonality_blocks`` reads L[x^(m-i) y^i q] off it by shifting the
-exponents of q, so neither forms a monomial product or sums Fractions.  The
-nested-Jacobi family memoises the Jacobi polynomials and the powers of its
-linear substitutions, so each one costs one product.
+``pairing`` gives the whole matrix L[f q] of two lists of polynomials from
+the moment row of each f; ``orthogonality_blocks`` is the pairing of P_n with
+the monomials of degree m.  None of them forms a polynomial product or sums
+Fractions.
+
+The series route and the connection matrices keep their printed
+rising-factorial formulas but evaluate them on ints: every rising factorial
+is a ratio of entries of one list per parameter (``_rising_ints``, walked
+once by the term ratio x + t), and each polynomial or matrix is assembled
+over one common denominator, with one reduction.  The nested-Jacobi family
+memoises the Jacobi polynomials and the powers of its linear substitutions,
+so each one costs one product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
-from typing import List, NamedTuple, Optional, Tuple
+from itertools import chain
+from math import comb, factorial, gcd, lcm
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .matrix import IntRows, RationalMatrix
 from .monic import build_monic
 from .pde import HypergeometricPDE
 from .poly import X, Y, BivariatePoly, Scalar, pochhammer, rat
 from .rodrigues import rodrigues_eval
-from .vectors import PolyVector, PolyVectorFamily
+from .vectors import PolyVector, PolyVectorFamily, monomial_vector
 from .weights import PhiCase, WeightSpec, classify_phi
 
 
@@ -87,23 +96,40 @@ def moment(p: AppellParams, i: int, j: int) -> Fraction:
 def moment_table(p: AppellParams, degree: int) -> Tuple[IntRows, int]:
     """Every moment L[x^i y^j] with i + j <= degree as int numerators over one
     common denominator: L[x^i y^j] = rows[i][j] / den.  Built from the three
-    rising-factorial lists of ``moment``'s closed form, which stays the
+    rising-factorial lists of ``moment``'s closed form, as ints: with
+    c = alpha + beta + 1, (alpha)_i (beta)_j / (c)_(i+j) is
+    ra[i] rb[j] cd^(i+j) / (ad^i bd^j rc[i+j]), put over
+    ad^degree bd^degree rc[degree] and reduced once.  ``moment`` stays the
     oracle the table is pinned against."""
     if degree < 0:
         raise ValueError("need degree >= 0")
-    a, b = _rising(p.alpha, degree), _rising(p.beta, degree)
-    c = _rising(p.alpha + p.beta + 1, degree)
-    vals = [[a[i] * b[j] / c[i + j] for j in range(degree + 1 - i)]
+    a, b, c = p.alpha, p.beta, _shifted_sum(p, 1)
+    ra, rb, rc = (_rising_ints(x, degree) for x in (a, b, c))
+    ad, bd, cd = a.denominator, b.denominator, c.denominator
+    xs = [ra[i] * ad ** (degree - i) for i in range(degree + 1)]
+    ys = [rb[j] * bd ** (degree - j) for j in range(degree + 1)]
+    zs = [cd ** t * (rc[degree] // rc[t]) for t in range(degree + 1)]
+    rows = [[xs[i] * ys[j] * zs[i + j] for j in range(degree + 1 - i)]
             for i in range(degree + 1)]
-    den = lcm(*(v.denominator for r in vals for v in r))
-    return tuple(tuple(v.numerator * (den // v.denominator) for v in r) for r in vals), den
+    den = ad ** degree * bd ** degree * rc[degree]
+    g = gcd(den, *chain.from_iterable(rows))
+    return tuple(tuple(v // g for v in r) for r in rows), den // g
 
 
-def _rising(x: Fraction, degree: int) -> List[Fraction]:
-    """[(x)_0, (x)_1, ..., (x)_degree]."""
-    out = [Fraction(1)]
-    for t in range(degree):
-        out.append(out[-1] * (x + t))
+def _shifted_sum(p: AppellParams, k: int) -> Fraction:
+    """alpha + beta + k, formed from the numerators and denominators."""
+    a, b = p.alpha, p.beta
+    return Fraction(a.numerator * b.denominator + b.numerator * a.denominator
+                    + k * a.denominator * b.denominator, a.denominator * b.denominator)
+
+
+def _rising_ints(x: Fraction, k: int) -> List[int]:
+    """[r_0, ..., r_k] with (x)_t = r_t / den^t for x = num / den in lowest
+    terms: r_(t+1) = r_t (num + t den), one int product per step."""
+    num, den = x.numerator, x.denominator
+    out = [1]
+    for t in range(k):
+        out.append(out[-1] * (num + t * den))
     return out
 
 
@@ -115,41 +141,65 @@ def functional(p: AppellParams, poly: BivariatePoly) -> Fraction:
     return Fraction(sum(c * table[i][j] for (i, j), c in terms.items()), den * tden)
 
 
+def pairing(p: AppellParams, left: Sequence[BivariatePoly],
+            right: Sequence[BivariatePoly]) -> RationalMatrix:
+    """The matrix L[f q], f in ``left`` by rows and q in ``right`` by columns,
+    with no polynomial product: the moment row of each f (L[f x^i y^j] for
+    every exponent (i, j) that occurs on the right) dotted with the
+    numerators of each q.  Each side is scaled to the lcm of its
+    denominators, so the whole matrix is one integer computation."""
+    lforms = [f.as_integers() for f in left]
+    rforms = [q.as_integers() for q in right]
+    lden = lcm(*(d for _, d in lforms))
+    rden = lcm(*(d for _, d in rforms))
+    exps = list(dict.fromkeys(e for terms, _ in rforms for e in terms))
+    where = {e: k for k, e in enumerate(exps)}
+    top = (max((i + j for terms, _ in lforms for i, j in terms), default=0)
+           + max((i + j for i, j in exps), default=0))
+    table, tden = moment_table(p, top)
+    cols = [[(where[e], c * (rden // d)) for e, c in terms.items()] for terms, d in rforms]
+    out = []
+    for terms, d in lforms:
+        scaled = [(i, j, c * (lden // d)) for (i, j), c in terms.items()]
+        row = [sum(c * table[i + u][j + v] for i, j, c in scaled) for u, v in exps]
+        out.append([sum(c * row[k] for k, c in col) for col in cols])
+    return RationalMatrix.from_integers(out, lden * rden * tden)
+
+
 def orthogonality_blocks(p: AppellParams, fam: PolyVectorFamily,
                          n: int, m: int) -> RationalMatrix:
     """The (m+1) x (n+1) matrix L[xvec(m) P_n^T]; zero when m < n, and an
-    invertible matrix H_n when m = n.  Entry (r, k) reads L[x^(m-r) y^r q_k]
-    off the moment table by shifting the exponents of q_k, with every q_k
-    scaled to the lcm of their denominators."""
-    table, tden = moment_table(p, n + m)
-    forms = [q.as_integers() for q in fam.vector(n)]
-    den = lcm(*(d for _, d in forms))
-    cols = [[(i, j, c * (den // d)) for (i, j), c in terms.items()] for terms, d in forms]
-    return RationalMatrix.from_integers(
-        [[sum(c * table[i + m - r][j + r] for i, j, c in col) for col in cols]
-         for r in range(m + 1)], den * tden)
+    invertible matrix H_n when m = n."""
+    return pairing(p, fam.vector(n), monomial_vector(m)).transpose()
 
 
 # -- monic family by terminating double series --------------------------------
 
 def monic_appell_series(p: AppellParams, n: int, m: int) -> BivariatePoly:
     """Monic degree-(n+m) eigensolution via the terminating double
-    hypergeometric sum; leading monomial x^n y^m with coefficient 1."""
+    hypergeometric sum; leading monomial x^n y^m with coefficient 1.
+
+    With s = alpha + beta + n + m, the sum is pref * sum over j <= n, k <= m of
+    (s)_(j+k) (-n)_j (-m)_k / ((alpha)_j (beta)_k j! k!) x^j y^k, where
+    pref = (-1)^(n+m) (alpha)_n (beta)_m / (s)_(n+m).  Term (j, k) with pref
+    folded in is (-1)^(n-j+m-k) C(n, j) C(m, k) (alpha+j)_(n-j) (beta+k)_(m-k)
+    (s)_(j+k) / (s)_(n+m), so every factor is a ratio of the three rising
+    factorial lists of ``_rising_ints``, each walked once by its term ratio;
+    the coefficients are ints over one denominator, the leading term's."""
     if n < 0 or m < 0:
         raise ValueError("need n, m >= 0")
-    a, b = p.alpha, p.beta
-    nm = n + m
-    pref = (Fraction(-1) ** nm) * pochhammer(a, n) * pochhammer(b, m) \
-        / pochhammer(a + b + nm, nm)
-    out = BivariatePoly.zero()
-    for j in range(n + 1):
-        for k in range(m + 1):
-            c = (pochhammer(a + b + nm, j + k)
-                 * pochhammer(-n, j) * pochhammer(-m, k)
-                 / (pochhammer(a, j) * pochhammer(b, k)
-                    * factorial(j) * factorial(k)))
-            out = out + BivariatePoly.monomial(j, k, c)
-    return out * pref
+    a, b, nm = p.alpha, p.beta, n + m
+    s = _shifted_sum(p, nm)
+    ra, rb, rs = _rising_ints(a, n), _rising_ints(b, m), _rising_ints(s, nm)
+    ad, bd, sd = a.denominator, b.denominator, s.denominator
+    # (alpha+j)_(n-j) = ra[n] / ra[j] / ad^(n-j), over ad^n; likewise beta, and
+    # (s)_(j+k) / (s)_(n+m) = rs[j+k] sd^(n+m-j-k) / rs[n+m]
+    xs = [(-1) ** (n - j) * comb(n, j) * (ra[n] // ra[j]) * ad ** j for j in range(n + 1)]
+    ys = [(-1) ** (m - k) * comb(m, k) * (rb[m] // rb[k]) * bd ** k for k in range(m + 1)]
+    ss = [rs[t] * sd ** (nm - t) for t in range(nm + 1)]
+    terms = {(j, k): xj * yk * ss[j + k]
+             for j, xj in enumerate(xs) for k, yk in enumerate(ys)}
+    return BivariatePoly.from_integers(terms, ad ** n * bd ** m * rs[nm])
 
 
 def monic_appell_vector(p: AppellParams, n: int) -> PolyVector:
@@ -234,31 +284,38 @@ def nonmonic_F_vector(p: AppellParams, n: int) -> PolyVector:
 def connection_F(p: AppellParams, n: int) -> RationalMatrix:
     """Invertible matrix carrying the monic vector to the Rodrigues-normalized
     family: entry (i, j) is (-1)^n C(n, j) (alpha+n-i)_(n-j) (beta+i)_j /
-    ((alpha)_(n-j) (beta)_j)."""
-    a, b = p.alpha, p.beta
-    sign = Fraction(-1) ** n
+    ((alpha)_(n-j) (beta)_j).
 
-    def entry(i: int, j: int) -> Fraction:
-        return (sign * comb(n, j) * pochhammer(a + n - i, n - j)
-                * pochhammer(b + i, j)
-                / (pochhammer(a, n - j) * pochhammer(b, j)))
-
-    return RationalMatrix.from_function(n + 1, n + 1, entry)
+    Each rising factorial is a ratio of one list of ``_rising_ints``:
+    (alpha+n-i)_(n-j) = (alpha)_(2n-i-j) / (alpha)_(n-i) and
+    (beta+i)_j = (beta)_(i+j) / (beta)_i, so entry (i, j) is (-1)^n C(n, j)
+    ra[2n-i-j] rb[i+j] / (ra[n-i] ra[n-j] rb[i] rb[j]), put over
+    (ra[n] rb[n])^2."""
+    ra, rb = _rising_ints(p.alpha, 2 * n), _rising_ints(p.beta, 2 * n)
+    qa = [ra[n] // ra[k] for k in range(n + 1)]
+    qb = [rb[n] // rb[k] for k in range(n + 1)]
+    sign = (-1) ** n
+    rows = [[sign * comb(n, j) * ra[2 * n - i - j] * rb[i + j] * qa[n - i] * qa[n - j]
+             * qb[i] * qb[j] for j in range(n + 1)] for i in range(n + 1)]
+    return RationalMatrix.from_integers(rows, (ra[n] * rb[n]) ** 2)
 
 
 def connection_K(p: AppellParams, n: int) -> RationalMatrix:
     """Lower-triangular invertible matrix carrying the monic vector to the
     nested-Jacobi family: entry (i, j) is (alpha+beta+n+i)_(n-i) (beta+j)_i /
-    ((n-i)! j! (i-j)!) for i >= j, zero above the diagonal."""
-    a, b = p.alpha, p.beta
+    ((n-i)! j! (i-j)!) for i >= j, zero above the diagonal.
 
-    def entry(i: int, j: int) -> Fraction:
-        if i < j:
-            return Fraction(0)
-        return (pochhammer(a + b + n + i, n - i) * pochhammer(b + j, i)
-                / (factorial(n - i) * factorial(j) * factorial(i - j)))
-
-    return RationalMatrix.from_function(n + 1, n + 1, entry)
+    With c = alpha + beta + n, (c+i)_(n-i) = (c)_n / (c)_i,
+    (beta+j)_i = (beta)_(i+j) / (beta)_j and 1 / ((n-i)! j! (i-j)!) =
+    C(n, i) C(i, j) / n!, so every entry is read off two lists of
+    ``_rising_ints`` and put over rb[n] n! cd^n bd^n."""
+    b, c = p.beta, _shifted_sum(p, n)
+    bd, cd = b.denominator, c.denominator
+    rc, rb = _rising_ints(c, n), _rising_ints(b, 2 * n)
+    rows = [[comb(n, i) * comb(i, j) * (rc[n] // rc[i]) * cd ** i * bd ** (n - i)
+             * rb[i + j] * (rb[n] // rb[j]) if i >= j else 0
+             for j in range(n + 1)] for i in range(n + 1)]
+    return RationalMatrix.from_integers(rows, rb[n] * factorial(n) * cd ** n * bd ** n)
 
 
 # -- family selection ------------------------------------------------------------

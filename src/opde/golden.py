@@ -11,84 +11,165 @@ corrected; see ERRATA.md for the list.
 Validity ranges: B from n = 0, C/W/S/T from n = 1, V/Y/Z from n = 2
 (derivative representations need three derivative layers).  Outside these,
 IndexOutOfPrintedRange is raised.
+
+The formulas run on ``_Q``, an exact rational that keeps an int numerator and
+denominator and never reduces them: an entry costs a few int products and no
+gcd.  Each table is put in lowest terms once, by one
+``RationalMatrix.from_integers`` over the lcm of its entry denominators.  A
+zero divisor raises ZeroDivisionError, as Fraction does.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict
+from math import lcm
+from typing import Dict, List, Union
 
 from .errors import IndexOutOfPrintedRange
 from .matrix import RationalMatrix
 from .poly import Scalar, rat
 
 
-def _b1(a: Fraction, b: Fraction, n: int) -> RationalMatrix:
+class _Q:
+    """p/q for ints p and q != 0, never reduced; arithmetic with ints and
+    other ``_Q`` only."""
+
+    __slots__ = ("p", "q")
+
+    def __init__(self, p: int, q: int = 1):
+        if q == 0:
+            raise ZeroDivisionError(f"_Q({p}, 0)")
+        self.p = p
+        self.q = q
+
+    def __add__(self, o):
+        if type(o) is _Q:
+            return _Q(self.p * o.q + o.p * self.q, self.q * o.q)
+        if type(o) is int:
+            return _Q(self.p + o * self.q, self.q)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        if type(o) is _Q:
+            return _Q(self.p * o.q - o.p * self.q, self.q * o.q)
+        if type(o) is int:
+            return _Q(self.p - o * self.q, self.q)
+        return NotImplemented
+
+    def __rsub__(self, o):
+        if type(o) is int:
+            return _Q(o * self.q - self.p, self.q)
+        return NotImplemented
+
+    def __mul__(self, o):
+        if type(o) is _Q:
+            return _Q(self.p * o.p, self.q * o.q)
+        if type(o) is int:
+            return _Q(self.p * o, self.q)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        if type(o) is _Q:
+            return _Q(self.p * o.q, self.q * o.p)
+        if type(o) is int:
+            return _Q(self.p, self.q * o)
+        return NotImplemented
+
+    def __rtruediv__(self, o):
+        if type(o) is int:
+            return _Q(o * self.q, self.p)
+        return NotImplemented
+
+    def __neg__(self):
+        return _Q(-self.p, self.q)
+
+    def __pow__(self, k: int):
+        return _Q(self.p ** k, self.q ** k)
+
+
+_Rows = List[List[Union[int, _Q]]]
+
+
+def _zeros(nrows: int, ncols: int) -> _Rows:
+    return [[0] * ncols for _ in range(nrows)]
+
+
+def _matrix(rows: _Rows) -> RationalMatrix:
+    """The table as one integer matrix over the lcm of its entry denominators."""
+    den = lcm(*(x.q for r in rows for x in r if type(x) is _Q))
+    return RationalMatrix.from_integers(
+        [[x.p * (den // x.q) if type(x) is _Q else x * den for x in r] for r in rows], den)
+
+
+def _b1(a: _Q, b: _Q, n: int) -> _Rows:
     d0, d1 = 2 * n - 1 + a + b, 2 * n + 1 + a + b
-    m = RationalMatrix.zeros(n + 1, n + 1).tolist()
+    m = _zeros(n + 1, n + 1)
     for i in range(n + 1):
-        m[i][i] = (-Fraction((n - i) * 1) * (a + n - 1 - i) / d0
+        m[i][i] = (-_Q((n - i) * 1) * (a + n - 1 - i) / d0
                    + (n + 1 - i) * (a + n - i) / d1)
     for i in range(n):
-        m[i + 1][i] = Fraction(-2 * (i + 1)) * (b + i) / (d0 * d1)
-    return RationalMatrix(m)
+        m[i + 1][i] = _Q(-2 * (i + 1)) * (b + i) / (d0 * d1)
+    return m
 
 
-def _b2(a: Fraction, b: Fraction, n: int) -> RationalMatrix:
+def _b2(a: _Q, b: _Q, n: int) -> _Rows:
     d0, d1 = 2 * n - 1 + a + b, 2 * n + 1 + a + b
-    m = RationalMatrix.zeros(n + 1, n + 1).tolist()
+    m = _zeros(n + 1, n + 1)
     for i in range(n + 1):
         m[i][i] = 1 + i * (2 * n - i + a) / d0 - (i + 1) * (a + 2 * n + 1 - i) / d1
     for i in range(n):
         m[i][i + 1] = -2 * (n - i) * (a + n - 1 - i) / (d0 * d1)
-    return RationalMatrix(m)
+    return m
 
 
-def _c_den(a: Fraction, b: Fraction, n: int) -> Fraction:
+def _c_den(a: _Q, b: _Q, n: int) -> _Q:
     return (2 * n + a + b) * (2 * n - 1 + a + b) ** 2 * (2 * n - 2 + a + b)
 
 
-def _c1(a: Fraction, b: Fraction, n: int) -> RationalMatrix:
+def _c1(a: _Q, b: _Q, n: int) -> _Rows:
     d = _c_den(a, b, n)
-    m = RationalMatrix.zeros(n + 1, n).tolist()
+    m = _zeros(n + 1, n)
     for i in range(n):
         m[i][i] = (n - i) * (a + n - 1 - i) * (n + i + b) * (n - 1 + i + a + b) / d
         m[i + 1][i] = (-(i + 1) * (b + i)
                        * (2 * (n - i - 1) * (n + i + b) + a * (2 * n + a + b - 2)) / d)
     for i in range(n - 1):
         m[i + 2][i] = (i + 2) * (i + 1) * (b + i) * (b + i + 1) / d
-    return RationalMatrix(m)
+    return m
 
 
-def _c2(a: Fraction, b: Fraction, n: int) -> RationalMatrix:
+def _c2(a: _Q, b: _Q, n: int) -> _Rows:
     d = _c_den(a, b, n)
-    m = RationalMatrix.zeros(n + 1, n).tolist()
+    m = _zeros(n + 1, n)
     for i in range(n):
         m[i][i] = (-(n - i) * (a + n - 1 - i)
                    * (b * (2 * n - 2 + b) + a * (2 * i + b) + 2 * i * (2 * n - 1 - i)) / d)
         m[i + 1][i] = (i + 1) * (a + 2 * n - 1 - i) * (b + i) * (a + b + 2 * n - 2 - i) / d
     for i in range(n - 1):
         m[i][i + 1] = (n - i) * (n - 1 - i) * (a + n - 1 - i) * (a + n - 2 - i) / d
-    return RationalMatrix(m)
+    return m
 
 
-def _w1(a: Fraction, b: Fraction, n: int) -> RationalMatrix:
-    m = RationalMatrix.zeros(n + 1, n + 2).tolist()
+def _w1(a: _Q, b: _Q, n: int) -> _Rows:
+    m = _zeros(n + 1, n + 2)
     for i in range(n + 1):
-        m[i][i] = m[i][i + 1] = Fraction(i - n)
-    return RationalMatrix(m)
+        m[i][i] = m[i][i + 1] = _Q(i - n)
+    return m
 
 
-def _w2(a: Fraction, b: Fraction, n: int) -> RationalMatrix:
-    m = RationalMatrix.zeros(n + 1, n + 2).tolist()
+def _w2(a: _Q, b: _Q, n: int) -> _Rows:
+    m = _zeros(n + 1, n + 2)
     for i in range(n + 1):
-        m[i][i] = m[i][i + 1] = Fraction(-i)
-    return RationalMatrix(m)
+        m[i][i] = m[i][i + 1] = _Q(-i)
+    return m
 
 
-def _s1(a: Fraction, b: Fraction, n: int) -> RationalMatrix:
+def _s1(a: _Q, b: _Q, n: int) -> _Rows:
     d = (2 * n - 1 + a + b) * (2 * n + 1 + a + b)
-    m = RationalMatrix.zeros(n + 1, n + 1).tolist()
+    m = _zeros(n + 1, n + 1)
     for i in range(n):
         m[i][i] = (-(n - i) * (-n + (2 * n - 1) * i - 4 * i * i
                                + (n - 2 - 3 * i) * b
@@ -96,12 +177,12 @@ def _s1(a: Fraction, b: Fraction, n: int) -> RationalMatrix:
         m[i][i + 1] = -(n - i) * (n - 1 - i + a) * (2 * i + 1 + a + b) / d
     for i in range(n - 1):
         m[i + 1][i] = 2 * (i + 1) * (n - 1 - i) * (b + i) / d
-    return RationalMatrix(m)
+    return m
 
 
-def _s2(a: Fraction, b: Fraction, n: int) -> RationalMatrix:
+def _s2(a: _Q, b: _Q, n: int) -> _Rows:
     d = (2 * n - 1 + a + b) * (2 * n + 1 + a + b)
-    m = RationalMatrix.zeros(n + 1, n + 1).tolist()
+    m = _zeros(n + 1, n + 1)
     for i in range(1, n + 1):
         m[i][i] = i * (b - b * b - i + b * i + 4 * i * i
                        - a * (-2 + b + 3 * i - 2 * n)
@@ -109,12 +190,12 @@ def _s2(a: Fraction, b: Fraction, n: int) -> RationalMatrix:
     for i in range(n):
         m[i + 1][i] = -(1 + i) * (b + i) * (-1 + a + b - 2 * i + 2 * n) / d
         m[i][i + 1] = 2 * i * (n - i) * (-1 + a - i + n) / d
-    return RationalMatrix(m)
+    return m
 
 
-def _t1(a: Fraction, b: Fraction, n: int) -> RationalMatrix:
+def _t1(a: _Q, b: _Q, n: int) -> _Rows:
     d = _c_den(a, b, n)
-    m = RationalMatrix.zeros(n + 1, n).tolist()
+    m = _zeros(n + 1, n)
     for i in range(n):
         m[i][i] = ((n - i) * (n - 1 + a - i)
                    * (b * b * (1 + i) + i * i * (1 + 3 * i) + a * b * (1 + n)
@@ -130,12 +211,12 @@ def _t1(a: Fraction, b: Fraction, n: int) -> RationalMatrix:
                           + (-2 + (2 * n - 5) * i - 3 * i * i)) / d)
     for i in range(n - 2):
         m[i + 2][i] = -(b + i) * (b + i + 1) * (n - i - 2) * (i + 1) * (i + 2) / d
-    return RationalMatrix(m)
+    return m
 
 
-def _t2(a: Fraction, b: Fraction, n: int) -> RationalMatrix:
+def _t2(a: _Q, b: _Q, n: int) -> _Rows:
     d = _c_den(a, b, n)
-    m = RationalMatrix.zeros(n + 1, n).tolist()
+    m = _zeros(n + 1, n)
     for i in range(1, n):
         m[i][i] = (i * (n - i) * (-1 + a - i + n)
                    * (a * b + b * b - i * (1 + 3 * i - 4 * n)
@@ -154,57 +235,55 @@ def _t2(a: Fraction, b: Fraction, n: int) -> RationalMatrix:
     for i in range(n - 1):
         m[i + 2][i] = ((1 + i) * (2 + i) * (b + i) * (1 + b + i)
                        * (-2 + a + b - i + 2 * n) / d)
-    return RationalMatrix(m)
+    return m
 
 
-def _v1(a: Fraction, b: Fraction, n: int) -> RationalMatrix:
-    return RationalMatrix.from_function(
-        n + 1, n + 1, lambda i, k: Fraction(1, n + 1 - i) if i == k else 0)
+def _v1(a: _Q, b: _Q, n: int) -> _Rows:
+    return [[_Q(1, n + 1 - i) if i == k else 0 for k in range(n + 1)] for i in range(n + 1)]
 
 
-def _v2(a: Fraction, b: Fraction, n: int) -> RationalMatrix:
-    return RationalMatrix.from_function(
-        n + 1, n + 1, lambda i, k: Fraction(1, i + 1) if i == k else 0)
+def _v2(a: _Q, b: _Q, n: int) -> _Rows:
+    return [[_Q(1, i + 1) if i == k else 0 for k in range(n + 1)] for i in range(n + 1)]
 
 
-def _y1(a: Fraction, b: Fraction, n: int) -> RationalMatrix:
+def _y1(a: _Q, b: _Q, n: int) -> _Rows:
     d = (2 * n + 1 + a + b) * (2 * n - 1 + a + b)
-    m = RationalMatrix.zeros(n + 1, n).tolist()
+    m = _zeros(n + 1, n)
     for i in range(n):
         m[i][i] = (2 * i + 1 - a + b) / d
         m[i + 1][i] = -2 * (i + 1) * (b + i) / ((n - i) * d)
-    return RationalMatrix(m)
+    return m
 
 
-def _y2(a: Fraction, b: Fraction, n: int) -> RationalMatrix:
+def _y2(a: _Q, b: _Q, n: int) -> _Rows:
     d = (2 * n + 1 + a + b) * (2 * n - 1 + a + b)
-    m = RationalMatrix.zeros(n + 1, n).tolist()
+    m = _zeros(n + 1, n)
     for i in range(n):
         m[i][i] = -2 * (n - i) * (n - 1 - i + a) / ((1 + i) * d)
         m[i + 1][i] = (2 * n - 1 - 2 * i + a - b) / d
-    return RationalMatrix(m)
+    return m
 
 
-def _z1(a: Fraction, b: Fraction, n: int) -> RationalMatrix:
+def _z1(a: _Q, b: _Q, n: int) -> _Rows:
     d = _c_den(a, b, n)
-    m = RationalMatrix.zeros(n + 1, n - 1).tolist()
+    m = _zeros(n + 1, n - 1)
     for i in range(n - 1):
         m[i][i] = -(n - i) * (n - 1 - i + a) * (n + i + b) / d
         m[i + 1][i] = (i + 1) * (-2 * (i + 1) + a - b) * (b + i) / d
         m[i + 2][i] = ((i + 1) * (i + 2) * (b + i) * (b + i + 1)
                        / ((n - 1 - i) * d))
-    return RationalMatrix(m)
+    return m
 
 
-def _z2(a: Fraction, b: Fraction, n: int) -> RationalMatrix:
+def _z2(a: _Q, b: _Q, n: int) -> _Rows:
     d = _c_den(a, b, n)
-    m = RationalMatrix.zeros(n + 1, n - 1).tolist()
+    m = _zeros(n + 1, n - 1)
     for i in range(n - 1):
         m[i][i] = ((n - 1 - i) * (n - i) * (-2 + a - i + n) * (-1 + a - i + n)
                    / ((1 + i) * d))
         m[i + 1][i] = -((n - 1 - i) * (-2 + a - i + n) * (a - b + 2 * (n - 1 - i))) / d
         m[i + 2][i] = -((2 + i) * (1 + b + i) * (-2 + a - i + 2 * n)) / d
-    return RationalMatrix(m)
+    return m
 
 
 _TABLE: Dict[str, tuple] = {
@@ -225,4 +304,5 @@ def golden_matrix(alpha: Scalar, beta: Scalar, n: int, which: str) -> RationalMa
     builder, n_min = _TABLE[which]
     if n < n_min:
         raise IndexOutOfPrintedRange(f"{which} entry table starts at n = {n_min}")
-    return builder(rat(alpha), rat(beta), n)
+    a, b = rat(alpha), rat(beta)
+    return _matrix(builder(_Q(a.numerator, a.denominator), _Q(b.numerator, b.denominator), n))

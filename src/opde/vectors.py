@@ -41,7 +41,7 @@ def monomial_vector(n: int) -> "PolyVector":
     """The column vector (x^n, x^(n-1)y, ..., y^n)."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    return PolyVector([BivariatePoly.monomial(n - k, k) for k in range(n + 1)])
+    return PolyVector([BivariatePoly.from_integers({(n - k, k): 1}) for k in range(n + 1)])
 
 
 def shift_matrix(n: int, axis: int) -> RationalMatrix:

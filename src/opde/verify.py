@@ -6,13 +6,14 @@ it directly as the final acceptance gate.
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import Callable, List, Optional, Sequence
 
 from .errors import OpdeError
 from .families import (AppellParams, appell_pde, appell_weight, connection_F,
-                       connection_K, functional, koornwinder_vector,
-                       make_family, monic_appell_vector, nonmonic_F_vector,
-                       orthogonality_blocks)
+                       connection_K, koornwinder_vector, make_family,
+                       monic_appell_vector, nonmonic_F_vector,
+                       orthogonality_blocks, pairing)
 from .golden import golden_matrix
 from .matrix import RationalMatrix
 from .monic import monic_ttrr, pde_residual, solve_monic, subleading_matrices
@@ -26,11 +27,20 @@ from .weights import verify_pearson
 
 
 class SuiteResult:
+    """One suite's checks and failures.  ``seconds`` is the wall time from
+    opening the suite to ``finish``; it is recorded only, never printed."""
+
     def __init__(self, name: str, note: Optional[str] = None):
         self.name = name
         self.checks = 0
         self.failures: List[str] = []
         self.note = note
+        self.seconds = 0.0
+        self._opened = perf_counter()
+
+    def finish(self) -> "SuiteResult":
+        self.seconds = perf_counter() - self._opened
+        return self
 
     @property
     def passed(self) -> bool:
@@ -88,11 +98,11 @@ def run_verification(pde: HypergeometricPDE, big_n: int,
         adm.check(True, "")
     except OpdeError as ex:
         adm.check(False, str(ex))
-    results.append(adm)
+    results.append(adm.finish())
 
     sa = SuiteResult("self-adjointness")
     sa.check(is_potentially_self_adjoint(pde), "compatibility identity fails")
-    results.append(sa)
+    results.append(sa.finish())
     if not (adm.passed and sa.passed):
         return results
 
@@ -104,7 +114,7 @@ def run_verification(pde: HypergeometricPDE, big_n: int,
         for n in range(big_n + 1):
             res.agree(pde_residual(fam, n),
                       PolyVector([BivariatePoly.zero()] * (n + 1)), f"n={n}")
-        results.append(res)
+        results.append(res.finish())
 
         sub = SuiteResult("subleading-closed-form")
         for n in range(1, big_n + 1):
@@ -112,13 +122,13 @@ def run_verification(pde: HypergeometricPDE, big_n: int,
             sub.check(g1 == fam.G(n, n - 1), f"n={n} first subleading")
             if n >= 2:
                 sub.check(g2 == fam.G(n, n - 2), f"n={n} second subleading")
-        results.append(sub)
+        results.append(sub.finish())
 
         routes = SuiteResult("construction-routes")
         oracle = solve_monic(pde, big_n)
         for n in range(big_n + 1):
             routes.agree(fam.vector(n), oracle.vector(n), f"n={n}")
-        results.append(routes)
+        results.append(routes.finish())
 
     ttrr = SuiteResult("ttrr-identity")
     for n in range(big_n + 1):
@@ -133,7 +143,7 @@ def run_verification(pde: HypergeometricPDE, big_n: int,
         for j, var in ((1, X), (2, Y)):
             ttrr.agree(fam.vector(n).scale(var),
                        _three_term(t.axis(j), fam.vector, n + 1), f"n={n} axis={j}")
-    results.append(ttrr)
+    results.append(ttrr.finish())
 
     qttrr = SuiteResult("derivative-family-ttrr")
     for j, var in ((1, X), (2, Y)):
@@ -142,7 +152,7 @@ def run_verification(pde: HypergeometricPDE, big_n: int,
             qt = derivative_ttrr(qfam, n)
             rhs = _three_term((qt.a, qt.b, qt.c), qfam.vector, n + 1)
             qttrr.agree(qfam.vector(n).scale(var), rhs, f"n={n} axis={j}")
-    results.append(qttrr)
+    results.append(qttrr.finish())
 
     struct = SuiteResult("structure-identity", note=rel.skipped)
     for n, st in rel.structure.items():
@@ -155,7 +165,7 @@ def run_verification(pde: HypergeometricPDE, big_n: int,
             for j in (1, 2):
                 struct.check(sm.axis(j) == st.axis(j),
                              f"n={n} axis={j} closed-form/general mismatch")
-    results.append(struct)
+    results.append(struct.finish())
 
     deriv = SuiteResult("derivative-representation")
     for (n, j), dr in rel.deriv.items():
@@ -166,7 +176,7 @@ def run_verification(pde: HypergeometricPDE, big_n: int,
             same = (dm.v_compact, dm.y_compact, dm.z_compact) == \
                    (dr.v_compact, dr.y_compact, dr.z_compact)
             deriv.check(same, f"n={n} axis={j} closed-form/general mismatch")
-    results.append(deriv)
+    results.append(deriv.finish())
 
     if params is not None:
         results.extend(_instance_suites(params, rel, family, big_n))
@@ -189,7 +199,7 @@ def _instance_suites(p: AppellParams, rel: Relations, label: str,
     for c in cases:
         cls.check(c.phi10 == want10 and c.phi01 == want01,
                   f"case {c.case_id} factor pair")
-    results.append(cls)
+    results.append(cls.finish())
 
     pear = SuiteResult("pearson")
     w = appell_weight(p)
@@ -197,7 +207,7 @@ def _instance_suites(p: AppellParams, rel: Relations, label: str,
         for s in range(4):
             pear.check(verify_pearson(pde, w, r, s, case=cases[0]),
                        f"(r,s)=({r},{s})")
-    results.append(pear)
+    results.append(pear.finish())
 
     orth = SuiteResult("orthogonality-blocks")
     for n in range(min(big_n, 6) + 1):
@@ -206,15 +216,15 @@ def _instance_suites(p: AppellParams, rel: Relations, label: str,
             orth.check(zero, f"m={m} n={n} nonzero block")
         hn = orthogonality_blocks(p, fam, n, n)
         orth.check(hn.det() != 0, f"H_{n} singular")
-    results.append(orth)
+    results.append(orth.finish())
 
     if label == "monic":
         # series-route vectors, shared with the biorthogonality suite
-        appell = [monic_appell_vector(p, n) for n in range(min(big_n, 6) + 1)]
         series = SuiteResult("series-route")
+        appell = [monic_appell_vector(p, n) for n in range(min(big_n, 6) + 1)]
         for n, a_vec in enumerate(appell):
             series.agree(fam.vector(n), a_vec, f"n={n}")
-        results.append(series)
+        results.append(series.finish())
 
         # the printed B tables divide by d0 = 2n - 1 + alpha + beta, which
         # vanishes at n = 0 when alpha + beta = 1: in lowest terms, equal
@@ -230,27 +240,28 @@ def _instance_suites(p: AppellParams, rel: Relations, label: str,
                     continue
                 golden.check(golden_matrix(p.alpha, p.beta, n, name) == m,
                              f"{name} n={n}")
-        results.append(golden)
+        results.append(golden.finish())
 
+        # Rodrigues-normalized vectors, shared with the biorthogonality suite
         conn = SuiteResult("connections")
-        for n in range(min(big_n, 5) + 1):
-            conn.agree(apply_matrix(connection_F(p, n), fam.vector(n)),
-                       nonmonic_F_vector(p, n), f"F n={n}")
+        rodrigues = [nonmonic_F_vector(p, n) for n in range(min(big_n, 5) + 1)]
+        for n, f_vec in enumerate(rodrigues):
+            conn.agree(apply_matrix(connection_F(p, n), fam.vector(n)), f_vec, f"F n={n}")
             conn.agree(apply_matrix(connection_K(p, n), fam.vector(n)),
                        koornwinder_vector(p, n), f"K n={n}")
-        results.append(conn)
+        results.append(conn.finish())
 
         bio = SuiteResult("biorthogonality")
         degrees = range(min(big_n, 4) + 1)
-        f_polys = [(big, nm, f) for big in degrees
-                   for nm, f in enumerate(nonmonic_F_vector(p, big))]
-        a_polys = [(big2, kl, a) for big2 in degrees for kl, a in enumerate(appell[big2])]
-        for big, nm, f_poly in f_polys:
-            for big2, kl, a_poly in a_polys:
-                val = functional(p, f_poly * a_poly)
-                if (big, nm) == (big2, kl):
+        index = [(big, nm) for big in degrees for nm in range(big + 1)]
+        vals = pairing(p, [f for big in degrees for f in rodrigues[big]],
+                       [a for big in degrees for a in appell[big]])
+        for r, (big, nm) in enumerate(index):
+            for c, (big2, kl) in enumerate(index):
+                val = vals[r, c]
+                if r == c:
                     bio.check(val != 0, f"diagonal ({big},{nm}) vanished")
                 else:
                     bio.check(val == 0, f"off-diagonal ({big},{nm})x({big2},{kl})={val}")
-        results.append(bio)
+        results.append(bio.finish())
     return results

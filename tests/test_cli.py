@@ -215,6 +215,16 @@ def test_verify_corrupt_exits_4(capsys):
     assert "n=1 axis=1" in out
 
 
+def test_verify_corrupt_needs_degree_one(capsys):
+    # the fault bumps the degree-1 recurrence matrix, which -N 0 never checks
+    assert main(["verify", "--alpha", "2", "--beta", "3", "-N", "0",
+                 "--corrupt", "ttrr-b1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: fault ttrr-b1 corrupts the degree-1 recurrence: it needs -N >= 1"]
+
+
 def test_verify_trivial_degree_zero(capsys):
     assert main(["verify", "--alpha", "2", "--beta", "3", "-N", "0"]) == 0
 

@@ -1,19 +1,21 @@
 from fractions import Fraction
-from math import gcd
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
+from opde import golden
 from opde.errors import IndexOutOfPrintedRange
 from opde.families import (AppellParams, appell_pde, connection_F,
                            connection_K, functional, jacobi,
                            koornwinder, koornwinder_vector, moment, moment_table,
                            monic_appell_series, monic_appell_vector,
-                           nonmonic_F, nonmonic_F_vector, orthogonality_blocks)
+                           nonmonic_F, nonmonic_F_vector, orthogonality_blocks,
+                           pairing)
 from opde.golden import golden_matrix
 from opde.matrix import RationalMatrix
 from opde.monic import build_monic
-from opde.poly import BivariatePoly, X, Y
+from opde.poly import BivariatePoly, X, Y, pochhammer
 from opde.vectors import PolyVector, PolyVectorFamily, apply_matrix
 
 
@@ -258,3 +260,120 @@ def test_orthogonality_blocks_catch_a_bumped_coefficient():
     nonzero = [m for m in range(3)
                if orthogonality_blocks(p, bumped, 3, m) != RationalMatrix.zeros(m + 1, 4)]
     assert nonzero
+
+
+# -- integer oracle kernels against plain Fraction evaluations ----------------
+#
+# The golden tables, the series route, the connection matrices and the
+# biorthogonality pairing run on ints; each is pinned here to the printed
+# formula evaluated term by term in Fraction arithmetic, at (2, 3), at a point
+# with alpha + beta = 1, at one with alpha + beta < 1 (a negative divisor at
+# n = 0), and at the five triangle-verify points of bench/README.md.
+
+_KERNEL_POINTS = [AppellParams(2, 3), AppellParams(Fraction(1, 3), Fraction(2, 3)),
+                  AppellParams(Fraction(1, 4), Fraction(1, 3))] + [
+    AppellParams(Fraction(a), Fraction(b))
+    for a, b in (("3/2", "5/7"), ("5/7", "3/2"), ("7/4", "2/5"), ("2/5", "7/4"), ("4/3", "5/8"))]
+_KERNEL_IDS = [f"{p.alpha},{p.beta}" for p in _KERNEL_POINTS]
+
+
+def _series_by_fractions(p, n, m):
+    a, b = p.alpha, p.beta
+    nm = n + m
+    pref = (Fraction(-1) ** nm) * pochhammer(a, n) * pochhammer(b, m) \
+        / pochhammer(a + b + nm, nm)
+    return BivariatePoly({
+        (j, k): pref * pochhammer(a + b + nm, j + k) * pochhammer(-n, j) * pochhammer(-m, k)
+        / (pochhammer(a, j) * pochhammer(b, k) * factorial(j) * factorial(k))
+        for j in range(n + 1) for k in range(m + 1)})
+
+
+def _connection_F_by_fractions(p, n):
+    a, b = p.alpha, p.beta
+    return RationalMatrix(
+        [[Fraction(-1) ** n * comb(n, j) * pochhammer(a + n - i, n - j) * pochhammer(b + i, j)
+          / (pochhammer(a, n - j) * pochhammer(b, j)) for j in range(n + 1)]
+         for i in range(n + 1)])
+
+
+def _connection_K_by_fractions(p, n):
+    a, b = p.alpha, p.beta
+    return RationalMatrix(
+        [[pochhammer(a + b + n + i, n - i) * pochhammer(b + j, i)
+          / (factorial(n - i) * factorial(j) * factorial(i - j)) if i >= j else 0
+          for j in range(n + 1)] for i in range(n + 1)])
+
+
+def _golden_kinds(n):
+    return [name for name, (_, n_min) in golden._TABLE.items() if n >= n_min]
+
+
+@pytest.mark.parametrize("p", _KERNEL_POINTS, ids=_KERNEL_IDS)
+def test_series_and_connections_match_fraction_evaluations(p):
+    for n in range(6):
+        for m in range(6 - n):
+            assert monic_appell_series(p, n, m) == _series_by_fractions(p, n, m), (n, m)
+        assert connection_F(p, n) == _connection_F_by_fractions(p, n), n
+        assert connection_K(p, n) == _connection_K_by_fractions(p, n), n
+
+
+@pytest.mark.parametrize("p", _KERNEL_POINTS, ids=_KERNEL_IDS)
+def test_golden_tables_match_fraction_evaluations(p, monkeypatch):
+    # the same entry functions, run once more with Fraction for the private
+    # rational type
+    for n in range(8):
+        for name in _golden_kinds(n):
+            if p.alpha + p.beta == 1 and n == 0 and name in ("B1", "B2"):
+                continue  # divides by zero; pinned below
+            builder = golden._TABLE[name][0]
+            with monkeypatch.context() as patch:
+                patch.setattr(golden, "_Q", Fraction)
+                want = RationalMatrix(builder(p.alpha, p.beta, n))
+            assert golden_matrix(p.alpha, p.beta, n, name) == want, (name, n)
+
+
+@pytest.mark.parametrize("which", ["B1", "B2"])
+def test_golden_B_at_zero_divides_by_zero_when_alpha_plus_beta_is_one(which):
+    # d0 = 2n - 1 + alpha + beta vanishes at n = 0
+    with pytest.raises(ZeroDivisionError):
+        golden_matrix(Fraction(1, 3), Fraction(2, 3), 0, which)
+
+
+def _pairing_sides(p, top):
+    left = [f for n in range(top + 1) for f in koornwinder_vector(p, n)]
+    right = [a for n in range(top + 1) for a in monic_appell_vector(p, n)]
+    return left + [BivariatePoly.zero()], right + [BivariatePoly.const(Fraction(2, 3))]
+
+
+@pytest.mark.parametrize("p", _KERNEL_POINTS, ids=_KERNEL_IDS)
+def test_pairing_matches_a_fraction_sum(p):
+    left, right = _pairing_sides(p, 3)
+    want = [[sum((c * moment(p, i, j) for (i, j), c in (f * q).terms()), Fraction(0))
+             for q in right] for f in left]
+    assert pairing(p, left, right) == RationalMatrix(want)
+
+
+def test_golden_tables_and_pairing_run_without_fraction_arithmetic(fraction_ops):
+    p = AppellParams(Fraction(3, 2), Fraction(5, 7))
+    left, right = _pairing_sides(p, 4)
+    moment_table(p, 8)
+    with fraction_ops() as count:
+        for n in range(8):
+            for name in _golden_kinds(n):
+                golden_matrix(p.alpha, p.beta, n, name)
+        pairing(p, left, right)
+    assert count[0] == 0
+
+
+@pytest.mark.parametrize("kernel", [monic_appell_vector, connection_F, connection_K,
+                                    moment_table.__wrapped__],
+                         ids=["monic_appell_vector", "connection_F", "connection_K",
+                              "moment_table"])
+def test_rising_factorial_kernels_run_without_fraction_arithmetic(kernel, fraction_ops):
+    # every rising factorial is read off int lists; a pochhammer per term or
+    # per entry would count thousands of Fraction operations here
+    p = AppellParams(Fraction(3, 2), Fraction(5, 7))
+    with fraction_ops() as count:
+        for n in range(7):
+            kernel(p, n)
+    assert count[0] == 0

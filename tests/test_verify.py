@@ -1,4 +1,6 @@
 import json
+from fractions import Fraction
+from time import perf_counter
 
 import pytest
 
@@ -91,3 +93,28 @@ def test_biorthogonality_respects_degree_bound(big_n, pairs, p11):
     # F and Appell polynomials of degree <= min(N, 4), every pair checked once
     results = run_verification(appell_pde(p11), big_n, params=p11)
     assert {r.name: r.checks for r in results}["biorthogonality"] == pairs
+
+
+def test_suite_seconds_are_recorded_within_the_run(p23):
+    # wall time per suite, measured over disjoint stretches of one run
+    start = perf_counter()
+    results = run_verification(appell_pde(p23), 3, params=p23)
+    wall = perf_counter() - start
+    assert all(r.seconds >= 0 for r in results)
+    assert sum(r.seconds for r in results) <= wall
+
+
+def test_biorthogonality_catches_a_bumped_F_polynomial(p23, monkeypatch):
+    # F_(1,0) moved by 1/7 is no longer orthogonal to the constant A_(0,0)
+    import opde.verify as verify
+    from opde.families import nonmonic_F_vector
+    from opde.vectors import PolyVector
+
+    def bumped(p, n):
+        vec = nonmonic_F_vector(p, n)
+        return PolyVector([vec[0] + Fraction(1, 7), *vec[1:]]) if n == 1 else vec
+
+    monkeypatch.setattr(verify, "nonmonic_F_vector", bumped)
+    lines = {r.name: r.line() for r in run_verification(appell_pde(p23), 2, params=p23)}
+    assert lines["biorthogonality"].startswith(
+        "FAIL biorthogonality (1/36 checks): first failure off-diagonal (1,0)x(0,0)=1/7")
