@@ -10,9 +10,8 @@ from .errors import (DegenerateDiscriminant, DegreeMismatch, DegreeOverflow,
                      OpdeError, PhiDegreeTooHigh, SingularLeading,
                      SingularMatrix)
 from .matrix import RationalMatrix
-from .pde import (DerivedEquation, HypergeometricPDE, apply_operator,
-                  check_admissible, derived_pde, discriminant,
-                  is_potentially_self_adjoint, pearson_numerators)
+from .pde import (HypergeometricPDE, apply_operator, check_admissible,
+                  discriminant, is_potentially_self_adjoint, pearson_numerators)
 from .poly import ONE, X, Y, ZERO, BivariatePoly, pochhammer, rat
 from .vectors import (PolyVector, PolyVectorFamily, apply_matrix, combine,
                       derivative_matrix, expansion_matrices,

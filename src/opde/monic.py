@@ -28,7 +28,7 @@ from .errors import (InconsistentRecursion, NotAdmissible, NotSelfAdjoint,
                      SingularMatrix)
 from .matrix import RationalMatrix
 from .pde import (HypergeometricPDE, apply_operator, check_admissible,
-                  derived_pde, is_potentially_self_adjoint)
+                  is_potentially_self_adjoint)
 from .poly import X, Y, BivariatePoly
 from .vectors import (PolyVector, PolyVectorFamily, combine, expansion_matrices,
                       monomial_vector, shift_matrix)
@@ -182,10 +182,9 @@ def build_monic(pde: HypergeometricPDE, big_n: int) -> MonicFamily:
 
 def _operator_expansions(pde: HypergeometricPDE, k: int
                          ) -> List[RationalMatrix]:
-    """Expansion matrices of the bare operator applied to the k-th monomial
-    vector (the derived equation at r = s = n = 0 has mu = 0)."""
-    eq = derived_pde(pde, 0, 0, 0)
-    image = PolyVector([apply_operator(eq, p) for p in monomial_vector(k)])
+    """Expansion matrices of the bare operator (lambda_0 = 0) applied to the
+    k-th monomial vector."""
+    image = PolyVector([apply_operator(pde, 0, p) for p in monomial_vector(k)])
     return expansion_matrices(image, k)
 
 
@@ -219,5 +218,4 @@ def solve_monic(pde: HypergeometricPDE, big_n: int) -> MonicFamily:
 
 def pde_residual(fam: MonicFamily, n: int) -> PolyVector:
     """Entrywise D P_n + lambda_n P_n; the contract is the zero vector."""
-    eq = derived_pde(fam.pde, 0, 0, n)
-    return PolyVector([apply_operator(eq, p) for p in fam.vector(n)])
+    return PolyVector([apply_operator(fam.pde, n, p) for p in fam.vector(n)])

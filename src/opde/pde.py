@@ -11,12 +11,15 @@ term is applied when the operator is evaluated, never stored, so the field
 ``d3`` (and b3, c3) can be read straight off the quadratic form.
 
 Differentiating the equation r times in x and s times in y yields an equation
-of the same shape for the derivative, with first-order coefficients
+of the same class for the derivative, ``pde.shifted(r, s)``: the principal
+part stays and only the first-order coefficients move,
 
-    tau_x = (e + 2a(r+s)) x + f1 + r b1 + 2 s c3,
-    tau_y = (e + 2a(r+s)) y + f2 + 2 r b3 + s b2,
+    e'  = e + 2a(r+s),
+    f1' = f1 + r b1 + 2 s c3,
+    f2' = f2 + 2 r b3 + s b2,
 
-and constant term mu = lambda_n + (r+s) e + (r+s)(r+s-1) a.
+so the (r, s) derivative of a degree-n eigensolution is a degree-(n-r-s)
+eigensolution of the shifted equation.
 """
 
 from __future__ import annotations
@@ -65,18 +68,14 @@ class HypergeometricPDE(NamedTuple):
     def eigenvalue(self, n: int) -> Fraction:
         return -n * ((n - 1) * self.a + self.e)
 
-
-class DerivedEquation(NamedTuple):
-    """The equation satisfied by the (r, s) partial derivative of a degree-n
-    eigensolution of ``pde``."""
-
-    pde: HypergeometricPDE
-    r: int
-    s: int
-    n: int
-    tau_x: BivariatePoly
-    tau_y: BivariatePoly
-    mu: Fraction
+    def shifted(self, r: int, s: int) -> "HypergeometricPDE":
+        """The equation solved by the (r, s) partial derivatives of this
+        equation's eigensolutions."""
+        if r < 0 or s < 0:
+            raise ValueError("need r, s >= 0")
+        return self._replace(e=self.e + 2 * self.a * (r + s),
+                             f1=self.f1 + r * self.b1 + 2 * s * self.c3,
+                             f2=self.f2 + 2 * r * self.b3 + s * self.b2)
 
 
 def check_admissible(pde: HypergeometricPDE, n_max: int) -> List[Fraction]:
@@ -107,16 +106,6 @@ def discriminant(pde: HypergeometricPDE) -> BivariatePoly:
     return pde.quad_xx() * pde.quad_yy() - pde.quad_xy() * pde.quad_xy()
 
 
-def _beta_gamma(pde: HypergeometricPDE) -> Tuple[BivariatePoly, BivariatePoly]:
-    # Pearson numerators of the base weight: rho_x/rho = beta/alpha etc.
-    p = pde
-    fac_x = BivariatePoly({(1, 0): -3 * p.a + p.e, (0, 0): -p.b1 - p.c3 + p.f1})
-    fac_y = BivariatePoly({(0, 1): -3 * p.a + p.e, (0, 0): -p.b2 - p.b3 + p.f2})
-    beta = fac_x * p.quad_yy() - fac_y * p.quad_xy()
-    gamma = p.quad_xx() * fac_y - fac_x * p.quad_xy()
-    return beta, gamma
-
-
 def pearson_shifts(pde: HypergeometricPDE
                    ) -> Tuple[Tuple[BivariatePoly, BivariatePoly],
                               Tuple[BivariatePoly, BivariatePoly]]:
@@ -130,52 +119,46 @@ def pearson_shifts(pde: HypergeometricPDE
     return (alpha.diff(1), omega), (theta, alpha.diff(2))
 
 
-def pearson_numerators(pde: HypergeometricPDE, r: int = 0, s: int = 0
+def pearson_numerators(pde: HypergeometricPDE
                        ) -> Tuple[BivariatePoly, BivariatePoly]:
-    """Numerators (beta, gamma) of the Pearson system for the (r, s) weight:
+    """Numerators (beta, gamma) of the Pearson system rho_x/rho = beta/alpha,
+    rho_y/rho = gamma/alpha.  Those of the (r, s) derivative family are the
+    shifted equation's, beta + r * d(alpha)/dx + s * theta and
+    gamma + r * omega + s * d(alpha)/dy."""
+    p = pde
+    fac_x = BivariatePoly({(1, 0): -3 * p.a + p.e, (0, 0): -p.b1 - p.c3 + p.f1})
+    fac_y = BivariatePoly({(0, 1): -3 * p.a + p.e, (0, 0): -p.b2 - p.b3 + p.f2})
+    beta = fac_x * p.quad_yy() - fac_y * p.quad_xy()
+    gamma = p.quad_xx() * fac_y - fac_x * p.quad_xy()
+    return beta, gamma
 
-        beta^(r,s) = beta + r * d(alpha)/dx + s * theta,
-        gamma^(r,s) = gamma + r * omega + s * d(alpha)/dy.
-    """
-    beta, gamma = _beta_gamma(pde)
-    if r == 0 and s == 0:
-        return beta, gamma
-    (bx, gx), (by, gy) = pearson_shifts(pde)
-    return beta + r * bx + s * by, gamma + r * gx + s * gy
 
+def is_potentially_self_adjoint(pde: HypergeometricPDE) -> bool:
+    """Integrability of the Pearson system, as a cross-multiplied polynomial
+    identity (valid wherever the discriminant is nonzero):
 
-def is_potentially_self_adjoint(pde: HypergeometricPDE, r: int = 0, s: int = 0) -> bool:
-    """Integrability of the (r, s) Pearson system, as a cross-multiplied
-    polynomial identity (valid wherever the discriminant is nonzero):
-
-        d/dx (gamma^(r,s) / alpha) == d/dy (beta^(r,s) / alpha).
+        d/dx (gamma / alpha) == d/dy (beta / alpha).
     """
     alpha = discriminant(pde)
     if alpha.is_zero():
         raise DegenerateDiscriminant("discriminant is identically zero")
-    beta, gamma = pearson_numerators(pde, r, s)
+    beta, gamma = pearson_numerators(pde)
     lhs = gamma.diff(1) * alpha - gamma * alpha.diff(1)
     rhs = beta.diff(2) * alpha - beta * alpha.diff(2)
     return lhs == rhs
 
 
-def derived_pde(pde: HypergeometricPDE, r: int, s: int, n: int) -> DerivedEquation:
-    if r < 0 or s < 0 or r + s > n:
-        raise ValueError("need r, s >= 0 and r + s <= n")
-    k = r + s
-    slope = pde.e + 2 * pde.a * k
-    tau_x = BivariatePoly({(1, 0): slope, (0, 0): pde.f1 + r * pde.b1 + 2 * s * pde.c3})
-    tau_y = BivariatePoly({(0, 1): slope, (0, 0): pde.f2 + 2 * r * pde.b3 + s * pde.b2})
-    mu = pde.eigenvalue(n) + k * pde.e + k * (k - 1) * pde.a
-    return DerivedEquation(pde, r, s, n, tau_x, tau_y, mu)
-
-
-def apply_operator(eq: DerivedEquation, p: BivariatePoly) -> BivariatePoly:
-    """D^(r,s) p + mu p; identically zero exactly when p is an eigensolution."""
-    pde = eq.pde
+def apply_operator(pde: HypergeometricPDE, n: int, p: BivariatePoly) -> BivariatePoly:
+    """D p + lambda_n p; identically zero exactly when p is a degree-n
+    eigensolution.  The (r, s) derivative of one is checked on
+    ``pde.shifted(r, s)`` at degree n - r - s."""
+    if n < 0:
+        raise ValueError("need n >= 0")
+    tau_x = BivariatePoly({(1, 0): pde.e, (0, 0): pde.f1})
+    tau_y = BivariatePoly({(0, 1): pde.e, (0, 0): pde.f2})
     return (pde.quad_xx() * p.diff(1).diff(1)
             + 2 * pde.quad_xy() * p.diff(1).diff(2)
             + pde.quad_yy() * p.diff(2).diff(2)
-            + eq.tau_x * p.diff(1)
-            + eq.tau_y * p.diff(2)
-            + eq.mu * p)
+            + tau_x * p.diff(1)
+            + tau_y * p.diff(2)
+            + pde.eigenvalue(n) * p)

@@ -25,12 +25,12 @@ not integers are outside the supported class and are rejected, never
 approximated.
 
 The derivative-order variant produces, for every admissible index tuple, an
-exact polynomial eigensolution of the (r, s)-derived equation.  It agrees
-with the literal mixed derivative of the base output (up to a nonzero
-rational) on univariate chains (n = 0 or m = 0), at full depth
-(r, s) = (n, m) and at (r, s) = (0, 0); for intermediate mixed orders the
-two are distinct members of the same multi-dimensional eigenspace (see
-ERRATA.md).
+exact polynomial degree-(n+m-r-s) eigensolution of the shifted equation
+``pde.shifted(r, s)``.  It agrees with the literal mixed derivative of the
+base output (up to a nonzero rational) on univariate chains (n = 0 or
+m = 0), at full depth (r, s) = (n, m) and at (r, s) = (0, 0); for
+intermediate mixed orders the two are distinct members of the same
+multi-dimensional eigenspace (see ERRATA.md).
 """
 
 from __future__ import annotations

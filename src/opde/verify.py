@@ -88,8 +88,13 @@ def run_verification(pde: HypergeometricPDE, big_n: int,
     built-in triangle instance; ``pde`` is then that triangle's equation.
     ``family`` selects which solution family the identity suites run on.
     ``corrupt`` injects a single fault (for testing the verifier itself):
-    "ttrr-b1" bumps entry (0,0) of the degree-1 recurrence matrix on axis 1.
+    "ttrr-b1" bumps entry (0,0) of the degree-1 recurrence matrix on axis 1,
+    so it needs big_n >= 1.  ValueError when the fault cannot be injected.
     """
+    if corrupt not in (None, "ttrr-b1"):
+        raise ValueError(f"unknown fault {corrupt!r}")
+    if corrupt == "ttrr-b1" and big_n < 1:
+        raise ValueError("fault ttrr-b1 corrupts the degree-1 recurrence: it needs big_n >= 1")
     results: List[SuiteResult] = []
 
     adm = SuiteResult("admissibility")

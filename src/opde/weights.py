@@ -19,9 +19,10 @@ x^u y^v prod Q_i^(w_i) and certified against the Pearson system
     (d rho / dx) / rho = beta^(r,s) / alpha,
     (d rho / dy) / rho = gamma^(r,s) / alpha,
 
-cross-multiplied into exact polynomial identities.  Both log-derivatives
-are read off one step of the Rodrigues kernel ``rodrigues.weighted_diff``,
-the one place that differentiates a weight.
+cross-multiplied into exact polynomial identities, where beta^(r,s) and
+gamma^(r,s) are the Pearson numerators of ``pde.shifted(r, s)``.  Both
+log-derivatives are read off one step of the Rodrigues kernel
+``rodrigues.weighted_diff``, the one place that differentiates a weight.
 """
 
 from __future__ import annotations
@@ -271,7 +272,7 @@ def verify_pearson(pde: HypergeometricPDE, w: WeightSpec, r: int = 0, s: int = 0
         raise DegenerateDiscriminant("discriminant is identically zero")
     if case is None:
         case = classify_phi(pde)[0]
-    beta_rs, gamma_rs = pearson_numerators(pde, r, s)
+    beta_rs, gamma_rs = pearson_numerators(pde.shifted(r, s))
     rho_rs = shifted_weight(w, case, r, s)
     nx, dx = _log_derivative(rho_rs, 1)
     ny, dy = _log_derivative(rho_rs, 2)

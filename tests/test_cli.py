@@ -379,15 +379,28 @@ def test_closed_pipe_exits_quietly():
     assert err == b""
 
 
+DISK_PDE = {"a": "-1", "b1": "0", "c1": "1", "b2": "0", "c2": "1", "b3": "0",
+            "c3": "0", "d3": "0", "e": "-4", "f1": "0", "f2": "0"}
+DISK_WEIGHT = {"u": "0", "v": "0",
+               "factors": [[[[2, 0, "-1"], [0, 2, "-1"], [0, 0, "1"]], "1/2"]]}
+
+
 @pytest.mark.parametrize("argv, digest", [
     (["--alpha", "2", "--beta", "3", "-N", "6"],
      "503b5c60b01227ceed0d4cf2c634aa8b5963a650872e947db745e0f929232824"),
     (["--family", "koornwinder", "--alpha", "3/2", "--beta", "5/7", "-N", "4"],
      "55ef3a537d2a4640ecc6964ca97f5025db5f523c3d51276eed466bc2b4dca391"),
-], ids=["monic", "koornwinder"])
-def test_build_json_digest(argv, digest, monkeypatch, capsys):
+    # the build commands of the benchmark's triangle-build and disk-rodrigues
+    (["--alpha", "2", "--beta", "3", "-N", "12"],
+     "d844424ad8a33438eb098b0b3403abecbf8ae64b54142df333417d34ae8566a1"),
+    (["--pde", "pde.json", "-N", "6"],
+     "2dcb6ebbeeae6311c1ef3819dc795d3b322067fdc7cb9c389752b88b464725ce"),
+], ids=["monic", "koornwinder", "triangle-build", "disk"])
+def test_build_json_digest(argv, digest, tmp_path, monkeypatch, capsys):
     # pins the whole JSON document, byte for byte
     monkeypatch.delenv("OPDE_MAX_DEGREE", raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pde.json").write_text(json.dumps(DISK_PDE))
     assert main(["build", *argv, "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -412,12 +425,6 @@ def test_text_output_digest(argv, digest, monkeypatch, capsys):
     assert main([*argv, "--alpha", "3/2", "--beta", "5/7"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-DISK_PDE = {"a": "-1", "b1": "0", "c1": "1", "b2": "0", "c2": "1", "b3": "0",
-            "c3": "0", "d3": "0", "e": "-4", "f1": "0", "f2": "0"}
-DISK_WEIGHT = {"u": "0", "v": "0",
-               "factors": [[[[2, 0, "-1"], [0, 2, "-1"], [0, 0, "1"]], "1/2"]]}
 
 
 @pytest.mark.parametrize("argv, digest", [

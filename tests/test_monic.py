@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ from opde.monic import (build_monic, monic_ttrr, pde_residual, solve_monic,
 from opde.pde import HypergeometricPDE, discriminant, is_potentially_self_adjoint
 from opde.poly import BivariatePoly, X, Y
 from opde.relations import StructureSet
+from opde.serialize import pde_from_json
 from opde.vectors import PolyVector, apply_matrix, joint_left_inverse
 
 P = HypergeometricPDE.from_coeffs
@@ -126,20 +129,61 @@ def test_monicity(fam23):
 
 
 def test_derivative_tower_annihilated(fam23):
-    # the (r, s) partial derivatives of a degree-n member solve the derived
-    # equation with the shifted constant term, entry by entry
-    from opde.pde import apply_operator, derived_pde
+    # the (r, s) partial derivatives of a degree-n member are degree-(n - r - s)
+    # eigensolutions of the shifted equation, entry by entry
+    from opde.pde import apply_operator
     for n in range(5):
         for r in range(n + 1):
             for s in range(n - r + 1):
-                eq = derived_pde(fam23.pde, r, s, n)
+                eq = fam23.pde.shifted(r, s)
                 for poly in fam23.vector(n):
                     z = poly
                     for _ in range(r):
                         z = z.diff(1)
                     for _ in range(s):
                         z = z.diff(2)
-                    assert apply_operator(eq, z).is_zero(), (n, r, s)
+                    assert apply_operator(eq, n - r - s, z).is_zero(), (n, r, s)
+
+
+_DISK = pde_from_json(json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "inputs" / "disk_pde.json").read_text()))
+
+
+def _falling(x: int, k: int) -> int:
+    out = 1
+    for i in range(k):
+        out *= x - i
+    return out
+
+
+@pytest.mark.parametrize("pde", [
+    appell_pde(AppellParams(Fraction(3, 2), Fraction(5, 7))),
+    _DISK,
+    P(b1=1, b2=1, e=-1, f1=1, f2=2),
+    P(c1=1, c2=1, e=-2),
+], ids=["triangle", "disk", "laguerre-laguerre", "hermite-hermite"])
+def test_derivative_family_is_the_shifted_monic_family(pde):
+    # entries s..n+s of d_x^r d_y^s P_{n+r+s} are diag((n+r+s-k)_r (k)_s) times
+    # the monic family of the shifted equation; the other entries vanish
+    big_n = 7
+    fam = build_monic(pde, big_n)
+    for r in range(3):
+        for s in range(3 - r):
+            k = r + s
+            shifted = build_monic(pde.shifted(r, s), big_n - k)
+            for n in range(big_n - k + 1):
+                top = n + k
+                derivs = []
+                for z in fam.vector(top):
+                    for _ in range(r):
+                        z = z.diff(1)
+                    for _ in range(s):
+                        z = z.diff(2)
+                    derivs.append(z)
+                assert all(z.is_zero() for z in derivs[:s] + derivs[n + s + 1:])
+                for i, q in enumerate(shifted.vector(n)):
+                    scale = _falling(top - s - i, r) * _falling(s + i, s)
+                    assert derivs[s + i] == scale * q, (r, s, n, i)
 
 
 def test_closed_form_ttrr_matches_vectors(fam11):

@@ -1,13 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from opde.errors import DegenerateDiscriminant, NotAdmissible
 from opde.families import AppellParams, appell_pde
 from opde.pde import (HypergeometricPDE, apply_operator, check_admissible,
-                      derived_pde, discriminant, is_potentially_self_adjoint,
-                      pearson_numerators)
-from opde.poly import BivariatePoly, X, Y, ZERO
+                      discriminant, is_potentially_self_adjoint,
+                      pearson_numerators, pearson_shifts)
+from opde.poly import ONE, BivariatePoly, X, Y, ZERO
 
 P = HypergeometricPDE.from_coeffs
 
@@ -71,7 +72,7 @@ def test_pearson_numerators_trivial():
 def test_pearson_numerators_shift():
     pde = appell_pde(AppellParams(2, 3))
     beta0, _ = pearson_numerators(pde)
-    beta10, _ = pearson_numerators(pde, 1, 0)
+    beta10, _ = pearson_numerators(pde.shifted(1, 0))
     assert beta10 == beta0 + discriminant(pde).diff(1)
 
 
@@ -79,7 +80,7 @@ def test_self_adjointness():
     pde = appell_pde(AppellParams(1, 1))
     for r in range(4):
         for s in range(4):
-            assert is_potentially_self_adjoint(pde, r, s)
+            assert is_potentially_self_adjoint(pde.shifted(r, s))
     broken = P(b1=1, c2=1, e=-1, f1=1, d3=1)
     assert not is_potentially_self_adjoint(broken)
     # beta = gamma = 0 with constant nonzero discriminant: trivially compatible
@@ -89,23 +90,76 @@ def test_self_adjointness():
 
 
 def test_derived_pde():
+    # the derivative's equation: first-order terms e x + f1, e y + f2 and the
+    # constant term, read off the operator on x, y and 1
     pde = P(a=2, b1=1, e=-1, f1=3, f2=5)
-    eq = derived_pde(pde, 0, 0, 4)
-    assert eq.tau_x == -X + 3 and eq.tau_y == -Y + 5
-    assert eq.mu == pde.eigenvalue(4)
+    eq = pde.shifted(0, 0)
+    assert eq == pde
+    assert apply_operator(eq, 0, X) == -X + 3 and apply_operator(eq, 0, Y) == -Y + 5
+    assert apply_operator(eq, 4, ONE) == pde.eigenvalue(4) * ONE
 
     ap = appell_pde(AppellParams(2, 3))
-    eq = derived_pde(ap, 1, 0, 5)
+    eq = ap.shifted(1, 0)
     # slope e + 2a, offset f1 + b1
-    assert eq.tau_x == -(2 + 3 + 3) * X + 3
-    # the x-derivative tower closes: mu vanishes at full depth
+    assert apply_operator(eq, 0, X) == -(2 + 3 + 3) * X + 3
+    # the x-derivative tower closes: the n-th derivative of a degree-n
+    # eigensolution is a constant, annihilated at full depth
     for n in range(1, 5):
-        assert derived_pde(ap, n, 0, n).mu == 0
+        assert apply_operator(ap.shifted(n, 0), 0, ONE).is_zero()
+
+
+def test_shifted_coefficients_follow_the_paper():
+    pde = P(a=2, b1=3, c1=5, b2=7, c2=11, b3=13, c3=17, d3=19, e=-23, f1=29, f2=31)
+    for r in range(3):
+        for s in range(3):
+            eq = pde.shifted(r, s)
+            assert eq.e == pde.e + 2 * pde.a * (r + s)
+            assert eq.f1 == pde.f1 + r * pde.b1 + 2 * s * pde.c3
+            assert eq.f2 == pde.f2 + 2 * r * pde.b3 + s * pde.b2
+            # the principal part does not move
+            assert eq[:8] == pde[:8]
+
+
+def test_shifted_eigenvalue_is_the_derived_constant_term():
+    # mu = lambda_n + k e + k (k - 1) a with k = r + s, the constant term of
+    # the equation solved by the (r, s) derivative of a degree-n eigensolution
+    for pde in (appell_pde(AppellParams(2, 3)), P(a=Fraction(-3, 2), e=Fraction(7, 5)),
+                P(b1=1, b2=1, e=-1, f1=1, f2=2)):
+        for n in range(6):
+            for r in range(n + 1):
+                for s in range(n - r + 1):
+                    k = r + s
+                    mu = pde.eigenvalue(n) + k * pde.e + k * (k - 1) * pde.a
+                    assert pde.shifted(r, s).eigenvalue(n - k) == mu, (n, r, s)
 
 
 def test_apply_operator():
     pde = appell_pde(AppellParams(1, 1))
-    eq = derived_pde(pde, 0, 0, 1)
-    assert apply_operator(eq, X - Fraction(1, 3)).is_zero()
-    assert apply_operator(eq, ZERO).is_zero()
-    assert apply_operator(eq, X) == BivariatePoly.const(1)
+    assert apply_operator(pde, 1, X - Fraction(1, 3)).is_zero()
+    assert apply_operator(pde, 1, ZERO).is_zero()
+    assert apply_operator(pde, 1, X) == BivariatePoly.const(1)
+
+
+_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+_EQUATIONS = st.builds(P, *([_RATIONALS] * 11))
+_ORDERS = st.integers(min_value=0, max_value=2)
+
+
+@seed(20261019)
+@settings(max_examples=150, deadline=None)
+@given(_EQUATIONS, _ORDERS, _ORDERS, _ORDERS, _ORDERS)
+def test_shifted_equation_properties(pde, r, s, r2, s2):
+    # the shifted Pearson numerators are the base ones plus r and s Pearson shifts
+    beta, gamma = pearson_numerators(pde)
+    (bx, gx), (by, gy) = pearson_shifts(pde)
+    assert pearson_numerators(pde.shifted(r, s)) == (beta + r * bx + s * by,
+                                                      gamma + r * gx + s * gy)
+    assert pde.shifted(r, s).shifted(r2, s2) == pde.shifted(r + r2, s + s2)
+    for j in range(6):
+        assert pde.shifted(r, s).varpi(j) == pde.varpi(j + 2 * (r + s))
+    with pytest.raises(ValueError):
+        pde.shifted(-1 - r, s)
+    with pytest.raises(ValueError):
+        pde.shifted(r, -1 - s)
+    with pytest.raises(ValueError):
+        apply_operator(pde, -1 - r, X)

@@ -4,7 +4,6 @@ import pytest
 
 from opde.families import AppellParams, appell_pde
 from opde.monic import monic_ttrr
-from opde.pde import derived_pde
 from opde.poly import ONE, X, Y
 from opde.relations import DerivRep, QTtrr, StructureSet
 from opde.rodrigues import WeightedExpr
@@ -15,7 +14,7 @@ PDE = appell_pde(P23)
 TTRR = monic_ttrr(PDE, 1)
 RECORDS = [
     PDE,
-    derived_pde(PDE, 1, 0, 2),
+    pytest.param(PDE.shifted(1, 0), id="HypergeometricPDE.shifted"),
     TTRR,
     QTtrr(1, 1, TTRR.a1, TTRR.b1, TTRR.c1),
     StructureSet(1, TTRR.a1, TTRR.b1, TTRR.c1, TTRR.a2, TTRR.b2, TTRR.c2),

@@ -42,6 +42,13 @@ def test_fault_injection_pinpoints(p11):
     assert "n=1 axis=1" in failing[0].failures[0]
 
 
+@pytest.mark.parametrize("big_n, corrupt", [(0, "ttrr-b1"), (2, "ttrr-b2"), (2, "")],
+                         ids=["degree-0", "unknown", "empty"])
+def test_fault_that_cannot_be_injected_is_rejected(p11, big_n, corrupt):
+    with pytest.raises(ValueError):
+        run_verification(appell_pde(p11), big_n, params=p11, corrupt=corrupt)
+
+
 def test_non_admissible_stops_early():
     pde = HypergeometricPDE.from_coeffs(a=1, e=-2, c1=1, c2=1)
     results = run_verification(pde, 3)
