@@ -3,10 +3,10 @@
 Two fully independent routes are provided and cross-checked by the test
 suite:
 
-  * ``build_monic``: the production route.  Recurrence coefficients B_n, C_n
-    come from closed-form entry tables in the equation coefficients
-    (``subleading_matrices`` / ``monic_ttrr``), and the vectors are produced
-    by the joint recursive formula.  The generalized inverse of the stacked
+  * ``build_monic``: the production route.  ``monic_ttrr`` peels B_n, C_n
+    off the layers of x_j P_n written from the closed-form subleading
+    matrices (``monic_layers``), and the vectors are produced by the joint
+    recursive formula.  The generalized inverse of the stacked
     shift matrices is not needed: the x-recursion fixes entries 0..n of
     P_{n+1}, the y-recursion entries 1..n+1, and the overlap is checked.
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import (InconsistentRecursion, NotAdmissible, NotSelfAdjoint,
                      SingularMatrix)
@@ -31,7 +31,7 @@ from .pde import (HypergeometricPDE, apply_operator, check_admissible,
                   is_potentially_self_adjoint)
 from .poly import X, Y, BivariatePoly
 from .vectors import (PolyVector, PolyVectorFamily, combine, expansion_matrices,
-                      monomial_vector, shift_matrix)
+                      monomial_vector, peel, shift_matrix)
 
 
 def _require_varpi(pde: HypergeometricPDE, k: int) -> Fraction:
@@ -108,41 +108,32 @@ class TtrrSet(NamedTuple):
         raise ValueError("axis must be 1 or 2")
 
 
+def monic_layers(pde: HypergeometricPDE, *degrees: int
+                 ) -> Callable[[int, int], Optional[RationalMatrix]]:
+    """g(n, k) = G_{n,k} of the monic family for n among ``degrees`` and
+    n - 2 <= k <= n: the identity, then the subleading matrices (None below
+    degree 0).  Each degree is read once."""
+    sub = {n: subleading_matrices(pde, n) if n else (None, None) for n in degrees}
+
+    def g(n: int, k: int) -> Optional[RationalMatrix]:
+        return RationalMatrix.identity(n + 1) if k == n else sub[n][n - k - 1]
+    return g
+
+
 def monic_ttrr(pde: HypergeometricPDE, n: int) -> TtrrSet:
-    """Closed-form recurrence matrices of the monic family; A is the shift
-    matrix."""
+    """Closed-form recurrence matrices of the monic family: the layers of
+    x_j P_n = sum_k G_{n,k} L_{k,j} xvec(k+1), peeled against the monic
+    layers.  A is the shift matrix."""
     check_admissible(pde, n)
-    p = pde
-    a1, a2 = shift_matrix(n, 1), shift_matrix(n, 2)
-    if n == 0:
-        b1 = RationalMatrix([[-p.f1 / p.e]])
-        b2 = RationalMatrix([[-p.f2 / p.e]])
-        return TtrrSet(0, a1, b1, None, a2, b2, None)
-
-    gn1, gn2 = subleading_matrices(pde, n)
-    gp1, gp2 = subleading_matrices(pde, n + 1)
-    b1 = gn1 @ shift_matrix(n - 1, 1) - a1 @ gp1
-    b2 = gn1 @ shift_matrix(n - 1, 2) - a2 @ gp1
-
-    if n == 1:
-        den = p.e**2 * (p.a + p.e)
-        if den == 0:
-            raise NotAdmissible(0 if p.e == 0 else 1)
-        mixed = p.b3 * p.e * p.f1 + p.c3 * p.e * p.f2 - p.a * p.f1 * p.f2
-        c1 = RationalMatrix.column([
-            (-p.c1 * p.e**2 + p.f1 * (p.b1 * p.e - p.a * p.f1)) / den,
-            (-p.d3 * p.e**2 + mixed) / den,
-        ])
-        c2 = RationalMatrix.column([
-            (-p.d3 * p.e**2 + mixed) / den,
-            (-p.c2 * p.e**2 + p.f2 * (p.b2 * p.e - p.a * p.f2)) / den,
-        ])
-        return TtrrSet(1, a1, b1, c1, a2, b2, c2)
-
-    assert gn2 is not None and gp2 is not None
-    c1 = gn2 @ shift_matrix(n - 2, 1) - a1 @ gp2 - b1 @ gn1
-    c2 = gn2 @ shift_matrix(n - 2, 2) - a2 @ gp2 - b2 @ gn1
-    return TtrrSet(n, a1, b1, c1, a2, b2, c2)
+    g = monic_layers(pde, n, n + 1)
+    out: List[Optional[RationalMatrix]] = []
+    for j in (1, 2):
+        layers = [shift_matrix(n, j)]  # G_{n,n} = I
+        for k in (n - 1, n - 2):  # below degree 0, G_{n,k} and its layer are None
+            gk = g(n, k)
+            layers.append(None if gk is None else gk @ shift_matrix(k, j))
+        out.extend(peel(layers, g, n + 1))
+    return TtrrSet(n, *out)
 
 
 class MonicFamily(PolyVectorFamily):

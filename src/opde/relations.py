@@ -11,19 +11,18 @@ vector polynomial family (monic or not):
   * first structure relation     phi_j dP_n/dx_j = W P_{n+1} + S P_n + T P_{n-1}
   * derivative representation    P_n = V dP_{n+1}/dx_j + Y dP_n/dx_j + Z dP_{n-1}/dx_j
 
-Each general relation is one coefficient match (``_match``): expand the
-left-hand side in the monomial basis and peel its top three layers off
-against the family's expansion matrices, dividing by the family's cached
-leading inverses.
+Each relation is one coefficient match, ``vectors.peel``: the top three
+monomial layers of the left-hand side, peeled off against the family's
+expansion matrices.  The general routes (``_match``) expand the left-hand
+side and divide by the family's cached leading inverses.  The monic closed
+forms (``monic.monic_ttrr``, ``monic_structure_matrices`` from n >= 1 and
+``monic_derivative_representation`` from n >= 2) write those layers from the
+equation coefficients, through ``monic.monic_layers``.
 
 The derivative representation is produced in two layouts: the wide form (V,
 Y, Z) acting on the raw derivative vectors, and the compact form acting on
 the Q vectors.  The compact form is the unique one and is what closed-form
 entry tables list; the wide form follows by composing with shift matrices.
-
-Monic families additionally admit closed-form routes (structure relations
-for n >= 3, derivative representations for n >= 2) built purely from the
-equation coefficients; below their validity range the general route is used.
 
 ``Relations`` is the relation table of one family through a degree bound:
 it classifies the weight-shift factors once and solves every general
@@ -39,11 +38,11 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import NoCaseMatches, PhiDegreeTooHigh
 from .matrix import RationalMatrix
-from .monic import TtrrSet, subleading_matrices
+from .monic import TtrrSet, monic_layers
 from .pde import HypergeometricPDE
 from .poly import X, Y, BivariatePoly
 from .vectors import (PolyVector, PolyVectorFamily, derivative_matrix,
-                      expansion_layers, shift_matrix)
+                      expansion_layers, peel, shift_matrix)
 from .weights import PhiCase, classify_phi
 
 _Triple = Tuple[RationalMatrix, RationalMatrix, Optional[RationalMatrix]]
@@ -100,21 +99,9 @@ class DerivRep(NamedTuple):
 
 
 def _match(lhs: PolyVector, fam: PolyVectorFamily, top: int) -> _Triple:
-    """The X_i of lhs = X_0 P_top + X_1 P_{top-1} + X_2 P_{top-2}, read off
-    the top three monomial layers: with H_i the expansion matrix of lhs at
-    degree top-i,
-
-        X_i = (H_i - sum_{k<i} X_k G_{top-k, top-i}) G_{top-i, top-i}^{-1}.
-
-    Terms below degree 0 are absent (None)."""
-    h = expansion_layers(lhs, top, 3)
-    xs: List[RationalMatrix] = []
-    for i in range(len(h)):
-        acc = h[i]
-        for k, xk in enumerate(xs):
-            acc = acc - xk @ fam.G(top - k, top - i)
-        xs.append(acc @ fam.leading_inverse(top - i))
-    return tuple(xs) + (None,) * (3 - len(xs))
+    """The X_i of lhs = X_0 P_top + X_1 P_{top-1} + X_2 P_{top-2}, peeled off
+    lhs's top three monomial layers; terms below degree 0 are None."""
+    return peel(expansion_layers(lhs, top, 3), fam.G, top, fam.leading_inverse)
 
 
 def _ttrr_axis(fam: PolyVectorFamily, n: int, j: int) -> _Triple:
@@ -181,39 +168,40 @@ def structure_matrices(fam: PolyVectorFamily, phi1: BivariatePoly,
     return StructureSet(n, w1, s1, t1, w2, s2, t2)
 
 
+def _form_matrix(coeffs: Tuple, m: int) -> RationalMatrix:
+    """The homogeneous form sum_t coeffs[t] x^(d-t) y^t times xvec(m), over
+    xvec(m+d): x^(d-t) y^t xvec(m) sits at offset t."""
+    d = len(coeffs) - 1
+    return RationalMatrix.from_function(
+        m + 1, m + d + 1, lambda i, k: coeffs[k - i] if 0 <= k - i <= d else 0)
+
+
 def monic_structure_matrices(pde: HypergeometricPDE, phi1: BivariatePoly,
                              phi2: BivariatePoly, n: int) -> StructureSet:
-    """Closed-form W, S, T for the monic family (valid for n >= 3), built
-    from the equation coefficients alone."""
-    if n < 3:
-        raise ValueError("closed-form structure relations need n >= 3")
-    gn1, gn2 = subleading_matrices(pde, n)
-    gp1, gp2 = subleading_matrices(pde, n + 1)
-    out = {}
+    """Closed-form W, S, T for the monic family (n >= 1), built from the
+    equation coefficients alone: the layers of phi_j dP_n/dx_j, peeled
+    against the monic layers."""
+    if n < 1:
+        raise ValueError("structure relations start at n = 1")
+    g = monic_layers(pde, n, n + 1)
+    out = []
     for j, phi in ((1, phi1), (2, phi2)):
-        qx2, qxy, qy2, lx, ly, cst = phi_coefficients(phi)
-        e_n = derivative_matrix(n, j)
-        e_n1 = derivative_matrix(n - 1, j)
-        e_n2 = derivative_matrix(n - 2, j)
-
-        def quad(m: int) -> RationalMatrix:
-            # qx2 * x^2 + qxy * xy + qy2 * y^2 acting from degree m to m+2:
-            # x^2, xy and y^2 times xvec(m) sit at offsets 0, 1, 2 of xvec(m+2)
-            band = {0: qx2, 1: qxy, 2: qy2}
-            return RationalMatrix.from_function(
-                m + 1, m + 3, lambda i, k: band.get(k - i, 0))
-
-        def lin(m: int) -> RationalMatrix:
-            band = {0: lx, 1: ly}
-            return RationalMatrix.from_function(
-                m + 1, m + 2, lambda i, k: band.get(k - i, 0))
-
-        w = e_n @ quad(n - 1)
-        s = e_n @ lin(n - 1) - w @ gp1 + gn1 @ (e_n1 @ quad(n - 2))
-        t = (cst * e_n + gn1 @ (e_n1 @ lin(n - 2)) - w @ gp2 - s @ gn1
-             + gn2 @ (e_n2 @ quad(n - 3)))
-        out[j] = (w, s, t)
-    return StructureSet(n, *out[1], *out[2])
+        c = phi_coefficients(phi)
+        # phi dP_n/dx_j = sum_k G_{n,k} E_{k,j} phi xvec(k-1): phi's degree-d
+        # part carries term k to layer n+2-k-d; a zero constant is left out
+        layers = []
+        for i in range(3):
+            acc = None
+            for d, form in ((2, c[:3]), (1, c[3:5]), (0, c[5:])):
+                k = n + 2 - i - d
+                if 1 <= k <= n and (d or form[0]):
+                    term = derivative_matrix(k, j) @ _form_matrix(form, k - 1)
+                    if k < n:
+                        term = g(n, k) @ term
+                    acc = term if acc is None else acc + term
+            layers.append(acc)
+        out.extend(peel(layers, g, n + 1))
+    return StructureSet(n, *out)
 
 
 def derivative_representation(fam: PolyVectorFamily, n: int, axis: int,
@@ -221,7 +209,8 @@ def derivative_representation(fam: PolyVectorFamily, n: int, axis: int,
     """General route (any orthogonal family, n >= 2): match coefficients of
     P_n against the Q family, whose leading matrices are invertible; this
     compact triple is unique.  The wide triple follows by composing with the
-    shift matrix, since Q_k is by definition shift @ dP_{k+1}.
+    shift matrix, since Q_k is by definition shift @ dP_{k+1}.  A shared
+    ``qfam`` must be ``DerivativeFamily(fam, axis)``; ValueError otherwise.
 
     (A construction via recurrence differences against a lifted derivative
     recurrence is only valid when the family's edge entries are univariate,
@@ -231,31 +220,28 @@ def derivative_representation(fam: PolyVectorFamily, n: int, axis: int,
         raise ValueError("derivative representation starts at n = 2")
     if qfam is None:
         qfam = DerivativeFamily(fam, axis, n)
+    elif qfam.axis != axis or qfam.source is not fam:
+        raise ValueError(f"qfam must be the axis-{axis} derivative family of fam")
     return DerivRep(n, axis, *_match(fam.vector(n), qfam, n))
 
 
 def monic_derivative_representation(pde: HypergeometricPDE, n: int, axis: int) -> DerivRep:
-    """Closed-form route for the monic family, n >= 2.  The compact leading
-    matrix shift @ derivative_matrix is diagonal with entries n+1-i (axis 1)
-    or i+1 (axis 2), hence always invertible."""
+    """Closed-form route for the monic family, n >= 2: P_n's layers peeled
+    against the Q family's layers shift(k) G_{k+1,i+1} E_{i+1}, whose leading
+    one is diagonal with entries k+1-i (axis 1) or i+1 (axis 2)."""
     if n < 2:
         raise ValueError("derivative representation starts at n = 2")
+    g = monic_layers(pde, n, n + 1)
 
-    def v_compact(m: int) -> RationalMatrix:
-        # the inverse of that diagonal at degree m, entry by entry
-        diag = [m + 1 - i if axis == 1 else i + 1 for i in range(m + 1)]
+    def gq(k: int, i: int) -> RationalMatrix:
+        return shift_matrix(k, axis) @ g(k + 1, i + 1) @ derivative_matrix(i + 1, axis)
+
+    def inverse(k: int) -> RationalMatrix:  # of that diagonal, entry by entry
+        diag = [k + 1 - i if axis == 1 else i + 1 for i in range(k + 1)]
         return RationalMatrix.from_function(
-            m + 1, m + 1, lambda i, k: Fraction(1, diag[i]) if i == k else 0)
+            k + 1, k + 1, lambda i, c: Fraction(1, diag[i]) if i == c else 0)
 
-    gn1, gn2 = subleading_matrices(pde, n)
-    gp1, gp2 = subleading_matrices(pde, n + 1)
-    vq = v_compact(n)
-    yq = (gn1 - vq @ shift_matrix(n, axis) @ gp1 @ derivative_matrix(n, axis)) @ v_compact(n - 1)
-    zq = (gn2
-          - vq @ shift_matrix(n, axis) @ gp2 @ derivative_matrix(n - 1, axis)
-          - yq @ shift_matrix(n - 1, axis) @ gn1 @ derivative_matrix(n - 1, axis)
-          ) @ v_compact(n - 2)
-    return DerivRep(n, axis, vq, yq, zq)
+    return DerivRep(n, axis, *peel([g(n, k) for k in (n, n - 1, n - 2)], gq, n, inverse))
 
 
 class Relations:

@@ -23,6 +23,9 @@ denominator involved, normalized once per entry.  ``apply_matrix`` is the
 one-pair case; the relation right-hand sides, the joint recursion and the
 oracle's assembly all go through ``combine``.
 
+``peel`` is the one coefficient match, run by the general relations and the
+monic closed forms alike.
+
 ``PolyVectorFamily`` caches each vector's expansion matrices G_{n,k} and,
 through ``leading_inverse``, the inverse of each leading matrix G_{k,k}: the
 relation solves divide by the same few inverses many times.
@@ -31,7 +34,7 @@ relation solves divide by the same few inverses many times.
 from __future__ import annotations
 
 from math import lcm
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DegreeOverflow, SingularLeading, SingularMatrix
 from .matrix import RationalMatrix
@@ -204,6 +207,27 @@ def expansion_layers(v: PolyVector, n: int, count: int) -> List[RationalMatrix]:
     return [RationalMatrix.from_integers(
                 [[get((k - c, c), 0) * s for c in range(k + 1)] for get, s in scaled], den)
             for k in range(n, max(n - count, -1), -1)]
+
+
+def peel(layers: Sequence[Optional[RationalMatrix]],
+         g: Callable[[int, int], RationalMatrix], top: int,
+         inverse: Optional[Callable[[int], RationalMatrix]] = None
+         ) -> Tuple[Optional[RationalMatrix], ...]:
+    """X_0, X_1, X_2 with lhs = sum_i X_i v_{top-i}, for vectors
+    v_m = sum_k g(m, k) xvec(k) and H_i = layers[i] the coefficient of
+    xvec(top-i) in lhs (None for zero):
+
+        X_i = (H_i - sum_{k<i} X_k g(top-k, top-i)) g(top-i, top-i)^{-1},
+
+    where ``inverse(m)`` gives g(m, m)^{-1} (the identity when it is None).
+    Layers below degree 0 are ignored; terms past the last layer are None."""
+    xs: List[RationalMatrix] = []
+    for i, acc in enumerate(layers[:top + 1]):
+        for k, xk in enumerate(xs):
+            term = xk @ g(top - k, top - i)
+            acc = -term if acc is None else acc - term
+        xs.append(acc if inverse is None else acc @ inverse(top - i))
+    return tuple(xs) + (None,) * (3 - len(xs))
 
 
 class PolyVectorFamily:

@@ -395,7 +395,10 @@ DISK_WEIGHT = {"u": "0", "v": "0",
      "d844424ad8a33438eb098b0b3403abecbf8ae64b54142df333417d34ae8566a1"),
     (["--pde", "pde.json", "-N", "6"],
      "2dcb6ebbeeae6311c1ef3819dc795d3b322067fdc7cb9c389752b88b464725ce"),
-], ids=["monic", "koornwinder", "triangle-build", "disk"])
+    # the build command of the benchmark's triangle-verify, at its first point
+    (["--alpha", "3/2", "--beta", "5/7", "-N", "4"],
+     "99958f2fb3ffb1682adb5a25ea07897684165623b13b452072241be92a7c59cf"),
+], ids=["monic", "koornwinder", "triangle-build", "disk", "triangle-verify"])
 def test_build_json_digest(argv, digest, tmp_path, monkeypatch, capsys):
     # pins the whole JSON document, byte for byte
     monkeypatch.delenv("OPDE_MAX_DEGREE", raising=False)
@@ -437,7 +440,10 @@ def test_text_output_digest(argv, digest, monkeypatch, capsys):
     # the command of the benchmark's disk-rodrigues workload
     (["--pde", "pde.json", "--weight", "weight.json", "-N", "18"],
      "9a65f36cf66095f6deb3ebf2bb4695fbdaa7d439ef147cbf28da75b167779c49"),
-], ids=["disk", "disk-12", "triangle", "disk-18"])
+    # the rodrigues degree of the benchmark's triangle-verify, at its first point
+    (["--alpha", "3/2", "--beta", "5/7", "-N", "6"],
+     "5a41d38968447ea98fe34c43b7467afcf7f5ad4b558d34a05366bdfaf3df9f37"),
+], ids=["disk", "disk-12", "triangle", "disk-18", "triangle-verify"])
 def test_rodrigues_json_digest(argv, digest, tmp_path, monkeypatch, capsys):
     # pins the whole JSON document, byte for byte
     monkeypatch.delenv("OPDE_MAX_DEGREE", raising=False)
@@ -451,12 +457,15 @@ def test_rodrigues_json_digest(argv, digest, tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv, digest", [
     (["--alpha", "3/2", "--beta", "5/7", "-N", "7"],
-     "0e87de350690c6003c596857251c276aba300f0bb3fe8ed257fcfdd31d621454"),
+     "0ecca5c9fe7cd4206bf80bcfaf20ebdbe57e1971e75ff58f9881ac05e126accf"),
     (["--pde", "pde.json", "-N", "4"],
-     "0e1087c8ad94d3cdb004e4456ae1b16706aa2d6cd23a23be55bae7b601bf8c18"),
+     "d8b0afdd62c54fdf379324be43cfb43354ba4a92123768844b239b3467c79dc7"),
     (["--alpha", "3/2", "--beta", "5/7", "-N", "5", "--family", "koornwinder"],
      "5acb7670c4282fbadf14a292c137e9c3ab35b696531db8080ecd6e6fab4f8a9d"),
-], ids=["triangle", "disk", "koornwinder"])
+    # the verify command of the benchmark's triangle-build
+    (["--alpha", "2", "--beta", "3", "-N", "2"],
+     "a5421bb440ff9dce33c76ff7a6d2451a02891d6df4a23880dfbca34365fa3eaa"),
+], ids=["triangle", "disk", "koornwinder", "triangle-build"])
 def test_verify_digest(argv, digest, tmp_path, monkeypatch, capsys):
     # pins every suite line: names, check counts and notes
     monkeypatch.delenv("OPDE_MAX_DEGREE", raising=False)

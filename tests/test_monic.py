@@ -12,7 +12,8 @@ from opde.families import AppellParams, appell_pde
 from opde.matrix import RationalMatrix
 from opde.monic import (build_monic, monic_ttrr, pde_residual, solve_monic,
                         subleading_matrices)
-from opde.pde import HypergeometricPDE, discriminant, is_potentially_self_adjoint
+from opde.pde import (HypergeometricPDE, check_admissible, discriminant,
+                      is_potentially_self_adjoint)
 from opde.poly import BivariatePoly, X, Y
 from opde.relations import StructureSet
 from opde.serialize import pde_from_json
@@ -59,6 +60,47 @@ def test_monic_ttrr_small_values():
     t1 = monic_ttrr(pde, 1)
     assert t1.c1[0, 0] == Fraction(1, 18)
     assert t1.a1 @ t1.a1.transpose() == RationalMatrix.identity(2)
+
+
+def _random_admissible_through_degree_1(rng):
+    while True:
+        c = {k: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+             for k in ("a", "b1", "c1", "b2", "c2", "b3", "c3", "d3", "e", "f1", "f2")}
+        pde = P(**c)
+        try:
+            check_admissible(pde, 1)
+        except NotAdmissible:
+            continue
+        return pde
+
+
+def test_monic_ttrr_printed_low_degree_entries():
+    # B_0 = -f_j / e and the degree-1 C entries as printed, with the
+    # corrected mixed entry of ERRATA.md section 2, are derived by the closed
+    # form; these pin them as oracles
+    rng = random.Random(20110113)
+    for _ in range(12):
+        p = _random_admissible_through_degree_1(rng)
+        t0 = monic_ttrr(p, 0)
+        assert (t0.b1, t0.b2) == (RationalMatrix([[-p.f1 / p.e]]),
+                                  RationalMatrix([[-p.f2 / p.e]]))
+        den = p.e**2 * (p.a + p.e)
+        mixed = (-p.d3 * p.e**2 + p.b3 * p.e * p.f1 + p.c3 * p.e * p.f2
+                 - p.a * p.f1 * p.f2) / den
+        t1 = monic_ttrr(p, 1)
+        assert t1.c1 == RationalMatrix.column([
+            (-p.c1 * p.e**2 + p.f1 * (p.b1 * p.e - p.a * p.f1)) / den, mixed])
+        assert t1.c2 == RationalMatrix.column([
+            mixed, (-p.c2 * p.e**2 + p.f2 * (p.b2 * p.e - p.a * p.f2)) / den])
+
+
+@pytest.mark.parametrize("coeffs, root", [
+    (dict(e=0, f1=1), 0), (dict(a=1, e=-1, f1=1), 1)])
+def test_monic_ttrr_degree_1_rejects_vanishing_denominator(coeffs, root):
+    # the printed degree-1 C entries divide by e^2 (a + e) = varpi(0)^2 varpi(1)
+    with pytest.raises(NotAdmissible) as info:
+        monic_ttrr(P(**coeffs), 1)
+    assert info.value.index == root
 
 
 def test_build_monic_first_vectors():
@@ -243,8 +285,8 @@ def test_subleading_matrices_once_per_degree():
     subleading_matrices.cache_clear()
     build_monic(pde, 6)
     info = subleading_matrices.cache_info()
-    # monic_ttrr(n) reads degrees n and n + 1 for n = 1..5
-    assert (info.misses, info.hits) == (6, 4)
+    # monic_ttrr(n) reads degree n + 1 for n = 0..5 and degree n from n = 1
+    assert (info.misses, info.hits) == (6, 5)
 
 
 def test_solve_monic_reports_only_singular_pivots(monkeypatch):

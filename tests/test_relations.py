@@ -9,7 +9,8 @@ from opde.errors import NoCaseMatches, PhiDegreeTooHigh, SingularLeading
 from opde.families import (AppellParams, appell_pde, appell_phi_case,
                            nonmonic_F_vector)
 from opde.matrix import RationalMatrix
-from opde.monic import build_monic, monic_ttrr
+from opde.monic import build_monic, monic_ttrr, solve_monic
+from opde.pde import HypergeometricPDE
 from opde.poly import ONE, X, Y
 from opde.relations import (DerivativeFamily, Relations,
                             derivative_representation, derivative_ttrr,
@@ -18,6 +19,7 @@ from opde.relations import (DerivativeFamily, Relations,
 from opde.serialize import pde_to_json
 from opde.vectors import (PolyVector, PolyVectorFamily, apply_matrix,
                           derivative_matrix, shift_matrix)
+from opde.weights import classify_phi
 
 def test_general_ttrr_reduces_to_monic(fam11):
     for n in range(5):
@@ -154,6 +156,33 @@ def test_monic_structure_closed_form_route(fam23):
             assert closed.axis(j) == general.axis(j)
 
 
+CLOSED_FORM_EQUATIONS = {
+    "triangle": appell_pde(AppellParams(Fraction(3, 2), Fraction(5, 7))),
+    "disk": HypergeometricPDE.from_coeffs(a=-1, c1=1, c2=1, e=-4),
+    "laguerre": HypergeometricPDE.from_coeffs(b1=1, b2=1, e=-1, f1=1, f2=2),
+    "hermite": HypergeometricPDE.from_coeffs(c1=1, c2=1, e=-2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_EQUATIONS))
+def test_closed_forms_equal_general_routes_at_every_degree(name):
+    # the general routes run on the oracle family, which no closed form built
+    pde = CLOSED_FORM_EQUATIONS[name]
+    fam = solve_monic(pde, 7)
+    case = classify_phi(pde)[0]
+    with pytest.raises(ValueError):
+        monic_structure_matrices(pde, case.phi10, case.phi01, 0)
+    for n in range(7):
+        assert monic_ttrr(pde, n) == general_ttrr(fam, n), n
+        if n >= 1:
+            assert monic_structure_matrices(pde, case.phi10, case.phi01, n) == \
+                structure_matrices(fam, case.phi10, case.phi01, n), n
+        if n >= 2:
+            for axis in (1, 2):
+                assert monic_derivative_representation(pde, n, axis) == \
+                    derivative_representation(fam, n, axis), (n, axis)
+
+
 def test_structure_rejects_quartic_phi(fam23):
     quartic = (X * Y * (1 - X - Y)) * X
     with pytest.raises(PhiDegreeTooHigh):
@@ -258,6 +287,13 @@ def test_leading_inverse_once_per_degree(monkeypatch):
         derivative_representation(fam, n, 1, qfam)
         derivative_representation(fam, n, 1, qfam)
     assert inverted == [qfam.G(k, k) for k in (2, 1, 0, 3, 4)]
+
+
+def test_derivative_representation_rejects_mismatched_qfam(fam23):
+    other = build_monic(fam23.pde, 5)
+    for qfam in (DerivativeFamily(fam23, 2), DerivativeFamily(other, 1)):
+        with pytest.raises(ValueError):
+            derivative_representation(fam23, 3, 1, qfam)
 
 
 @pytest.mark.parametrize("axis", [1, 2])
