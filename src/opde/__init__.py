@@ -23,9 +23,9 @@ from .relations import (DerivRep, DerivativeFamily, QTtrr, Relations,
                         general_ttrr, monic_derivative_representation,
                         monic_structure_matrices, structure_matrices)
 from .weights import (PhiCase, WeightSpec, classify_phi, log_derivative,
-                      phi_pair_consistent, phi_rs, verify_pearson)
-from .rodrigues import (WeightedExpr, rodrigues_derivative_eval,
-                        rodrigues_eval, rodrigues_table, weighted_diff)
+                      phi_pair_consistent, shifted_weight, verify_pearson)
+from .rodrigues import (WeightedExpr, rodrigues_eval, rodrigues_table,
+                        weighted_diff)
 from .families import (AppellParams, appell_pde, appell_phi_case,
                        appell_weight, connection_F, connection_K, functional,
                        jacobi, koornwinder, koornwinder_vector, make_family,

@@ -253,7 +253,7 @@ def cmd_rodrigues(args) -> int:
     if not is_potentially_self_adjoint(pde):
         raise NotSelfAdjoint("no integrating-factor weight exists")
     case = classify_phi(pde)[0]
-    if not verify_pearson(pde, weight, case=case):
+    if not verify_pearson(pde, weight):
         raise CliError("weight does not satisfy the Pearson equations of this equation",
                        EXIT_VERIFY)
     table = rodrigues_table(weight, case, n)

@@ -14,7 +14,8 @@ vector polynomial family (monic or not):
 Each relation is one coefficient match, ``vectors.peel``: the top three
 monomial layers of the left-hand side, peeled off against the family's
 expansion matrices.  The general routes (``_match``) expand the left-hand
-side and divide by the family's cached leading inverses.  The monic closed
+side, or read P_n's cached expansion matrices when it is P_n itself, and
+divide by the family's cached leading inverses.  The monic closed
 forms (``monic.monic_ttrr``, ``monic_structure_matrices`` from n >= 1 and
 ``monic_derivative_representation`` from n >= 2) write those layers from the
 equation coefficients, through ``monic.monic_layers``.
@@ -222,7 +223,8 @@ def derivative_representation(fam: PolyVectorFamily, n: int, axis: int,
         qfam = DerivativeFamily(fam, axis, n)
     elif qfam.axis != axis or qfam.source is not fam:
         raise ValueError(f"qfam must be the axis-{axis} derivative family of fam")
-    return DerivRep(n, axis, *_match(fam.vector(n), qfam, n))
+    layers = [fam.G(n, k) for k in (n, n - 1, n - 2)]
+    return DerivRep(n, axis, *peel(layers, qfam.G, n, qfam.leading_inverse))
 
 
 def monic_derivative_representation(pde: HypergeometricPDE, n: int, axis: int) -> DerivRep:

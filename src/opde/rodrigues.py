@@ -24,10 +24,14 @@ part by expansion or exact division.  Weights whose residual exponents are
 not integers are outside the supported class and are rejected, never
 approximated.
 
-The derivative-order variant produces, for every admissible index tuple, an
-exact polynomial degree-(n+m-r-s) eigensolution of the shifted equation
+Derivative orders have no entry point of their own: rho * phi10^r * phi01^s
+is itself a weight (``weights.shifted_weight``), and
+
+    rodrigues_eval(shifted_weight(w, case, r, s), case, n - r, m - s)
+
+is an exact polynomial degree-(n+m-r-s) eigensolution of the shifted equation
 ``pde.shifted(r, s)``.  It agrees with the literal mixed derivative of the
-base output (up to a nonzero rational) on univariate chains (n = 0 or
+(n, m) output (up to a nonzero rational) on univariate chains (n = 0 or
 m = 0), at full depth (r, s) = (n, m) and at (r, s) = (0, 0); for
 intermediate mixed orders the two are distinct members of the same
 multi-dimensional eigenspace (see ERRATA.md).
@@ -172,8 +176,8 @@ def _assemble(w: WeightSpec, case: PhiCase):
     return tuple(basis), tuple(rho_exps), tuple(m10), c10, tuple(m01), c01
 
 
-def _divide_out(expr: WeightedExpr, rho_exps: Sequence[Fraction], degree: int,
-                what: str = "output") -> BivariatePoly:
+def _divide_out(expr: WeightedExpr, rho_exps: Sequence[Fraction], degree: int
+                ) -> BivariatePoly:
     """Divide a differentiated expression by the weight: subtract exponents
     and fold the integer residuals back into the polynomial part, which must
     have total degree ``degree``."""
@@ -192,26 +196,17 @@ def _divide_out(expr: WeightedExpr, rho_exps: Sequence[Fraction], degree: int,
                 raise NotReducible(
                     f"polynomial part is not divisible by ({f})^{-t}") from None
     if poly.degree() != degree:
-        raise DegreeMismatch(f"Rodrigues {what} has degree {poly.degree()}, expected {degree}")
+        raise DegreeMismatch(f"Rodrigues output has degree {poly.degree()}, expected {degree}")
     return poly
 
 
-def shifted_weight(w: WeightSpec, case: PhiCase, r: int, s: int) -> WeightedExpr:
-    """rho * phi10^r * phi01^s over the factor basis of (w, case), up to the
-    scalar contents of the phi factors: polynomial part 1."""
-    basis, rho_exps, m10, _, m01, _ = _assemble(w, case)
-    return WeightedExpr(basis, tuple(e + r * a + s * b
-                                     for e, a, b in zip(rho_exps, m10, m01)), ONE)
-
-
-def _bracket(w: WeightSpec, case: PhiCase, n: int, m: int, r: int = 0, s: int = 0
-             ) -> WeightedExpr:
+def _bracket(w: WeightSpec, case: PhiCase, n: int, m: int) -> WeightedExpr:
     """rho * phi10^n * phi01^m over the factor basis, with the scalar
-    contents of the n - r and m - s factors that get differentiated."""
-    _, _, _, c10, _, c01 = _assemble(w, case)
-    root = shifted_weight(w, case, n, m)
-    return WeightedExpr(root.factors, root.exponents,
-                        BivariatePoly.const(c10**(n - r) * c01**(m - s)))
+    contents of the phi factors as its polynomial part."""
+    basis, rho_exps, m10, c10, m01, c01 = _assemble(w, case)
+    return WeightedExpr(basis, tuple(e + n * a + m * b
+                                     for e, a, b in zip(rho_exps, m10, m01)),
+                        BivariatePoly.const(c10**n * c01**m))
 
 
 def rodrigues_eval(w: WeightSpec, case: PhiCase, n: int, m: int) -> BivariatePoly:
@@ -219,7 +214,12 @@ def rodrigues_eval(w: WeightSpec, case: PhiCase, n: int, m: int) -> BivariatePol
     normalized with constant 1; the result must have total degree n + m."""
     if n < 0 or m < 0:
         raise ValueError("need n, m >= 0")
-    return rodrigues_derivative_eval(w, case, n, m, 0, 0)
+    expr = _bracket(w, case, n, m)
+    for _ in range(n):
+        expr = weighted_diff(expr, 1)
+    for _ in range(m):
+        expr = weighted_diff(expr, 2)
+    return _divide_out(expr, _assemble(w, case)[1], n + m)
 
 
 def rodrigues_table(w: WeightSpec, case: PhiCase, N: int
@@ -235,7 +235,7 @@ def rodrigues_table(w: WeightSpec, case: PhiCase, N: int
     order, so an unsupported weight fails at the same first pair."""
     if N < 0:
         raise ValueError("need N >= 0")
-    rho_exps = shifted_weight(w, case, 0, 0).exponents
+    rho_exps = _assemble(w, case)[1]
     chains: Dict[Tuple[tuple, BivariatePoly], List[WeightedExpr]] = {}
     out: Dict[Tuple[int, int], BivariatePoly] = {}
     for total in range(N + 1):
@@ -250,19 +250,3 @@ def rodrigues_table(w: WeightSpec, case: PhiCase, N: int
                 expr = weighted_diff(expr, 1)
             out[(n, m)] = _divide_out(expr, rho_exps, total)
     return out
-
-
-def rodrigues_derivative_eval(w: WeightSpec, case: PhiCase,
-                              n: int, m: int, r: int, s: int) -> BivariatePoly:
-    """Rodrigues form of the (r, s) partial derivative of the (n, m) output:
-    differentiate the same bracket n-r and m-s times and divide by the
-    shifted weight rho * phi10^r * phi01^s.  Degree is n + m - r - s."""
-    if not (0 <= r <= n and 0 <= s <= m):
-        raise ValueError("need 0 <= r <= n and 0 <= s <= m")
-    expr = _bracket(w, case, n, m, r, s)
-    for _ in range(n - r):
-        expr = weighted_diff(expr, 1)
-    for _ in range(m - s):
-        expr = weighted_diff(expr, 2)
-    return _divide_out(expr, shifted_weight(w, case, r, s).exponents, n + m - r - s,
-                       "output" if r == s == 0 else "derivative")

@@ -23,7 +23,7 @@ from .relations import (Relations, derivative_ttrr,
                         monic_derivative_representation,
                         monic_structure_matrices)
 from .vectors import PolyVector, apply_matrix, combine
-from .weights import verify_pearson
+from .weights import shifted_weight, verify_pearson
 
 
 class SuiteResult:
@@ -208,7 +208,7 @@ def _instance_suites(p: AppellParams, rel: Relations, label: str,
     w = appell_weight(p)
     for r in range(4):
         for s in range(4):
-            pear.check(verify_pearson(pde, w, r, s, case=cases[0]),
+            pear.check(verify_pearson(pde.shifted(r, s), shifted_weight(w, cases[0], r, s)),
                        f"(r,s)=({r},{s})")
     results.append(pear.finish())
 

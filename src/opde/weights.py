@@ -14,15 +14,18 @@ than papered over.  Each factor is sign-normalized so its minimal monomial
 different patterns literally comparable.
 
 Weights themselves are never integrated here: a weight is *supplied* as
-x^u y^v prod Q_i^(w_i) and certified against the Pearson system
+x^u y^v prod Q_i^(w_i) and certified against the Pearson system of its
+equation
 
-    (d rho / dx) / rho = beta^(r,s) / alpha,
-    (d rho / dy) / rho = gamma^(r,s) / alpha,
+    (d rho / dx) / rho = beta / alpha,
+    (d rho / dy) / rho = gamma / alpha,
 
-cross-multiplied into exact polynomial identities, where beta^(r,s) and
-gamma^(r,s) are the Pearson numerators of ``pde.shifted(r, s)``.  Both
-log-derivatives are read off one step of the Rodrigues kernel
-``rodrigues.weighted_diff``, the one place that differentiates a weight.
+cross-multiplied into exact polynomial identities, where beta and gamma are
+the equation's Pearson numerators.  Both log-derivatives are read off one
+step of the Rodrigues kernel ``rodrigues.weighted_diff``, the one place that
+differentiates a weight.  The weight of the (r, s) derivative family,
+rho * phi10^r * phi01^s, is a weight of the same form (``shifted_weight``),
+certified against ``pde.shifted(r, s)``.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .matrix import RationalMatrix
 from .pde import (HypergeometricPDE, discriminant, pearson_numerators,
                   pearson_shifts)
 from .poly import ONE, X, Y, BivariatePoly, Scalar, rat
-from .rodrigues import WeightedExpr, shifted_weight, weighted_diff
+from .rodrigues import WeightedExpr, _assemble, weighted_diff
 
 
 class PhiCase(NamedTuple):
@@ -213,12 +216,6 @@ def classify_phi(pde: HypergeometricPDE) -> List[PhiCase]:
     return found
 
 
-def phi_rs(case: PhiCase, r: int, s: int) -> BivariatePoly:
-    if r < 0 or s < 0:
-        raise ValueError("need r, s >= 0")
-    return case.phi10**r * case.phi01**s
-
-
 def phi_pair_consistent(pde: HypergeometricPDE, phi10: BivariatePoly,
                         phi01: BivariatePoly) -> bool:
     """First-principles check that (phi10, phi01) are genuine weight-shift
@@ -233,15 +230,32 @@ def phi_pair_consistent(pde: HypergeometricPDE, phi10: BivariatePoly,
                for phi, (db, dg) in zip((phi10, phi01), pearson_shifts(pde)))
 
 
-# the factor pair (1, 1): its r = s = 0 form is rho alone over rho's own basis
-_NO_SHIFT = PhiCase("-", "rho alone", ONE, ONE)
+def shifted_weight(w: WeightSpec, case: PhiCase, r: int, s: int) -> WeightSpec:
+    """rho * phi10^r * phi01^s up to the scalar contents of the phi factors:
+    the weight of the (r, s) derivative family.  Its factors are w's own,
+    then the residual factors of (phi10, phi01), so it assembles with
+    ``case`` over the same factor basis as w."""
+    if r < 0 or s < 0:
+        raise ValueError("need r, s >= 0")
+    basis, rho_exps, m10, _, m01, _ = _assemble(w, case)
+    u, v, *rest = (e + r * a + s * b for e, a, b in zip(rho_exps, m10, m01))
+    return WeightSpec(u, v, tuple(zip(basis[2:], rest)))
 
 
-def _log_derivative(rho: WeightedExpr, axis: int
-                    ) -> Tuple[BivariatePoly, BivariatePoly]:
-    """(num, den) with (d rho / d x_axis) / rho = num / den, read off one
-    Rodrigues step of (rho, 1): num is its polynomial part and den the
-    product of the factors whose exponent the step moved."""
+def log_derivative(w: WeightSpec, axis: int
+                   ) -> Tuple[BivariatePoly, BivariatePoly]:
+    """(num, den) with (d rho / d x_axis) / rho = num / den as a formal
+    rational function over a common denominator (no cancellation), read off
+    one Rodrigues step of rho over its own factors x, y, Q_i: num is the
+    step's polynomial part and den the product of the factors it moved.
+
+    Terms with a zero exponent or an axis-independent factor contribute
+    nothing and are left out of the common denominator.
+    """
+    if axis not in (1, 2):
+        raise ValueError("axis must be 1 or 2")
+    rho = WeightedExpr((X, Y, *(q for q, _ in w.factors)),
+                       (w.u, w.v, *(e for _, e in w.factors)), ONE)
     step = weighted_diff(rho, axis)
     den = ONE
     for f, before, after in zip(rho.factors, rho.exponents, step.exponents):
@@ -250,30 +264,13 @@ def _log_derivative(rho: WeightedExpr, axis: int
     return step.poly, den
 
 
-def log_derivative(w: WeightSpec, axis: int
-                   ) -> Tuple[BivariatePoly, BivariatePoly]:
-    """(num, den) with (d rho / d x_axis) / rho = num / den as a formal
-    rational function over a common denominator (no cancellation).
-
-    Terms with a zero exponent or an axis-independent factor contribute
-    nothing and are left out of the common denominator.
-    """
-    if axis not in (1, 2):
-        raise ValueError("axis must be 1 or 2")
-    return _log_derivative(shifted_weight(w, _NO_SHIFT, 0, 0), axis)
-
-
-def verify_pearson(pde: HypergeometricPDE, w: WeightSpec, r: int = 0, s: int = 0,
-                   case: Optional[PhiCase] = None) -> bool:
-    """Certify a supplied weight against the Pearson system of the (r, s)
-    derivative family, as exact polynomial identities in both variables."""
+def verify_pearson(pde: HypergeometricPDE, w: WeightSpec) -> bool:
+    """Certify a supplied weight against the Pearson system of ``pde``, as
+    exact polynomial identities in both variables."""
     alpha = discriminant(pde)
     if alpha.is_zero():
         raise DegenerateDiscriminant("discriminant is identically zero")
-    if case is None:
-        case = classify_phi(pde)[0]
-    beta_rs, gamma_rs = pearson_numerators(pde.shifted(r, s))
-    rho_rs = shifted_weight(w, case, r, s)
-    nx, dx = _log_derivative(rho_rs, 1)
-    ny, dy = _log_derivative(rho_rs, 2)
-    return nx * alpha == beta_rs * dx and ny * alpha == gamma_rs * dy
+    beta, gamma = pearson_numerators(pde)
+    nx, dx = log_derivative(w, 1)
+    ny, dy = log_derivative(w, 2)
+    return nx * alpha == beta * dx and ny * alpha == gamma * dy

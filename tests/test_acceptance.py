@@ -20,7 +20,7 @@ from opde.poly import X, Y
 from opde.relations import (DerivativeFamily, derivative_representation,
                             derivative_ttrr, general_ttrr, structure_matrices)
 from opde.vectors import apply_matrix
-from opde.weights import classify_phi, verify_pearson
+from opde.weights import classify_phi, shifted_weight, verify_pearson
 
 POINTS = (AppellParams(1, 1), AppellParams(2, 3))
 
@@ -165,7 +165,8 @@ def test_criterion_07_classification_and_pearson(p11, p23):
             w = appell_weight(p)
             for r in range(4):
                 for s in range(4):
-                    assert verify_pearson(pde, w, r, s), (r, s)
+                    assert verify_pearson(pde.shifted(r, s),
+                                          shifted_weight(w, cases[0], r, s)), (r, s)
 
 
 def test_criterion_08_rodrigues_chain(p11, p23):

@@ -186,8 +186,8 @@ def test_rodrigues_triangle_runs_the_weight_checks(monkeypatch, capsys):
     # Pearson check (forced here: the triangle weight always passes) exits 4
     seen = []
 
-    def failing(pde, weight, case):
-        seen.append((pde, weight, case.case_id))
+    def failing(pde, weight):
+        seen.append((pde, weight))
         return False
 
     monkeypatch.setattr(cli, "verify_pearson", failing)
@@ -197,7 +197,7 @@ def test_rodrigues_triangle_runs_the_weight_checks(monkeypatch, capsys):
     assert captured.err == ("error: weight does not satisfy the Pearson equations "
                             "of this equation\n")
     p = AppellParams(2, 3)
-    assert seen == [(appell_pde(p), appell_weight(p), "vi")]
+    assert seen == [(appell_pde(p), appell_weight(p))]
 
 
 def test_verify_ok(capsys):
@@ -272,8 +272,12 @@ def test_usage_error_missing_input(capsys):
     ["rodrigues", "--pde", "pde.json", "--alpha", "1", "--beta", "1"],
     ["check", "--pde", "bool-pde.json"],
     ["rodrigues", "--pde", "disk.json", "--weight", "bool-weight.json"],
+    ["verify", "--pde", "missing.json"],
+    ["build", "--family", "koornwinder", "--pde", "disk.json", "-N", "2"],
+    ["rodrigues", "--pde", "disk.json", "-N", "2"],
 ], ids=["bad-choice", "bad-int", "no-command", "verify-format", "rodrigues-two-inputs",
-        "pde-bool-coefficient", "weight-bool-exponent"])
+        "pde-bool-coefficient", "weight-bool-exponent", "unreadable-pde",
+        "koornwinder-with-pde", "rodrigues-pde-without-weight"])
 def test_argument_errors_exit_1(argv, tmp_path, monkeypatch, capsys):
     # argparse's own exit code 2 would read as "not admissible"
     monkeypatch.chdir(tmp_path)
@@ -286,6 +290,34 @@ def test_argument_errors_exit_1(argv, tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_unreadable_pde_names_the_path(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["verify", "--pde", str(missing)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {missing}: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("data, code, line", [
+    # a*k + e vanishes at k = 2
+    ({"a": "1", "b1": "0", "c1": "1", "b2": "0", "c2": "1", "b3": "0",
+      "c3": "0", "d3": "0", "e": "-2", "f1": "0", "f2": "0"}, 2,
+     "FAIL admissibility (1/1 checks): first failure equation is not admissible: "
+     "a*k + e = 0 at k = 2"),
+    ({"a": "0", "b1": "1", "c1": "0", "b2": "0", "c2": "1", "b3": "0",
+      "c3": "0", "d3": "1", "e": "-1", "f1": "1", "f2": "0"}, 3,
+     "FAIL self-adjointness (1/1 checks): first failure compatibility identity fails"),
+], ids=["not-admissible", "not-self-adjoint"])
+def test_verify_pde_gate_exit_codes(data, code, line, tmp_path, capsys):
+    path = tmp_path / "eq.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", "--pde", str(path), "-N", "4"]) == code
+    captured = capsys.readouterr()
+    assert line in captured.out.splitlines()
+    assert captured.err == ""
 
 
 def test_help_exits_0(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -10,10 +11,10 @@ from opde.families import (AppellParams, appell_pde, appell_phi_case,
 from opde.matrix import RationalMatrix
 from opde.pde import HypergeometricPDE, apply_operator
 from opde.poly import ZERO, BivariatePoly, X, Y
-from opde.rodrigues import (WeightedExpr, rodrigues_derivative_eval,
-                            rodrigues_eval, rodrigues_table, weighted_diff)
+from opde.rodrigues import (WeightedExpr, rodrigues_eval, rodrigues_table,
+                            weighted_diff)
 from opde.vectors import PolyVector, expansion_matrices
-from opde.weights import PhiCase, WeightSpec, classify_phi
+from opde.weights import PhiCase, WeightSpec, classify_phi, shifted_weight
 
 DISK = 1 - X**2 - Y**2
 
@@ -129,7 +130,7 @@ def test_table_matches_per_pair_oracle(which, p, top):
     pairs = [(t - m, m) for t in range(top + 1) for m in range(t + 1)]
     assert list(table) == pairs
     for n, m in pairs:
-        assert table[(n, m)] == rodrigues_derivative_eval(w, case, n, m, 0, 0)
+        assert table[(n, m)] == rodrigues_eval(w, case, n, m)
     assert rodrigues_table(w, case, 0) == {(0, 0): BivariatePoly.const(1)}
 
 
@@ -171,7 +172,7 @@ def test_table_fails_like_the_per_pair_loop(name, monkeypatch):
     def per_pair():
         for t in range(4):
             for m in range(t + 1):
-                rodrigues_derivative_eval(w, case, t - m, m, 0, 0)
+                rodrigues_eval(w, case, t - m, m)
 
     assert run(lambda: rodrigues_table(w, case, 3)) == run(per_pair)
 
@@ -238,10 +239,15 @@ def test_rodrigues_connection_matches_closed_form(p23):
             assert acc == rvec[i]
 
 
+def _derivative(w, case, n, m, r, s):
+    """Rodrigues form of the (r, s) derivative of the (n, m) output."""
+    return rodrigues_eval(shifted_weight(w, case, r, s), case, n - r, m - s)
+
+
 def test_rodrigues_derivative_reduces_at_zero_order(p23):
     w = appell_weight(p23)
     case = appell_phi_case(p23)
-    assert rodrigues_derivative_eval(w, case, 2, 1, 0, 0) == rodrigues_eval(w, case, 2, 1)
+    assert _derivative(w, case, 2, 1, 0, 0) == rodrigues_eval(w, case, 2, 1)
 
 
 def test_rodrigues_derivative_is_always_an_eigensolution(p11, p23):
@@ -255,7 +261,7 @@ def test_rodrigues_derivative_is_always_an_eigensolution(p11, p23):
                     for s in range(m + 1):
                         if n + m == 0:
                             continue
-                        out = rodrigues_derivative_eval(w, case, n, m, r, s)
+                        out = _derivative(w, case, n, m, r, s)
                         eq = pde.shifted(r, s)
                         assert apply_operator(eq, n + m - r - s, out).is_zero()
 
@@ -270,7 +276,7 @@ def test_rodrigues_derivative_consistency(p11, p23):
         for (n, m, r, s) in [(1, 0, 1, 0), (2, 0, 1, 0), (3, 0, 2, 0),
                              (0, 2, 0, 1), (1, 1, 1, 1), (2, 1, 2, 1),
                              (2, 2, 2, 2)]:
-            via_formula = rodrigues_derivative_eval(w, case, n, m, r, s)
+            via_formula = _derivative(w, case, n, m, r, s)
             direct = rodrigues_eval(w, case, n, m)
             for _ in range(r):
                 direct = direct.diff(1)
@@ -289,15 +295,36 @@ def test_rodrigues_derivative_mixed_orders_pick_other_eigensolutions(p11):
     # *different* eigensolution than the formula output: the derived
     # equation's eigenspace has dimension > 1 and they both live in it
     w, case = appell_weight(p11), appell_phi_case(p11)
-    via_formula = rodrigues_derivative_eval(w, case, 2, 1, 1, 1)
+    via_formula = _derivative(w, case, 2, 1, 1, 1)
     direct = rodrigues_eval(w, case, 2, 1).diff(1).diff(2)
     le = direct.leading_exponent()
     ratio = via_formula.coefficient(*le) / direct.coefficient(*le)
     assert via_formula != direct * ratio
 
 
+@pytest.mark.parametrize("which, digest", [
+    ("disk", "94a38bf50d977a1af0f2d0c4b8475fdbb0cbcfa97864e0cdd84a243ec21c96a3"),
+    ("triangle", "1a14403a900b9fa9538880a0b628ebadadd106a9b1c1a21471e821fb2d5268b4"),
+], ids=["disk", "triangle"])
+def test_rodrigues_derivative_outputs_are_pinned(which, digest):
+    # every (n, m, r, s) output with n, m <= 3; the digests were taken with
+    # rodrigues_derivative_eval(w, case, n, m, r, s), which the shifted
+    # weight replaced
+    w, case = _instance(which, AppellParams(Fraction(3, 2), Fraction(5, 7)))
+    lines = []
+    for n in range(4):
+        for m in range(4):
+            for r in range(n + 1):
+                for s in range(m + 1):
+                    out = _derivative(w, case, n, m, r, s)
+                    text = " ".join(f"{i},{j},{c}" for (i, j), c in sorted(out.terms()))
+                    lines.append(f"{n} {m} {r} {s}: {text}")
+    assert len(lines) == 100
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
 def test_rodrigues_derivative_constant_output(p11):
-    out = rodrigues_derivative_eval(appell_weight(p11), appell_phi_case(p11), 1, 0, 1, 0)
+    out = _derivative(appell_weight(p11), appell_phi_case(p11), 1, 0, 1, 0)
     assert out.degree() == 0
     assert out.coefficient(0, 0) != 0
 

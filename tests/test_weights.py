@@ -13,7 +13,7 @@ from opde.poly import BivariatePoly, ONE, X, Y
 from opde.rodrigues import rodrigues_table
 from opde.serialize import pde_from_json, weight_from_json
 from opde.weights import (WeightSpec, classify_phi, log_derivative,
-                          phi_pair_consistent, phi_rs, verify_pearson)
+                          phi_pair_consistent, shifted_weight, verify_pearson)
 
 INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"
 
@@ -60,9 +60,20 @@ def test_case_iii_instance():
     assert by_id["iii"].phi01 == ONE
 
 
-@pytest.mark.parametrize("case_id", sorted(PATTERN_INSTANCES))
-def test_every_pattern_is_first_principles_consistent(case_id):
-    pde = PATTERN_INSTANCES[case_id]
+# instances whose table pair fails the first-principles check, so that
+# classify_phi reconstructs the pair from the Pearson shifts (ERRATA.md §4)
+FALLBACK_INSTANCES = {
+    "iii-solved-squared": ("iii", P(b2=1, c2=1, b3=1, d3=1), ((1 + X)**2, 1 + X)),
+    "iii-solved-cubed": ("iii", P(b2=3, c2=1, b3=1, d3=2), ((X + 2)**2, (X + 2)**3)),
+    "iv-solved": ("iv", P(b1=1, c1=1, c3=1, d3=1), (1 + Y, (1 + Y)**2)),
+}
+
+
+@pytest.mark.parametrize("case_id, pde", [
+    *((case_id, PATTERN_INSTANCES[case_id]) for case_id in sorted(PATTERN_INSTANCES)),
+    *((case_id, pde) for case_id, pde, _ in FALLBACK_INSTANCES.values()),
+], ids=[*sorted(PATTERN_INSTANCES), *FALLBACK_INSTANCES])
+def test_every_pattern_is_first_principles_consistent(case_id, pde):
     cases = classify_phi(pde)
     assert case_id in [c.case_id for c in cases]
     for c in cases:
@@ -85,19 +96,66 @@ def test_no_case_matches():
         classify_phi(P(a=1, b1=1, c1=1, b2=2, c2=1, b3=1, c3=3, d3=1, e=1))
 
 
-def test_phi_rs(p11):
-    case = classify_phi(appell_pde(p11))[0]
-    assert phi_rs(case, 2, 1) == X**2 * Y * (1 - X - Y) ** 3
-    assert phi_rs(case, 0, 0) == ONE
+@pytest.mark.parametrize("name", list(FALLBACK_INSTANCES))
+def test_first_principles_fallback_pairs(name):
+    case_id, pde, pair = FALLBACK_INSTANCES[name]
+    by_id = {c.case_id: (c.phi10, c.phi01) for c in classify_phi(pde)}
+    assert by_id[case_id] == pair
+
+
+def test_first_principles_fallback_without_polynomial_pair():
+    # pattern (iii) with b2 / b3 = 1/2: phi01 would be (1 + 2x)^(1/2), so the
+    # fallback finds no polynomial pair and the pattern is skipped
+    with pytest.raises(NoCaseMatches):
+        classify_phi(P(b2=1, c2=1, b3=2, d3=1))
+
+
+def _proportional(a, b):
+    le = a.leading_exponent()
+    ratio = b.coefficient(*le) / a.coefficient(*le)
+    return ratio != 0 and a * ratio == b
+
+
+def _expand(w):
+    """rho as a polynomial, for a weight with nonnegative integer exponents."""
+    out = X**int(w.u) * Y**int(w.v)
+    for q, e in w.factors:
+        out = out * q**int(e)
+    return out
+
+
+@pytest.mark.parametrize("name", ["triangle", "triangle-with-content", "case-i", "case-iii"])
+def test_shifted_weight_is_rho_times_phi_powers(name, p23):
     pde_i = P(a=-1, c1=1, c2=1, e=-3)
-    case_i = classify_phi(pde_i)[0]
-    assert phi_rs(case_i, 1, 1) == discriminant(pde_i) ** 2
-
-
-def test_phi_rs_multiplicative(p23):
-    case = classify_phi(appell_pde(p23))[0]
-    for r, s, r2, s2 in [(1, 0, 0, 1), (2, 1, 1, 2), (0, 0, 3, 3)]:
-        assert phi_rs(case, r, s) * phi_rs(case, r2, s2) == phi_rs(case, r + r2, s + s2)
+    w, case = {
+        "triangle": (appell_weight(p23), classify_phi(appell_pde(p23))[0]),
+        # phi10 = x (1 - x - y) is x times this factor over 2: content 1/2
+        "triangle-with-content": (WeightSpec(1, 2, ((2 - 2 * X - 2 * Y, 1),)),
+                                  classify_phi(appell_pde(p23))[0]),
+        # phi10 = phi01 = alpha: one residual factor shared by both
+        "case-i": (WeightSpec(0, 0), classify_phi(pde_i)[0]),
+        # phi10 = (1 + x)^2 is one residual factor and phi01 = 1
+        "case-iii": (WeightSpec(1, 0), classify_phi(P(b3=1, d3=1))[0]),
+    }[name]
+    basis = rodrigues._assemble(w, case)
+    for r in range(4):
+        for s in range(4):
+            shifted = shifted_weight(w, case, r, s)
+            assert isinstance(shifted, WeightSpec)
+            assert _proportional(_expand(shifted),
+                                 _expand(w) * case.phi10**r * case.phi01**s), (r, s)
+            # the shifted weight assembles over the same basis, multiplicities
+            # and contents; only the weight's exponents move
+            again = rodrigues._assemble(shifted, case)
+            assert again[0] == basis[0] and again[2:] == basis[2:]
+            assert again[1] == (shifted.u, shifted.v, *(e for _, e in shifted.factors))
+            for r2, s2 in ((1, 0), (0, 1), (2, 3)):
+                assert shifted_weight(shifted, case, r2, s2) == \
+                    shifted_weight(w, case, r + r2, s + s2)
+    with pytest.raises(ValueError):
+        shifted_weight(w, case, -1, 0)
+    with pytest.raises(ValueError):
+        shifted_weight(w, case, 0, -1)
 
 
 def test_log_derivative_single_power():
@@ -125,9 +183,10 @@ def test_log_derivative_combined():
 def test_verify_pearson_appell(p23):
     pde = appell_pde(p23)
     w = appell_weight(p23)
+    case = classify_phi(pde)[0]
     for r in range(4):
         for s in range(4):
-            assert verify_pearson(pde, w, r, s)
+            assert verify_pearson(pde.shifted(r, s), shifted_weight(w, case, r, s))
 
 
 def test_verify_pearson_rejects_wrong_weight(p23):
@@ -153,7 +212,8 @@ def test_verify_pearson_with_a_constant_factor():
     w = WeightSpec(0, 0, ((1 + Y, Fraction(-1)),))
     for r in range(3):
         for s in range(3):
-            assert isinstance(verify_pearson(pde, w, r, s, case=case), bool)
+            assert isinstance(verify_pearson(pde.shifted(r, s), shifted_weight(w, case, r, s)),
+                              bool)
 
 
 def test_verify_pearson_disk():
@@ -163,34 +223,79 @@ def test_verify_pearson_disk():
     assert w.factors[0][1] == Fraction(1, 2)
     data["factors"][0][1] = "3/2"
     wrong = weight_from_json(data)
+    case = classify_phi(pde)[0]
     for r in range(3):
         for s in range(3):
-            assert verify_pearson(pde, w, r, s), (r, s)
-            assert not verify_pearson(pde, wrong, r, s), (r, s)
+            eq = pde.shifted(r, s)
+            assert verify_pearson(eq, shifted_weight(w, case, r, s)), (r, s)
+            assert not verify_pearson(eq, shifted_weight(wrong, case, r, s)), (r, s)
 
 
 def test_table_and_pearson_read_one_exponent_helper(monkeypatch):
+    # the table divides by the weight's exponents over the basis of
+    # rodrigues._assemble, and the weight Pearson certifies at (r, s) is
+    # shifted_weight, read off the same basis
     p = AppellParams(Fraction(3, 2), Fraction(5, 7))
     pde, w = appell_pde(p), appell_weight(p)
     case = classify_phi(pde)[0]
     seen = []
-    helper = rodrigues.shifted_weight
+    helper = rodrigues._assemble
 
-    def recording(w_, case_, r, s):
-        expr = helper(w_, case_, r, s)
-        seen.append((r, s, expr))
-        return expr
+    def recording(w_, case_):
+        out = helper(w_, case_)
+        seen.append((w_, out))
+        return out
 
-    monkeypatch.setattr(rodrigues, "shifted_weight", recording)
-    monkeypatch.setattr(weights, "shifted_weight", recording)
+    monkeypatch.setattr(rodrigues, "_assemble", recording)
+    monkeypatch.setattr(weights, "_assemble", recording)
     rodrigues_table(w, case, 3)
-    assert (0, 0) in {(r, s) for r, s, _ in seen}
+    assert w in {w_ for w_, _ in seen}
     calls = len(seen)
-    assert verify_pearson(pde, w, 1, 2, case=case)
-    assert [(r, s) for r, s, _ in seen[calls:]] == [(1, 2)]
+    shifted = shifted_weight(w, case, 1, 2)
+    assert [w_ for w_, _ in seen[calls:]] == [w]
+
+    def no_classifier(pde_):
+        raise AssertionError("verify_pearson classified the equation")
+
+    monkeypatch.setattr(weights, "classify_phi", no_classifier)
+    assert verify_pearson(pde.shifted(1, 2), shifted)
+    assert len(seen) == calls + 1
     # basis x, y, 1 - x - y; phi10 = x (1 - x - y), phi01 = y (1 - x - y)
     rho, m10, m01 = (p.alpha - 1, p.beta - 1, 0), (1, 0, 1), (0, 1, 1)
-    for r, s, expr in seen:
-        assert expr.factors == (X, Y, 1 - X - Y)
-        assert expr.exponents == tuple(e + r * a + s * b for e, a, b in zip(rho, m10, m01))
-        assert expr.poly == ONE
+    for _, (basis, exps, *_rest) in seen:
+        assert basis == (X, Y, 1 - X - Y)
+        assert exps == rho
+    for r, s in ((0, 0), (1, 2), (3, 1)):
+        shifted = shifted_weight(w, case, r, s)
+        assert shifted.factors[0][0] == 1 - X - Y
+        assert (shifted.u, shifted.v, shifted.factors[0][1]) == tuple(
+            e + r * a + s * b for e, a, b in zip(rho, m10, m01))
+
+
+# verify_pearson verdicts for r, s <= 2, row r, column s, first taken with the
+# five-parameter verify_pearson(pde, w, r, s) that the shifted weight replaced
+_PEARSON_VERDICTS = {
+    "disk-1/2": [[True] * 3] * 3,
+    "disk-3/2": [[False] * 3] * 3,
+    "pattern-v": [[False] * 3] * 3,
+    "triangle-wrong": [[False] * 3] * 3,
+}
+
+
+@pytest.mark.parametrize("name", list(_PEARSON_VERDICTS))
+def test_pearson_verdicts_are_pinned(name, p23):
+    disk = pde_from_json(json.loads((INPUTS / "disk_pde.json").read_text()))
+    data = json.loads((INPUTS / "disk_weight.json").read_text())
+    if name == "disk-3/2":
+        data["factors"][0][1] = "3/2"
+    pde, w = {
+        "disk-1/2": (disk, None),
+        "disk-3/2": (disk, None),
+        "pattern-v": (P(c1=1, b2=1, c2=1, e=-1), WeightSpec(0, 0, ((1 + Y, Fraction(-1)),))),
+        "triangle-wrong": (appell_pde(p23), WeightSpec(p23.alpha, p23.beta - 1)),
+    }[name]
+    w = w or weight_from_json(data)
+    case = classify_phi(pde)[0]
+    verdicts = [[verify_pearson(pde.shifted(r, s), shifted_weight(w, case, r, s))
+                 for s in range(3)] for r in range(3)]
+    assert verdicts == _PEARSON_VERDICTS[name]
