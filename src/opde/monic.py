@@ -20,8 +20,8 @@ the single place where they are translated to 0-based indexing.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import (InconsistentRecursion, NotAdmissible, NotSelfAdjoint,
@@ -34,13 +34,6 @@ from .vectors import (PolyVector, PolyVectorFamily, combine, expansion_matrices,
                       monomial_vector, peel, shift_matrix)
 
 
-def _require_varpi(pde: HypergeometricPDE, k: int) -> Fraction:
-    v = pde.varpi(k)
-    if v == 0:
-        raise NotAdmissible(k)
-    return v
-
-
 @lru_cache(maxsize=None)
 def subleading_matrices(pde: HypergeometricPDE, n: int
                         ) -> Tuple[RationalMatrix, Optional[RationalMatrix]]:
@@ -48,44 +41,51 @@ def subleading_matrices(pde: HypergeometricPDE, n: int
     degree-n vector: the bidiagonal (n+1) x n coefficient of the degree-(n-1)
     monomials and, for n >= 2, the three-diagonal (n+1) x (n-1) coefficient of
     the degree-(n-2) monomials (absent at n = 1).
+
+    Computed on the coefficients times their common denominator D: the
+    first matrix is over w1 = varpi(2n - 2), the second over 2 w1 w2 with
+    w2 = varpi(2n - 3), and D cancels from both.
     """
     if n < 1:
         raise ValueError("subleading matrices start at n = 1")
-    p = pde
-    w1 = _require_varpi(p, 2 * n - 2)
+    den = lcm(*(c.denominator for c in pde))
+    a, b1, c1, b2, c2, b3, c3, d3, e, f1, f2 = (c.numerator * (den // c.denominator)
+                                                for c in pde)
+    w1 = a * (2 * n - 2) + e
+    if w1 == 0:
+        raise NotAdmissible(2 * n - 2)
 
-    def dx(i: int) -> Fraction:  # x-type linear factor at row i
-        return (n - i - 1) * p.b1 + 2 * i * p.c3 + p.f1
+    def dx(i: int) -> int:  # x-type linear factor at row i
+        return (n - i - 1) * b1 + 2 * i * c3 + f1
 
-    def dy(i: int) -> Fraction:  # y-type linear factor at row i
-        return (i - 1) * p.b2 + 2 * (n - i) * p.b3 + p.f2
+    def dy(i: int) -> int:  # y-type linear factor at row i
+        return (i - 1) * b2 + 2 * (n - i) * b3 + f2
 
-    g1 = RationalMatrix.zeros(n + 1, n).tolist()
+    g1 = [[0] * n for _ in range(n + 1)]
     for i in range(n):
-        g1[i][i] = (n - i) * dx(i) / w1
+        g1[i][i] = (n - i) * dx(i)
     for i in range(1, n + 1):
-        g1[i][i - 1] = i * dy(i) / w1
-    gnm1 = RationalMatrix(g1)
+        g1[i][i - 1] = i * dy(i)
+    gnm1 = RationalMatrix.from_integers(g1, w1)
 
     if n == 1:
         return gnm1, None
 
-    w2 = _require_varpi(p, 2 * n - 3)
-    den = 2 * w1 * w2
-    g2 = RationalMatrix.zeros(n + 1, n - 1).tolist()
+    w2 = a * (2 * n - 3) + e
+    if w2 == 0:
+        raise NotAdmissible(2 * n - 3)
+    g2 = [[0] * (n - 1) for _ in range(n + 1)]
     for i in range(n - 1):
-        g2[i][i] = ((n - i) * (n - i - 1)
-                    * (w1 * p.c1 + dx(i) * (dx(i) - p.b1))) / den
+        g2[i][i] = (n - i) * (n - i - 1) * (w1 * c1 + dx(i) * (dx(i) - b1))
     for i in range(1, n):
         # cross term: both one-step paths through the degree-(n-1) layer
-        mixed = (2 * p.d3 * w1
-                 + dx(i) * ((i - 1) * p.b2 + 2 * (n - 1 - i) * p.b3 + p.f2)
-                 + dy(i) * ((n - 1 - i) * p.b1 + 2 * (i - 1) * p.c3 + p.f1))
-        g2[i][i - 1] = i * (n - i) * mixed / den
+        mixed = (2 * d3 * w1
+                 + dx(i) * ((i - 1) * b2 + 2 * (n - 1 - i) * b3 + f2)
+                 + dy(i) * ((n - 1 - i) * b1 + 2 * (i - 1) * c3 + f1))
+        g2[i][i - 1] = i * (n - i) * mixed
     for i in range(2, n + 1):
-        g2[i][i - 2] = (i * (i - 1)
-                        * (w1 * p.c2 + dy(i) * (dy(i) - p.b2))) / den
-    return gnm1, RationalMatrix(g2)
+        g2[i][i - 2] = i * (i - 1) * (w1 * c2 + dy(i) * (dy(i) - b2))
+    return gnm1, RationalMatrix.from_integers(g2, 2 * w1 * w2)
 
 
 class TtrrSet(NamedTuple):

@@ -25,6 +25,7 @@ eigensolution of the shifted equation.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, NamedTuple, Tuple
 
 from .errors import DegenerateDiscriminant, NotAdmissible
@@ -148,17 +149,24 @@ def is_potentially_self_adjoint(pde: HypergeometricPDE) -> bool:
     return lhs == rhs
 
 
+@lru_cache(maxsize=None)
+def _operator_coefficients(pde: HypergeometricPDE) -> Tuple[BivariatePoly, ...]:
+    """The polynomial coefficients of u_xx, u_xy, u_yy, u_x and u_y."""
+    return (pde.quad_xx(), 2 * pde.quad_xy(), pde.quad_yy(),
+            BivariatePoly({(1, 0): pde.e, (0, 0): pde.f1}),
+            BivariatePoly({(0, 1): pde.e, (0, 0): pde.f2}))
+
+
 def apply_operator(pde: HypergeometricPDE, n: int, p: BivariatePoly) -> BivariatePoly:
     """D p + lambda_n p; identically zero exactly when p is a degree-n
     eigensolution.  The (r, s) derivative of one is checked on
     ``pde.shifted(r, s)`` at degree n - r - s."""
     if n < 0:
         raise ValueError("need n >= 0")
-    tau_x = BivariatePoly({(1, 0): pde.e, (0, 0): pde.f1})
-    tau_y = BivariatePoly({(0, 1): pde.e, (0, 0): pde.f2})
-    return (pde.quad_xx() * p.diff(1).diff(1)
-            + 2 * pde.quad_xy() * p.diff(1).diff(2)
-            + pde.quad_yy() * p.diff(2).diff(2)
-            + tau_x * p.diff(1)
-            + tau_y * p.diff(2)
+    uxx, uxy, uyy, ux, uy = _operator_coefficients(pde)
+    return (uxx * p.diff(1).diff(1)
+            + uxy * p.diff(1).diff(2)
+            + uyy * p.diff(2).diff(2)
+            + ux * p.diff(1)
+            + uy * p.diff(2)
             + pde.eigenvalue(n) * p)

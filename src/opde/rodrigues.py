@@ -42,7 +42,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Sequence,
+                    Tuple)
 
 from .errors import DegreeMismatch, NotDivisible, NotReducible
 from .poly import ONE, X, Y, BivariatePoly
@@ -222,31 +223,96 @@ def rodrigues_eval(w: WeightSpec, case: PhiCase, n: int, m: int) -> BivariatePol
     return _divide_out(expr, _assemble(w, case)[1], n + m)
 
 
+Node = Tuple[int, int]
+
+
+def derivative_plan(targets: Iterable[Node]) -> List[Tuple[Node, int, Node]]:
+    """The derivative steps (parent, axis, child) that reach every target
+    (n, m) from the root (0, 0), in evaluation order: each parent is the root
+    or the child of an earlier step, and each step moves one unit along x
+    (axis 1) or y (axis 2).  Partial derivatives commute, so a node stands for
+    every order of its steps, and a node with two children shares its step.
+
+    At node (a, b), once (a, b) itself is recorded, the remaining targets
+    decide: step y if all have m > b, else step x if all have n > a, else
+    sort them by (m - b) - (n - a) and send the first half to the x child,
+    the rest to the y child, except that a target with n = a goes to the y
+    side and one with m = b to the x side.  A node that two branches reach
+    is stepped to once.  A single target is reached by its y-steps, then its
+    x-steps.  For the pairs of one total degree t this takes 0, 2, 5, 8,
+    12, ... steps, as few as any tree that splits them in sorted order (a
+    dynamic program over those trees agrees for t <= 18), where the full
+    lattice takes (t + 1)(t + 2)/2 - 1."""
+    targets = list(targets)
+    if any(n < 0 or m < 0 for n, m in targets):
+        raise ValueError("need n, m >= 0")
+    steps: List[Tuple[Node, int, Node]] = []
+    derived = {(0, 0)}
+
+    def step(node: Node, axis: int) -> Node:
+        child = (node[0] + 1, node[1]) if axis == 1 else (node[0], node[1] + 1)
+        if child not in derived:
+            derived.add(child)
+            steps.append((node, axis, child))
+        return child
+
+    def grow(node: Node, remaining: List[Node]) -> None:
+        while True:
+            a, b = node
+            remaining = [t for t in remaining if t != node]
+            if not remaining:
+                return
+            if all(m > b for _, m in remaining):
+                node = step(node, 2)
+            elif all(n > a for n, _ in remaining):
+                node = step(node, 1)
+            else:
+                break
+        remaining.sort(key=lambda t: (t[1] - b) - (t[0] - a))
+        first, rest = remaining[:len(remaining) // 2], remaining[len(remaining) // 2:]
+        xs = [t for t in first if t[0] > a] + [t for t in rest if t[1] == b]
+        ys = [t for t in rest if t[1] > b] + [t for t in first if t[0] == a]
+        for axis, side in ((1, xs), (2, ys)):
+            if side:
+                grow(step(node, axis), side)
+
+    grow((0, 0), targets)
+    return steps
+
+
 def rodrigues_table(w: WeightSpec, case: PhiCase, N: int
                     ) -> Dict[Tuple[int, int], BivariatePoly]:
     """Every output ``rodrigues_eval(w, case, n, m)`` with n + m <= N, keyed
     by (n, m) in order of total degree, then m ascending.
 
-    Outputs whose brackets rho * phi10^n * phi01^m coincide (on the disk,
-    phi10 = phi01, every pair of one total degree) share one chain of
-    y-derivatives; each output branches its x-derivatives from step m of its
-    chain.  Partial derivatives commute, so every output is the polynomial
-    the x-first evaluation gives, and the outputs are divided out in key
-    order, so an unsupported weight fails at the same first pair."""
+    Outputs whose brackets rho * phi10^n * phi01^m coincide form one class:
+    on the disk, phi10 = phi01, every pair of one total degree; a constant
+    phi factor joins pairs across total degrees.  The class key is the
+    bracket's integer exponent shift n * m10 + m * m01 with its content.
+    Each class builds its bracket once and takes all its derivatives from one
+    ``derivative_plan`` tree (disk, N = 18: 687 steps, where the full lattice
+    below each total degree takes 1,311).  Partial derivatives commute, so
+    every output is the polynomial the x-first evaluation gives.  A class is
+    derived when its first pair comes up and the outputs are divided out in
+    key order, so an unsupported weight fails at the same first pair."""
     if N < 0:
         raise ValueError("need N >= 0")
-    rho_exps = _assemble(w, case)[1]
-    chains: Dict[Tuple[tuple, BivariatePoly], List[WeightedExpr]] = {}
+    _, rho_exps, m10, c10, m01, c01 = _assemble(w, case)
+    pairs = [(t - m, m) for t in range(N + 1) for m in range(t + 1)]
+    classes: Dict[tuple, List[Node]] = {}
+    class_of: Dict[Node, List[Node]] = {}
+    for n, m in pairs:
+        key = (tuple(n * a + m * b for a, b in zip(m10, m01)), c10**n * c01**m)
+        class_of[(n, m)] = members = classes.setdefault(key, [])
+        members.append((n, m))
+    ready: Dict[Node, WeightedExpr] = {}
     out: Dict[Tuple[int, int], BivariatePoly] = {}
-    for total in range(N + 1):
-        for m in range(total + 1):
-            n = total - m
-            root = _bracket(w, case, n, m)
-            chain = chains.setdefault((root.exponents, root.poly), [root])
-            while len(chain) <= m:
-                chain.append(weighted_diff(chain[-1], 2))
-            expr = chain[m]
-            for _ in range(n):
-                expr = weighted_diff(expr, 1)
-            out[(n, m)] = _divide_out(expr, rho_exps, total)
+    for pair in pairs:
+        if pair not in ready:  # first pair of its class: derive the class
+            targets = class_of[pair]
+            nodes = {(0, 0): _bracket(w, case, *targets[0])}
+            for parent, axis, child in derivative_plan(targets):
+                nodes[child] = weighted_diff(nodes[parent], axis)
+            ready.update((t, nodes[t]) for t in targets)
+        out[pair] = _divide_out(ready.pop(pair), rho_exps, sum(pair))
     return out

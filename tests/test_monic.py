@@ -51,6 +51,25 @@ def test_subleading_band_structure(fam23):
         assert g2[n, n - 3] == 0 if n >= 3 else True
 
 
+def test_subleading_matrices_run_without_fraction_arithmetic(fraction_ops):
+    pde = appell_pde(AppellParams(Fraction(3, 2), Fraction(5, 7)))
+    subleading_matrices.cache_clear()
+    with fraction_ops() as count:
+        for n in range(1, 14):
+            subleading_matrices(pde, n)
+    assert count[0] == 0
+
+
+@pytest.mark.parametrize("coeffs, root", [
+    (dict(a=Fraction(1, 2), e=-3, f1=Fraction(1, 3)), 6),   # w1 = varpi(6) = 0
+    (dict(a=Fraction(1, 3), e=Fraction(-5, 3), c1=1), 5),  # w2 = varpi(5) = 0
+])
+def test_subleading_matrices_reject_vanishing_varpi(coeffs, root):
+    with pytest.raises(NotAdmissible) as info:
+        subleading_matrices(P(**coeffs), 4)
+    assert info.value.index == root
+
+
 def test_monic_ttrr_small_values():
     pde = appell_pde(AppellParams(1, 1))
     t0 = monic_ttrr(pde, 0)

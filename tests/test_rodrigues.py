@@ -2,6 +2,7 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from opde import rodrigues
 from opde.errors import DegreeMismatch, NotReducible
@@ -11,8 +12,8 @@ from opde.families import (AppellParams, appell_pde, appell_phi_case,
 from opde.matrix import RationalMatrix
 from opde.pde import HypergeometricPDE, apply_operator
 from opde.poly import ZERO, BivariatePoly, X, Y
-from opde.rodrigues import (WeightedExpr, rodrigues_eval, rodrigues_table,
-                            weighted_diff)
+from opde.rodrigues import (WeightedExpr, derivative_plan, rodrigues_eval,
+                            rodrigues_table, weighted_diff)
 from opde.vectors import PolyVector, expansion_matrices
 from opde.weights import PhiCase, WeightSpec, classify_phi, shifted_weight
 
@@ -108,15 +109,75 @@ def test_polynomial_part_stays_within_output_degree(which, n, m, table, p23, mon
     if table:
         outputs = rodrigues_table(w, case, n + m)
         assert all(p.degree() == a + b for (a, b), p in outputs.items())
-        # one step per pair on the triangle; on the disk each total degree t
-        # shares one y-chain of t steps, and x-branches of sum_m (t - m) steps
+        # one chain of t steps per pair on the triangle; on the disk every
+        # pair of total degree t shares one derivative tree, whose step
+        # counts for t = 0..7 are pinned in test_plan_antidiagonal_counts
         pairs = sum(t * (t + 1) for t in range(n + m + 1))
-        shared = sum(t + t * (t + 1) // 2 for t in range(n + m + 1))
-        assert len(degrees) == (shared if which == "disk" else pairs)
+        assert len(degrees) == (87 if which == "disk" else pairs)
     else:
         assert rodrigues_eval(w, case, n, m).degree() == n + m
         assert len(degrees) == n + m
     assert max(degrees) <= n + m
+
+
+def _lattice(targets):
+    """Every node (a, b) below some target, the root included."""
+    return {(a, b) for n, m in targets for a in range(n + 1) for b in range(m + 1)}
+
+
+_TARGETS = st.one_of(
+    st.sets(st.integers(0, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 8 - n))),
+            min_size=1),
+    st.integers(0, 8).flatmap(
+        lambda t: st.sets(st.integers(0, t), min_size=1).map(
+            lambda ms: {(t - m, m) for m in ms})),
+)
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None)
+@given(_TARGETS)
+def test_plan_reaches_every_target_one_unit_step_at_a_time(targets):
+    derived = {(0, 0)}
+    steps = derivative_plan(sorted(targets))
+    for parent, axis, child in steps:
+        assert parent in derived and child not in derived
+        a, b = parent
+        assert child == ((a + 1, b) if axis == 1 else (a, b + 1))
+        derived.add(child)
+    assert targets <= derived
+    assert len(steps) <= len(_lattice(targets)) - 1
+
+
+def test_plan_antidiagonal_counts():
+    counts = [len(derivative_plan([(t - m, m) for m in range(t + 1)])) for t in range(8)]
+    assert counts == [0, 2, 5, 8, 12, 16, 20, 24]
+    # the full lattice below total t takes (t + 1)(t + 2)/2 - 1 steps
+    full = [len(_lattice([(t - m, m) for m in range(t + 1)])) - 1 for t in range(19)]
+    tree = [len(derivative_plan([(t - m, m) for m in range(t + 1)])) for t in range(19)]
+    assert (sum(full), sum(tree)) == (1311, 687)
+
+
+def test_plan_single_target_is_the_y_then_x_chain():
+    assert derivative_plan([(2, 1)]) == [((0, 0), 2, (0, 1)), ((0, 1), 1, (1, 1)),
+                                         ((1, 1), 1, (2, 1))]
+    assert derivative_plan([(0, 0)]) == []
+    with pytest.raises(ValueError):
+        derivative_plan([(1, -1)])
+
+
+def test_disk_table_takes_687_steps_at_18(monkeypatch):
+    w, case = _instance("disk")
+    degrees = []
+
+    def traced(expr, axis):
+        out = weighted_diff(expr, axis)
+        degrees.append(out.poly.degree())
+        return out
+
+    monkeypatch.setattr(rodrigues, "weighted_diff", traced)
+    assert len(rodrigues_table(w, case, 18)) == 190
+    assert (len(degrees), max(degrees)) == (687, 18)
 
 
 @pytest.mark.parametrize("which, p, top", [

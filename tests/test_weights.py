@@ -204,7 +204,10 @@ def test_weight_spec_validation():
 
 def test_verify_pearson_with_a_constant_factor():
     # pattern (v) with b1 = 0: phi10 is the constant 1, which the factor
-    # basis carries with multiplicity zero
+    # basis carries with multiplicity zero.  The discriminant is 1 + y and
+    # the Pearson numerators are -x(1 + y) and -(1 + y), so the equation's
+    # only weight is exp(-x^2/2 - y): no power weight passes, and the shifted
+    # weights of (1 + y)^(-1) are rejected at every order
     pde = P(c1=1, b2=1, c2=1, e=-1)
     assert is_potentially_self_adjoint(pde)
     case = classify_phi(pde)[0]
@@ -212,8 +215,7 @@ def test_verify_pearson_with_a_constant_factor():
     w = WeightSpec(0, 0, ((1 + Y, Fraction(-1)),))
     for r in range(3):
         for s in range(3):
-            assert isinstance(verify_pearson(pde.shifted(r, s), shifted_weight(w, case, r, s)),
-                              bool)
+            assert verify_pearson(pde.shifted(r, s), shifted_weight(w, case, r, s)) is False
 
 
 def test_verify_pearson_disk():
