@@ -27,9 +27,9 @@ The series route and the connection matrices keep their printed
 rising-factorial formulas but evaluate them on ints: every rising factorial
 is a ratio of entries of one list per parameter (``_rising_ints``, walked
 once by the term ratio x + t), and each polynomial or matrix is assembled
-over one common denominator, with one reduction.  The nested-Jacobi family
-memoises the Jacobi polynomials and the powers of its linear substitutions,
-so each one costs one product.
+over one common denominator, with one reduction.  The Jacobi polynomials and
+the nested-Jacobi family are read the same way off the explicit power sum of
+P_n^(a,b) in (1 - t)/2, with no polynomial product.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .matrix import IntRows, RationalMatrix
 from .monic import build_monic
 from .pde import HypergeometricPDE
-from .poly import X, Y, BivariatePoly, Scalar, pochhammer, rat
+from .poly import BivariatePoly, Scalar, pochhammer, rat
 from .rodrigues import rodrigues_eval
 from .vectors import PolyVector, PolyVectorFamily, monomial_vector
 from .weights import PhiCase, WeightSpec, classify_phi
@@ -208,58 +208,59 @@ def monic_appell_vector(p: AppellParams, n: int) -> PolyVector:
 
 # -- classical univariate building block ---------------------------------------
 
-@lru_cache(maxsize=None)
+def _jacobi_sum(a: Scalar, b: Scalar, n: int) -> Tuple[List[int], int]:
+    """Int numerators c_0..c_n over one denominator d with
+    P_n^(a,b)(t) = sum_k c_k ((1 - t)/2)^k / d, the explicit power sum
+    (a+1)_n / n! 2F1(-n, n+a+b+1; a+1; (1-t)/2).  Its term k is
+    (-1)^k C(n, k) (a+1+k)_(n-k) (n+a+b+1)_k / n!; with A = a + 1 and
+    S = n + a + b + 1, (A+k)_(n-k) = ra[n] / ra[k] / ad^(n-k) and
+    (S)_k = rs[k] / sd^k on two ``_rising_ints`` lists, so every term is put
+    over n! ad^n sd^n."""
+    big_a, big_s = a + 1, a + b + (n + 1)
+    ra, rs = _rising_ints(big_a, n), _rising_ints(big_s, n)
+    ad, sd = big_a.denominator, big_s.denominator
+    nums = [(-1) ** k * comb(n, k) * (ra[n] // ra[k]) * ad ** k * rs[k] * sd ** (n - k)
+            for k in range(n + 1)]
+    return nums, factorial(n) * ad ** n * sd ** n
+
+
 def jacobi(a: Scalar, b: Scalar, n: int) -> BivariatePoly:
     """Degree-n Jacobi polynomial in x, classical normalization
-    P_n(1) = (a+1)_n / n!, by the exact three-term recurrence; memoised, so
-    each degree costs one recurrence step."""
+    P_n(1) = (a+1)_n / n!: the power sum of ``_jacobi_sum`` expanded with
+    ((1 - x)/2)^k = 2^(n-k) sum_j C(k, j) (-x)^j / 2^n, on ints."""
     a, b = rat(a), rat(b)
     if a <= -1 or b <= -1:
         raise ValueError("need a, b > -1")
     if n < 0:
         raise ValueError("need n >= 0")
-    if n == 0:
-        return BivariatePoly.const(1)
-    if n == 1:
-        return BivariatePoly({(1, 0): (a + b + 2) / 2, (0, 0): (a - b) / 2})
-    c0 = 2 * n * (n + a + b) * (2 * n + a + b - 2)
-    c1 = (2 * n + a + b - 1) * (a * a - b * b)
-    c2 = (2 * n + a + b - 1) * (2 * n + a + b) * (2 * n + a + b - 2)
-    c3 = 2 * (n + a - 1) * (n + b - 1) * (2 * n + a + b)
-    return ((c2 * X + BivariatePoly.const(c1)) * jacobi(a, b, n - 1)
-            - c3 * jacobi(a, b, n - 2)) * (1 / c0)
+    nums, den = _jacobi_sum(a, b, n)
+    terms = {(j, 0): (-1) ** j * sum(comb(k, j) * c << (n - k) for k, c in enumerate(nums))
+             for j in range(n + 1)}
+    return BivariatePoly.from_integers(terms, den << n)
 
 
 # -- nested-Jacobi family -------------------------------------------------------
 
-_ONE_MINUS_X = BivariatePoly.const(1) - X
-_LEVER = 2 * Y - _ONE_MINUS_X  # (1-x) * (2y/(1-x) - 1)
-_SHIFTED_X = 2 * X - BivariatePoly.const(1)
-
-
-@lru_cache(maxsize=None)
-def _power(base: BivariatePoly, k: int) -> BivariatePoly:
-    """base**k, one product per power on top of the memoised lower one."""
-    return BivariatePoly.const(1) if k == 0 else _power(base, k - 1) * base
-
-
 def koornwinder(p: AppellParams, n: int, m: int) -> BivariatePoly:
     """P_n^(2m+beta, alpha-1)(2x-1) (1-x)^m P_m^(0, beta-1)(2y/(1-x) - 1),
-    expanded exactly: the (1-x)^m prefactor clears every denominator of the
-    inner substitution."""
-    inner_poly = jacobi(0, p.beta - 1, m)
-    inner = BivariatePoly.zero()
-    for k in range(m + 1):
-        c = inner_poly.coefficient(k, 0)
-        if c != 0:
-            inner = inner + c * _power(_LEVER, k) * _power(_ONE_MINUS_X, m - k)
-    outer_poly = jacobi(2 * m + p.beta, p.alpha - 1, n)
-    outer = BivariatePoly.zero()
-    for k in range(n + 1):
-        c = outer_poly.coefficient(k, 0)
-        if c != 0:
-            outer = outer + c * _power(_SHIFTED_X, k)
-    return outer * inner
+    expanded exactly on ints.  With u = 1 - x, the variable (1 - t)/2 of
+    ``_jacobi_sum`` is u for the outer factor and (u - y)/u for the inner
+    one, so the outer factor is sum_k c_k u^k and, since
+    ((u - y)/u)^l u^m = sum_q C(l, q) (-y)^q u^(m-q), the inner factor is
+    sum_q D_q y^q u^(m-q) with D_q = (-1)^q sum_l C(l, q) d_l.  Expanding
+    u^r = sum_i C(r, i) (-x)^i, the coefficient of x^i y^q is
+    (-1)^i D_q sum_k c_k C(k + m - q, i), over the two sums' denominators."""
+    if n < 0 or m < 0:
+        raise ValueError("need n, m >= 0")
+    outer, outer_den = _jacobi_sum(2 * m + p.beta, p.alpha - 1, n)
+    inner, inner_den = _jacobi_sum(0, p.beta - 1, m)
+    terms = {}
+    for q in range(m + 1):
+        d = (-1) ** q * sum(comb(l, q) * c for l, c in enumerate(inner))
+        for i in range(n + m - q + 1):
+            terms[(i, q)] = (-1) ** i * d * sum(comb(k + m - q, i) * c
+                                                for k, c in enumerate(outer))
+    return BivariatePoly.from_integers(terms, outer_den * inner_den)
 
 
 def koornwinder_vector(p: AppellParams, n: int) -> PolyVector:

@@ -233,6 +233,10 @@ class BivariatePoly:
             raise ValueError("axis must be 1 or 2")
         return _make(out, self._den)
 
+    def swap(self) -> "BivariatePoly":
+        """The polynomial p(y, x): x^i y^j becomes x^j y^i."""
+        return _raw({(j, i): c for (i, j), c in self._terms.items()}, self._den)
+
     def evaluate(self, x: Scalar, y: Scalar) -> Fraction:
         x, y = rat(x), rat(y)
         total = sum((c * x**i * y**j for (i, j), c in self._terms.items()), Fraction(0))

@@ -42,8 +42,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import (TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Sequence,
-                    Tuple)
+from typing import (TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .errors import DegreeMismatch, NotDivisible, NotReducible
 from .poly import ONE, X, Y, BivariatePoly
@@ -280,6 +280,36 @@ def derivative_plan(targets: Iterable[Node]) -> List[Tuple[Node, int, Node]]:
     return steps
 
 
+def _mirror(w: WeightSpec, case: PhiCase) -> Optional[Tuple[int, ...]]:
+    """The permutation pi of the factor basis with swap(basis[i]) ==
+    basis[pi[i]], when the swap sigma(x, y) = (y, x) fixes rho and carries
+    phi10 to phi01: every factor keeps its rho exponent, m10[i] == m01[pi[i]]
+    and m01[i] == m10[pi[i]], and c10 == c01, all by exact equality.  Then
+    sigma maps the (n, m) bracket onto the (m, n) bracket.  None otherwise."""
+    basis, rho_exps, m10, c10, m01, c01 = _assemble(w, case)
+    if c10 != c01:
+        return None
+    free = list(range(len(basis)))
+    perm = []
+    for i, f in enumerate(basis):
+        want = (f.swap(), rho_exps[i], m10[i], m01[i])
+        j = next((j for j in free if (basis[j], rho_exps[j], m01[j], m10[j]) == want), None)
+        if j is None:
+            return None
+        free.remove(j)
+        perm.append(j)
+    return tuple(perm)
+
+
+def _mirrored(expr: WeightedExpr, perm: Sequence[int]) -> WeightedExpr:
+    """sigma(expr) over the same basis: factor i's exponent moves to
+    perm[i] and the polynomial part is swapped."""
+    exponents = [Fraction(0)] * len(perm)
+    for j, e in zip(perm, expr.exponents):
+        exponents[j] = e
+    return WeightedExpr(expr.factors, tuple(exponents), expr.poly.swap())
+
+
 def rodrigues_table(w: WeightSpec, case: PhiCase, N: int
                     ) -> Dict[Tuple[int, int], BivariatePoly]:
     """Every output ``rodrigues_eval(w, case, n, m)`` with n + m <= N, keyed
@@ -290,29 +320,46 @@ def rodrigues_table(w: WeightSpec, case: PhiCase, N: int
     phi factor joins pairs across total degrees.  The class key is the
     bracket's integer exponent shift n * m10 + m * m01 with its content.
     Each class builds its bracket once and takes all its derivatives from one
-    ``derivative_plan`` tree (disk, N = 18: 687 steps, where the full lattice
-    below each total degree takes 1,311).  Partial derivatives commute, so
-    every output is the polynomial the x-first evaluation gives.  A class is
-    derived when its first pair comes up and the outputs are divided out in
-    key order, so an unsupported weight fails at the same first pair."""
+    ``derivative_plan`` tree.  Partial derivatives commute, so every output
+    is the polynomial the x-first evaluation gives.
+
+    When the swap sigma(x, y) = (y, x) fixes rho and carries phi10 to phi01
+    (checked exactly on the factor basis by ``_mirror``: the disk, the
+    triangle at alpha = beta), the (m, n) derivative is sigma of the (n, m)
+    one, so the trees reach only the targets with n >= m and each n > m
+    expression is mirrored for (m, n).  Disk, N = 18: 356 steps, where one
+    tree per total degree over every pair takes 687 and the full lattice
+    below each total degree 1,311.
+
+    A class is derived when its first planned pair comes up and the outputs
+    are divided out in key order, each from the expression the x-first
+    evaluation reaches, so an unsupported weight fails at the same first
+    pair."""
     if N < 0:
         raise ValueError("need N >= 0")
     _, rho_exps, m10, c10, m01, c01 = _assemble(w, case)
+    perm = _mirror(w, case)
     pairs = [(t - m, m) for t in range(N + 1) for m in range(t + 1)]
     classes: Dict[tuple, List[Node]] = {}
     class_of: Dict[Node, List[Node]] = {}
     for n, m in pairs:
+        if perm is not None and n < m:
+            continue  # mirrored from (m, n)
         key = (tuple(n * a + m * b for a, b in zip(m10, m01)), c10**n * c01**m)
         class_of[(n, m)] = members = classes.setdefault(key, [])
         members.append((n, m))
     ready: Dict[Node, WeightedExpr] = {}
     out: Dict[Tuple[int, int], BivariatePoly] = {}
     for pair in pairs:
-        if pair not in ready:  # first pair of its class: derive the class
+        if pair not in ready:  # first planned pair of its class: derive the class
             targets = class_of[pair]
             nodes = {(0, 0): _bracket(w, case, *targets[0])}
             for parent, axis, child in derivative_plan(targets):
                 nodes[child] = weighted_diff(nodes[parent], axis)
             ready.update((t, nodes[t]) for t in targets)
-        out[pair] = _divide_out(ready.pop(pair), rho_exps, sum(pair))
+        expr = ready.pop(pair)
+        n, m = pair
+        if perm is not None and n > m:
+            ready[(m, n)] = _mirrored(expr, perm)
+        out[pair] = _divide_out(expr, rho_exps, n + m)
     return out

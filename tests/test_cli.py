@@ -475,7 +475,10 @@ def test_text_output_digest(argv, digest, monkeypatch, capsys):
     # the rodrigues degree of the benchmark's triangle-verify, at its first point
     (["--alpha", "3/2", "--beta", "5/7", "-N", "6"],
      "5a41d38968447ea98fe34c43b7467afcf7f5ad4b558d34a05366bdfaf3df9f37"),
-], ids=["disk", "disk-12", "triangle", "disk-18", "triangle-verify"])
+    # a mirror-invariant triangle: the n < m outputs are swapped n > m ones
+    (["--alpha", "3/2", "--beta", "3/2", "-N", "8"],
+     "4774d31ec170c4a6dc358e89da1d9c08995e700d5acedffa4cdb37a7ef4084ab"),
+], ids=["disk", "disk-12", "triangle", "disk-18", "triangle-verify", "triangle-mirror"])
 def test_rodrigues_json_digest(argv, digest, tmp_path, monkeypatch, capsys):
     # pins the whole JSON document, byte for byte
     monkeypatch.delenv("OPDE_MAX_DEGREE", raising=False)

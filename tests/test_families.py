@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, gcd
 
 import pytest
@@ -93,6 +94,70 @@ def test_jacobi():
     for n in range(5):
         want = pochhammer(a + 1, n) / factorial(n)
         assert jacobi(a, b, n).evaluate(1, 0) == want
+
+
+# -- the three-term recurrence and the nested substitution, kept as the oracle --
+
+@lru_cache(maxsize=None)
+def _jacobi_recurrence(a, b, n):
+    """P_n^(a,b) by the classical three-term recurrence, on Fractions."""
+    a, b = Fraction(a), Fraction(b)
+    if n == 0:
+        return BivariatePoly.const(1)
+    if n == 1:
+        return BivariatePoly({(1, 0): (a + b + 2) / 2, (0, 0): (a - b) / 2})
+    c0 = 2 * n * (n + a + b) * (2 * n + a + b - 2)
+    c1 = (2 * n + a + b - 1) * (a * a - b * b)
+    c2 = (2 * n + a + b - 1) * (2 * n + a + b) * (2 * n + a + b - 2)
+    c3 = 2 * (n + a - 1) * (n + b - 1) * (2 * n + a + b)
+    return ((c2 * X + BivariatePoly.const(c1)) * _jacobi_recurrence(a, b, n - 1)
+            - c3 * _jacobi_recurrence(a, b, n - 2)) * (1 / c0)
+
+
+def _koornwinder_by_substitution(p, n, m):
+    """The nested-Jacobi polynomial by substituting 2x - 1 and 2y/(1-x) - 1
+    into the recurrence polynomials, with (1-x)^m clearing the inner one."""
+    inner_poly = _jacobi_recurrence(0, p.beta - 1, m)
+    inner = sum((inner_poly.coefficient(k, 0) * (2 * Y - 1 + X)**k * (1 - X)**(m - k)
+                 for k in range(m + 1)), BivariatePoly.zero())
+    outer_poly = _jacobi_recurrence(2 * m + p.beta, p.alpha - 1, n)
+    outer = sum((outer_poly.coefficient(k, 0) * (2 * X - 1)**k for k in range(n + 1)),
+                BivariatePoly.zero())
+    return outer * inner
+
+
+@pytest.mark.parametrize("a, b", [(0, 0), (1, 0), (Fraction(3, 2), Fraction(1, 2)),
+                                  (Fraction(-1, 2), Fraction(5, 7)), (4, Fraction(-2, 3))])
+def test_jacobi_matches_the_recurrence(a, b):
+    for n in range(12):
+        assert jacobi(a, b, n) == _jacobi_recurrence(a, b, n), n
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (Fraction(3, 2), Fraction(5, 7)), (Fraction(5, 7), Fraction(3, 2)),
+    (Fraction(7, 4), Fraction(2, 5)), (Fraction(2, 5), Fraction(7, 4)),
+    (Fraction(4, 3), Fraction(5, 8)),
+], ids=["3/2,5/7", "5/7,3/2", "7/4,2/5", "2/5,7/4", "4/3,5/8"])
+def test_koornwinder_matches_the_substitution(alpha, beta):
+    # the five non-integer points of the benchmark's triangle-verify
+    p = AppellParams(alpha, beta)
+    for n in range(10):
+        for m in range(10 - n):
+            assert koornwinder(p, n, m) == _koornwinder_by_substitution(p, n, m), (n, m)
+
+
+def test_koornwinder_fraction_work_does_not_grow_with_degree(fraction_ops):
+    # the coefficients are summed on ints: the only Fraction arithmetic forms
+    # the Jacobi parameters, a fixed number of operations per polynomial
+    p = AppellParams(Fraction(3, 2), Fraction(5, 7))
+    counts = []
+    for n, m in ((0, 0), (1, 2), (5, 4)):
+        with fraction_ops() as count:
+            koornwinder(p, n, m)
+        counts.append(count[0])
+    assert counts[0] == counts[1] == counts[2]
+    with pytest.raises(ValueError):
+        koornwinder(p, 1, -1)
 
 
 def test_koornwinder_values(p11):

@@ -272,3 +272,16 @@ def test_hash_is_kept_and_route_independent():
     for q in routes:
         assert q == half and hash(q) == first
         assert {half: "found"}[q] == "found"
+
+
+@seed(11012640)
+@settings(max_examples=100, deadline=None)
+@given(polys, polys, coeffs, coeffs)
+@example(X**2 * Y * Fraction(1, 3) - Y, X, Fraction(2, 3), Fraction(-1, 2))
+def test_swap_exchanges_the_variables(p, q, x, y):
+    assert p.swap() == BivariatePoly({(j, i): c for (i, j), c in p.terms()})
+    assert p.swap().evaluate(x, y) == p.evaluate(y, x)
+    assert p.swap().swap() == p
+    assert (p * q).swap() == p.swap() * q.swap()
+    assert p.diff(1).swap() == p.swap().diff(2)
+    assert hash(p.swap()) == hash(BivariatePoly(dict(p.swap().terms())))

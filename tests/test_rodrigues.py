@@ -110,10 +110,10 @@ def test_polynomial_part_stays_within_output_degree(which, n, m, table, p23, mon
         outputs = rodrigues_table(w, case, n + m)
         assert all(p.degree() == a + b for (a, b), p in outputs.items())
         # one chain of t steps per pair on the triangle; on the disk every
-        # pair of total degree t shares one derivative tree, whose step
-        # counts for t = 0..7 are pinned in test_plan_antidiagonal_counts
+        # pair of total degree t with n >= m shares one derivative tree and
+        # the n < m outputs are mirrored (87 steps with every pair planned)
         pairs = sum(t * (t + 1) for t in range(n + m + 1))
-        assert len(degrees) == (87 if which == "disk" else pairs)
+        assert len(degrees) == (46 if which == "disk" else pairs)
     else:
         assert rodrigues_eval(w, case, n, m).degree() == n + m
         assert len(degrees) == n + m
@@ -166,7 +166,8 @@ def test_plan_single_target_is_the_y_then_x_chain():
         derivative_plan([(1, -1)])
 
 
-def test_disk_table_takes_687_steps_at_18(monkeypatch):
+def test_disk_table_step_count_at_18(monkeypatch):
+    # the trees reach only the n >= m pairs (687 steps with every pair planned)
     w, case = _instance("disk")
     degrees = []
 
@@ -177,22 +178,67 @@ def test_disk_table_takes_687_steps_at_18(monkeypatch):
 
     monkeypatch.setattr(rodrigues, "weighted_diff", traced)
     assert len(rodrigues_table(w, case, 18)) == 190
-    assert (len(degrees), max(degrees)) == (687, 18)
+    assert (len(degrees), max(degrees)) == (356, 18)
+
+
+_SYNTHETIC = {
+    # weight (1 - x^2)^(1/2) (1 - y^2)^(1/2): the swap exchanges its two factors
+    "product": (WeightSpec(0, 0, ((1 - X**2, Fraction(1, 2)), (1 - Y**2, Fraction(1, 2)))),
+                PhiCase("synthetic", "", 1 - X**2, 1 - Y**2)),
+    # the (n, m) output is a multiple of x^n y^m, and so is the polynomial
+    # part of its derivative over x^n y^m: a mirrored expression must move
+    # the exponents as well as swap the polynomial part
+    "squares": (WeightSpec(Fraction(1, 2), Fraction(1, 2)),
+                PhiCase("synthetic", "", X**2, Y**2)),
+    # c10 = 2 and c01 = 1: the swap carries phi10 = 2x to 2y, not to phi01
+    "scaled": (WeightSpec(Fraction(1, 2), Fraction(1, 2)), PhiCase("synthetic", "", 2 * X, Y)),
+}
 
 
 @pytest.mark.parametrize("which, p, top", [
     ("disk", None, 10),
     ("triangle", AppellParams(2, 3), 8),
     ("triangle", AppellParams(Fraction(3, 2), Fraction(5, 7)), 8),
-], ids=["disk", "triangle-2-3", "triangle-3/2-5/7"])
+    # mirror-invariant: every class holds one pair, mirrored across classes
+    ("triangle", AppellParams(Fraction(3, 2), Fraction(3, 2)), 8),
+    ("product", None, 8),
+    ("squares", None, 8),
+], ids=["disk", "triangle-2-3", "triangle-3/2-5/7", "triangle-3/2-3/2", "product", "squares"])
 def test_table_matches_per_pair_oracle(which, p, top):
-    w, case = _instance(which, p)
+    w, case = _SYNTHETIC[which] if which in _SYNTHETIC else _instance(which, p)
     table = rodrigues_table(w, case, top)
     pairs = [(t - m, m) for t in range(top + 1) for m in range(t + 1)]
     assert list(table) == pairs
     for n, m in pairs:
         assert table[(n, m)] == rodrigues_eval(w, case, n, m)
     assert rodrigues_table(w, case, 0) == {(0, 0): BivariatePoly.const(1)}
+
+
+@pytest.mark.parametrize("which, p, perm", [
+    ("disk", None, (1, 0, 2)),
+    ("triangle", AppellParams(Fraction(3, 2), Fraction(3, 2)), (1, 0, 2)),
+    ("product", None, (1, 0, 3, 2)),
+    ("squares", None, (1, 0)),
+    ("triangle", AppellParams(2, 3), None),
+    ("scaled", None, None),
+], ids=["disk", "triangle-3/2-3/2", "product", "squares", "triangle-2-3", "scaled"])
+def test_mirror_shortcut_selection(which, p, perm):
+    w, case = _SYNTHETIC[which] if which in _SYNTHETIC else _instance(which, p)
+    assert rodrigues._mirror(w, case) == perm
+
+
+@pytest.mark.parametrize("alpha, beta", [(Fraction(3, 2), Fraction(5, 7)), (2, 3)],
+                         ids=["3/2-5/7", "2-3"])
+def test_table_is_swap_covariant(alpha, beta):
+    # the identity the mirror shortcut rests on, through the full path at two
+    # points where neither side is mirror-invariant: the table at (beta, alpha)
+    # is the swap of the table at (alpha, beta), with (n, m) <-> (m, n)
+    p, q = AppellParams(alpha, beta), AppellParams(beta, alpha)
+    assert rodrigues._mirror(*_instance("triangle", p)) is None
+    table = rodrigues_table(*_instance("triangle", p), 8)
+    swapped = rodrigues_table(*_instance("triangle", q), 8)
+    assert len(table) == 45
+    assert all(swapped[(m, n)] == poly.swap() for (n, m), poly in table.items())
 
 
 _FAILING = {
