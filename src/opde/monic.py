@@ -31,7 +31,7 @@ from .pde import (HypergeometricPDE, apply_operator, check_admissible,
                   is_potentially_self_adjoint)
 from .poly import X, Y, BivariatePoly
 from .vectors import (PolyVector, PolyVectorFamily, combine, expansion_matrices,
-                      monomial_vector, peel, shift_matrix)
+                      monomial_vector, peel, shift_matrix, times_shift)
 
 
 @lru_cache(maxsize=None)
@@ -131,7 +131,7 @@ def monic_ttrr(pde: HypergeometricPDE, n: int) -> TtrrSet:
         layers = [shift_matrix(n, j)]  # G_{n,n} = I
         for k in (n - 1, n - 2):  # below degree 0, G_{n,k} and its layer are None
             gk = g(n, k)
-            layers.append(None if gk is None else gk @ shift_matrix(k, j))
+            layers.append(None if gk is None else times_shift(gk, j))
         out.extend(peel(layers, g, n + 1))
     return TtrrSet(n, *out)
 

@@ -13,12 +13,21 @@ vector polynomial family (monic or not):
 
 Each relation is one coefficient match, ``vectors.peel``: the top three
 monomial layers of the left-hand side, peeled off against the family's
-expansion matrices.  The general routes (``_match``) expand the left-hand
-side, or read P_n's cached expansion matrices when it is P_n itself, and
-divide by the family's cached leading inverses.  The monic closed
-forms (``monic.monic_ttrr``, ``monic_structure_matrices`` from n >= 1 and
-``monic_derivative_representation`` from n >= 2) write those layers from the
-equation coefficients, through ``monic.monic_layers``.
+expansion matrices.  The general routes take those layers from the family's
+cached ones wherever they can, and divide by the family's cached leading
+inverses (none for a monic family):
+
+  * x_j P_n: its layer of degree n+1-i is G_{n,n-i} L_{n-i,j}, the cached
+    layer with a zero column added (``vectors.times_shift``)
+  * phi_j dP_n/dx_j: expanded (``_match``), but only from the terms of P_n
+    of degree n-2 and up, the only ones that reach its top three layers
+  * P_n against the Q family: P_n's own layers, and the Q family's read off
+    P_{n+1}'s as shift(n, j) G_{n+1,k+1} E_{k+1,j}, an edge row dropped and
+    the columns scaled (``_q_layer``)
+
+The monic closed forms (``monic.monic_ttrr``, ``monic_structure_matrices``
+from n >= 1 and ``monic_derivative_representation`` from n >= 2) write those
+layers from the equation coefficients, through ``monic.monic_layers``.
 
 The derivative representation is produced in two layouts: the wide form (V,
 Y, Z) acting on the raw derivative vectors, and the compact form acting on
@@ -41,9 +50,9 @@ from .errors import NoCaseMatches, PhiDegreeTooHigh
 from .matrix import RationalMatrix
 from .monic import TtrrSet, monic_layers
 from .pde import HypergeometricPDE
-from .poly import X, Y, BivariatePoly
+from .poly import BivariatePoly
 from .vectors import (PolyVector, PolyVectorFamily, derivative_matrix,
-                      expansion_layers, peel, shift_matrix)
+                      expansion_layers, peel, times_shift)
 from .weights import PhiCase, classify_phi
 
 _Triple = Tuple[RationalMatrix, RationalMatrix, Optional[RationalMatrix]]
@@ -88,15 +97,15 @@ class DerivRep(NamedTuple):
 
     @property
     def v(self) -> RationalMatrix:
-        return self.v_compact @ shift_matrix(self.n, self.axis)
+        return times_shift(self.v_compact, self.axis)
 
     @property
     def y(self) -> RationalMatrix:
-        return self.y_compact @ shift_matrix(self.n - 1, self.axis)
+        return times_shift(self.y_compact, self.axis)
 
     @property
     def z(self) -> RationalMatrix:
-        return self.z_compact @ shift_matrix(self.n - 2, self.axis)
+        return times_shift(self.z_compact, self.axis)
 
 
 def _match(lhs: PolyVector, fam: PolyVectorFamily, top: int) -> _Triple:
@@ -106,7 +115,11 @@ def _match(lhs: PolyVector, fam: PolyVectorFamily, top: int) -> _Triple:
 
 
 def _ttrr_axis(fam: PolyVectorFamily, n: int, j: int) -> _Triple:
-    return _match(fam.vector(n).scale(X if j == 1 else Y), fam, n + 1)
+    """x_j v_n = sum_k G_{n,k} L_{k,j} xvec(k+1): its layer of degree n+1-i
+    is G_{n,n-i} times the shift, zero below degree 0."""
+    layers = [times_shift(fam.G(n, k), j) if k >= 0 else None
+              for k in (n, n - 1, n - 2)]
+    return peel(layers, fam.G, n + 1, fam.leading_inverse)
 
 
 def general_ttrr(fam: PolyVectorFamily, n: int) -> TtrrSet:
@@ -117,9 +130,26 @@ def general_ttrr(fam: PolyVectorFamily, n: int) -> TtrrSet:
     return TtrrSet(n, a1, b1, c1, a2, b2, c2)
 
 
+def _q_layer(m: RationalMatrix, axis: int) -> RationalMatrix:
+    """shift(n, axis) @ m @ derivative_matrix(k + 1, axis) for an
+    (n+2) x (k+2) matrix m, without the products: the edge row dropped and
+    each column of d/dx_axis xvec(k+1) taken with its factor."""
+    num, den = m.as_integers()
+    k = m.ncols - 2
+    if axis == 1:
+        rows = [[r[c] * (k + 1 - c) for c in range(k + 1)] for r in num[:-1]]
+    else:
+        rows = [[r[c + 1] * (c + 1) for c in range(k + 1)] for r in num[1:]]
+    return RationalMatrix.from_integers(rows, den)
+
+
 class DerivativeFamily(PolyVectorFamily):
     """The family Q_n = shift(n, axis) @ d/dx_axis P_{n+1}: the derivative
-    vector without its last entry (axis 1) or its first entry (axis 2)."""
+    vector without its last entry (axis 1) or its first entry (axis 2).
+
+    Its layers are read off the source's cached ones,
+    G^Q_{n,k} = shift(n, axis) G_{n+1,k+1} E_{k+1,axis}, and Q_n itself is
+    formed on the first call to ``vector(n)``."""
 
     def __init__(self, source: PolyVectorFamily, axis: int, up_to: Optional[int] = None):
         if axis not in (1, 2):
@@ -128,13 +158,29 @@ class DerivativeFamily(PolyVectorFamily):
             up_to = source.max_n - 1
         if up_to + 1 > source.max_n:
             raise ValueError("source family too short")
-        vectors = [
-            PolyVector(source.vector(n + 1).diff(axis).entries[axis - 1:n + axis])
-            for n in range(up_to + 1)
-        ]
-        super().__init__(vectors)
+        # no vectors to validate: each is formed on demand from the source's
+        self._gcache: Dict[int, List[RationalMatrix]] = {}
+        self._icache: Dict[int, Optional[RationalMatrix]] = {}
+        self._qcache: Dict[int, PolyVector] = {}
+        self._top = up_to
         self.source = source
         self.axis = axis
+
+    @property
+    def max_n(self) -> int:
+        return self._top
+
+    def vector(self, n: int) -> PolyVector:
+        if n not in self._qcache:
+            if not 0 <= n <= self._top:
+                raise IndexError(f"degree {n} out of range")
+            d = self.source.vector(n + 1).diff(self.axis)
+            self._qcache[n] = PolyVector(d.entries[self.axis - 1:n + self.axis])
+        return self._qcache[n]
+
+    def _layers(self, n: int, count: int) -> List[RationalMatrix]:
+        return [_q_layer(self.source.G(n + 1, k + 1), self.axis)
+                for k in range(n, max(n - count, -1), -1)]
 
 
 def derivative_ttrr(qfam: DerivativeFamily, n: int) -> QTtrr:
@@ -153,11 +199,21 @@ def phi_coefficients(phi: BivariatePoly):
             phi.coefficient(1, 0), phi.coefficient(0, 1), phi.coefficient(0, 0))
 
 
+def _top_terms(p: BivariatePoly, low: int) -> BivariatePoly:
+    """The terms of p of total degree at least ``low``."""
+    terms, den = p.as_integers()
+    return BivariatePoly.from_integers(
+        {e: c for e, c in terms.items() if e[0] + e[1] >= low}, den)
+
+
 def _structure_axis(fam: PolyVectorFamily, phi: BivariatePoly, n: int, j: int):
     if n < 1:
         raise ValueError("structure relations start at n = 1")
     phi_coefficients(phi)  # degree gate
-    return _match(fam.vector(n).diff(j).scale(phi), fam, n + 1)
+    # with phi at most quadratic, the top three layers of phi d_j v_n come
+    # from the terms of v_n of degree n - 2 and up
+    top = PolyVector([_top_terms(p, n - 2) for p in fam.vector(n)])
+    return _match(top.diff(j).scale(phi), fam, n + 1)
 
 
 def structure_matrices(fam: PolyVectorFamily, phi1: BivariatePoly,
@@ -236,7 +292,7 @@ def monic_derivative_representation(pde: HypergeometricPDE, n: int, axis: int) -
     g = monic_layers(pde, n, n + 1)
 
     def gq(k: int, i: int) -> RationalMatrix:
-        return shift_matrix(k, axis) @ g(k + 1, i + 1) @ derivative_matrix(i + 1, axis)
+        return _q_layer(g(k + 1, i + 1), axis)
 
     def inverse(k: int) -> RationalMatrix:  # of that diagonal, entry by entry
         diag = [k + 1 - i if axis == 1 else i + 1 for i in range(k + 1)]

@@ -11,9 +11,10 @@ devices for that basis:
 
 Applied to a vector, L only selects entries 0..n (axis 1) or 1..n+1 (axis
 2), so the vector routes (``build_monic``, ``DerivativeFamily``) slice instead
-of multiplying.  The matrices remain for the closed forms written as matrix
-products and for tests; the joint left inverse is a reference construction
-that no production route uses.
+of multiplying; multiplied from the right, it only adds a zero column, which
+``times_shift`` writes without a product.  The matrices remain for the closed
+forms written as matrix products and for tests; the joint left inverse is a
+reference construction that no production route uses.
 
 Both boundaries between matrices and polynomials stay on the integers:
 ``expansion_layers`` builds each G_{n,k} from the polynomials' int
@@ -24,10 +25,15 @@ one-pair case; the relation right-hand sides, the joint recursion and the
 oracle's assembly all go through ``combine``.
 
 ``peel`` is the one coefficient match, run by the general relations and the
-monic closed forms alike.
+monic closed forms alike.  An inverse of None stands for the identity, and
+then nothing is multiplied.
 
-``PolyVectorFamily`` caches each vector's expansion matrices G_{n,k} and,
-through ``leading_inverse``, the inverse of each leading matrix G_{k,k}: the
+``PolyVectorFamily`` caches the expansion matrices G_{n,k} it is asked for:
+the top three layers of a degree, which are all the relations read, and every
+layer once a deeper one is asked for.  Both go through ``_layers``, which
+``relations.DerivativeFamily`` overrides to read its layers off its source's.
+Through ``leading_inverse`` it caches the inverse of each leading matrix
+G_{k,k}, or None when G_{k,k} is the identity, as in every monic family: the
 relation solves divide by the same few inverses many times.
 """
 
@@ -61,6 +67,17 @@ def shift_matrix(n: int, axis: int) -> RationalMatrix:
     if axis == 2:
         return RationalMatrix.from_integers(
             [[int(k == i + 1) for k in range(n + 2)] for i in range(n + 1)])
+    raise ValueError("axis must be 1 or 2")
+
+
+def times_shift(m: RationalMatrix, axis: int) -> RationalMatrix:
+    """m @ shift_matrix(m.ncols - 1, axis), without the product: m with a
+    zero column appended (axis 1) or prepended (axis 2)."""
+    num, den = m.as_integers()
+    if axis == 1:
+        return RationalMatrix.from_integers([r + (0,) for r in num], den)
+    if axis == 2:
+        return RationalMatrix.from_integers([(0,) + r for r in num], den)
     raise ValueError("axis must be 1 or 2")
 
 
@@ -211,7 +228,7 @@ def expansion_layers(v: PolyVector, n: int, count: int) -> List[RationalMatrix]:
 
 def peel(layers: Sequence[Optional[RationalMatrix]],
          g: Callable[[int, int], RationalMatrix], top: int,
-         inverse: Optional[Callable[[int], RationalMatrix]] = None
+         inverse: Optional[Callable[[int], Optional[RationalMatrix]]] = None
          ) -> Tuple[Optional[RationalMatrix], ...]:
     """X_0, X_1, X_2 with lhs = sum_i X_i v_{top-i}, for vectors
     v_m = sum_k g(m, k) xvec(k) and H_i = layers[i] the coefficient of
@@ -219,19 +236,26 @@ def peel(layers: Sequence[Optional[RationalMatrix]],
 
         X_i = (H_i - sum_{k<i} X_k g(top-k, top-i)) g(top-i, top-i)^{-1},
 
-    where ``inverse(m)`` gives g(m, m)^{-1} (the identity when it is None).
+    where ``inverse(m)`` gives g(m, m)^{-1}; no ``inverse``, or an inverse
+    that is None, stands for the identity and nothing is multiplied.
     Layers below degree 0 are ignored; terms past the last layer are None."""
     xs: List[RationalMatrix] = []
     for i, acc in enumerate(layers[:top + 1]):
         for k, xk in enumerate(xs):
             term = xk @ g(top - k, top - i)
             acc = -term if acc is None else acc - term
-        xs.append(acc if inverse is None else acc @ inverse(top - i))
+        inv = None if inverse is None else inverse(top - i)
+        xs.append(acc if inv is None else acc @ inv)
     return tuple(xs) + (None,) * (3 - len(xs))
 
 
 class PolyVectorFamily:
-    """Vectors indexed by total degree, with cached monomial expansions."""
+    """Vectors indexed by total degree, with cached monomial expansions.
+
+    ``G`` caches the layers it is asked for: the top three of a degree on
+    the first request, every layer once a deeper one is asked for.  Both go
+    through ``_layers``, which a family whose layers follow from another
+    family's overrides."""
 
     def __init__(self, vectors: Sequence[PolyVector]):
         self.vectors = list(vectors)
@@ -241,7 +265,7 @@ class PolyVectorFamily:
             if v.max_degree() > n:
                 raise DegreeOverflow(f"vector at degree {n} has degree {v.max_degree()}")
         self._gcache: Dict[int, List[RationalMatrix]] = {}
-        self._icache: Dict[int, RationalMatrix] = {}
+        self._icache: Dict[int, Optional[RationalMatrix]] = {}
 
     @property
     def max_n(self) -> int:
@@ -250,20 +274,30 @@ class PolyVectorFamily:
     def vector(self, n: int) -> PolyVector:
         return self.vectors[n]
 
+    def _layers(self, n: int, count: int) -> List[RationalMatrix]:
+        """[G_{n,n}, ..., G_{n,n-count+1}], fewer if n < count - 1."""
+        return expansion_layers(self.vector(n), n, count)
+
     def G(self, n: int, k: int) -> RationalMatrix:
         """Expansion matrix G_{n,k} of the degree-n vector, 0 <= k <= n."""
         if not 0 <= k <= n <= self.max_n:
             raise ValueError(f"G({n},{k}) out of range")
-        if n not in self._gcache:
-            self._gcache[n] = expansion_matrices(self.vectors[n], n)
-        return self._gcache[n][n - k]
+        layers = self._gcache.get(n)
+        if layers is None or len(layers) <= n - k:
+            layers = self._gcache[n] = self._layers(n, 3 if n - k < 3 else n + 1)
+        return layers[n - k]
 
-    def leading_inverse(self, k: int) -> RationalMatrix:
+    def leading_inverse(self, k: int) -> Optional[RationalMatrix]:
         """Inverse of the leading matrix G_{k,k}, computed once per degree;
-        raises SingularLeading when G_{k,k} is singular."""
+        None when G_{k,k} is the identity, as in every monic family.  Raises
+        SingularLeading when G_{k,k} is singular."""
         if k not in self._icache:
-            try:
-                self._icache[k] = self.G(k, k).inverse()
-            except SingularMatrix:
-                raise SingularLeading(k) from None
+            lead = self.G(k, k)
+            if lead == RationalMatrix.identity(k + 1):
+                self._icache[k] = None
+            else:
+                try:
+                    self._icache[k] = lead.inverse()
+                except SingularMatrix:
+                    raise SingularLeading(k) from None
         return self._icache[k]

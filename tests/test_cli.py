@@ -310,7 +310,12 @@ def test_unreadable_pde_names_the_path(tmp_path, capsys):
     ({"a": "0", "b1": "1", "c1": "0", "b2": "0", "c2": "1", "b3": "0",
       "c3": "0", "d3": "1", "e": "-1", "f1": "1", "f2": "0"}, 3,
      "FAIL self-adjointness (1/1 checks): first failure compatibility identity fails"),
-], ids=["not-admissible", "not-self-adjoint"])
+    # a*k + e vanishes at k = 1 and the discriminant is identically zero: the
+    # self-adjointness suite records that as a failure, not an error
+    ({"a": "1", "b1": "0", "c1": "0", "b2": "0", "c2": "0", "b3": "0",
+      "c3": "0", "d3": "0", "e": "-1", "f1": "0", "f2": "0"}, 2,
+     "FAIL self-adjointness (1/1 checks): first failure discriminant is identically zero"),
+], ids=["not-admissible", "not-self-adjoint", "degenerate-discriminant"])
 def test_verify_pde_gate_exit_codes(data, code, line, tmp_path, capsys):
     path = tmp_path / "eq.json"
     path.write_text(json.dumps(data))
@@ -527,6 +532,12 @@ def test_zero_discriminant_exits_3(argv, tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     if argv[0] == "check":
         assert json.loads(captured.out)["note"] == "discriminant is identically zero"
+        assert captured.err == ""
+    elif argv[0] == "verify":
+        # the self-adjointness suite records the degenerate discriminant
+        assert captured.out.splitlines()[-1] == (
+            "FAIL self-adjointness (1/1 checks): first failure "
+            "discriminant is identically zero")
         assert captured.err == ""
     else:
         assert captured.out == ""

@@ -7,18 +7,19 @@ import pytest
 from opde.cli import main
 from opde.errors import NoCaseMatches, PhiDegreeTooHigh, SingularLeading
 from opde.families import (AppellParams, appell_pde, appell_phi_case,
-                           nonmonic_F_vector)
+                           make_family, nonmonic_F_vector)
 from opde.matrix import RationalMatrix
 from opde.monic import build_monic, monic_ttrr, solve_monic
 from opde.pde import HypergeometricPDE
 from opde.poly import ONE, X, Y
-from opde.relations import (DerivativeFamily, Relations,
+from opde.relations import (DerivativeFamily, Relations, _match,
+                            _structure_axis, _ttrr_axis,
                             derivative_representation, derivative_ttrr,
                             general_ttrr, monic_derivative_representation,
                             monic_structure_matrices, structure_matrices)
 from opde.serialize import pde_to_json
 from opde.vectors import (PolyVector, PolyVectorFamily, apply_matrix,
-                          derivative_matrix, shift_matrix)
+                          derivative_matrix, expansion_matrices, shift_matrix)
 from opde.weights import classify_phi
 
 def test_general_ttrr_reduces_to_monic(fam11):
@@ -266,6 +267,7 @@ def test_singular_leading_matrix():
 def test_leading_inverse_once_per_degree(monkeypatch):
     p = AppellParams(Fraction(3, 2), Fraction(5, 7))
     fam = build_monic(appell_pde(p), 5)
+    nonmonic = PolyVectorFamily([nonmonic_F_vector(p, n) for n in range(6)])
     phi = appell_phi_case(p)
     qfam = DerivativeFamily(fam, 1)
     inverted = []
@@ -276,17 +278,22 @@ def test_leading_inverse_once_per_degree(monkeypatch):
         return real(self)
 
     monkeypatch.setattr(RationalMatrix, "inverse", counting)
-    for _ in range(2):
-        for n in range(5):
-            general_ttrr(fam, n)
-            if n >= 1:
-                structure_matrices(fam, phi.phi10, phi.phi01, n)
-    assert inverted == [fam.G(k, k) for k in (1, 0, 2, 3, 4, 5)]
+    for family in (fam, nonmonic):
+        for _ in range(2):
+            for n in range(5):
+                general_ttrr(family, n)
+                if n >= 1:
+                    structure_matrices(family, phi.phi10, phi.phi01, n)
+    # the monic leading matrices are identities, so only the non-monic
+    # family's are inverted; its degree-0 matrix is the 1 x 1 identity
+    assert fam.leading_inverse(3) is None
+    assert inverted == [nonmonic.G(k, k) for k in (1, 2, 3, 4, 5)]
     inverted.clear()
     for n in range(2, 5):
         derivative_representation(fam, n, 1, qfam)
         derivative_representation(fam, n, 1, qfam)
-    assert inverted == [qfam.G(k, k) for k in (2, 1, 0, 3, 4)]
+    # Q_0 = (1) has the 1 x 1 identity as its leading matrix
+    assert inverted == [qfam.G(k, k) for k in (2, 1, 3, 4)]
 
 
 def test_derivative_representation_rejects_mismatched_qfam(fam23):
@@ -349,3 +356,81 @@ def test_relations_matrices_names_and_forms():
             assert wide[f"Y{j}"] == compact[f"Y{j}"] @ shift_matrix(n - 1, j)
             assert wide[f"Z{j}"] == compact[f"Z{j}"] @ shift_matrix(n - 2, j)
         assert wide["W1"] is rel.structure[n].w1 and wide["B2"] is rel.ttrr[n].b2
+
+
+_P23 = AppellParams(2, 3)
+ORACLE_FAMILIES = {  # equation, family name, triangle parameters
+    **{name: (CLOSED_FORM_EQUATIONS[name], "monic", None)
+       for name in ("triangle", "disk", "hermite", "laguerre")},
+    "appell-F": (appell_pde(_P23), "appell-F", _P23),
+    "koornwinder": (appell_pde(_P23), "koornwinder", _P23),
+}
+
+
+def _expanded_q_family(fam, axis):
+    """Q_n = shift(n, axis) @ d/dx_axis P_{n+1} as plain vectors, expanded
+    from the polynomials rather than read off the source's layers."""
+    return PolyVectorFamily([
+        PolyVector(fam.vector(n + 1).diff(axis).entries[axis - 1:n + axis])
+        for n in range(fam.max_n)])
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
+def test_layer_routes_equal_polynomial_expansion(name):
+    # oracle: expand each left-hand side as a polynomial vector and match it
+    pde, family, params = ORACLE_FAMILIES[name]
+    fam = make_family(pde, family, params, 8)
+    case = classify_phi(pde)[0]
+    for axis, var, phi in ((1, X, case.phi10), (2, Y, case.phi01)):
+        qfam = DerivativeFamily(fam, axis)
+        oracle_q = _expanded_q_family(fam, axis)
+        for n in range(7):
+            assert _ttrr_axis(fam, n, axis) == \
+                _match(fam.vector(n).scale(var), fam, n + 1), (n, axis)
+            if n >= 1:
+                assert _structure_axis(fam, phi, n, axis) == \
+                    _match(fam.vector(n).diff(axis).scale(phi), fam, n + 1), (n, axis)
+            assert tuple(derivative_ttrr(qfam, n))[2:] == \
+                _match(oracle_q.vector(n).scale(var), oracle_q, n + 1), (n, axis)
+            if n >= 2:
+                dr = derivative_representation(fam, n, axis, qfam)
+                assert (dr.v_compact, dr.y_compact, dr.z_compact) == \
+                    _match(fam.vector(n), oracle_q, n), (n, axis)
+
+
+@pytest.mark.parametrize("axis", [1, 2])
+def test_derivative_family_layers_equal_expansion(p23, axis):
+    fam = make_family(appell_pde(p23), "koornwinder", p23, 6)
+    qfam = DerivativeFamily(fam, axis)
+    for n in range(6):
+        full = expansion_matrices(qfam.vector(n), n)
+        assert [qfam.G(n, k) for k in range(n, -1, -1)] == full, n
+
+
+def test_deep_layer_grows_the_cache(p23):
+    fam = PolyVectorFamily([nonmonic_F_vector(p23, n) for n in range(8)])
+    full = expansion_matrices(fam.vector(7), 7)
+    assert fam.G(7, 7) == full[0]
+    assert len(fam._gcache[7]) == 3
+    assert fam.G(7, 1) == full[6]
+    assert [fam.G(7, k) for k in range(7, -1, -1)] == full
+
+
+def test_relations_make_no_shift_products(monkeypatch):
+    pde = appell_pde(AppellParams(2, 3))
+    fam = build_monic(pde, 9)
+    real = RationalMatrix.__matmul__
+    shifted = []
+
+    def recording(self, other):
+        if other.ncols == other.nrows + 1 and other in (
+                shift_matrix(other.nrows - 1, 1), shift_matrix(other.nrows - 1, 2)):
+            shifted.append(other.shape)
+        return real(self, other)
+
+    monkeypatch.setattr(RationalMatrix, "__matmul__", recording)
+    rel = Relations(fam, pde, 8)
+    for n in range(9):
+        rel.matrices(n)
+        rel.matrices(n, compact=True)
+    assert shifted == []
