@@ -11,7 +11,7 @@ Run:  python demos/demo_rodrigues_connections.py
 """
 
 from opde import (AppellParams, appell_phi_case, appell_weight, apply_matrix,
-                  connection_F, connection_K, functional, jacobi, koornwinder,
+                  connection_F, connection_K, functional, koornwinder,
                   koornwinder_vector, monic_appell_series, monic_appell_vector,
                   nonmonic_F, nonmonic_F_vector, rodrigues_eval)
 
@@ -28,9 +28,9 @@ print("normalized family member (1,0):", nonmonic_F(params, 1, 0))
 print("normalized family member (2,1):", nonmonic_F(params, 2, 1))
 
 # Nested-Jacobi route, exact substitution clearing all denominators.
-print("\nunivariate Jacobi building block P_2^(0,0):", jacobi(0, 0, 2))
-print("nested member (1,0):", koornwinder(params, 1, 0))
+print("\nnested member (1,0):", koornwinder(params, 1, 0))
 print("nested member (0,1):", koornwinder(params, 0, 1))
+print("nested member (2,1):", koornwinder(params, 2, 1))
 
 # Connection matrices carry the monic vector onto the other two families.
 for n in range(4):

@@ -28,7 +28,7 @@ from .rodrigues import (WeightedExpr, rodrigues_eval, rodrigues_table,
                         weighted_diff)
 from .families import (AppellParams, appell_pde, appell_phi_case,
                        appell_weight, connection_F, connection_K, functional,
-                       jacobi, koornwinder, koornwinder_vector, make_family,
+                       koornwinder, koornwinder_vector, make_family,
                        moment, moment_table, monic_appell_series, monic_appell_vector,
                        nonmonic_F, nonmonic_F_vector, orthogonality_blocks,
                        pairing)

@@ -55,13 +55,19 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _read_json(path: str) -> Any:
     try:
-        text = sys.stdin.read() if path == "-" else open(path).read()
-    except OSError as ex:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path) as f:
+                text = f.read()
+    except (OSError, UnicodeDecodeError) as ex:
         raise CliError(f"cannot read {path}: {ex}")
     try:
         return json.loads(text)
     except json.JSONDecodeError as ex:
         raise CliError(f"malformed JSON in {path} at line {ex.lineno} column {ex.colno}: {ex.msg}")
+    except RecursionError:
+        raise CliError(f"malformed JSON in {path}: nested too deeply") from None
 
 
 def _one_input(args) -> None:

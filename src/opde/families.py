@@ -27,9 +27,9 @@ The series route and the connection matrices keep their printed
 rising-factorial formulas but evaluate them on ints: every rising factorial
 is a ratio of entries of one list per parameter (``_rising_ints``, walked
 once by the term ratio x + t), and each polynomial or matrix is assembled
-over one common denominator, with one reduction.  The Jacobi polynomials and
-the nested-Jacobi family are read the same way off the explicit power sum of
-P_n^(a,b) in (1 - t)/2, with no polynomial product.
+over one common denominator, with one reduction.  The nested-Jacobi family
+is read the same way off the explicit power sum of P_n^(a,b) in (1 - t)/2,
+with no polynomial product.
 """
 
 from __future__ import annotations
@@ -222,21 +222,6 @@ def _jacobi_sum(a: Scalar, b: Scalar, n: int) -> Tuple[List[int], int]:
     nums = [(-1) ** k * comb(n, k) * (ra[n] // ra[k]) * ad ** k * rs[k] * sd ** (n - k)
             for k in range(n + 1)]
     return nums, factorial(n) * ad ** n * sd ** n
-
-
-def jacobi(a: Scalar, b: Scalar, n: int) -> BivariatePoly:
-    """Degree-n Jacobi polynomial in x, classical normalization
-    P_n(1) = (a+1)_n / n!: the power sum of ``_jacobi_sum`` expanded with
-    ((1 - x)/2)^k = 2^(n-k) sum_j C(k, j) (-x)^j / 2^n, on ints."""
-    a, b = rat(a), rat(b)
-    if a <= -1 or b <= -1:
-        raise ValueError("need a, b > -1")
-    if n < 0:
-        raise ValueError("need n >= 0")
-    nums, den = _jacobi_sum(a, b, n)
-    terms = {(j, 0): (-1) ** j * sum(comb(k, j) * c << (n - k) for k, c in enumerate(nums))
-             for j in range(n + 1)}
-    return BivariatePoly.from_integers(terms, den << n)
 
 
 # -- nested-Jacobi family -------------------------------------------------------

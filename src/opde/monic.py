@@ -3,12 +3,14 @@
 Two fully independent routes are provided and cross-checked by the test
 suite:
 
-  * ``build_monic``: the production route.  ``monic_ttrr`` peels B_n, C_n
-    off the layers of x_j P_n written from the closed-form subleading
-    matrices (``monic_layers``), and the vectors are produced by the joint
-    recursive formula.  The generalized inverse of the stacked
-    shift matrices is not needed: the x-recursion fixes entries 0..n of
-    P_{n+1}, the y-recursion entries 1..n+1, and the overlap is checked.
+  * ``build_monic``: the production route.  ``monic_ttrr`` runs the general
+    recurrence route (``_ttrr_axis``, shared with ``relations``) on the
+    closed-form layers of ``MonicLayers``: the identity and the two
+    subleading matrices, read off the equation's coefficients.  The vectors
+    are produced by the joint recursive formula.  The generalized inverse of
+    the stacked shift matrices is not needed: the x-recursion fixes entries
+    0..n of P_{n+1}, the y-recursion entries 1..n+1, and the overlap is
+    checked.
 
   * ``solve_monic``: the oracle route.  The monic ansatz is substituted into
     the equation and all expansion matrices are solved for degree by degree,
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import lcm
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import (InconsistentRecursion, NotAdmissible, NotSelfAdjoint,
                      SingularMatrix)
@@ -31,7 +33,7 @@ from .pde import (HypergeometricPDE, apply_operator, check_admissible,
                   is_potentially_self_adjoint)
 from .poly import X, Y, BivariatePoly
 from .vectors import (PolyVector, PolyVectorFamily, combine, expansion_matrices,
-                      monomial_vector, peel, shift_matrix, times_shift)
+                      monomial_vector, peel, times_shift)
 
 
 @lru_cache(maxsize=None)
@@ -108,32 +110,54 @@ class TtrrSet(NamedTuple):
         raise ValueError("axis must be 1 or 2")
 
 
-def monic_layers(pde: HypergeometricPDE, *degrees: int
-                 ) -> Callable[[int, int], Optional[RationalMatrix]]:
-    """g(n, k) = G_{n,k} of the monic family for n among ``degrees`` and
-    n - 2 <= k <= n: the identity, then the subleading matrices (None below
-    degree 0).  Each degree is read once."""
-    sub = {n: subleading_matrices(pde, n) if n else (None, None) for n in degrees}
+_Triple = Tuple[RationalMatrix, RationalMatrix, Optional[RationalMatrix]]
 
-    def g(n: int, k: int) -> Optional[RationalMatrix]:
-        return RationalMatrix.identity(n + 1) if k == n else sub[n][n - k - 1]
-    return g
+
+class MonicLayers(PolyVectorFamily):
+    """The top three layers of the monic family through degree ``top``, read
+    off the equation: G_{n,n} = I and the two subleading matrices.  It holds
+    no vectors and no layer below k = n - 2 (ValueError), and needs no
+    leading inverse."""
+
+    def __init__(self, pde: HypergeometricPDE, top: int):
+        super().__init__([])
+        self.pde = pde
+        self._top = top
+
+    @property
+    def max_n(self) -> int:
+        return self._top
+
+    def _layers(self, n: int, count: int) -> List[RationalMatrix]:
+        if count > 3:
+            raise ValueError(f"closed-form layers stop at G({n},{n - 2})")
+        sub = subleading_matrices(self.pde, n) if n else ()
+        return [RationalMatrix.identity(n + 1), *sub][:n + 1]
+
+    def leading_inverse(self, k: int) -> None:
+        return None
+
+
+def _ttrr_axis(fam: PolyVectorFamily, n: int, j: int) -> _Triple:
+    """x_j v_n = sum_k G_{n,k} L_{k,j} xvec(k+1): its layer of degree n+1-i
+    is G_{n,n-i} times the shift, zero below degree 0."""
+    layers = [times_shift(fam.G(n, k), j) if k >= 0 else None
+              for k in (n, n - 1, n - 2)]
+    return peel(layers, fam.G, n + 1, fam.leading_inverse)
+
+
+def general_ttrr(fam: PolyVectorFamily, n: int) -> TtrrSet:
+    """Recurrence matrices of an orthogonal family from its expansion
+    matrices; requires the family through degree n+1."""
+    return TtrrSet(n, *_ttrr_axis(fam, n, 1), *_ttrr_axis(fam, n, 2))
 
 
 def monic_ttrr(pde: HypergeometricPDE, n: int) -> TtrrSet:
-    """Closed-form recurrence matrices of the monic family: the layers of
-    x_j P_n = sum_k G_{n,k} L_{k,j} xvec(k+1), peeled against the monic
-    layers.  A is the shift matrix."""
+    """Closed-form recurrence matrices of the monic family: the general
+    route run on the closed-form layers.  A is the shift matrix."""
     check_admissible(pde, n)
-    g = monic_layers(pde, n, n + 1)
-    out: List[Optional[RationalMatrix]] = []
-    for j in (1, 2):
-        layers = [shift_matrix(n, j)]  # G_{n,n} = I
-        for k in (n - 1, n - 2):  # below degree 0, G_{n,k} and its layer are None
-            gk = g(n, k)
-            layers.append(None if gk is None else times_shift(gk, j))
-        out.extend(peel(layers, g, n + 1))
-    return TtrrSet(n, *out)
+    layers = MonicLayers(pde, n + 1)
+    return TtrrSet(n, *_ttrr_axis(layers, n, 1), *_ttrr_axis(layers, n, 2))
 
 
 class MonicFamily(PolyVectorFamily):

@@ -11,23 +11,27 @@ vector polynomial family (monic or not):
   * first structure relation     phi_j dP_n/dx_j = W P_{n+1} + S P_n + T P_{n-1}
   * derivative representation    P_n = V dP_{n+1}/dx_j + Y dP_n/dx_j + Z dP_{n-1}/dx_j
 
-Each relation is one coefficient match, ``vectors.peel``: the top three
-monomial layers of the left-hand side, peeled off against the family's
-expansion matrices.  The general routes take those layers from the family's
-cached ones wherever they can, and divide by the family's cached leading
-inverses (none for a monic family):
+Each relation has one layer route: the top three monomial layers of the
+left-hand side, written from the family's layers G_{n,k} and peeled off
+against them (``vectors.peel``), dividing by the family's cached leading
+inverses (none where G_{k,k} is the identity):
 
-  * x_j P_n: its layer of degree n+1-i is G_{n,n-i} L_{n-i,j}, the cached
-    layer with a zero column added (``vectors.times_shift``)
-  * phi_j dP_n/dx_j: expanded (``_match``), but only from the terms of P_n
-    of degree n-2 and up, the only ones that reach its top three layers
+  * x_j P_n: its layer of degree n+1-i is G_{n,n-i} L_{n-i,j}, the layer
+    with a zero column added (``vectors.times_shift``; ``monic._ttrr_axis``)
+  * phi_j dP_n/dx_j: its layer of degree n+1-i is sum_k G_{n,k} E_{k,j} Phi_d
+    over the homogeneous parts phi_d of phi, k = n+2-i-d, where Phi_d is the
+    banded matrix of phi_d times xvec(k-1); one integer accumulation per layer
   * P_n against the Q family: P_n's own layers, and the Q family's read off
     P_{n+1}'s as shift(n, j) G_{n+1,k+1} E_{k+1,j}, an edge row dropped and
-    the columns scaled (``_q_layer``)
+    the columns scaled (``_q_layer``); when G_{k+1,k+1} is the identity the
+    Q family's leading matrix is diagonal and is inverted entry by entry
 
-The monic closed forms (``monic.monic_ttrr``, ``monic_structure_matrices``
-from n >= 1 and ``monic_derivative_representation`` from n >= 2) write those
-layers from the equation coefficients, through ``monic.monic_layers``.
+The layers come from one of two sources: a family's cached expansion
+(``PolyVectorFamily.G``) for ``general_ttrr``, ``structure_matrices`` and
+``derivative_representation``, or the closed forms (``monic.MonicLayers``:
+the identity and the two subleading matrices, read off the equation) for
+``monic.monic_ttrr``, ``monic_structure_matrices`` and
+``monic_derivative_representation``.
 
 The derivative representation is produced in two layouts: the wide form (V,
 Y, Z) acting on the raw derivative vectors, and the compact form acting on
@@ -43,19 +47,16 @@ commands see the same matrices under the same names.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import NoCaseMatches, PhiDegreeTooHigh
 from .matrix import RationalMatrix
-from .monic import TtrrSet, monic_layers
+from .monic import MonicLayers, TtrrSet, _Triple, _ttrr_axis, general_ttrr
 from .pde import HypergeometricPDE
 from .poly import BivariatePoly
-from .vectors import (PolyVector, PolyVectorFamily, derivative_matrix,
-                      expansion_layers, peel, times_shift)
+from .vectors import PolyVector, PolyVectorFamily, peel, times_shift
 from .weights import PhiCase, classify_phi
-
-_Triple = Tuple[RationalMatrix, RationalMatrix, Optional[RationalMatrix]]
 
 
 class QTtrr(NamedTuple):
@@ -106,28 +107,6 @@ class DerivRep(NamedTuple):
     @property
     def z(self) -> RationalMatrix:
         return times_shift(self.z_compact, self.axis)
-
-
-def _match(lhs: PolyVector, fam: PolyVectorFamily, top: int) -> _Triple:
-    """The X_i of lhs = X_0 P_top + X_1 P_{top-1} + X_2 P_{top-2}, peeled off
-    lhs's top three monomial layers; terms below degree 0 are None."""
-    return peel(expansion_layers(lhs, top, 3), fam.G, top, fam.leading_inverse)
-
-
-def _ttrr_axis(fam: PolyVectorFamily, n: int, j: int) -> _Triple:
-    """x_j v_n = sum_k G_{n,k} L_{k,j} xvec(k+1): its layer of degree n+1-i
-    is G_{n,n-i} times the shift, zero below degree 0."""
-    layers = [times_shift(fam.G(n, k), j) if k >= 0 else None
-              for k in (n, n - 1, n - 2)]
-    return peel(layers, fam.G, n + 1, fam.leading_inverse)
-
-
-def general_ttrr(fam: PolyVectorFamily, n: int) -> TtrrSet:
-    """Recurrence matrices of an orthogonal family from its expansion
-    matrices; requires the family through degree n+1."""
-    a1, b1, c1 = _ttrr_axis(fam, n, 1)
-    a2, b2, c2 = _ttrr_axis(fam, n, 2)
-    return TtrrSet(n, a1, b1, c1, a2, b2, c2)
 
 
 def _q_layer(m: RationalMatrix, axis: int) -> RationalMatrix:
@@ -182,6 +161,18 @@ class DerivativeFamily(PolyVectorFamily):
         return [_q_layer(self.source.G(n + 1, k + 1), self.axis)
                 for k in range(n, max(n - count, -1), -1)]
 
+    def leading_inverse(self, k: int) -> Optional[RationalMatrix]:
+        """When the source's G_{k+1,k+1} is the identity (every monic
+        family), G^Q_{k,k} is diagonal, with entries k+1-i (axis 1) or i+1
+        (axis 2), and is inverted entry by entry; otherwise by Gauss-Jordan."""
+        if k in self._icache or self.source.G(k + 1, k + 1) != RationalMatrix.identity(k + 2):
+            return super().leading_inverse(k)
+        diag = [k + 1 - i if self.axis == 1 else i + 1 for i in range(k + 1)]
+        den = lcm(*diag)
+        self._icache[k] = None if den == 1 else RationalMatrix.from_integers(
+            [[den // d if i == c else 0 for c in range(k + 1)] for i, d in enumerate(diag)], den)
+        return self._icache[k]
+
 
 def derivative_ttrr(qfam: DerivativeFamily, n: int) -> QTtrr:
     """Unique recurrence of the derivative family along its own axis,
@@ -199,66 +190,48 @@ def phi_coefficients(phi: BivariatePoly):
             phi.coefficient(1, 0), phi.coefficient(0, 1), phi.coefficient(0, 0))
 
 
-def _top_terms(p: BivariatePoly, low: int) -> BivariatePoly:
-    """The terms of p of total degree at least ``low``."""
-    terms, den = p.as_integers()
-    return BivariatePoly.from_integers(
-        {e: c for e, c in terms.items() if e[0] + e[1] >= low}, den)
-
-
-def _structure_axis(fam: PolyVectorFamily, phi: BivariatePoly, n: int, j: int):
+def _structure_axis(fam: PolyVectorFamily, phi: BivariatePoly, n: int, j: int) -> _Triple:
+    """phi d_j v_n = sum_k G_{n,k} E_{k,j} phi xvec(k-1): the degree-d part of
+    phi carries term k to the layer of degree n+1-i, k = n+2-i-d.  Each layer
+    is one integer accumulation: E_{k,j} times the form's banded matrix is
+    that matrix with row s scaled by k-s (axis 1) or s (axis 2), shifted
+    j-1 columns left."""
     if n < 1:
         raise ValueError("structure relations start at n = 1")
     phi_coefficients(phi)  # degree gate
-    # with phi at most quadratic, the top three layers of phi d_j v_n come
-    # from the terms of v_n of degree n - 2 and up
-    top = PolyVector([_top_terms(p, n - 2) for p in fam.vector(n)])
-    return _match(top.diff(j).scale(phi), fam, n + 1)
+    terms, phi_den = phi.as_integers()
+    forms = [[terms.get((d - t, t), 0) for t in range(d + 1)] for d in range(3)]
+    layers = []
+    for i in range(3):
+        gs = {k: fam.G(n, k).as_integers() for k in range(max(n - i, 1), n + 1)}
+        den = lcm(*(g_den for _, g_den in gs.values()))
+        acc = [[0] * (n + 2 - i) for _ in range(n + 1)]
+        for k, (num, g_den) in gs.items():
+            form, scale = forms[n + 2 - i - k], den // g_den
+            for out, row in zip(acc, num):
+                for s, g in enumerate(row):
+                    g *= scale * (k - s if j == 1 else s)
+                    if g:
+                        for c, a in enumerate(form, s + 1 - j):
+                            out[c] += g * a
+        layers.append(RationalMatrix.from_integers(acc, den * phi_den))
+    return peel(layers, fam.G, n + 1, fam.leading_inverse)
 
 
 def structure_matrices(fam: PolyVectorFamily, phi1: BivariatePoly,
                        phi2: BivariatePoly, n: int) -> StructureSet:
     """W, S, T for both axes by coefficient matching (valid for any
     orthogonal family, n >= 1; family needed through degree n+1)."""
-    w1, s1, t1 = _structure_axis(fam, phi1, n, 1)
-    w2, s2, t2 = _structure_axis(fam, phi2, n, 2)
-    return StructureSet(n, w1, s1, t1, w2, s2, t2)
-
-
-def _form_matrix(coeffs: Tuple, m: int) -> RationalMatrix:
-    """The homogeneous form sum_t coeffs[t] x^(d-t) y^t times xvec(m), over
-    xvec(m+d): x^(d-t) y^t xvec(m) sits at offset t."""
-    d = len(coeffs) - 1
-    return RationalMatrix.from_function(
-        m + 1, m + d + 1, lambda i, k: coeffs[k - i] if 0 <= k - i <= d else 0)
+    return StructureSet(n, *_structure_axis(fam, phi1, n, 1), *_structure_axis(fam, phi2, n, 2))
 
 
 def monic_structure_matrices(pde: HypergeometricPDE, phi1: BivariatePoly,
                              phi2: BivariatePoly, n: int) -> StructureSet:
-    """Closed-form W, S, T for the monic family (n >= 1), built from the
-    equation coefficients alone: the layers of phi_j dP_n/dx_j, peeled
-    against the monic layers."""
-    if n < 1:
-        raise ValueError("structure relations start at n = 1")
-    g = monic_layers(pde, n, n + 1)
-    out = []
-    for j, phi in ((1, phi1), (2, phi2)):
-        c = phi_coefficients(phi)
-        # phi dP_n/dx_j = sum_k G_{n,k} E_{k,j} phi xvec(k-1): phi's degree-d
-        # part carries term k to layer n+2-k-d; a zero constant is left out
-        layers = []
-        for i in range(3):
-            acc = None
-            for d, form in ((2, c[:3]), (1, c[3:5]), (0, c[5:])):
-                k = n + 2 - i - d
-                if 1 <= k <= n and (d or form[0]):
-                    term = derivative_matrix(k, j) @ _form_matrix(form, k - 1)
-                    if k < n:
-                        term = g(n, k) @ term
-                    acc = term if acc is None else acc + term
-            layers.append(acc)
-        out.extend(peel(layers, g, n + 1))
-    return StructureSet(n, *out)
+    """Closed-form W, S, T for the monic family (n >= 1): the general route
+    run on the closed-form layers."""
+    layers = MonicLayers(pde, n + 1)
+    return StructureSet(n, *_structure_axis(layers, phi1, n, 1),
+                        *_structure_axis(layers, phi2, n, 2))
 
 
 def derivative_representation(fam: PolyVectorFamily, n: int, axis: int,
@@ -279,27 +252,22 @@ def derivative_representation(fam: PolyVectorFamily, n: int, axis: int,
         qfam = DerivativeFamily(fam, axis, n)
     elif qfam.axis != axis or qfam.source is not fam:
         raise ValueError(f"qfam must be the axis-{axis} derivative family of fam")
+    return _derivative_axis(fam, qfam, n)
+
+
+def _derivative_axis(fam: PolyVectorFamily, qfam: DerivativeFamily, n: int) -> DerivRep:
+    """P_n's layers peeled against the Q family's."""
     layers = [fam.G(n, k) for k in (n, n - 1, n - 2)]
-    return DerivRep(n, axis, *peel(layers, qfam.G, n, qfam.leading_inverse))
+    return DerivRep(n, qfam.axis, *peel(layers, qfam.G, n, qfam.leading_inverse))
 
 
 def monic_derivative_representation(pde: HypergeometricPDE, n: int, axis: int) -> DerivRep:
-    """Closed-form route for the monic family, n >= 2: P_n's layers peeled
-    against the Q family's layers shift(k) G_{k+1,i+1} E_{i+1}, whose leading
-    one is diagonal with entries k+1-i (axis 1) or i+1 (axis 2)."""
+    """Closed-form route for the monic family, n >= 2: the general route run
+    on the closed-form layers, whose Q family has diagonal leading matrices."""
     if n < 2:
         raise ValueError("derivative representation starts at n = 2")
-    g = monic_layers(pde, n, n + 1)
-
-    def gq(k: int, i: int) -> RationalMatrix:
-        return _q_layer(g(k + 1, i + 1), axis)
-
-    def inverse(k: int) -> RationalMatrix:  # of that diagonal, entry by entry
-        diag = [k + 1 - i if axis == 1 else i + 1 for i in range(k + 1)]
-        return RationalMatrix.from_function(
-            k + 1, k + 1, lambda i, c: Fraction(1, diag[i]) if i == c else 0)
-
-    return DerivRep(n, axis, *peel([g(n, k) for k in (n, n - 1, n - 2)], gq, n, inverse))
+    layers = MonicLayers(pde, n + 1)
+    return _derivative_axis(layers, DerivativeFamily(layers, axis, n), n)
 
 
 class Relations:

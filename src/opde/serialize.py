@@ -84,20 +84,8 @@ def matrix_to_json(m: RationalMatrix) -> List[List[str]]:
     return [[_format_ratio(a, den) for a in row] for row in num]
 
 
-def matrix_from_json(data: Any) -> RationalMatrix:
-    if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
-        raise ValueError("matrix must be a nested list")
-    return RationalMatrix([[parse_rational(v) for v in row] for row in data])
-
-
 def vector_to_json(v: PolyVector) -> List[list]:
     return [poly_to_json(p) for p in v]
-
-
-def vector_from_json(data: Any) -> PolyVector:
-    if not isinstance(data, list):
-        raise ValueError("polynomial vector must be a list of polynomials")
-    return PolyVector([poly_from_json(p) for p in data])
 
 
 def pde_to_json(pde: HypergeometricPDE) -> Dict[str, str]:
@@ -127,8 +115,14 @@ def weight_to_json(w: WeightSpec) -> Dict[str, Any]:
 def weight_from_json(data: Any) -> WeightSpec:
     if not isinstance(data, dict) or not {"u", "v"} <= set(data):
         raise ValueError("weight must be an object with keys u, v, factors")
+    unknown = set(data) - {"u", "v", "factors"}
+    if unknown:
+        raise ValueError(f"unknown weight keys: {sorted(unknown)}")
+    items = data.get("factors", [])
+    if not isinstance(items, list):
+        raise ValueError("weight factors must be a list of [polynomial, exponent] pairs")
     factors = []
-    for item in data.get("factors", []):
+    for item in items:
         if not (isinstance(item, list) and len(item) == 2):
             raise ValueError(f"bad weight factor: {item!r}")
         factors.append((poly_from_json(item[0]), parse_rational(item[1])))

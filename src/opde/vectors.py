@@ -12,9 +12,10 @@ devices for that basis:
 Applied to a vector, L only selects entries 0..n (axis 1) or 1..n+1 (axis
 2), so the vector routes (``build_monic``, ``DerivativeFamily``) slice instead
 of multiplying; multiplied from the right, it only adds a zero column, which
-``times_shift`` writes without a product.  The matrices remain for the closed
-forms written as matrix products and for tests; the joint left inverse is a
-reference construction that no production route uses.
+``times_shift`` writes without a product.  No relation route multiplies by
+either matrix: they write the layers directly, so the matrices remain as the
+definitions the tests check those layers against; the joint left inverse is
+a reference construction that no production route uses.
 
 Both boundaries between matrices and polynomials stay on the integers:
 ``expansion_layers`` builds each G_{n,k} from the polynomials' int
@@ -24,17 +25,18 @@ denominator involved, normalized once per entry.  ``apply_matrix`` is the
 one-pair case; the relation right-hand sides, the joint recursion and the
 oracle's assembly all go through ``combine``.
 
-``peel`` is the one coefficient match, run by the general relations and the
-monic closed forms alike.  An inverse of None stands for the identity, and
-then nothing is multiplied.
+``peel`` is the one coefficient match behind every relation.  An inverse of
+None stands for the identity, and then nothing is multiplied.
 
 ``PolyVectorFamily`` caches the expansion matrices G_{n,k} it is asked for:
 the top three layers of a degree, which are all the relations read, and every
-layer once a deeper one is asked for.  Both go through ``_layers``, which
-``relations.DerivativeFamily`` overrides to read its layers off its source's.
-Through ``leading_inverse`` it caches the inverse of each leading matrix
-G_{k,k}, or None when G_{k,k} is the identity, as in every monic family: the
-relation solves divide by the same few inverses many times.
+layer once a deeper one is asked for.  Both go through ``_layers``, which a
+family of layers without expanded vectors overrides:
+``relations.DerivativeFamily`` reads its layers off its source's, and
+``monic.MonicLayers`` off the equation.  Through ``leading_inverse`` it
+caches the inverse of each leading matrix G_{k,k}, or None when G_{k,k} is
+the identity, as in every monic family: the relation solves divide by the
+same few inverses many times.
 """
 
 from __future__ import annotations

@@ -275,9 +275,13 @@ def test_usage_error_missing_input(capsys):
     ["verify", "--pde", "missing.json"],
     ["build", "--family", "koornwinder", "--pde", "disk.json", "-N", "2"],
     ["rodrigues", "--pde", "disk.json", "-N", "2"],
+    ["rodrigues", "--pde", "disk.json", "--weight", "int-factors.json", "-N", "2"],
+    ["rodrigues", "--pde", "disk.json", "--weight", "null-factors.json", "-N", "2"],
+    ["rodrigues", "--pde", "disk.json", "--weight", "junk-weight.json", "-N", "2"],
 ], ids=["bad-choice", "bad-int", "no-command", "verify-format", "rodrigues-two-inputs",
         "pde-bool-coefficient", "weight-bool-exponent", "unreadable-pde",
-        "koornwinder-with-pde", "rodrigues-pde-without-weight"])
+        "koornwinder-with-pde", "rodrigues-pde-without-weight", "weight-int-factors",
+        "weight-null-factors", "weight-unknown-key"])
 def test_argument_errors_exit_1(argv, tmp_path, monkeypatch, capsys):
     # argparse's own exit code 2 would read as "not admissible"
     monkeypatch.chdir(tmp_path)
@@ -286,19 +290,48 @@ def test_argument_errors_exit_1(argv, tmp_path, monkeypatch, capsys):
     (tmp_path / "disk.json").write_text(json.dumps(DISK_PDE))
     (tmp_path / "bool-weight.json").write_text(json.dumps(
         {"u": "0", "v": "0", "factors": [[[[True, 1, "-1"], [0, 0, "1"]], "1/2"]]}))
+    for name, factors in (("int-factors", 5), ("null-factors", None)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(
+            {"u": "1/2", "v": "1/2", "factors": factors}))
+    (tmp_path / "junk-weight.json").write_text(json.dumps({"u": "1/2", "v": "1/2", "junk": 1}))
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def _fresh_cli(*args, cwd):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_input_file_is_closed(tmp_path):
+    (tmp_path / "disk.json").write_text(json.dumps(DISK_PDE))
+    proc = _fresh_cli("-X", "dev", "-W", "error::ResourceWarning", "-m", "opde.cli",
+                      "check", "--pde", "disk.json", cwd=tmp_path)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
+def test_deeply_nested_json_is_malformed(tmp_path):
+    (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000)
+    proc = _fresh_cli("-m", "opde.cli", "check", "--pde", "deep.json", cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: malformed JSON in deep.json")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_unreadable_pde_names_the_path(tmp_path, capsys):
-    missing = tmp_path / "missing.json"
-    assert main(["verify", "--pde", str(missing)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: cannot read {missing}: ")
-    assert captured.err.count("\n") == 1
+    missing, binary = tmp_path / "missing.json", tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")  # not UTF-8
+    for path in (missing, binary):
+        assert main(["verify", "--pde", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {path}: ")
+        assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("data, code, line", [
@@ -420,6 +453,9 @@ DISK_PDE = {"a": "-1", "b1": "0", "c1": "1", "b2": "0", "c2": "1", "b3": "0",
             "c3": "0", "d3": "0", "e": "-4", "f1": "0", "f2": "0"}
 DISK_WEIGHT = {"u": "0", "v": "0",
                "factors": [[[[2, 0, "-1"], [0, 2, "-1"], [0, 0, "1"]], "1/2"]]}
+# Laguerre x Laguerre and Hermite x Hermite: phi without a quadratic part
+LAGUERRE_PDE = dict(DISK_PDE, a="0", b1="1", c1="0", b2="1", c2="0", e="-1", f1="1", f2="2")
+HERMITE_PDE = dict(DISK_PDE, a="0", e="-2")
 
 
 @pytest.mark.parametrize("argv, digest", [
@@ -435,12 +471,23 @@ DISK_WEIGHT = {"u": "0", "v": "0",
     # the build command of the benchmark's triangle-verify, at its first point
     (["--alpha", "3/2", "--beta", "5/7", "-N", "4"],
      "99958f2fb3ffb1682adb5a25ea07897684165623b13b452072241be92a7c59cf"),
-], ids=["monic", "koornwinder", "triangle-build", "disk", "triangle-verify"])
+    # structure-route shapes: a dense non-monic family, and two equations
+    # whose phi have no quadratic part
+    (["--family", "appell-F", "--alpha", "3/2", "--beta", "5/7", "-N", "7"],
+     "f12437aa1aa0cecb402616ff2d9996fe69c671baafb6881d4d4de1e79b8166b5"),
+    (["--pde", "laguerre.json", "-N", "7"],
+     "66de5e84d2f429ef6b8a1a16936d4d6c8e3733a4237c2dc65342414a974b3b8d"),
+    (["--pde", "hermite.json", "-N", "7"],
+     "09f7358398431795ec0dce60984b8a8d24f91340202952c502ea75c24b38fa13"),
+], ids=["monic", "koornwinder", "triangle-build", "disk", "triangle-verify",
+        "appell-F", "laguerre", "hermite"])
 def test_build_json_digest(argv, digest, tmp_path, monkeypatch, capsys):
     # pins the whole JSON document, byte for byte
     monkeypatch.delenv("OPDE_MAX_DEGREE", raising=False)
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "pde.json").write_text(json.dumps(DISK_PDE))
+    for name, pde in (("pde", DISK_PDE), ("laguerre", LAGUERRE_PDE),
+                      ("hermite", HERMITE_PDE)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(pde))
     assert main(["build", *argv, "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -7,9 +7,9 @@ from hypothesis import example, given, seed, settings, strategies as st
 
 from opde import golden
 from opde.errors import IndexOutOfPrintedRange
-from opde.families import (AppellParams, appell_pde, connection_F,
-                           connection_K, functional, jacobi,
-                           koornwinder, koornwinder_vector, moment, moment_table,
+from opde.families import (AppellParams, _jacobi_sum, appell_pde, connection_F,
+                           connection_K, functional, koornwinder,
+                           koornwinder_vector, moment, moment_table,
                            monic_appell_series, monic_appell_vector,
                            nonmonic_F, nonmonic_F_vector, orthogonality_blocks,
                            pairing)
@@ -81,6 +81,16 @@ def test_orthogonality_blocks(p11, fam11, p23, fam23):
     assert h0 == RationalMatrix([[1]])
     for n in range(5):
         assert orthogonality_blocks(p23, fam23, n, n).det() != 0
+
+
+def jacobi(a, b, n):
+    """Degree-n Jacobi polynomial in x, classical normalization
+    P_n(1) = (a+1)_n / n!: the power sum of ``_jacobi_sum`` expanded with
+    ((1 - x)/2)^k = 2^(n-k) sum_j C(k, j) (-x)^j / 2^n, on ints."""
+    nums, den = _jacobi_sum(Fraction(a), Fraction(b), n)
+    terms = {(j, 0): (-1) ** j * sum(comb(k, j) * c << (n - k) for k, c in enumerate(nums))
+             for j in range(n + 1)}
+    return BivariatePoly.from_integers(terms, den << n)
 
 
 def test_jacobi():

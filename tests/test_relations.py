@@ -5,21 +5,21 @@ from fractions import Fraction
 import pytest
 
 from opde.cli import main
-from opde.errors import NoCaseMatches, PhiDegreeTooHigh, SingularLeading
+from opde.errors import NoCaseMatches, NotAdmissible, PhiDegreeTooHigh, SingularLeading
 from opde.families import (AppellParams, appell_pde, appell_phi_case,
                            make_family, nonmonic_F_vector)
 from opde.matrix import RationalMatrix
-from opde.monic import build_monic, monic_ttrr, solve_monic
+from opde.monic import MonicLayers, build_monic, monic_ttrr, solve_monic
 from opde.pde import HypergeometricPDE
 from opde.poly import ONE, X, Y
-from opde.relations import (DerivativeFamily, Relations, _match,
-                            _structure_axis, _ttrr_axis,
+from opde.relations import (DerivativeFamily, Relations, _structure_axis, _ttrr_axis,
                             derivative_representation, derivative_ttrr,
                             general_ttrr, monic_derivative_representation,
                             monic_structure_matrices, structure_matrices)
 from opde.serialize import pde_to_json
 from opde.vectors import (PolyVector, PolyVectorFamily, apply_matrix,
-                          derivative_matrix, expansion_matrices, shift_matrix)
+                          derivative_matrix, expansion_layers, expansion_matrices,
+                          peel, shift_matrix)
 from opde.weights import classify_phi
 
 def test_general_ttrr_reduces_to_monic(fam11):
@@ -184,6 +184,16 @@ def test_closed_forms_equal_general_routes_at_every_degree(name):
                     derivative_representation(fam, n, axis), (n, axis)
 
 
+def test_closed_form_derivative_representation_needs_degree_n_minus_1():
+    # Z acts on dP_{n-1}/dx_j: with varpi(2n - 4) = 0 there is no monic
+    # P_{n-1}, and the closed form raises as monic_ttrr does
+    pde = HypergeometricPDE.from_coeffs(a=1, c1=1, c2=1, e=-4)
+    for call in (lambda: monic_ttrr(pde, 4), lambda: monic_derivative_representation(pde, 4, 1)):
+        with pytest.raises(NotAdmissible) as info:
+            call()
+        assert info.value.index == 4
+
+
 def test_structure_rejects_quartic_phi(fam23):
     quartic = (X * Y * (1 - X - Y)) * X
     with pytest.raises(PhiDegreeTooHigh):
@@ -289,11 +299,26 @@ def test_leading_inverse_once_per_degree(monkeypatch):
     assert fam.leading_inverse(3) is None
     assert inverted == [nonmonic.G(k, k) for k in (1, 2, 3, 4, 5)]
     inverted.clear()
+    nonmonic_q = DerivativeFamily(nonmonic, 1)
     for n in range(2, 5):
-        derivative_representation(fam, n, 1, qfam)
-        derivative_representation(fam, n, 1, qfam)
-    # Q_0 = (1) has the 1 x 1 identity as its leading matrix
-    assert inverted == [qfam.G(k, k) for k in (2, 1, 3, 4)]
+        for family, q in ((fam, qfam), (nonmonic, nonmonic_q)):
+            derivative_representation(family, n, 1, q)
+            derivative_representation(family, n, 1, q)
+    # a monic source's Q family has diagonal leading matrices, inverted entry
+    # by entry; the non-monic one's are inverted once per degree
+    assert qfam.leading_inverse(3) is not None
+    assert inverted == [nonmonic_q.G(k, k) for k in (2, 1, 0, 3, 4)]
+
+
+@pytest.mark.parametrize("axis", [1, 2])
+def test_diagonal_leading_inverse_equals_gauss_jordan(axis):
+    qfam = DerivativeFamily(build_monic(appell_pde(AppellParams(2, 3)), 9), axis)
+    for k in range(9):
+        lead = qfam.G(k, k)
+        assert lead == RationalMatrix.from_function(
+            k + 1, k + 1, lambda i, c: (k + 1 - i if axis == 1 else i + 1) if i == c else 0)
+        inverse = qfam.leading_inverse(k)
+        assert (RationalMatrix.identity(1) if inverse is None else inverse) == lead.inverse(), k
 
 
 def test_derivative_representation_rejects_mismatched_qfam(fam23):
@@ -367,6 +392,12 @@ ORACLE_FAMILIES = {  # equation, family name, triangle parameters
 }
 
 
+def _match(lhs, fam, top):
+    """The X_i of lhs = X_0 v_top + X_1 v_{top-1} + X_2 v_{top-2}, peeled off
+    lhs's top three monomial layers as expanded from the polynomials."""
+    return peel(expansion_layers(lhs, top, 3), fam.G, top, fam.leading_inverse)
+
+
 def _expanded_q_family(fam, axis):
     """Q_n = shift(n, axis) @ d/dx_axis P_{n+1} as plain vectors, expanded
     from the polynomials rather than read off the source's layers."""
@@ -433,4 +464,27 @@ def test_relations_make_no_shift_products(monkeypatch):
     for n in range(9):
         rel.matrices(n)
         rel.matrices(n, compact=True)
+    phi = rel.cases[0]
+    for n in range(9):
+        monic_ttrr(pde, n)
+        if n >= 1:
+            monic_structure_matrices(pde, phi.phi10, phi.phi01, n)
+        if n >= 2:
+            for axis in (1, 2):
+                dr = monic_derivative_representation(pde, n, axis)
+                _ = dr.v, dr.y, dr.z  # the wide forms
     assert shifted == []
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_EQUATIONS))
+def test_closed_form_layers_are_the_monic_top_layers(name):
+    pde = CLOSED_FORM_EQUATIONS[name]
+    fam = build_monic(pde, 7)
+    layers = MonicLayers(pde, 7)
+    for n in range(8):
+        assert [layers.G(n, k) for k in range(n, max(n - 3, -1), -1)] == \
+            [fam.G(n, k) for k in range(n, max(n - 3, -1), -1)], n
+        if n >= 3:
+            with pytest.raises(ValueError):
+                layers.G(n, n - 3)
+    assert layers.leading_inverse(4) is None

@@ -8,10 +8,10 @@ from opde import cli
 from opde.families import AppellParams, appell_pde, appell_weight
 from opde.matrix import RationalMatrix, _raw
 from opde.poly import BivariatePoly, X, Y
-from opde.serialize import (format_rational, matrix_from_json, matrix_to_json,
+from opde.serialize import (format_rational,
                             parse_rational, pde_from_json, pde_to_json,
                             poly_from_json, poly_to_json, to_json_text,
-                            vector_from_json, vector_to_json, weight_from_json,
+                            vector_to_json, weight_from_json,
                             weight_to_json)
 from opde.vectors import PolyVector
 
@@ -49,7 +49,6 @@ def test_vector_wire_format_matches_contract():
         [[1, 0, "1"], [0, 0, "-1/3"]],
         [[0, 1, "1"], [0, 0, "-1/3"]],
     ]
-    assert vector_from_json(vector_to_json(v)) == v
 
 
 def test_poly_same_degree_ordering():
@@ -74,12 +73,6 @@ def test_poly_rejects_duplicates_and_bad_terms():
 @given(polys)
 def test_poly_round_trip(p):
     assert poly_from_json(poly_to_json(p)) == p
-
-
-@given(st.lists(st.lists(coeffs, min_size=3, max_size=3), min_size=1, max_size=4))
-def test_matrix_round_trip(rows):
-    m = RationalMatrix(rows)
-    assert matrix_from_json(matrix_to_json(m)) == m
 
 
 def test_pde_round_trip():
@@ -108,6 +101,17 @@ def test_weight_round_trip():
     from opde.weights import WeightSpec
     w2 = WeightSpec(Fraction(1, 2), 0, ((BivariatePoly.const(1) - X - Y, Fraction(3)),))
     assert weight_from_json(weight_to_json(w2)) == w2
+
+
+@pytest.mark.parametrize("data", [
+    [], {"u": "0"}, {"u": "0", "v": "0", "factors": 5},
+    {"u": "0", "v": "0", "factors": None}, {"u": "0", "v": "0", "factors": [5]},
+    {"u": "0", "v": "0", "junk": 1}, {"u": "0", "v": "0", "factors": [], "junk": 1},
+], ids=["list", "no-v", "int-factors", "null-factors", "bad-factor", "unknown-key",
+        "unknown-key-with-factors"])
+def test_weight_rejects_malformed_objects(data):
+    with pytest.raises(ValueError):
+        weight_from_json(data)
 
 
 def _tree(value):
