@@ -6,7 +6,9 @@ suite:
   * ``build_monic``: the production route.  ``monic_ttrr`` runs the general
     recurrence route (``_ttrr_axis``, shared with ``relations``) on the
     closed-form layers of ``MonicLayers``: the identity and the two
-    subleading matrices, read off the equation's coefficients.  The vectors
+    subleading matrices, read off the equation's coefficients.  It is a
+    ``PolyVectorFamily`` without vectors, so every relation route runs on it
+    as on a built family, its derivative families included.  The vectors
     are produced by the joint recursive formula.  The generalized inverse of
     the stacked shift matrices is not needed: the x-recursion fixes entries
     0..n of P_{n+1}, the y-recursion entries 1..n+1, and the overlap is
@@ -116,17 +118,13 @@ _Triple = Tuple[RationalMatrix, RationalMatrix, Optional[RationalMatrix]]
 class MonicLayers(PolyVectorFamily):
     """The top three layers of the monic family through degree ``top``, read
     off the equation: G_{n,n} = I and the two subleading matrices.  It holds
-    no vectors and no layer below k = n - 2 (ValueError), and needs no
-    leading inverse."""
+    no vectors and no layer below k = n - 2 (ValueError), and its leading
+    inverse is None without reading a layer."""
 
     def __init__(self, pde: HypergeometricPDE, top: int):
         super().__init__([])
+        self.max_n = top
         self.pde = pde
-        self._top = top
-
-    @property
-    def max_n(self) -> int:
-        return self._top
 
     def _layers(self, n: int, count: int) -> List[RationalMatrix]:
         if count > 3:

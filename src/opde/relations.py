@@ -21,17 +21,19 @@ inverses (none where G_{k,k} is the identity):
   * phi_j dP_n/dx_j: its layer of degree n+1-i is sum_k G_{n,k} E_{k,j} Phi_d
     over the homogeneous parts phi_d of phi, k = n+2-i-d, where Phi_d is the
     banded matrix of phi_d times xvec(k-1); one integer accumulation per layer
-  * P_n against the Q family: P_n's own layers, and the Q family's read off
-    P_{n+1}'s as shift(n, j) G_{n+1,k+1} E_{k+1,j}, an edge row dropped and
-    the columns scaled (``_q_layer``); when G_{k+1,k+1} is the identity the
-    Q family's leading matrix is diagonal and is inverted entry by entry
+  * P_n against the Q family: P_n's own layers, peeled against those of
+    the family's Q family (``PolyVectorFamily.derivative_family``), which
+    reads its layers off P_{n+1}'s; for a monic source its leading matrices
+    are diagonal
 
-The layers come from one of two sources: a family's cached expansion
-(``PolyVectorFamily.G``) for ``general_ttrr``, ``structure_matrices`` and
-``derivative_representation``, or the closed forms (``monic.MonicLayers``:
-the identity and the two subleading matrices, read off the equation) for
-``monic.monic_ttrr``, ``monic_structure_matrices`` and
-``monic_derivative_representation``.
+The layers come from one of two sources, both families under the one
+contract of ``vectors.PolyVectorFamily``: a family's cached expansion for
+``general_ttrr``, ``structure_matrices`` and ``derivative_representation``,
+or the closed forms (``monic.MonicLayers``: the identity and the two
+subleading matrices, read off the equation) for ``monic.monic_ttrr``,
+``monic_structure_matrices`` and ``monic_derivative_representation``.
+``DerivativeFamily`` is defined beside its base in ``vectors`` and
+re-exported here.
 
 The derivative representation is produced in two layouts: the wide form (V,
 Y, Z) acting on the raw derivative vectors, and the compact form acting on
@@ -55,7 +57,7 @@ from .matrix import RationalMatrix
 from .monic import MonicLayers, TtrrSet, _Triple, _ttrr_axis, general_ttrr
 from .pde import HypergeometricPDE
 from .poly import BivariatePoly
-from .vectors import PolyVector, PolyVectorFamily, peel, times_shift
+from .vectors import DerivativeFamily, PolyVectorFamily, peel, times_shift
 from .weights import PhiCase, classify_phi
 
 
@@ -109,85 +111,11 @@ class DerivRep(NamedTuple):
         return times_shift(self.z_compact, self.axis)
 
 
-def _q_layer(m: RationalMatrix, axis: int) -> RationalMatrix:
-    """shift(n, axis) @ m @ derivative_matrix(k + 1, axis) for an
-    (n+2) x (k+2) matrix m, without the products: the edge row dropped and
-    each column of d/dx_axis xvec(k+1) taken with its factor."""
-    num, den = m.as_integers()
-    k = m.ncols - 2
-    if axis == 1:
-        rows = [[r[c] * (k + 1 - c) for c in range(k + 1)] for r in num[:-1]]
-    else:
-        rows = [[r[c + 1] * (c + 1) for c in range(k + 1)] for r in num[1:]]
-    return RationalMatrix.from_integers(rows, den)
-
-
-class DerivativeFamily(PolyVectorFamily):
-    """The family Q_n = shift(n, axis) @ d/dx_axis P_{n+1}: the derivative
-    vector without its last entry (axis 1) or its first entry (axis 2).
-
-    Its layers are read off the source's cached ones,
-    G^Q_{n,k} = shift(n, axis) G_{n+1,k+1} E_{k+1,axis}, and Q_n itself is
-    formed on the first call to ``vector(n)``."""
-
-    def __init__(self, source: PolyVectorFamily, axis: int, up_to: Optional[int] = None):
-        if axis not in (1, 2):
-            raise ValueError("axis must be 1 or 2")
-        if up_to is None:
-            up_to = source.max_n - 1
-        if up_to + 1 > source.max_n:
-            raise ValueError("source family too short")
-        # no vectors to validate: each is formed on demand from the source's
-        self._gcache: Dict[int, List[RationalMatrix]] = {}
-        self._icache: Dict[int, Optional[RationalMatrix]] = {}
-        self._qcache: Dict[int, PolyVector] = {}
-        self._top = up_to
-        self.source = source
-        self.axis = axis
-
-    @property
-    def max_n(self) -> int:
-        return self._top
-
-    def vector(self, n: int) -> PolyVector:
-        if n not in self._qcache:
-            if not 0 <= n <= self._top:
-                raise IndexError(f"degree {n} out of range")
-            d = self.source.vector(n + 1).diff(self.axis)
-            self._qcache[n] = PolyVector(d.entries[self.axis - 1:n + self.axis])
-        return self._qcache[n]
-
-    def _layers(self, n: int, count: int) -> List[RationalMatrix]:
-        return [_q_layer(self.source.G(n + 1, k + 1), self.axis)
-                for k in range(n, max(n - count, -1), -1)]
-
-    def leading_inverse(self, k: int) -> Optional[RationalMatrix]:
-        """When the source's G_{k+1,k+1} is the identity (every monic
-        family), G^Q_{k,k} is diagonal, with entries k+1-i (axis 1) or i+1
-        (axis 2), and is inverted entry by entry; otherwise by Gauss-Jordan."""
-        if k in self._icache or self.source.G(k + 1, k + 1) != RationalMatrix.identity(k + 2):
-            return super().leading_inverse(k)
-        diag = [k + 1 - i if self.axis == 1 else i + 1 for i in range(k + 1)]
-        den = lcm(*diag)
-        self._icache[k] = None if den == 1 else RationalMatrix.from_integers(
-            [[den // d if i == c else 0 for c in range(k + 1)] for i, d in enumerate(diag)], den)
-        return self._icache[k]
-
-
 def derivative_ttrr(qfam: DerivativeFamily, n: int) -> QTtrr:
     """Unique recurrence of the derivative family along its own axis,
     read off the Q family's expansion matrices."""
     a, b, c = _ttrr_axis(qfam, n, qfam.axis)
     return QTtrr(n, qfam.axis, a, b, c)
-
-
-def phi_coefficients(phi: BivariatePoly):
-    """Coefficients (quad_x2, quad_xy, quad_y2, lin_x, lin_y, const) of a
-    weight-shift factor; the structure relations need it quadratic."""
-    if phi.degree() > 2:
-        raise PhiDegreeTooHigh(f"structure relations need deg(phi) <= 2, got {phi.degree()}")
-    return (phi.coefficient(2, 0), phi.coefficient(1, 1), phi.coefficient(0, 2),
-            phi.coefficient(1, 0), phi.coefficient(0, 1), phi.coefficient(0, 0))
 
 
 def _structure_axis(fam: PolyVectorFamily, phi: BivariatePoly, n: int, j: int) -> _Triple:
@@ -198,7 +126,8 @@ def _structure_axis(fam: PolyVectorFamily, phi: BivariatePoly, n: int, j: int) -
     j-1 columns left."""
     if n < 1:
         raise ValueError("structure relations start at n = 1")
-    phi_coefficients(phi)  # degree gate
+    if phi.degree() > 2:
+        raise PhiDegreeTooHigh(f"structure relations need deg(phi) <= 2, got {phi.degree()}")
     terms, phi_den = phi.as_integers()
     forms = [[terms.get((d - t, t), 0) for t in range(d + 1)] for d in range(3)]
     layers = []
@@ -234,40 +163,33 @@ def monic_structure_matrices(pde: HypergeometricPDE, phi1: BivariatePoly,
                         *_structure_axis(layers, phi2, n, 2))
 
 
-def derivative_representation(fam: PolyVectorFamily, n: int, axis: int,
-                              qfam: Optional[DerivativeFamily] = None) -> DerivRep:
+def derivative_representation(fam: PolyVectorFamily, n: int, axis: int) -> DerivRep:
     """General route (any orthogonal family, n >= 2): match coefficients of
-    P_n against the Q family, whose leading matrices are invertible; this
-    compact triple is unique.  The wide triple follows by composing with the
-    shift matrix, since Q_k is by definition shift @ dP_{k+1}.  A shared
-    ``qfam`` must be ``DerivativeFamily(fam, axis)``; ValueError otherwise.
+    P_n against the family's Q family, whose leading matrices are
+    invertible; this compact triple is unique.  The wide triple follows by
+    composing with the shift matrix, since Q_k is by definition
+    shift @ dP_{k+1}.
 
     (A construction via recurrence differences against a lifted derivative
     recurrence is only valid when the family's edge entries are univariate,
     which holds for monic families but not in general; see ERRATA.md.)
     """
+    return _derivative_axis(fam, n, axis)
+
+
+def _derivative_axis(fam: PolyVectorFamily, n: int, axis: int) -> DerivRep:
+    """P_n's layers peeled against the axis Q family's."""
     if n < 2:
         raise ValueError("derivative representation starts at n = 2")
-    if qfam is None:
-        qfam = DerivativeFamily(fam, axis, n)
-    elif qfam.axis != axis or qfam.source is not fam:
-        raise ValueError(f"qfam must be the axis-{axis} derivative family of fam")
-    return _derivative_axis(fam, qfam, n)
-
-
-def _derivative_axis(fam: PolyVectorFamily, qfam: DerivativeFamily, n: int) -> DerivRep:
-    """P_n's layers peeled against the Q family's."""
+    qfam = fam.derivative_family(axis)
     layers = [fam.G(n, k) for k in (n, n - 1, n - 2)]
-    return DerivRep(n, qfam.axis, *peel(layers, qfam.G, n, qfam.leading_inverse))
+    return DerivRep(n, axis, *peel(layers, qfam.G, n, qfam.leading_inverse))
 
 
 def monic_derivative_representation(pde: HypergeometricPDE, n: int, axis: int) -> DerivRep:
     """Closed-form route for the monic family, n >= 2: the general route run
     on the closed-form layers, whose Q family has diagonal leading matrices."""
-    if n < 2:
-        raise ValueError("derivative representation starts at n = 2")
-    layers = MonicLayers(pde, n + 1)
-    return _derivative_axis(layers, DerivativeFamily(layers, axis, n), n)
+    return _derivative_axis(MonicLayers(pde, n + 1), n, axis)
 
 
 class Relations:
@@ -280,7 +202,6 @@ class Relations:
 
     def __init__(self, fam: PolyVectorFamily, pde: HypergeometricPDE, big_n: int):
         self.fam = fam
-        self.qfams = {j: DerivativeFamily(fam, j) for j in (1, 2)}
         self.ttrr: List[TtrrSet] = [general_ttrr(fam, n) for n in range(big_n + 1)]
         self.cases: List[PhiCase] = []
         self.structure: Dict[int, StructureSet] = {}
@@ -294,7 +215,7 @@ class Relations:
         except (NoCaseMatches, PhiDegreeTooHigh) as ex:
             self.skipped = f"skipped: {ex}"
         self.deriv: Dict[Tuple[int, int], DerivRep] = {
-            (n, j): derivative_representation(fam, n, j, self.qfams[j])
+            (n, j): derivative_representation(fam, n, j)
             for n in range(2, big_n + 1) for j in (1, 2)}
 
     def matrices(self, n: int, compact: bool = False) -> Dict[str, RationalMatrix]:

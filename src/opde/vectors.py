@@ -28,15 +28,17 @@ oracle's assembly all go through ``combine``.
 ``peel`` is the one coefficient match behind every relation.  An inverse of
 None stands for the identity, and then nothing is multiplied.
 
-``PolyVectorFamily`` caches the expansion matrices G_{n,k} it is asked for:
-the top three layers of a degree, which are all the relations read, and every
-layer once a deeper one is asked for.  Both go through ``_layers``, which a
-family of layers without expanded vectors overrides:
-``relations.DerivativeFamily`` reads its layers off its source's, and
-``monic.MonicLayers`` off the equation.  Through ``leading_inverse`` it
-caches the inverse of each leading matrix G_{k,k}, or None when G_{k,k} is
-the identity, as in every monic family: the relation solves divide by the
-same few inverses many times.
+``PolyVectorFamily`` is the one family contract: a degree bound ``max_n``,
+set once, and the expansion matrices G_{n,k} it is asked for, cached: the
+top three layers of a degree, which are all the relations read, and every
+layer once a deeper one is asked for.  A family of layers without vectors
+overrides ``_layers``: ``DerivativeFamily`` reads them off its source's, and
+``monic.MonicLayers`` off the equation.  ``leading_inverse`` caches the
+inverse of each leading matrix G_{k,k} by one rule: a diagonal G_{k,k}
+entry by entry (None for the identity, as in every monic family), any other
+by Gauss-Jordan; the relation solves divide by the same few inverses many
+times.  ``derivative_family`` builds each axis's Q family once, so every
+relation read off it shares its layers and inverses.
 """
 
 from __future__ import annotations
@@ -256,8 +258,8 @@ class PolyVectorFamily:
 
     ``G`` caches the layers it is asked for: the top three of a degree on
     the first request, every layer once a deeper one is asked for.  Both go
-    through ``_layers``, which a family whose layers follow from another
-    family's overrides."""
+    through ``_layers``, which a family of layers without vectors overrides
+    after calling this constructor with no vectors and setting ``max_n``."""
 
     def __init__(self, vectors: Sequence[PolyVector]):
         self.vectors = list(vectors)
@@ -266,12 +268,10 @@ class PolyVectorFamily:
                 raise ValueError(f"vector at degree {n} has length {len(v)}")
             if v.max_degree() > n:
                 raise DegreeOverflow(f"vector at degree {n} has degree {v.max_degree()}")
+        self.max_n = len(self.vectors) - 1
         self._gcache: Dict[int, List[RationalMatrix]] = {}
         self._icache: Dict[int, Optional[RationalMatrix]] = {}
-
-    @property
-    def max_n(self) -> int:
-        return len(self.vectors) - 1
+        self._qfams: Dict[int, DerivativeFamily] = {}
 
     def vector(self, n: int) -> PolyVector:
         return self.vectors[n]
@@ -290,16 +290,79 @@ class PolyVectorFamily:
         return layers[n - k]
 
     def leading_inverse(self, k: int) -> Optional[RationalMatrix]:
-        """Inverse of the leading matrix G_{k,k}, computed once per degree;
-        None when G_{k,k} is the identity, as in every monic family.  Raises
-        SingularLeading when G_{k,k} is singular."""
+        """Inverse of the leading matrix G_{k,k}, computed once per degree.
+        A diagonal G_{k,k} is inverted entry by entry, and is None when it is
+        the identity, as in every monic family; any other G_{k,k} by
+        Gauss-Jordan.  Raises SingularLeading when G_{k,k} is singular."""
         if k not in self._icache:
             lead = self.G(k, k)
-            if lead == RationalMatrix.identity(k + 1):
-                self._icache[k] = None
-            else:
+            num, den = lead.as_integers()
+            diag = [r[i] for i, r in enumerate(num)]
+            if any(a for i, r in enumerate(num) for c, a in enumerate(r) if c != i):
                 try:
-                    self._icache[k] = lead.inverse()
+                    inv = lead.inverse()
                 except SingularMatrix:
                     raise SingularLeading(k) from None
+            elif 0 in diag:
+                raise SingularLeading(k)
+            elif all(d == den for d in diag):
+                inv = None
+            else:
+                top = lcm(*diag)
+                inv = RationalMatrix.from_integers(
+                    [[den * (top // d) if i == c else 0 for c in range(k + 1)]
+                     for i, d in enumerate(diag)], top)
+            self._icache[k] = inv
         return self._icache[k]
+
+    def derivative_family(self, axis: int) -> "DerivativeFamily":
+        """The family's Q family along ``axis``, built once per axis, so
+        every relation read off it shares its layers and leading inverses."""
+        if axis not in self._qfams:
+            self._qfams[axis] = DerivativeFamily(self, axis)
+        return self._qfams[axis]
+
+
+def _q_layer(m: RationalMatrix, axis: int) -> RationalMatrix:
+    """shift(n, axis) @ m @ derivative_matrix(k + 1, axis) for an
+    (n+2) x (k+2) matrix m, without the products: the edge row dropped and
+    each column of d/dx_axis xvec(k+1) taken with its factor."""
+    num, den = m.as_integers()
+    k = m.ncols - 2
+    if axis == 1:
+        rows = [[r[c] * (k + 1 - c) for c in range(k + 1)] for r in num[:-1]]
+    else:
+        rows = [[r[c + 1] * (c + 1) for c in range(k + 1)] for r in num[1:]]
+    return RationalMatrix.from_integers(rows, den)
+
+
+class DerivativeFamily(PolyVectorFamily):
+    """The family Q_n = shift(n, axis) @ d/dx_axis P_{n+1} of degrees
+    0..source.max_n - 1: the derivative vector without its last entry
+    (axis 1) or its first entry (axis 2).
+
+    Its layers are read off the source's cached ones,
+    G^Q_{n,k} = shift(n, axis) G_{n+1,k+1} E_{k+1,axis}, and Q_n itself is
+    formed on the first call to ``vector(n)``.  For a monic source G^Q_{k,k}
+    is diagonal, with entries k+1-i (axis 1) or i+1 (axis 2)."""
+
+    def __init__(self, source: PolyVectorFamily, axis: int):
+        if axis not in (1, 2):
+            raise ValueError("axis must be 1 or 2")
+        super().__init__([])
+        self.max_n = source.max_n - 1
+        self.source = source
+        self.axis = axis
+        self._qcache: Dict[int, PolyVector] = {}
+
+    def vector(self, n: int) -> PolyVector:
+        if n not in self._qcache:
+            if not 0 <= n <= self.max_n:
+                raise IndexError(f"degree {n} out of range")
+            d = self.source.vector(n + 1).diff(self.axis)
+            self._qcache[n] = PolyVector(d.entries[self.axis - 1:n + self.axis])
+        return self._qcache[n]
+
+    def _layers(self, n: int, count: int) -> List[RationalMatrix]:
+        return [_q_layer(self.source.G(n + 1, k + 1), self.axis)
+                for k in range(n, max(n - count, -1), -1)]

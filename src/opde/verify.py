@@ -155,7 +155,7 @@ def run_verification(pde: HypergeometricPDE, big_n: int,
 
     qttrr = SuiteResult("derivative-family-ttrr")
     for j, var in ((1, X), (2, Y)):
-        qfam = rel.qfams[j]
+        qfam = fam.derivative_family(j)
         for n in range(big_n + 1):
             qt = derivative_ttrr(qfam, n)
             rhs = _three_term((qt.a, qt.b, qt.c), qfam.vector, n + 1)

@@ -88,16 +88,20 @@ def _div(num: BivariatePoly, den: BivariatePoly, case_id: str) -> BivariatePoly:
             f"case ({case_id}): factor quotient is not a polynomial") from None
 
 
-def _solve_phi(pde: HypergeometricPDE, dbx: BivariatePoly, dgy: BivariatePoly,
-               max_degree: int = 12) -> Optional[BivariatePoly]:
+_PHI_DEGREE_BOUND = 12
+
+
+def _solve_phi(pde: HypergeometricPDE, dbx: BivariatePoly, dgy: BivariatePoly
+               ) -> Optional[BivariatePoly]:
     """Polynomial phi with alpha * phi_x = dbx * phi and alpha * phi_y = dgy * phi,
     found by an exact nullspace solve over ascending degree bounds; None when
-    no polynomial solution exists within the bound.  Such a phi is unique up
-    to a scalar, so the first nullspace vector is the answer."""
+    no polynomial solution of degree at most _PHI_DEGREE_BOUND exists.  Such
+    a phi is unique up to a scalar, so the first nullspace vector is the
+    answer."""
     alpha = discriminant(pde)
     if alpha.is_zero():
         return None
-    for bound in range(1, max_degree + 1):
+    for bound in range(1, _PHI_DEGREE_BOUND + 1):
         monos = [(d - j, j) for d in range(bound + 1) for j in range(d + 1)]
         residuals_x = []
         residuals_y = []

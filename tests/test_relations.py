@@ -11,7 +11,7 @@ from opde.families import (AppellParams, appell_pde, appell_phi_case,
 from opde.matrix import RationalMatrix
 from opde.monic import MonicLayers, build_monic, monic_ttrr, solve_monic
 from opde.pde import HypergeometricPDE
-from opde.poly import ONE, X, Y
+from opde.poly import ONE, X, Y, ZERO
 from opde.relations import (DerivativeFamily, Relations, _structure_axis, _ttrr_axis,
                             derivative_representation, derivative_ttrr,
                             general_ttrr, monic_derivative_representation,
@@ -65,7 +65,7 @@ def test_ttrr_uniqueness_perturbation(fam23):
 
 
 def test_derivative_family_basics(fam11):
-    q1 = DerivativeFamily(fam11, 1, 4)
+    q1 = DerivativeFamily(fam11, 1)
     assert q1.vector(0) == PolyVector([1 + 0 * X])
     # expansion matrices factor through the source family's
     for n in range(1, 4):
@@ -79,7 +79,7 @@ def test_derivative_family_basics(fam11):
 
 
 def test_derivative_family_leading_matrix(fam11):
-    q1 = DerivativeFamily(fam11, 1, 3)
+    q1 = DerivativeFamily(fam11, 1)
     for n in range(1, 3):
         assert q1.G(n, n) == shift_matrix(n, 1) @ derivative_matrix(n + 1, 1)
 
@@ -279,7 +279,7 @@ def test_leading_inverse_once_per_degree(monkeypatch):
     fam = build_monic(appell_pde(p), 5)
     nonmonic = PolyVectorFamily([nonmonic_F_vector(p, n) for n in range(6)])
     phi = appell_phi_case(p)
-    qfam = DerivativeFamily(fam, 1)
+    qfam = fam.derivative_family(1)
     inverted = []
     real = RationalMatrix.inverse
 
@@ -299,15 +299,16 @@ def test_leading_inverse_once_per_degree(monkeypatch):
     assert fam.leading_inverse(3) is None
     assert inverted == [nonmonic.G(k, k) for k in (1, 2, 3, 4, 5)]
     inverted.clear()
-    nonmonic_q = DerivativeFamily(nonmonic, 1)
+    nonmonic_q = nonmonic.derivative_family(1)
     for n in range(2, 5):
-        for family, q in ((fam, qfam), (nonmonic, nonmonic_q)):
-            derivative_representation(family, n, 1, q)
-            derivative_representation(family, n, 1, q)
+        for family in (fam, nonmonic):
+            derivative_representation(family, n, 1)
+            derivative_representation(family, n, 1)
     # a monic source's Q family has diagonal leading matrices, inverted entry
-    # by entry; the non-monic one's are inverted once per degree
+    # by entry; the non-monic one's are inverted once per degree, except the
+    # 1 x 1 Q_0, which is diagonal too
     assert qfam.leading_inverse(3) is not None
-    assert inverted == [nonmonic_q.G(k, k) for k in (2, 1, 0, 3, 4)]
+    assert inverted == [nonmonic_q.G(k, k) for k in (2, 1, 3, 4)]
 
 
 @pytest.mark.parametrize("axis", [1, 2])
@@ -321,23 +322,47 @@ def test_diagonal_leading_inverse_equals_gauss_jordan(axis):
         assert (RationalMatrix.identity(1) if inverse is None else inverse) == lead.inverse(), k
 
 
-def test_derivative_representation_rejects_mismatched_qfam(fam23):
-    other = build_monic(fam23.pde, 5)
-    for qfam in (DerivativeFamily(fam23, 2), DerivativeFamily(other, 1)):
-        with pytest.raises(ValueError):
-            derivative_representation(fam23, 3, 1, qfam)
+def test_diagonal_leading_matrix_inverted_entry_by_entry(fam23, monkeypatch):
+    # the base rule: a diagonal G_{k,k} other than the identity is inverted
+    # without Gauss-Jordan, to the same matrix; a zero on its diagonal is
+    # singular
+    def scale(n):
+        return RationalMatrix.from_function(
+            n + 1, n + 1, lambda i, c: Fraction((-1) ** i * (i + 1), 2) if i == c else 0)
+    fam = PolyVectorFamily([apply_matrix(scale(n), fam23.vector(n)) for n in range(6)])
+    real = RationalMatrix.inverse
+    inverted = []
+
+    def counting(self):
+        inverted.append(self)
+        return real(self)
+
+    monkeypatch.setattr(RationalMatrix, "inverse", counting)
+    for k in range(6):
+        assert fam.G(k, k) == scale(k)
+        assert fam.leading_inverse(k) == real(scale(k)), k
+    assert inverted == []
+    singular = PolyVectorFamily([PolyVector([ONE]), PolyVector([X, ZERO])])
+    with pytest.raises(SingularLeading) as info:
+        singular.leading_inverse(1)
+    assert info.value.degree == 1
+    assert inverted == []
 
 
 @pytest.mark.parametrize("axis", [1, 2])
-def test_shared_qfam_matches_per_call(fam23, p23, axis):
+def test_derivative_family_is_shared_per_axis(p23, axis):
+    # one Q family per axis, and the derivative representation reads its
+    # layers through that family's cache
     fam = PolyVectorFamily([nonmonic_F_vector(p23, n) for n in range(6)])
-    for family in (fam23, fam):
-        qfam = DerivativeFamily(family, axis)
+    for family in (build_monic(appell_pde(p23), 5), fam):
+        qfam = family.derivative_family(axis)
+        assert family.derivative_family(axis) is qfam
+        assert family.derivative_family(3 - axis) is not qfam
+        assert (qfam.source, qfam.axis, qfam.max_n) == (family, axis, family.max_n - 1)
+        assert qfam._gcache == {}
         for n in range(2, 5):
-            shared = derivative_representation(family, n, axis, qfam)
-            own = derivative_representation(family, n, axis)
-            assert shared == own
-            assert (shared.v, shared.y, shared.z) == (own.v, own.y, own.z)
+            derivative_representation(family, n, axis)
+            assert sorted(qfam._gcache) == list(range(n + 1))
 
 
 def test_relations_without_phi_pair(monkeypatch, tmp_path, capsys):
@@ -413,7 +438,7 @@ def test_layer_routes_equal_polynomial_expansion(name):
     fam = make_family(pde, family, params, 8)
     case = classify_phi(pde)[0]
     for axis, var, phi in ((1, X, case.phi10), (2, Y, case.phi01)):
-        qfam = DerivativeFamily(fam, axis)
+        qfam = fam.derivative_family(axis)
         oracle_q = _expanded_q_family(fam, axis)
         for n in range(7):
             assert _ttrr_axis(fam, n, axis) == \
@@ -424,7 +449,7 @@ def test_layer_routes_equal_polynomial_expansion(name):
             assert tuple(derivative_ttrr(qfam, n))[2:] == \
                 _match(oracle_q.vector(n).scale(var), oracle_q, n + 1), (n, axis)
             if n >= 2:
-                dr = derivative_representation(fam, n, axis, qfam)
+                dr = derivative_representation(fam, n, axis)
                 assert (dr.v_compact, dr.y_compact, dr.z_compact) == \
                     _match(fam.vector(n), oracle_q, n), (n, axis)
 
