@@ -141,7 +141,7 @@ def _ttrr_axis(fam: PolyVectorFamily, n: int, j: int) -> _Triple:
     is G_{n,n-i} times the shift, zero below degree 0."""
     layers = [times_shift(fam.G(n, k), j) if k >= 0 else None
               for k in (n, n - 1, n - 2)]
-    return peel(layers, fam.G, n + 1, fam.leading_inverse)
+    return peel(layers, fam, n + 1)
 
 
 def general_ttrr(fam: PolyVectorFamily, n: int) -> TtrrSet:

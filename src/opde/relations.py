@@ -144,7 +144,7 @@ def _structure_axis(fam: PolyVectorFamily, phi: BivariatePoly, n: int, j: int) -
                         for c, a in enumerate(form, s + 1 - j):
                             out[c] += g * a
         layers.append(RationalMatrix.from_integers(acc, den * phi_den))
-    return peel(layers, fam.G, n + 1, fam.leading_inverse)
+    return peel(layers, fam, n + 1)
 
 
 def structure_matrices(fam: PolyVectorFamily, phi1: BivariatePoly,
@@ -183,7 +183,7 @@ def _derivative_axis(fam: PolyVectorFamily, n: int, axis: int) -> DerivRep:
         raise ValueError("derivative representation starts at n = 2")
     qfam = fam.derivative_family(axis)
     layers = [fam.G(n, k) for k in (n, n - 1, n - 2)]
-    return DerivRep(n, axis, *peel(layers, qfam.G, n, qfam.leading_inverse))
+    return DerivRep(n, axis, *peel(layers, qfam, n))
 
 
 def monic_derivative_representation(pde: HypergeometricPDE, n: int, axis: int) -> DerivRep:

@@ -24,7 +24,7 @@ from .weights import WeightSpec
 
 _RAT = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
-PDE_FIELDS = ("a", "b1", "c1", "b2", "c2", "b3", "c3", "d3", "e", "f1", "f2")
+PDE_FIELDS = HypergeometricPDE._fields
 
 
 def format_rational(q: Fraction) -> str:

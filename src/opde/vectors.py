@@ -25,8 +25,9 @@ denominator involved, normalized once per entry.  ``apply_matrix`` is the
 one-pair case; the relation right-hand sides, the joint recursion and the
 oracle's assembly all go through ``combine``.
 
-``peel`` is the one coefficient match behind every relation.  An inverse of
-None stands for the identity, and then nothing is multiplied.
+``peel`` is the one coefficient match behind every relation, against one
+family's layers.  A leading inverse of None stands for the identity, and then
+nothing is multiplied.
 
 ``PolyVectorFamily`` is the one family contract: a degree bound ``max_n``,
 set once, and the expansion matrices G_{n,k} it is asked for, cached: the
@@ -44,7 +45,7 @@ relation read off it shares its layers and inverses.
 from __future__ import annotations
 
 from math import lcm
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DegreeOverflow, SingularLeading, SingularMatrix
 from .matrix import RationalMatrix
@@ -230,25 +231,23 @@ def expansion_layers(v: PolyVector, n: int, count: int) -> List[RationalMatrix]:
             for k in range(n, max(n - count, -1), -1)]
 
 
-def peel(layers: Sequence[Optional[RationalMatrix]],
-         g: Callable[[int, int], RationalMatrix], top: int,
-         inverse: Optional[Callable[[int], Optional[RationalMatrix]]] = None
-         ) -> Tuple[Optional[RationalMatrix], ...]:
-    """X_0, X_1, X_2 with lhs = sum_i X_i v_{top-i}, for vectors
-    v_m = sum_k g(m, k) xvec(k) and H_i = layers[i] the coefficient of
-    xvec(top-i) in lhs (None for zero):
+def peel(layers: Sequence[Optional[RationalMatrix]], fam: "PolyVectorFamily",
+         top: int) -> Tuple[Optional[RationalMatrix], ...]:
+    """X_0, X_1, X_2 with lhs = sum_i X_i v_{top-i}, for the vectors
+    v_m = sum_k G(m, k) xvec(k) of ``fam`` and H_i = layers[i] the
+    coefficient of xvec(top-i) in lhs (None for zero):
 
-        X_i = (H_i - sum_{k<i} X_k g(top-k, top-i)) g(top-i, top-i)^{-1},
+        X_i = (H_i - sum_{k<i} X_k G(top-k, top-i)) G(top-i, top-i)^{-1},
 
-    where ``inverse(m)`` gives g(m, m)^{-1}; no ``inverse``, or an inverse
-    that is None, stands for the identity and nothing is multiplied.
-    Layers below degree 0 are ignored; terms past the last layer are None."""
+    where ``fam.leading_inverse(m)`` gives G(m, m)^{-1}; None stands for the
+    identity and nothing is multiplied.  Layers below degree 0 are ignored;
+    terms past the last layer are None."""
     xs: List[RationalMatrix] = []
     for i, acc in enumerate(layers[:top + 1]):
         for k, xk in enumerate(xs):
-            term = xk @ g(top - k, top - i)
+            term = xk @ fam.G(top - k, top - i)
             acc = -term if acc is None else acc - term
-        inv = None if inverse is None else inverse(top - i)
+        inv = fam.leading_inverse(top - i)
         xs.append(acc if inv is None else acc @ inv)
     return tuple(xs) + (None,) * (3 - len(xs))
 

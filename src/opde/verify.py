@@ -85,7 +85,8 @@ def run_verification(pde: HypergeometricPDE, big_n: int,
     """Run every applicable invariant suite at degree bound big_n.
 
     ``params`` unlocks the moment-functional and golden-table suites of the
-    built-in triangle instance; ``pde`` is then that triangle's equation.
+    built-in triangle instance; ``pde`` must then be that triangle's
+    equation, ``appell_pde(params)``, else ValueError.
     ``family`` selects which solution family the identity suites run on.
     ``corrupt`` injects a single fault (for testing the verifier itself):
     "ttrr-b1" bumps entry (0,0) of the degree-1 recurrence matrix on axis 1,
@@ -93,6 +94,8 @@ def run_verification(pde: HypergeometricPDE, big_n: int,
     """
     if corrupt not in (None, "ttrr-b1"):
         raise ValueError(f"unknown fault {corrupt!r}")
+    if params is not None and pde != appell_pde(params):
+        raise ValueError("pde is not the triangle equation of params")
     if corrupt == "ttrr-b1" and big_n < 1:
         raise ValueError("fault ttrr-b1 corrupts the degree-1 recurrence: it needs big_n >= 1")
     results: List[SuiteResult] = []
@@ -185,16 +188,16 @@ def run_verification(pde: HypergeometricPDE, big_n: int,
     results.append(deriv.finish())
 
     if params is not None:
-        results.extend(_instance_suites(params, rel, family, big_n))
+        results.extend(_instance_suites(pde, params, rel, family, big_n))
     return results
 
 
-def _instance_suites(p: AppellParams, rel: Relations, label: str,
-                     big_n: int) -> List[SuiteResult]:
-    """The triangle's own suites.  The classification and the golden tables
-    are checked against the relation table the identity suites checked."""
+def _instance_suites(pde: HypergeometricPDE, p: AppellParams, rel: Relations,
+                     label: str, big_n: int) -> List[SuiteResult]:
+    """The triangle's own suites, for pde = appell_pde(p).  The
+    classification and the golden tables are checked against the relation
+    table the identity suites checked."""
     results: List[SuiteResult] = []
-    pde = appell_pde(p)
     fam = rel.fam
 
     cls = SuiteResult("classification")

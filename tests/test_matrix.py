@@ -348,7 +348,7 @@ def test_relation_match_runs_without_fraction_arithmetic(fam23, fraction_ops):
     fam = PolyVectorFamily(fam23.vectors[:10])
     lhs = fam.vector(8).scale(X)
     with fraction_ops() as count:
-        a, b, c = peel(expansion_layers(lhs, 9, 3), fam.G, 9, fam.leading_inverse)
+        a, b, c = peel(expansion_layers(lhs, 9, 3), fam, 9)
     assert count[0] == 0
     assert apply_matrix(a, fam.vector(9)) + apply_matrix(b, fam.vector(8)) \
         + apply_matrix(c, fam.vector(7)) == lhs

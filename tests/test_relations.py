@@ -420,7 +420,7 @@ ORACLE_FAMILIES = {  # equation, family name, triangle parameters
 def _match(lhs, fam, top):
     """The X_i of lhs = X_0 v_top + X_1 v_{top-1} + X_2 v_{top-2}, peeled off
     lhs's top three monomial layers as expanded from the polynomials."""
-    return peel(expansion_layers(lhs, top, 3), fam.G, top, fam.leading_inverse)
+    return peel(expansion_layers(lhs, top, 3), fam, top)
 
 
 def _expanded_q_family(fam, axis):

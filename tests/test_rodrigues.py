@@ -167,18 +167,28 @@ def test_plan_single_target_is_the_y_then_x_chain():
 
 
 def test_disk_table_step_count_at_18(monkeypatch):
-    # the trees reach only the n >= m pairs (687 steps with every pair planned)
+    # the trees reach only the n >= m pairs (687 steps with every pair
+    # planned), and only those are divided out: each m > n output is the
+    # swap of the (n, m) output
     w, case = _instance("disk")
     degrees = []
+    divisions = []
+    divide = rodrigues._divide_out
 
     def traced(expr, axis):
         out = weighted_diff(expr, axis)
         degrees.append(out.poly.degree())
         return out
 
+    def counted(expr, *args):
+        divisions.append(expr)
+        return divide(expr, *args)
+
     monkeypatch.setattr(rodrigues, "weighted_diff", traced)
+    monkeypatch.setattr(rodrigues, "_divide_out", counted)
     assert len(rodrigues_table(w, case, 18)) == 190
     assert (len(degrees), max(degrees)) == (356, 18)
+    assert len(divisions) == 100
 
 
 _SYNTHETIC = {
@@ -192,6 +202,12 @@ _SYNTHETIC = {
                 PhiCase("synthetic", "", X**2, Y**2)),
     # c10 = 2 and c01 = 1: the swap carries phi10 = 2x to 2y, not to phi01
     "scaled": (WeightSpec(Fraction(1, 2), Fraction(1, 2)), PhiCase("synthetic", "", 2 * X, Y)),
+    # the swap exchanges the two factors but not their exponents
+    "unequal-exponents": (WeightSpec(0, 0, ((1 - X, Fraction(1, 2)), (1 - Y, Fraction(1, 3)))),
+                          PhiCase("synthetic", "", 1 - X, 1 - Y)),
+    # the disk equation's factor pair with another mirror-invariant weight
+    "disk-minus-1/3": (WeightSpec(0, 0, ((DISK, Fraction(-1, 3)),)),
+                       classify_phi(_disk_equation())[0]),
 }
 
 
@@ -201,9 +217,12 @@ _SYNTHETIC = {
     ("triangle", AppellParams(Fraction(3, 2), Fraction(5, 7)), 8),
     # mirror-invariant: every class holds one pair, mirrored across classes
     ("triangle", AppellParams(Fraction(3, 2), Fraction(3, 2)), 8),
+    ("triangle", AppellParams(Fraction(1, 2), Fraction(1, 2)), 8),
+    ("disk-minus-1/3", None, 10),
     ("product", None, 8),
     ("squares", None, 8),
-], ids=["disk", "triangle-2-3", "triangle-3/2-5/7", "triangle-3/2-3/2", "product", "squares"])
+], ids=["disk", "triangle-2-3", "triangle-3/2-5/7", "triangle-3/2-3/2", "triangle-1/2-1/2",
+        "disk-minus-1/3", "product", "squares"])
 def test_table_matches_per_pair_oracle(which, p, top):
     w, case = _SYNTHETIC[which] if which in _SYNTHETIC else _instance(which, p)
     table = rodrigues_table(w, case, top)
@@ -214,17 +233,19 @@ def test_table_matches_per_pair_oracle(which, p, top):
     assert rodrigues_table(w, case, 0) == {(0, 0): BivariatePoly.const(1)}
 
 
-@pytest.mark.parametrize("which, p, perm", [
-    ("disk", None, (1, 0, 2)),
-    ("triangle", AppellParams(Fraction(3, 2), Fraction(3, 2)), (1, 0, 2)),
-    ("product", None, (1, 0, 3, 2)),
-    ("squares", None, (1, 0)),
-    ("triangle", AppellParams(2, 3), None),
-    ("scaled", None, None),
-], ids=["disk", "triangle-3/2-3/2", "product", "squares", "triangle-2-3", "scaled"])
-def test_mirror_shortcut_selection(which, p, perm):
+@pytest.mark.parametrize("which, p, mirror", [
+    ("disk", None, True),
+    ("triangle", AppellParams(Fraction(3, 2), Fraction(3, 2)), True),
+    ("product", None, True),
+    ("squares", None, True),
+    ("triangle", AppellParams(2, 3), False),
+    ("scaled", None, False),
+    ("unequal-exponents", None, False),
+], ids=["disk", "triangle-3/2-3/2", "product", "squares", "triangle-2-3", "scaled",
+        "unequal-exponents"])
+def test_mirror_shortcut_selection(which, p, mirror):
     w, case = _SYNTHETIC[which] if which in _SYNTHETIC else _instance(which, p)
-    assert rodrigues._mirror(w, case) == perm
+    assert rodrigues._mirror(w, case) is mirror
 
 
 @pytest.mark.parametrize("alpha, beta", [(Fraction(3, 2), Fraction(5, 7)), (2, 3)],
@@ -234,7 +255,7 @@ def test_table_is_swap_covariant(alpha, beta):
     # points where neither side is mirror-invariant: the table at (beta, alpha)
     # is the swap of the table at (alpha, beta), with (n, m) <-> (m, n)
     p, q = AppellParams(alpha, beta), AppellParams(beta, alpha)
-    assert rodrigues._mirror(*_instance("triangle", p)) is None
+    assert rodrigues._mirror(*_instance("triangle", p)) is False
     table = rodrigues_table(*_instance("triangle", p), 8)
     swapped = rodrigues_table(*_instance("triangle", q), 8)
     assert len(table) == 45
@@ -260,7 +281,12 @@ _FAILING = {
 
 @pytest.mark.parametrize("name", list(_FAILING))
 def test_table_fails_like_the_per_pair_loop(name, monkeypatch):
+    # the table divides out the pairs it derives (n >= m when _mirror holds)
+    # in key order, each from the expression the per-pair loop divides, and
+    # fails at the same pair with the same exception
     w, case = _FAILING[name]
+    pairs = [(t - m, m) for t in range(4) for m in range(t + 1)]
+    derived = [(n, m) for n, m in pairs if n >= m or not rodrigues._mirror(w, case)]
     divide = rodrigues._divide_out
 
     def run(evaluate):
@@ -277,11 +303,15 @@ def test_table_fails_like_the_per_pair_loop(name, monkeypatch):
         return type(info.value), str(info.value), seen
 
     def per_pair():
-        for t in range(4):
-            for m in range(t + 1):
-                rodrigues_eval(w, case, t - m, m)
+        for n, m in pairs:
+            rodrigues_eval(w, case, n, m)
 
-    assert run(lambda: rodrigues_table(w, case, 3)) == run(per_pair)
+    *table_error, table_seen = run(lambda: rodrigues_table(w, case, 3))
+    *loop_error, loop_seen = run(per_pair)
+    assert table_error == loop_error
+    loop_pairs = pairs[:len(loop_seen)]
+    assert derived[len(table_seen) - 1] == loop_pairs[-1]
+    assert table_seen == [e for pair, e in zip(loop_pairs, loop_seen) if pair in derived]
 
 
 @pytest.mark.parametrize("phi10, phi01", [(ZERO, Y), (X, ZERO)], ids=["phi10", "phi01"])

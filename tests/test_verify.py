@@ -4,7 +4,7 @@ from time import perf_counter
 
 import pytest
 
-from opde.families import appell_pde
+from opde.families import AppellParams, appell_pde
 from opde.pde import HypergeometricPDE
 from opde.verify import run_verification
 
@@ -47,6 +47,16 @@ def test_fault_injection_pinpoints(p11):
 def test_fault_that_cannot_be_injected_is_rejected(p11, big_n, corrupt):
     with pytest.raises(ValueError):
         run_verification(appell_pde(p11), big_n, params=p11, corrupt=corrupt)
+
+
+@pytest.mark.parametrize("pde", [
+    HypergeometricPDE.from_coeffs(a=-1, c1=1, c2=1, e=-4),
+    appell_pde(AppellParams(1, 1)),
+], ids=["disk", "triangle-1-1"])
+def test_params_of_another_equation_are_rejected(p23, pde):
+    # the instance suites would check the triangle at p23 against pde's family
+    with pytest.raises(ValueError, match="not the triangle equation"):
+        run_verification(pde, 2, params=p23)
 
 
 def test_non_admissible_stops_early():
