@@ -9,6 +9,8 @@ Commands:
 
 Exit codes are a stable contract: 0 success, 1 parse/usage error,
 2 not admissible, 3 not potentially self-adjoint, 4 verification failure.
+``main`` returns the code; ``run``, behind both ``opde`` and
+``python -m opde.cli``, exits with it.
 Rationals are never rendered as decimals in any output format.
 """
 
@@ -19,7 +21,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, NoReturn, Optional
 
 from .errors import (DegenerateDiscriminant, NoCaseMatches, NotAdmissible,
                      NotSelfAdjoint, OpdeError)
@@ -350,5 +352,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_VERIFY
 
 
+def run(argv: Optional[List[str]] = None) -> NoReturn:
+    """The process entry point: run ``main``, flush both output streams and
+    end the process with its exit code.  ``os._exit`` skips interpreter
+    finalization, which frees every object one by one and costs more than
+    many commands' own work; every file the commands open is closed by then.
+    An exception that escapes ``main`` takes the ordinary way out."""
+    code = main(argv)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

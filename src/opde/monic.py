@@ -9,10 +9,11 @@ suite:
     subleading matrices, read off the equation's coefficients.  It is a
     ``PolyVectorFamily`` without vectors, so every relation route runs on it
     as on a built family, its derivative families included.  The vectors
-    are produced by the joint recursive formula.  The generalized inverse of
-    the stacked shift matrices is not needed: the x-recursion fixes entries
-    0..n of P_{n+1}, the y-recursion entries 1..n+1, and the overlap is
-    checked.
+    are produced by the joint recursive formula, each entry of
+    x_j P_n - B P_n - C P_{n-1} one integer accumulation over one lcm.  The
+    generalized inverse of the stacked shift matrices is not needed: the
+    x-recursion fixes entries 0..n of P_{n+1}, the y-recursion entries
+    1..n+1, and the overlap is checked.
 
   * ``solve_monic``: the oracle route.  The monic ansatz is substituted into
     the equation and all expansion matrices are solved for degree by degree,
@@ -33,7 +34,7 @@ from .errors import (InconsistentRecursion, NotAdmissible, NotSelfAdjoint,
 from .matrix import RationalMatrix
 from .pde import (HypergeometricPDE, apply_operator, check_admissible,
                   is_potentially_self_adjoint)
-from .poly import X, Y, BivariatePoly
+from .poly import BivariatePoly, Exponent
 from .vectors import (PolyVector, PolyVectorFamily, combine, expansion_matrices,
                       monomial_vector, peel, times_shift)
 
@@ -150,9 +151,12 @@ def general_ttrr(fam: PolyVectorFamily, n: int) -> TtrrSet:
     return TtrrSet(n, *_ttrr_axis(fam, n, 1), *_ttrr_axis(fam, n, 2))
 
 
+@lru_cache(maxsize=None)
 def monic_ttrr(pde: HypergeometricPDE, n: int) -> TtrrSet:
     """Closed-form recurrence matrices of the monic family: the general
-    route run on the closed-form layers.  A is the shift matrix."""
+    route run on the closed-form layers, once per (pde, n), since both
+    ``build_monic`` and the recurrence checks read them.  A is the shift
+    matrix."""
     check_admissible(pde, n)
     layers = MonicLayers(pde, n + 1)
     return TtrrSet(n, *_ttrr_axis(layers, n, 1), *_ttrr_axis(layers, n, 2))
@@ -164,6 +168,40 @@ class MonicFamily(PolyVectorFamily):
     def __init__(self, pde: HypergeometricPDE, vectors):
         super().__init__(vectors)
         self.pde = pde
+
+
+_Forms = List[Tuple[List[Tuple[Exponent, int]], int]]
+
+
+def _forms(v: PolyVector) -> _Forms:
+    """Each entry's int numerators by exponent, and its denominator."""
+    return [(list(terms.items()), den) for terms, den in map(BivariatePoly.as_integers, v)]
+
+
+def _recursion_rows(axis: int, cur: _Forms, b: RationalMatrix, prev: _Forms,
+                    c: Optional[RationalMatrix]) -> List[BivariatePoly]:
+    """x_axis P_n - B P_n - C P_{n-1} (no C term at n = 0) for the entry
+    forms of P_n and P_{n-1}: one integer accumulation per entry over the
+    lcm of every denominator involved, normalized once per entry."""
+    pairs = [(*b.as_integers(), cur)]
+    if c is not None:
+        pairs.append((*c.as_integers(), prev))
+    scaled = [(num, [(den * d, items) for items, d in forms]) for num, den, forms in pairs]
+    total = lcm(*(d for _, d in cur), *(d for _, cols in scaled for d, _ in cols))
+    di, dj = (1, 0) if axis == 1 else (0, 1)
+    out = []
+    for r, (items, d) in enumerate(cur):
+        s = total // d
+        acc: Dict[Exponent, int] = {(i + di, j + dj): t * s for (i, j), t in items}
+        get = acc.get
+        for num, cols in scaled:
+            for a, (den, terms) in zip(num[r], cols):
+                if a:
+                    a *= total // den
+                    for e, t in terms:
+                        acc[e] = get(e, 0) - a * t
+        out.append(BivariatePoly.from_integers(acc, total))
+    return out
 
 
 def build_monic(pde: HypergeometricPDE, big_n: int) -> MonicFamily:
@@ -178,18 +216,16 @@ def build_monic(pde: HypergeometricPDE, big_n: int) -> MonicFamily:
     if not is_potentially_self_adjoint(pde):
         raise NotSelfAdjoint("no integrating-factor weight exists")
     vectors: List[PolyVector] = [PolyVector([BivariatePoly.const(1)])]
+    prev: _Forms = []
+    cur: _Forms = _forms(vectors[0])
     for n in range(big_n):
         t = monic_ttrr(pde, n)
-        cur = vectors[n]
-        x_known, y_known = [(t.b1, cur)], [(t.b2, cur)]
-        if n >= 1:
-            x_known.append((t.c1, vectors[n - 1]))
-            y_known.append((t.c2, vectors[n - 1]))
-        top = cur.scale(X) - combine(x_known)
-        bot = cur.scale(Y) - combine(y_known)
-        if bot.entries[:n] != top.entries[1:]:
+        top = _recursion_rows(1, cur, t.b1, prev, t.c1)
+        bot = _recursion_rows(2, cur, t.b2, prev, t.c2)
+        if bot[:n] != top[1:]:
             raise InconsistentRecursion(n + 1)
-        vectors.append(PolyVector(top.entries + bot.entries[n:]))
+        vectors.append(PolyVector(top + bot[n:]))
+        prev, cur = cur, _forms(vectors[-1])
     return MonicFamily(pde, vectors)
 
 

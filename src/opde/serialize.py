@@ -164,7 +164,9 @@ def _write(value: Any, nl: str, put: Callable[[str], None]) -> None:
         num, den = value.as_integers()
         i1 = nl + "  "
         i2 = i1 + "  "
-        put(_array([i1 + _array([f'{i2}"{_format_ratio(a, den)}"' for a in row], i1)
+        zero = i2 + '"0"'  # most entries: a zero needs no gcd
+        put(_array([i1 + _array([f'{i2}"{_format_ratio(a, den)}"' if a else zero
+                                 for a in row], i1)
                     for row in num], nl))
     elif isinstance(value, dict):
         if not value:

@@ -26,8 +26,9 @@ one-pair case; the relation right-hand sides, the joint recursion and the
 oracle's assembly all go through ``combine``.
 
 ``peel`` is the one coefficient match behind every relation, against one
-family's layers.  A leading inverse of None stands for the identity, and then
-nothing is multiplied.
+family's layers: each coefficient is one integer accumulation.  A leading
+inverse of None stands for the identity, and then nothing is multiplied; a
+diagonal one scales columns, and only a dense one is a matrix product.
 
 ``PolyVectorFamily`` is the one family contract: a degree bound ``max_n``,
 set once, and the expansion matrices G_{n,k} it is asked for, cached: the
@@ -235,20 +236,48 @@ def peel(layers: Sequence[Optional[RationalMatrix]], fam: "PolyVectorFamily",
          top: int) -> Tuple[Optional[RationalMatrix], ...]:
     """X_0, X_1, X_2 with lhs = sum_i X_i v_{top-i}, for the vectors
     v_m = sum_k G(m, k) xvec(k) of ``fam`` and H_i = layers[i] the
-    coefficient of xvec(top-i) in lhs (None for zero):
+    coefficient of xvec(top-i) in lhs (None for zero, but not H_0):
 
         X_i = (H_i - sum_{k<i} X_k G(top-k, top-i)) G(top-i, top-i)^{-1},
 
-    where ``fam.leading_inverse(m)`` gives G(m, m)^{-1}; None stands for the
-    identity and nothing is multiplied.  Layers below degree 0 are ignored;
-    terms past the last layer are None."""
+    where ``fam.leading_inverse(m)`` gives G(m, m)^{-1}.  The bracket is one
+    integer accumulation over the lcm of its denominators, skipping zero
+    entries, so a 0/1 X_0 only selects rows; a diagonal inverse scales its
+    columns, and None stands for the identity, where nothing is multiplied.
+    Layers below degree 0 are ignored; terms past the last layer are None."""
     xs: List[RationalMatrix] = []
-    for i, acc in enumerate(layers[:top + 1]):
-        for k, xk in enumerate(xs):
-            term = xk @ fam.G(top - k, top - i)
-            acc = -term if acc is None else acc - term
-        inv = fam.leading_inverse(top - i)
-        xs.append(acc if inv is None else acc @ inv)
+    nrows = layers[0].nrows
+    for i, h in enumerate(layers[:top + 1]):
+        m = top - i
+        terms = [(x.as_integers(), fam.G(top - k, m).as_integers()) for k, x in enumerate(xs)]
+        dens = [xd * gd for (_, xd), (_, gd) in terms]
+        if h is None:
+            total = lcm(*dens)
+            acc = [[0] * (m + 1) for _ in range(nrows)]
+        else:
+            hnum, hden = h.as_integers()
+            total = lcm(hden, *dens)
+            s = total // hden
+            acc = [[a * s for a in r] for r in hnum]
+        for ((xnum, _), (gnum, _)), d in zip(terms, dens):
+            s = total // d
+            right = [[(c, g * s) for c, g in enumerate(r) if g] for r in gnum]
+            for out, r in zip(acc, xnum):
+                for a, nonzero in zip(r, right):
+                    if a:
+                        for c, g in nonzero:
+                            out[c] -= a * g
+        inv = fam.leading_inverse(m)
+        if inv is None:
+            xs.append(RationalMatrix.from_integers(acc, total))
+            continue
+        inum, iden = inv.as_integers()
+        diag = [r[c] for c, r in enumerate(inum)]
+        if all(r.count(0) == m for r in inum) and all(diag):
+            xs.append(RationalMatrix.from_integers(
+                [[a * d for a, d in zip(r, diag)] for r in acc], total * iden))
+        else:
+            xs.append(RationalMatrix.from_integers(acc, total) @ inv)
     return tuple(xs) + (None,) * (3 - len(xs))
 
 

@@ -1,8 +1,11 @@
+import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -312,6 +315,74 @@ def test_input_file_is_closed(tmp_path):
                       "check", "--pde", "disk.json", cwd=tmp_path)
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+def test_input_file_is_closed_in_process(tmp_path):
+    # the process entry point skips finalization, so an unclosed file would
+    # never be collected and warn there: look for the warning in process
+    path = tmp_path / "disk.json"
+    path.write_text(json.dumps(DISK_PDE))
+
+    def leaking():  # the control: the same watch sees a file left open
+        open(path).read()
+
+    for command, warned in ((leaking, 1), (lambda: main(["check", "--pde", str(path)]), 0)):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always", ResourceWarning)
+            command()
+            gc.collect()
+        assert sum(issubclass(w.category, ResourceWarning) for w in seen) == warned
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["build", "--alpha", "2", "--beta", "3", "-N", "8"], 0),
+    (["build", "--alpha", "3/2", "--beta", "5/7", "-N", "3", "--out", "out.json"], 0),
+    (["check", "--alpha", "2"], 1),
+    (["check", "--pde", "not-admissible.json"], 2),
+    (["check", "--pde", "not-self-adjoint.json"], 3),
+    (["verify", "--alpha", "2", "--beta", "3", "-N", "1", "--corrupt", "ttrr-b1"], 4),
+], ids=["build", "out-file", "exit-1", "exit-2", "exit-3", "exit-4"])
+def test_module_entry_point_matches_main(argv, code, tmp_path, monkeypatch, capsys):
+    # `python -m opde.cli` leaves by os._exit: the same output, file and code
+    monkeypatch.delenv("OPDE_MAX_DEGREE", raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "not-admissible.json").write_text(json.dumps(
+        dict(DISK_PDE, a="1", e="-2")))
+    (tmp_path / "not-self-adjoint.json").write_text(json.dumps(
+        dict(DISK_PDE, a="0", b1="1", c1="0", d3="1", e="-1", f1="1")))
+    out_file = tmp_path / "out.json"
+    proc = _fresh_cli("-m", "opde.cli", *argv, cwd=tmp_path)
+    written = out_file.read_text() if out_file.exists() else None
+    out_file.unlink(missing_ok=True)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+    assert written == (out_file.read_text() if out_file.exists() else None)
+
+
+def test_entry_points_exit_through_run(monkeypatch):
+    # run exits with main's code, after both streams are flushed
+    class Stream(io.StringIO):
+        flushes = 0
+
+        def flush(self):
+            self.flushes += 1
+
+    class Exited(Exception):
+        pass
+
+    def exit_(code):
+        raise Exited(code, sys.stdout.flushes, sys.stderr.flushes)
+
+    monkeypatch.setattr(sys, "stdout", Stream())
+    monkeypatch.setattr(sys, "stderr", Stream())
+    monkeypatch.setattr(os, "_exit", exit_)
+    with pytest.raises(Exited) as info:
+        cli.run(["check", "--alpha", "2"])
+    assert info.value.args == (1, 1, 1)
+    assert sys.stderr.getvalue().startswith("error: ")
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert 'opde = "opde.cli:run"' in pyproject
 
 
 def test_deeply_nested_json_is_malformed(tmp_path):

@@ -17,7 +17,8 @@ from opde.pde import (HypergeometricPDE, check_admissible, discriminant,
 from opde.poly import BivariatePoly, X, Y
 from opde.relations import StructureSet
 from opde.serialize import pde_from_json
-from opde.vectors import PolyVector, apply_matrix, joint_left_inverse
+from opde.vectors import PolyVector, apply_matrix, combine, joint_left_inverse
+from opde.verify import run_verification
 
 P = HypergeometricPDE.from_coeffs
 
@@ -302,6 +303,7 @@ def test_monic_ttrr_rejects_bad_axis():
 def test_subleading_matrices_once_per_degree():
     pde = appell_pde(AppellParams(Fraction(5, 2), Fraction(1, 3)))
     subleading_matrices.cache_clear()
+    monic_ttrr.cache_clear()  # a cached recurrence reads no layer
     build_monic(pde, 6)
     info = subleading_matrices.cache_info()
     # monic_ttrr(n) reads degree n + 1 for n = 0..5 and degree n from n = 1
@@ -323,3 +325,40 @@ def test_solve_monic_reports_only_singular_pivots(monkeypatch):
     monkeypatch.setattr(RationalMatrix, "inverse", failing(RuntimeError("boom")))
     with pytest.raises(RuntimeError, match="boom"):
         solve_monic(pde, 2)
+
+
+RECURSION_EQUATIONS = {
+    "triangle-2-3": appell_pde(AppellParams(2, 3)),
+    "triangle-3/2-5/7": appell_pde(AppellParams(Fraction(3, 2), Fraction(5, 7))),
+    "disk": P(a=-1, c1=1, c2=1, e=-4),
+    "laguerre": P(b1=1, b2=1, e=-1, f1=1, f2=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECURSION_EQUATIONS))
+def test_recursion_rows_equal_scale_minus_combine(name):
+    # the oracle family comes from the ansatz, not from the recursion, and
+    # the old route is the polynomial product minus the matrix combination
+    pde = RECURSION_EQUATIONS[name]
+    fam = solve_monic(pde, 7)
+    for n in range(7):
+        t = monic_ttrr(pde, n)
+        cur = fam.vector(n)
+        prev = fam.vector(n - 1) if n else None
+        forms = monic._forms(cur), monic._forms(prev) if n else []
+        for axis, var, b, c in ((1, X, t.b1, t.c1), (2, Y, t.b2, t.c2)):
+            known = [(b, cur)] + ([(c, prev)] if n else [])
+            rows = monic._recursion_rows(axis, forms[0], b, forms[1], c)
+            assert PolyVector(rows) == cur.scale(var) - combine(known), (n, axis)
+
+
+def test_monic_ttrr_solved_once_per_degree():
+    # verify's recurrence checks read the closed forms build_monic solved
+    pde = appell_pde(AppellParams(Fraction(7, 3), Fraction(2, 9)))
+    monic_ttrr.cache_clear()
+    results = run_verification(pde, 3)
+    assert all(r.passed for r in results)
+    # the family reaches degree N + 2, so build_monic solves n = 0..N + 1,
+    # and the recurrence checks of n = 0..N solve none again
+    info = monic_ttrr.cache_info()
+    assert (info.misses, info.hits) == (5, 4)

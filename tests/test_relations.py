@@ -473,15 +473,17 @@ def test_deep_layer_grows_the_cache(p23):
 
 
 def test_relations_make_no_shift_products(monkeypatch):
+    # every leading inverse of a monic family is None and every one of its
+    # Q families is diagonal, so the coefficient match makes no product at
+    # all: a 0/1 shift X_0 only selects rows of the accumulation
     pde = appell_pde(AppellParams(2, 3))
     fam = build_monic(pde, 9)
+    monic_ttrr.cache_clear()  # solve the closed forms under the recorder
     real = RationalMatrix.__matmul__
-    shifted = []
+    products = []
 
     def recording(self, other):
-        if other.ncols == other.nrows + 1 and other in (
-                shift_matrix(other.nrows - 1, 1), shift_matrix(other.nrows - 1, 2)):
-            shifted.append(other.shape)
+        products.append((self.shape, other.shape))
         return real(self, other)
 
     monkeypatch.setattr(RationalMatrix, "__matmul__", recording)
@@ -498,7 +500,13 @@ def test_relations_make_no_shift_products(monkeypatch):
             for axis in (1, 2):
                 dr = monic_derivative_representation(pde, n, axis)
                 _ = dr.v, dr.y, dr.z  # the wide forms
-    assert shifted == []
+    assert products == []
+    assert set(fam._icache.values()) == {None}
+    diagonal = [inv for axis in (1, 2)
+                for inv in fam.derivative_family(axis)._icache.values() if inv is not None]
+    assert diagonal and all(inv.as_integers()[0] == tuple(
+        tuple(a if c == i else 0 for c, a in enumerate(r))
+        for i, r in enumerate(inv.as_integers()[0])) for inv in diagonal)
 
 
 @pytest.mark.parametrize("name", sorted(CLOSED_FORM_EQUATIONS))

@@ -142,6 +142,11 @@ _WRITER_CASES = {
     "vector": PolyVector([Y - Fraction(1, 3), X * Y, BivariatePoly.zero()]),
     "matrix": RationalMatrix([[Fraction(1, 2), 0, -3], [4, Fraction(-5, 6), 0]]),
     "matrix-1x1": RationalMatrix([[0]]),
+    "zero-matrix": RationalMatrix.zeros(3, 4),
+    # banded, over a denominator: zeros beside entries that need a gcd
+    "banded-matrix": RationalMatrix([[Fraction(2, 3) * (i + 1) if abs(i - k) <= 1 else 0
+                                      for k in range(6)] for i in range(5)]),
+    "integer-matrix": RationalMatrix([[0, -1, 0], [10**30, 0, 0]]),
     # no public constructor makes a matrix without columns
     "matrix-no-columns": _raw(((), ()), 1),
     "mixed": {"N": 2, "rows": [{"n": 1, "m": 0, "poly": X}],

@@ -9,7 +9,7 @@ from opde.matrix import RationalMatrix
 from opde.poly import BivariatePoly, X, Y
 from opde.vectors import (PolyVector, apply_matrix, combine, derivative_matrix,
                           expansion_layers, expansion_matrices, joint_left_inverse,
-                          monomial_vector, shift_matrix)
+                          monomial_vector, peel, shift_matrix)
 
 
 def stacked_shift(n: int) -> RationalMatrix:
@@ -215,3 +215,71 @@ def test_combine_runs_without_fraction_arithmetic(fraction_ops):
         out = combine([(m, v), (m, v)])
     assert count[0] == 0
     assert out == _per_entry_reference(m * 2, v)
+
+
+def _peel_by_products(layers, fam, top):
+    """The coefficient match as matrix products and differences: the oracle
+    of ``peel``'s one integer accumulation per coefficient."""
+    xs = []
+    for i, acc in enumerate(layers[:top + 1]):
+        for k, xk in enumerate(xs):
+            term = xk @ fam.G(top - k, top - i)
+            acc = -term if acc is None else acc - term
+        inv = fam.leading_inverse(top - i)
+        xs.append(acc if inv is None else acc @ inv)
+    return tuple(xs) + (None,) * (3 - len(xs))
+
+
+class _RandomLayers:
+    """Random rational layers G(m, k) and leading inverses of one kind per
+    degree; ``peel`` reads nothing else of a family."""
+
+    def __init__(self, rng, top, inverses):
+        self.layers = {(m, k): _sparse_matrix(rng, m + 1, k + 1)
+                       for m in range(top + 1) for k in range(m + 1)}
+        self.inverses = {m: _inverse_of_kind(rng, kind, m + 1)
+                         for m, kind in zip(range(top, -1, -1), inverses)}
+
+    def G(self, m, k):
+        return self.layers[m, k]
+
+    def leading_inverse(self, m):
+        return self.inverses[m]
+
+
+def _sparse_matrix(rng, nrows, ncols):
+    return RationalMatrix([[0 if rng.random() < 0.4 else
+                            Fraction(rng.randint(-9, 9), rng.choice(_DENS))
+                            for _ in range(ncols)] for _ in range(nrows)])
+
+
+def _inverse_of_kind(rng, kind, n):
+    if kind == "none":
+        return None
+    diag = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.choice(_DENS))
+            for _ in range(n)]
+    if kind == "diagonal":
+        return RationalMatrix([[d if i == k else 0 for k in range(n)]
+                               for i, d in enumerate(diag)])
+    if kind == "permuted":  # one nonzero per row, not on the diagonal
+        return RationalMatrix([[d if k == (i + 1) % n else 0 for k in range(n)]
+                               for i, d in enumerate(diag)])
+    return _sparse_matrix(rng, n, n)  # dense
+
+
+@pytest.mark.parametrize("inverses", [
+    ("none",) * 3, ("diagonal",) * 3, ("dense",) * 3, ("permuted",) * 3,
+    ("none", "diagonal", "dense"), ("dense", "none", "diagonal"),
+])
+@pytest.mark.parametrize("missing", [(), (1,), (2,), (1, 2)],
+                         ids=["all-layers", "no-H1", "no-H2", "no-H1-H2"])
+def test_peel_matches_products_and_differences(inverses, missing):
+    rng = random.Random(f"{inverses}{missing}")
+    for top in (0, 1, 2, 5):
+        for trial in range(4):
+            fam = _RandomLayers(rng, top, inverses)
+            nrows = rng.randint(1, 4)
+            layers = [None if i in missing or i > top
+                      else _sparse_matrix(rng, nrows, top + 1 - i) for i in range(3)]
+            assert peel(layers, fam, top) == _peel_by_products(layers, fam, top), \
+                (top, trial)
