@@ -39,7 +39,7 @@ class RationalMatrix:
     def __init__(self, rows: Iterable[Iterable[Scalar]]):
         data = _rectangular(rows)
         if all(type(x) is int for r in data for x in r):
-            self._num, self._den = tuple(data), 1
+            self._num, self._den = data, 1
         else:
             fracs = [[rat(x) for x in r] for r in data]
             # over the lcm of lowest-terms denominators no factor is common to all
@@ -58,7 +58,8 @@ class RationalMatrix:
         in canonical form."""
         if den == 0:
             raise ZeroDivisionError("matrix denominator is zero")
-        return _make(_rectangular(rows), den)
+        data = _rectangular(rows)
+        return _raw(data, 1) if den == 1 else _make(data, den)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "RationalMatrix":
@@ -216,14 +217,14 @@ class RationalMatrix:
         return f"RationalMatrix[{body}]"
 
 
-def _rectangular(rows: Iterable[Iterable]) -> List[tuple]:
-    data = [tuple(row) for row in rows]
+def _rectangular(rows: Iterable[Iterable]) -> Tuple[tuple, ...]:
+    """The rows as tuples, checked to form a nonempty rectangle."""
+    data = tuple(map(tuple, rows))
     if not data:
         raise ValueError("matrix needs at least one row")
-    width = len(data[0])
-    if width == 0:
+    if not data[0]:
         raise ValueError("matrix needs at least one column")
-    if any(len(r) != width for r in data):
+    if len(set(map(len, data))) != 1:
         raise ValueError("ragged rows")
     return data
 

@@ -22,7 +22,7 @@ from .poly import BivariatePoly
 from .vectors import PolyVector
 from .weights import WeightSpec
 
-_RAT = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_RAT = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 PDE_FIELDS = HypergeometricPDE._fields
 
@@ -46,7 +46,7 @@ def _is_int(v: Any) -> bool:
 def parse_rational(s: Any) -> Fraction:
     if _is_int(s):
         return Fraction(s)
-    if not isinstance(s, str) or not _RAT.match(s):
+    if not isinstance(s, str) or not _RAT.fullmatch(s):
         raise ValueError(f"not an exact rational string: {s!r}")
     return Fraction(s)
 

@@ -7,9 +7,15 @@ land in one of ten closed-form coefficient patterns, the factor pair
 (phi10, phi01) is polynomial and explicit; ``classify_phi`` returns every
 matching pattern.
 
-Factor quotients in the closed-form table are carried out by exact division;
-a failed division means the table entry cannot apply and is reported rather
-than papered over.  Each factor is sign-normalized so its minimal monomial
+The pairs are read off the discriminant alpha, computed once per call; no
+factorization of it is transcribed.  Each pattern's factorization of alpha
+splits off two polynomials g10 and g01, and the pair is (alpha / g10,
+alpha / g01) by exact division.  In patterns (iii) and (iv) alpha is minus
+the square of a linear factor l, and the pair is (l^2, l^k) or its mirror
+for the integer k fixed by a coefficient ratio (ERRATA.md §4).  Every pair
+must pass the first-principles check ``phi_pair_consistent``; a failed
+division or check is reported as NonPolynomialPhi rather than papered
+over.  Each factor is sign-normalized so its minimal monomial
 (graded lex) has positive coefficient, which makes pairs produced by
 different patterns literally comparable.
 
@@ -35,7 +41,6 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import (DegenerateDiscriminant, NoCaseMatches, NonPolynomialPhi,
                      NotDivisible)
-from .matrix import RationalMatrix
 from .pde import (HypergeometricPDE, discriminant, pearson_numerators,
                   pearson_shifts)
 from .poly import ONE, X, Y, BivariatePoly, Scalar, rat
@@ -74,147 +79,100 @@ class WeightSpec(_WeightSpecFields):
         return super().__new__(cls, u, v, tuple(clean))
 
 
-def _normalize_sign(p: BivariatePoly) -> BivariatePoly:
-    if p.trailing_coefficient() < 0:
-        return -p
-    return p
-
-
-def _div(num: BivariatePoly, den: BivariatePoly, case_id: str) -> BivariatePoly:
-    try:
-        return num.exact_div(den)
-    except NotDivisible:
-        raise NonPolynomialPhi(
-            f"case ({case_id}): factor quotient is not a polynomial") from None
-
-
-_PHI_DEGREE_BOUND = 12
-
-
-def _solve_phi(pde: HypergeometricPDE, dbx: BivariatePoly, dgy: BivariatePoly
-               ) -> Optional[BivariatePoly]:
-    """Polynomial phi with alpha * phi_x = dbx * phi and alpha * phi_y = dgy * phi,
-    found by an exact nullspace solve over ascending degree bounds; None when
-    no polynomial solution of degree at most _PHI_DEGREE_BOUND exists.  Such
-    a phi is unique up to a scalar, so the first nullspace vector is the
-    answer."""
-    alpha = discriminant(pde)
-    if alpha.is_zero():
+def _power_pair(p: HypergeometricPDE, alpha: BivariatePoly, mirror: bool
+                ) -> Optional[Tuple[BivariatePoly, BivariatePoly]]:
+    """The pair of pattern (iii), where alpha = -(b3 x + d3)^2 and the shift
+    conditions give phi01 = (x + d3 / b3)^(b2 / b3) (ERRATA.md §4): (alpha, 1)
+    when b2 = 0, ((x + d3 / b3)^2, (x + d3 / b3)^k) when b2 / b3 is a
+    positive integer k, and None otherwise.  The mirror, pattern (iv), reads
+    (b1, c3, y) for (b2, b3, x) and swaps the pair."""
+    num, den, var = (p.b1, p.c3, Y) if mirror else (p.b2, p.b3, X)
+    if num == 0:
+        pair = alpha, ONE
+    elif den != 0 and (num / den).denominator == 1 and num / den > 0:
+        root = var + p.d3 / den
+        pair = root * root, root ** int(num / den)
+    else:
         return None
-    for bound in range(1, _PHI_DEGREE_BOUND + 1):
-        monos = [(d - j, j) for d in range(bound + 1) for j in range(d + 1)]
-        residuals_x = []
-        residuals_y = []
-        for (i, j) in monos:
-            phi = BivariatePoly.monomial(i, j)
-            residuals_x.append(alpha * phi.diff(1) - dbx * phi)
-            residuals_y.append(alpha * phi.diff(2) - dgy * phi)
-        out_monos = sorted({m for p in residuals_x + residuals_y for m, _ in p.terms()})
-        if not out_monos:
-            return BivariatePoly.const(1)
-        mat = [[p.coefficient(*m) for p in residuals_x] for m in out_monos]
-        mat += [[p.coefficient(*m) for p in residuals_y] for m in out_monos]
-        basis = RationalMatrix(mat).nullspace()
-        if basis:
-            return BivariatePoly({m: v for m, v in zip(monos, basis[0])})
-    return None
+    return pair[::-1] if mirror else pair
+
+
+# One row per closed-form pattern: case id, printed condition, coefficient
+# test, and the factors (g10, g01) that the pattern's factorization of the
+# discriminant alpha splits off, so that the pair is (alpha / g10,
+# alpha / g01).  Patterns (iii) and (iv) have ``_power_pair`` instead.
+_CASES = (
+    ("i", "b1 = 2 c3 and b2 = 2 b3",
+     lambda p: p.b1 == 2 * p.c3 and p.b2 == 2 * p.b3,
+     lambda p: (ONE, ONE)),
+    ("ii", "a = b3 c3 / d3, c1 = (b1 - c3) d3 / b3, c2 = (b2 - b3) d3 / c3",
+     lambda p: (p.c3 != 0 and p.d3 != 0 and p.b3 != 0
+                and p.a == p.b3 * p.c3 / p.d3
+                and p.c1 == (p.b1 - p.c3) * p.d3 / p.b3
+                and p.c2 == (p.b2 - p.b3) * p.d3 / p.c3),
+     lambda p: (p.c3 * Y + p.d3, p.b3 * X + p.d3)),
+    ("iii", "a = b1 = c1 = c3 = 0",
+     lambda p: p.a == p.b1 == p.c1 == p.c3 == 0,
+     None),
+    ("iv", "a = b2 = b3 = c2 = 0",
+     lambda p: p.a == p.b2 == p.b3 == p.c2 == 0,
+     None),
+    ("v", "a = b3 = c3 = d3 = 0",
+     lambda p: p.a == p.b3 == p.c3 == p.d3 == 0,
+     lambda p: (p.b2 * Y + p.c2, p.b1 * X + p.c1)),
+    ("vi", "a != 0, b3 = c2 = d3 = 0, c1 = (b1 - c3) c3 / a",
+     lambda p: (p.a != 0 and p.b3 == p.c2 == p.d3 == 0
+                and p.c1 == (p.b1 - p.c3) * p.c3 / p.a),
+     lambda p: (Y, p.a * X + p.c3)),
+    ("vii", "a = b3 = 0, b1 = c3 != 0, c2 = b2 d3 / c3",
+     lambda p: (p.c3 != 0 and p.a == p.b3 == 0 and p.b1 == p.c3
+                and p.c2 == p.b2 * p.d3 / p.c3),
+     lambda p: (p.c3 * Y + p.d3, ONE)),
+    ("viii", "a = c3 = 0, b2 = b3 != 0, c1 = b1 d3 / b3",
+     lambda p: (p.b3 != 0 and p.a == p.c3 == 0 and p.b2 == p.b3
+                and p.c1 == p.b1 * p.d3 / p.b3),
+     lambda p: (ONE, p.b3 * X + p.d3)),
+    ("ix", "a != 0, c1 = c3 = d3 = 0, c2 = (b2 - b3) b3 / a",
+     lambda p: (p.a != 0 and p.c1 == p.c3 == p.d3 == 0
+                and p.c2 == (p.b2 - p.b3) * p.b3 / p.a),
+     lambda p: (p.a * Y + p.b3, X)),
+    ("x", "c1 = c2 = d3 = b3 = c3 = 0",
+     lambda p: p.c1 == p.c2 == p.d3 == p.b3 == p.c3 == 0,
+     lambda p: (Y, X)),
+)
 
 
 def classify_phi(pde: HypergeometricPDE) -> List[PhiCase]:
     """Every closed-form case whose coefficient pattern the equation matches,
-    each with its (phi10, phi01) factor pair.
+    each with its (phi10, phi01) factor pair read off the discriminant.
 
-    A table entry that fails the first-principles consistency check (some
-    entries silently assume extra vanishing coefficients; see ERRATA.md) is
-    replaced by the pair reconstructed from the Pearson-shift conditions; if
-    no polynomial pair exists the pattern is skipped.
+    Pattern (iii) or (iv) is skipped when its pair is not polynomial, and
+    with a zero discriminant no pattern has a pair.  A quotient that is not
+    a polynomial, or a pair that fails the first-principles check
+    ``phi_pair_consistent``, raises NonPolynomialPhi.
     """
-    p = pde
-    x, y = X, Y
+    alpha = discriminant(pde)
     found: List[PhiCase] = []
-
-    def emit(case_id: str, condition: str, phi10: BivariatePoly, phi01: BivariatePoly):
-        if phi10.is_zero() or phi01.is_zero():
-            return  # degenerate instance of the pattern: no usable factor pair
-        if not phi_pair_consistent(pde, phi10, phi01):
-            shift10, shift01 = pearson_shifts(pde)
-            phi10 = _solve_phi(pde, *shift10)
-            phi01 = _solve_phi(pde, *shift01)
-            if phi10 is None or phi01 is None:
-                return
-        found.append(PhiCase(case_id, condition,
-                             _normalize_sign(phi10), _normalize_sign(phi01)))
-
-    if p.b1 == 2 * p.c3 and p.b2 == 2 * p.b3:
-        alpha = discriminant(p)
-        emit("i", "b1 = 2 c3 and b2 = 2 b3", alpha, alpha)
-
-    if (p.c3 != 0 and p.d3 != 0 and p.b3 != 0
-            and p.a == p.b3 * p.c3 / p.d3
-            and p.c1 == (p.b1 - p.c3) * p.d3 / p.b3
-            and p.c2 == (p.b2 - p.b3) * p.d3 / p.c3):
-        fx = BivariatePoly({(1, 0): p.b3, (0, 0): p.d3})
-        fy = BivariatePoly({(0, 1): p.c3, (0, 0): p.d3})
-        inner = (-p.b1 * BivariatePoly({(0, 1): p.b3 * p.c3,
-                                        (0, 0): p.b2 * p.d3 - p.b3 * p.d3})
-                 + p.c3 * (p.b2 * (p.d3 - p.b3 * x) + 2 * p.b3 * (p.b3 * x + p.c3 * y)))
-        alpha = (fx * fy * inner) * Fraction(-1, 1) * (1 / (p.b3 * p.c3 * p.d3))
-        emit("ii", "a = b3 c3 / d3, c1 = (b1 - c3) d3 / b3, c2 = (b2 - b3) d3 / c3",
-             _div(alpha, fy, "ii"), _div(alpha, fx, "ii"))
-
-    if p.a == 0 and p.b1 == 0 and p.c1 == 0 and p.c3 == 0:
-        fx = BivariatePoly({(1, 0): p.b3, (0, 0): p.d3})
-        emit("iii", "a = b1 = c1 = c3 = 0", fx * fx, ONE)
-
-    if p.a == 0 and p.b2 == 0 and p.b3 == 0 and p.c2 == 0:
-        fy = BivariatePoly({(0, 1): p.c3, (0, 0): p.d3})
-        emit("iv", "a = b2 = b3 = c2 = 0", ONE, fy * fy)
-
-    if p.a == 0 and p.b3 == 0 and p.c3 == 0 and p.d3 == 0:
-        emit("v", "a = b3 = c3 = d3 = 0",
-             BivariatePoly({(1, 0): p.b1, (0, 0): p.c1}),
-             BivariatePoly({(0, 1): p.b2, (0, 0): p.c2}))
-
-    if (p.a != 0 and p.b3 == 0 and p.c2 == 0 and p.d3 == 0
-            and p.c1 == (p.b1 - p.c3) * p.c3 / p.a):
-        fx = BivariatePoly({(1, 0): p.a, (0, 0): p.c3})
-        inner = (p.b2 * BivariatePoly({(1, 0): p.a, (0, 0): p.b1 - p.c3})
-                 + BivariatePoly({(0, 1): p.a * (p.b1 - 2 * p.c3)}))
-        alpha = (fx * y * inner) * (1 / p.a)
-        emit("vi", "a != 0, b3 = c2 = d3 = 0, c1 = (b1 - c3) c3 / a",
-             _div(alpha, y, "vi"), _div(alpha, fx, "vi"))
-
-    if (p.c3 != 0 and p.a == 0 and p.b3 == 0 and p.b1 == p.c3
-            and p.c2 == p.b2 * p.d3 / p.c3):
-        fy = BivariatePoly({(0, 1): p.c3, (0, 0): p.d3})
-        alpha = (fy * (p.b2 * BivariatePoly({(1, 0): p.c3, (0, 0): p.c1}) - p.c3 * fy)) \
-            * (1 / p.c3)
-        emit("vii", "a = b3 = 0, b1 = c3 != 0, c2 = b2 d3 / c3",
-             _div(alpha, fy, "vii"), alpha)
-
-    if (p.b3 != 0 and p.a == 0 and p.c3 == 0 and p.b2 == p.b3
-            and p.c1 == p.b1 * p.d3 / p.b3):
-        fx = BivariatePoly({(1, 0): p.b3, (0, 0): p.d3})
-        alpha = (fx * (p.b1 * BivariatePoly({(0, 1): p.b3, (0, 0): p.c2}) - p.b3 * fx)) \
-            * (1 / p.b3)
-        emit("viii", "a = c3 = 0, b2 = b3 != 0, c1 = b1 d3 / b3",
-             alpha, _div(alpha, fx, "viii"))
-
-    if (p.a != 0 and p.c1 == 0 and p.c3 == 0 and p.d3 == 0
-            and p.c2 == (p.b2 - p.b3) * p.b3 / p.a):
-        fy = BivariatePoly({(0, 1): p.a, (0, 0): p.b3})
-        inner = (BivariatePoly({(1, 0): p.a * (p.b2 - 2 * p.b3)})
-                 + p.b1 * BivariatePoly({(0, 1): p.a, (0, 0): p.b2 - p.b3}))
-        alpha = (x * fy * inner) * (1 / p.a)
-        emit("ix", "a != 0, c1 = c3 = d3 = 0, c2 = (b2 - b3) b3 / a",
-             _div(alpha, fy, "ix"), _div(alpha, x, "ix"))
-
-    if p.c1 == 0 and p.c2 == 0 and p.d3 == 0 and p.b3 == 0 and p.c3 == 0:
-        alpha = x * y * (BivariatePoly({(1, 0): p.a * p.b2})
-                         + p.b1 * BivariatePoly({(0, 1): p.a, (0, 0): p.b2}))
-        emit("x", "c1 = c2 = d3 = b3 = c3 = 0",
-             _div(alpha, y, "x"), _div(alpha, x, "x"))
-
+    if not alpha.is_zero():
+        shifts = pearson_shifts(pde)
+        for case_id, condition, test, split in _CASES:
+            if not test(pde):
+                continue
+            if split is None:
+                pair = _power_pair(pde, alpha, mirror=case_id == "iv")
+                if pair is None:
+                    continue
+            else:
+                try:
+                    pair = tuple(alpha.exact_div(g) for g in split(pde))
+                except NotDivisible:
+                    raise NonPolynomialPhi(f"case ({case_id}): factor quotient "
+                                           "is not a polynomial") from None
+            if not _shifts_hold(alpha, shifts, *pair):
+                raise NonPolynomialPhi(f"case ({case_id}): factor pair fails "
+                                       "the Pearson shift conditions")
+            found.append(PhiCase(case_id, condition, *(
+                -phi if phi.trailing_coefficient() < 0 else phi for phi in pair)))
     if not found:
         raise NoCaseMatches("equation fits none of the ten closed-form cases")
     return found
@@ -230,8 +188,13 @@ def phi_pair_consistent(pde: HypergeometricPDE, phi10: BivariatePoly,
     alpha = discriminant(pde)
     if alpha.is_zero():
         raise DegenerateDiscriminant("discriminant is identically zero")
+    return _shifts_hold(alpha, pearson_shifts(pde), phi10, phi01)
+
+
+def _shifts_hold(alpha: BivariatePoly, shifts, phi10: BivariatePoly,
+                 phi01: BivariatePoly) -> bool:
     return all(phi.diff(1) * alpha == db * phi and phi.diff(2) * alpha == dg * phi
-               for phi, (db, dg) in zip((phi10, phi01), pearson_shifts(pde)))
+               for phi, (db, dg) in zip((phi10, phi01), shifts))
 
 
 def shifted_weight(w: WeightSpec, case: PhiCase, r: int, s: int) -> WeightSpec:

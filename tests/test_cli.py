@@ -281,10 +281,11 @@ def test_usage_error_missing_input(capsys):
     ["rodrigues", "--pde", "disk.json", "--weight", "int-factors.json", "-N", "2"],
     ["rodrigues", "--pde", "disk.json", "--weight", "null-factors.json", "-N", "2"],
     ["rodrigues", "--pde", "disk.json", "--weight", "junk-weight.json", "-N", "2"],
+    ["classify", "--alpha", "3\n", "--beta", "2"],
 ], ids=["bad-choice", "bad-int", "no-command", "verify-format", "rodrigues-two-inputs",
         "pde-bool-coefficient", "weight-bool-exponent", "unreadable-pde",
         "koornwinder-with-pde", "rodrigues-pde-without-weight", "weight-int-factors",
-        "weight-null-factors", "weight-unknown-key"])
+        "weight-null-factors", "weight-unknown-key", "alpha-trailing-newline"])
 def test_argument_errors_exit_1(argv, tmp_path, monkeypatch, capsys):
     # argparse's own exit code 2 would read as "not admissible"
     monkeypatch.chdir(tmp_path)

@@ -301,10 +301,11 @@ def test_float_scalar_rejected():
         RationalMatrix([[1]]) * 0.5
 
 
-@pytest.mark.parametrize("rows", [[], [[]], [[1, 2], [3]]])
+@pytest.mark.parametrize("rows", [[], [[]], [[1, 2], [3]], [[1], [2, 3]], [(1, 2), ()]])
 def test_empty_or_ragged_rejected(rows):
-    with pytest.raises(ValueError):
-        RationalMatrix(rows)
+    for make in (RationalMatrix, RationalMatrix.from_integers):
+        with pytest.raises(ValueError):
+            make(rows)
 
 
 @seed(11012640)

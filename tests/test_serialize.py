@@ -31,7 +31,10 @@ def test_rational_strings():
 
 
 def test_rational_rejects_decimals():
-    for bad in ("0.5", "1e3", "1/0", "1/-3", "", "x", None, 1.5, True, False):
+    # "3\n" slips past a "$" anchor and "\u0663" (Arabic-Indic three) past
+    # "\d"; Fraction() would read both as 3
+    for bad in ("0.5", "1e3", "1/0", "1/-3", "", "x", None, 1.5, True, False,
+                "3\n", "\u0663", "1/\u0663"):
         with pytest.raises(ValueError):
             parse_rational(bad)
 
