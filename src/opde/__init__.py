@@ -31,7 +31,7 @@ from .families import (AppellParams, appell_pde, appell_phi_case,
                        koornwinder, koornwinder_vector, make_family,
                        moment, moment_table, monic_appell_series, monic_appell_vector,
                        nonmonic_F, nonmonic_F_vector, orthogonality_blocks,
-                       pairing)
+                       pairing, triangle_params)
 from .verify import SuiteResult, run_verification
 
 __version__ = "0.1.0"

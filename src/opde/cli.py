@@ -25,7 +25,8 @@ from typing import Any, Dict, List, NoReturn, Optional
 
 from .errors import (DegenerateDiscriminant, NoCaseMatches, NotAdmissible,
                      NotSelfAdjoint, OpdeError)
-from .families import AppellParams, appell_pde, appell_weight, make_family
+from .families import (FAMILIES, AppellParams, appell_pde, appell_weight,
+                       make_family, triangle_params)
 from .matrix import RationalMatrix
 from .pde import (HypergeometricPDE, check_admissible, discriminant,
                   is_potentially_self_adjoint)
@@ -72,37 +73,23 @@ def _read_json(path: str) -> Any:
         raise CliError(f"malformed JSON in {path}: nested too deeply") from None
 
 
-def _one_input(args) -> None:
+def _load_pde(args) -> HypergeometricPDE:
     if args.pde and (args.alpha is not None or args.beta is not None):
         raise CliError("choose one input: --pde FILE, or --alpha with --beta")
-
-
-def _load_pde(args) -> HypergeometricPDE:
-    _one_input(args)
-    if args.pde:
-        try:
-            return pde_from_json(_read_json(args.pde))
-        except ValueError as ex:
-            raise CliError(str(ex))
-    if args.alpha is not None and args.beta is not None:
-        return appell_pde(_params(args))
-    raise CliError("provide --pde FILE or both --alpha and --beta")
-
-
-def _params(args) -> AppellParams:
+    if not args.pde and (args.alpha is None or args.beta is None):
+        raise CliError("provide --pde FILE or both --alpha and --beta")
     try:
-        return AppellParams(parse_rational(args.alpha), parse_rational(args.beta))
+        if args.pde:
+            return pde_from_json(_read_json(args.pde))
+        return appell_pde(AppellParams(parse_rational(args.alpha), parse_rational(args.beta)))
     except ValueError as ex:
         raise CliError(str(ex))
 
 
-def _family_params(args) -> Optional[AppellParams]:
-    """The triangle parameters when given; a non-monic family needs them."""
-    if args.alpha is not None and args.beta is not None:
-        return _params(args)
-    if args.family != "monic":
-        raise CliError(f"family {args.family!r} needs --alpha and --beta")
-    return None
+def _check_family(args, pde: HypergeometricPDE) -> None:
+    """A non-monic family needs the triangle's equation, however it is given."""
+    if args.family != "monic" and triangle_params(pde) is None:
+        raise CliError(f"family {args.family!r} needs the triangle equation")
 
 
 def _cap_degree(n: int) -> int:
@@ -234,10 +221,10 @@ def cmd_classify(args) -> int:
 
 def cmd_build(args) -> int:
     pde = _load_pde(args)
-    params = _family_params(args)
+    _check_family(args, pde)
     n = _cap_degree(args.degree)
     # the relations emitted at degree k <= N read the family up to k + 1
-    rel = Relations(make_family(pde, args.family, params, n + 1), pde, n)
+    rel = Relations(make_family(pde, args.family, n + 1), pde, n)
     _emit(args, {"family": args.family, "N": n,
                  "vectors": [rel.fam.vector(k) for k in range(n + 1)],
                  "matrices": {str(k): rel.matrices(k) for k in range(n + 1)}})
@@ -245,10 +232,10 @@ def cmd_build(args) -> int:
 
 
 def cmd_rodrigues(args) -> int:
-    _one_input(args)
     n = _cap_degree(args.degree)
-    if not args.weight and (args.alpha is None or args.beta is None):
-        raise CliError("provide --weight with --pde, or --alpha and --beta")
+    no_weight = "provide --weight with --pde, or --alpha and --beta"
+    if not (args.pde or args.weight) and (args.alpha is None or args.beta is None):
+        raise CliError(no_weight)
     pde = _load_pde(args)
     if args.weight:
         try:
@@ -256,7 +243,10 @@ def cmd_rodrigues(args) -> int:
         except ValueError as ex:
             raise CliError(str(ex))
     else:
-        weight = appell_weight(_params(args))
+        params = triangle_params(pde)
+        if params is None:
+            raise CliError(no_weight)
+        weight = appell_weight(params)
     check_admissible(pde, n)
     if not is_potentially_self_adjoint(pde):
         raise NotSelfAdjoint("no integrating-factor weight exists")
@@ -275,9 +265,8 @@ def cmd_verify(args) -> int:
     n = _cap_degree(args.degree)
     if args.corrupt == "ttrr-b1" and n < 1:
         raise CliError("fault ttrr-b1 corrupts the degree-1 recurrence: it needs -N >= 1")
-    params = _family_params(args)
-    results = run_verification(pde, n, params=params, family=args.family,
-                               corrupt=args.corrupt)
+    _check_family(args, pde)
+    results = run_verification(pde, n, family=args.family, corrupt=args.corrupt)
     lines = [r.line() for r in results]
     _output(args, "\n".join(lines))
     for r in results:
@@ -309,8 +298,7 @@ def _parser() -> argparse.ArgumentParser:
                            default="json")
         p.add_argument("--out", help="write output to a file instead of stdout")
         if family:
-            p.add_argument("--family", choices=("monic", "appell-F", "koornwinder"),
-                           default="monic")
+            p.add_argument("--family", choices=FAMILIES, default="monic")
 
     common(sub.add_parser("check", help="admissibility / self-adjointness report"))
     common(sub.add_parser("classify", help="matching weight-factor cases"))

@@ -306,14 +306,28 @@ def connection_K(p: AppellParams, n: int) -> RationalMatrix:
 
 # -- family selection ------------------------------------------------------------
 
-def make_family(pde: HypergeometricPDE, name: str, params: Optional[AppellParams],
-                top: int) -> PolyVectorFamily:
+FAMILIES = ("monic", "appell-F", "koornwinder")
+
+
+def triangle_params(pde: HypergeometricPDE) -> Optional[AppellParams]:
+    """The p with ``appell_pde(p) == pde`` exactly, else None: (f1, f2) is
+    the only candidate, and a scaled or perturbed equation is not matched."""
+    if pde.f1 <= 0 or pde.f2 <= 0:
+        return None
+    p = AppellParams(pde.f1, pde.f2)
+    return p if appell_pde(p) == pde else None
+
+
+def make_family(pde: HypergeometricPDE, name: str, top: int) -> PolyVectorFamily:
     """The named solution family through degree top: the monic family of any
-    equation, or one of the triangle's non-monic families, which need the
-    triangle parameters."""
+    equation, or a non-monic family of the triangle's equation (ValueError
+    for any other), with (alpha, beta) read off it."""
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r}: choose one of {', '.join(FAMILIES)}")
     if name == "monic":
         return build_monic(pde, top)
+    params = triangle_params(pde)
     if params is None:
-        raise ValueError("non-monic families need the triangle parameters")
+        raise ValueError(f"family {name!r} needs the triangle equation")
     make = nonmonic_F_vector if name == "appell-F" else koornwinder_vector
     return PolyVectorFamily([make(params, n) for n in range(top + 1)])

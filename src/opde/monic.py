@@ -157,7 +157,8 @@ def monic_ttrr(pde: HypergeometricPDE, n: int) -> TtrrSet:
     route run on the closed-form layers, once per (pde, n), since both
     ``build_monic`` and the recurrence checks read them.  A is the shift
     matrix."""
-    check_admissible(pde, n)
+    # the verdict is n-free: a k + e vanishes at every k or none (a = 0), else at -e/a
+    check_admissible(pde, 0)
     layers = MonicLayers(pde, n + 1)
     return TtrrSet(n, *_ttrr_axis(layers, n, 1), *_ttrr_axis(layers, n, 2))
 

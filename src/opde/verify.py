@@ -10,10 +10,10 @@ from time import perf_counter
 from typing import Callable, List, Optional, Sequence
 
 from .errors import DegenerateDiscriminant, OpdeError
-from .families import (AppellParams, appell_pde, appell_weight, connection_F,
+from .families import (AppellParams, appell_weight, connection_F,
                        connection_K, koornwinder_vector, make_family,
                        monic_appell_vector, nonmonic_F_vector,
-                       orthogonality_blocks, pairing)
+                       orthogonality_blocks, pairing, triangle_params)
 from .golden import golden_matrix
 from .matrix import RationalMatrix
 from .monic import monic_ttrr, pde_residual, solve_monic, subleading_matrices
@@ -78,24 +78,20 @@ def _corrupt_matrix(m: RationalMatrix) -> RationalMatrix:
     return RationalMatrix(rows)
 
 
-def run_verification(pde: HypergeometricPDE, big_n: int,
-                     params: Optional[AppellParams] = None,
-                     family: str = "monic",
+def run_verification(pde: HypergeometricPDE, big_n: int, family: str = "monic",
                      corrupt: Optional[str] = None) -> List[SuiteResult]:
     """Run every applicable invariant suite at degree bound big_n.
 
-    ``params`` unlocks the moment-functional and golden-table suites of the
-    built-in triangle instance; ``pde`` must then be that triangle's
-    equation, ``appell_pde(params)``, else ValueError.
-    ``family`` selects which solution family the identity suites run on.
+    When ``pde`` is the triangle's equation (``triangle_params``), its
+    moment-functional and golden-table suites run too.
+    ``family`` selects which solution family the identity suites run on
+    (``make_family``).
     ``corrupt`` injects a single fault (for testing the verifier itself):
     "ttrr-b1" bumps entry (0,0) of the degree-1 recurrence matrix on axis 1,
     so it needs big_n >= 1.  ValueError when the fault cannot be injected.
     """
     if corrupt not in (None, "ttrr-b1"):
         raise ValueError(f"unknown fault {corrupt!r}")
-    if params is not None and pde != appell_pde(params):
-        raise ValueError("pde is not the triangle equation of params")
     if corrupt == "ttrr-b1" and big_n < 1:
         raise ValueError("fault ttrr-b1 corrupts the degree-1 recurrence: it needs big_n >= 1")
     results: List[SuiteResult] = []
@@ -117,7 +113,7 @@ def run_verification(pde: HypergeometricPDE, big_n: int,
     if not (adm.passed and sa.passed):
         return results
 
-    rel = Relations(make_family(pde, family, params, big_n + 2), pde, big_n)
+    rel = Relations(make_family(pde, family, big_n + 2), pde, big_n)
     fam = rel.fam
 
     if family == "monic":
@@ -187,7 +183,7 @@ def run_verification(pde: HypergeometricPDE, big_n: int,
                         f"n={n} axis={j} closed-form/general mismatch")
     results.append(deriv.finish())
 
-    if params is not None:
+    if (params := triangle_params(pde)) is not None:
         results.extend(_instance_suites(pde, params, rel, family, big_n))
     return results
 

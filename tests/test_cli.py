@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from opde import cli
 from opde.cli import main
 from opde.serialize import pde_to_json
-from opde.families import AppellParams, appell_pde, appell_weight
+from opde.families import FAMILIES, AppellParams, appell_pde, appell_weight
 
 APPELL11 = json.dumps(pde_to_json(appell_pde(AppellParams(1, 1))))
 
@@ -304,6 +305,47 @@ def test_argument_errors_exit_1(argv, tmp_path, monkeypatch, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_nonmonic_family_needs_the_triangle_equation(command, tmp_path, capsys):
+    # the disk is not the triangle: no (alpha, beta) to read off it
+    path = tmp_path / "disk.json"
+    path.write_text(json.dumps(DISK_PDE))
+    assert main([command, "--pde", str(path), "--family", "koornwinder", "-N", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: family 'koornwinder' needs the triangle equation\n"
+
+
+def test_rodrigues_without_weight_reads_the_equation_first(tmp_path, capsys):
+    # the built-in weight is the triangle's, so the equation decides
+    disk, missing = tmp_path / "disk.json", tmp_path / "missing.json"
+    disk.write_text(json.dumps(DISK_PDE))
+    assert main(["rodrigues", "--pde", str(disk), "-N", "2"]) == 1
+    assert capsys.readouterr().err == "error: provide --weight with --pde, or --alpha and --beta\n"
+    assert main(["rodrigues", "--pde", str(missing), "-N", "2"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")
+
+
+@pytest.mark.parametrize("alpha, beta", [("2", "3"), ("3/2", "5/7"), ("3/2", "3/2")])
+def test_triangle_file_matches_the_flags(alpha, beta, tmp_path, monkeypatch, capsys):
+    # --alpha/--beta is a shorthand for the equation: a file holding that
+    # equation gives the same output, families, suites and weight included
+    monkeypatch.delenv("OPDE_MAX_DEGREE", raising=False)
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps(pde_to_json(appell_pde(AppellParams(Fraction(alpha),
+                                                                   Fraction(beta))))))
+    commands = [[command, "-N", "3", "--family", family]
+                for command in ("build", "verify") for family in FAMILIES]
+    for argv in [*commands, ["rodrigues", "-N", "4"]]:
+        runs = []
+        for given in (["--alpha", alpha, "--beta", beta], ["--pde", str(path)]):
+            code = main([*argv, *given])
+            captured = capsys.readouterr()
+            runs.append((code, captured.out, captured.err))
+        assert runs[0] == runs[1], argv
+        assert runs[0][0] == 0, argv
+
+
 def _fresh_cli(*args, cwd):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
@@ -445,8 +487,8 @@ def test_build_family_one_degree_above_n(family, monkeypatch, capsys):
     real = cli.make_family
     depths = []
 
-    def build(pde, name, params, top, extra=0):
-        fam = real(pde, name, params, top + extra)
+    def build(pde, name, top, extra=0):
+        fam = real(pde, name, top + extra)
         depths.append(fam.max_n)
         return fam
 
@@ -454,7 +496,7 @@ def test_build_family_one_degree_above_n(family, monkeypatch, capsys):
     assert main(argv) == 0
     shallow = capsys.readouterr().out
     monkeypatch.setattr(cli, "make_family",
-                        lambda pde, name, params, top: build(pde, name, params, top, extra=1))
+                        lambda pde, name, top: build(pde, name, top, extra=1))
     assert main(argv) == 0
     assert capsys.readouterr().out == shallow
     assert depths == [5, 6]
@@ -528,6 +570,8 @@ DISK_WEIGHT = {"u": "0", "v": "0",
 # Laguerre x Laguerre and Hermite x Hermite: phi without a quadratic part
 LAGUERRE_PDE = dict(DISK_PDE, a="0", b1="1", c1="0", b2="1", c2="0", e="-1", f1="1", f2="2")
 HERMITE_PDE = dict(DISK_PDE, a="0", e="-2")
+# the triangle's equation at (alpha, beta) = (3/2, 5/7), as a coefficient file
+TRIANGLE_PDE = pde_to_json(appell_pde(AppellParams(Fraction(3, 2), Fraction(5, 7))))
 
 
 @pytest.mark.parametrize("argv, digest", [
@@ -551,14 +595,20 @@ HERMITE_PDE = dict(DISK_PDE, a="0", e="-2")
      "66de5e84d2f429ef6b8a1a16936d4d6c8e3733a4237c2dc65342414a974b3b8d"),
     (["--pde", "hermite.json", "-N", "7"],
      "09f7358398431795ec0dce60984b8a8d24f91340202952c502ea75c24b38fa13"),
+    # the triangle's families read (alpha, beta) off its equation: the same
+    # documents as the koornwinder and appell-F rows above
+    (["--family", "koornwinder", "--pde", "triangle.json", "-N", "4"],
+     "55ef3a537d2a4640ecc6964ca97f5025db5f523c3d51276eed466bc2b4dca391"),
+    (["--family", "appell-F", "--pde", "triangle.json", "-N", "7"],
+     "f12437aa1aa0cecb402616ff2d9996fe69c671baafb6881d4d4de1e79b8166b5"),
 ], ids=["monic", "koornwinder", "triangle-build", "disk", "triangle-verify",
-        "appell-F", "laguerre", "hermite"])
+        "appell-F", "laguerre", "hermite", "koornwinder-pde", "appell-F-pde"])
 def test_build_json_digest(argv, digest, tmp_path, monkeypatch, capsys):
     # pins the whole JSON document, byte for byte
     monkeypatch.delenv("OPDE_MAX_DEGREE", raising=False)
     monkeypatch.chdir(tmp_path)
     for name, pde in (("pde", DISK_PDE), ("laguerre", LAGUERRE_PDE),
-                      ("hermite", HERMITE_PDE)):
+                      ("hermite", HERMITE_PDE), ("triangle", TRIANGLE_PDE)):
         (tmp_path / f"{name}.json").write_text(json.dumps(pde))
     assert main(["build", *argv, "--format", "json"]) == 0
     out = capsys.readouterr().out
@@ -602,12 +652,18 @@ def test_text_output_digest(argv, digest, monkeypatch, capsys):
     # a mirror-invariant triangle: the n < m outputs are swapped n > m ones
     (["--alpha", "3/2", "--beta", "3/2", "-N", "8"],
      "4774d31ec170c4a6dc358e89da1d9c08995e700d5acedffa4cdb37a7ef4084ab"),
-], ids=["disk", "disk-12", "triangle", "disk-18", "triangle-verify", "triangle-mirror"])
+    # the triangle's equation without --weight takes the triangle's weight:
+    # the same document as the triangle-verify row
+    (["--pde", "triangle.json", "-N", "6"],
+     "5a41d38968447ea98fe34c43b7467afcf7f5ad4b558d34a05366bdfaf3df9f37"),
+], ids=["disk", "disk-12", "triangle", "disk-18", "triangle-verify", "triangle-mirror",
+        "triangle-pde"])
 def test_rodrigues_json_digest(argv, digest, tmp_path, monkeypatch, capsys):
     # pins the whole JSON document, byte for byte
     monkeypatch.delenv("OPDE_MAX_DEGREE", raising=False)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "pde.json").write_text(json.dumps(DISK_PDE))
+    (tmp_path / "triangle.json").write_text(json.dumps(TRIANGLE_PDE))
     (tmp_path / "weight.json").write_text(json.dumps(DISK_WEIGHT))
     assert main(["rodrigues", *argv, "--format", "json"]) == 0
     out = capsys.readouterr().out
@@ -624,12 +680,20 @@ def test_rodrigues_json_digest(argv, digest, tmp_path, monkeypatch, capsys):
     # the verify command of the benchmark's triangle-build
     (["--alpha", "2", "--beta", "3", "-N", "2"],
      "a5421bb440ff9dce33c76ff7a6d2451a02891d6df4a23880dfbca34365fa3eaa"),
-], ids=["triangle", "disk", "koornwinder", "triangle-build"])
+    # the triangle's suites follow its equation: the triangle and koornwinder
+    # rows' lines again
+    (["--pde", "triangle.json", "-N", "7"],
+     "0ecca5c9fe7cd4206bf80bcfaf20ebdbe57e1971e75ff58f9881ac05e126accf"),
+    (["--pde", "triangle.json", "-N", "5", "--family", "koornwinder"],
+     "5acb7670c4282fbadf14a292c137e9c3ab35b696531db8080ecd6e6fab4f8a9d"),
+], ids=["triangle", "disk", "koornwinder", "triangle-build", "triangle-pde",
+        "koornwinder-pde"])
 def test_verify_digest(argv, digest, tmp_path, monkeypatch, capsys):
     # pins every suite line: names, check counts and notes
     monkeypatch.delenv("OPDE_MAX_DEGREE", raising=False)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "pde.json").write_text(json.dumps(DISK_PDE))
+    (tmp_path / "triangle.json").write_text(json.dumps(TRIANGLE_PDE))
     assert main(["verify", *argv]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

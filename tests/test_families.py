@@ -9,13 +9,14 @@ from opde import golden
 from opde.errors import IndexOutOfPrintedRange
 from opde.families import (AppellParams, _jacobi_sum, appell_pde, connection_F,
                            connection_K, functional, koornwinder,
-                           koornwinder_vector, moment, moment_table,
+                           koornwinder_vector, make_family, moment, moment_table,
                            monic_appell_series, monic_appell_vector,
                            nonmonic_F, nonmonic_F_vector, orthogonality_blocks,
-                           pairing)
+                           pairing, triangle_params)
 from opde.golden import golden_matrix
 from opde.matrix import RationalMatrix
 from opde.monic import build_monic
+from opde.pde import HypergeometricPDE
 from opde.poly import BivariatePoly, X, Y, pochhammer
 from opde.vectors import PolyVector, PolyVectorFamily, apply_matrix
 
@@ -274,6 +275,54 @@ def test_params_validation():
         AppellParams(0, 1)
     with pytest.raises(ValueError):
         AppellParams(1, Fraction(-1, 2))
+
+
+# -- the triangle read off its equation ------------------------------------------
+
+_positive = st.builds(Fraction, st.integers(1, 60), st.integers(1, 12))
+
+
+@seed(30)
+@settings(max_examples=60, deadline=None)
+@given(_positive, _positive)
+def test_triangle_params_of_the_triangle_equation(alpha, beta):
+    p = AppellParams(alpha, beta)
+    assert triangle_params(appell_pde(p)) == p
+
+
+_P = AppellParams(Fraction(3, 2), Fraction(5, 7))
+_NOT_THE_TRIANGLE = {
+    "disk": HypergeometricPDE.from_coeffs(a=-1, c1=1, c2=1, e=-4),
+    "laguerre": HypergeometricPDE.from_coeffs(b1=1, b2=1, e=-1, f1=1, f2=2),
+    "hermite": HypergeometricPDE.from_coeffs(c1=1, c2=1, e=-2),
+    "doubled": HypergeometricPDE(*(2 * c for c in appell_pde(_P))),
+    # the triangle's coefficients with f1 = alpha at zero or below
+    "f1-zero": appell_pde(_P)._replace(f1=Fraction(0), e=-(_P.beta + 1)),
+    "f1-negative": appell_pde(_P)._replace(f1=Fraction(-1), e=-_P.beta),
+    **{f"{name}-moved": appell_pde(_P)._replace(
+        **{name: getattr(appell_pde(_P), name) + Fraction(1, 10 ** 6)})
+       for name in HypergeometricPDE._fields},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NOT_THE_TRIANGLE))
+def test_triangle_params_need_the_exact_equation(name):
+    # exact coefficient matching: a scaled or perturbed equation is not it
+    assert triangle_params(_NOT_THE_TRIANGLE[name]) is None
+
+
+def test_make_family_reads_the_parameters_off_the_equation():
+    pde = appell_pde(_P)
+    assert make_family(pde, "koornwinder", 3).vector(3) == koornwinder_vector(_P, 3)
+    assert make_family(pde, "appell-F", 3).vector(2) == nonmonic_F_vector(_P, 2)
+    with pytest.raises(ValueError, match="needs the triangle equation"):
+        make_family(_NOT_THE_TRIANGLE["disk"], "koornwinder", 3)
+
+
+def test_make_family_rejects_an_unknown_name():
+    # every name other than monic and appell-F once meant Koornwinder
+    with pytest.raises(ValueError, match="'bogus': choose one of monic, appell-F, koornwinder"):
+        make_family(appell_pde(_P), "bogus", 2)
 
 
 # -- the integer moment table behind functional and orthogonality_blocks -------

@@ -362,3 +362,19 @@ def test_monic_ttrr_solved_once_per_degree():
     # and the recurrence checks of n = 0..N solve none again
     info = monic_ttrr.cache_info()
     assert (info.misses, info.hits) == (5, 4)
+
+
+def test_monic_ttrr_checks_admissibility_once_per_degree(monkeypatch):
+    # the verdict of check_admissible does not depend on its degree bound
+    # (varpi is linear), so each recurrence checks the bound-0 prefix only;
+    # build_monic checks its whole range once
+    pde = appell_pde(AppellParams(2, 3))
+    bounds = []
+
+    def counted(pde, n_max):
+        bounds.append(n_max)
+        return check_admissible(pde, n_max)
+    monkeypatch.setattr(monic, "check_admissible", counted)
+    monic_ttrr.cache_clear()
+    build_monic(pde, 12)
+    assert bounds == [12] + [0] * 12

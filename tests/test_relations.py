@@ -373,7 +373,8 @@ def test_relations_without_phi_pair(monkeypatch, tmp_path, capsys):
     def no_case(pde):
         raise NoCaseMatches("equation fits none of the ten closed-form cases")
     monkeypatch.setattr(relations, "classify_phi", no_case)
-    pde = appell_pde(AppellParams(2, 3))
+    # not the triangle, whose instance suites read the classification patched away here
+    pde = CLOSED_FORM_EQUATIONS["disk"]
     rel = Relations(build_monic(pde, 4), pde, 3)
     assert rel.cases == [] and rel.structure == {}
     assert rel.skipped == "skipped: equation fits none of the ten closed-form cases"
@@ -381,7 +382,7 @@ def test_relations_without_phi_pair(monkeypatch, tmp_path, capsys):
     assert sorted(rel.deriv) == [(2, 1), (2, 2), (3, 1), (3, 2)]
     for n in range(4):
         assert not [k for k in rel.matrices(n) if k[0] in "WST"]
-    path = tmp_path / "appell.json"
+    path = tmp_path / "disk.json"
     path.write_text(json.dumps(pde_to_json(pde)))
     assert main(["verify", "--pde", str(path), "-N", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -409,11 +410,11 @@ def test_relations_matrices_names_and_forms():
 
 
 _P23 = AppellParams(2, 3)
-ORACLE_FAMILIES = {  # equation, family name, triangle parameters
-    **{name: (CLOSED_FORM_EQUATIONS[name], "monic", None)
+ORACLE_FAMILIES = {  # equation, family name
+    **{name: (CLOSED_FORM_EQUATIONS[name], "monic")
        for name in ("triangle", "disk", "hermite", "laguerre")},
-    "appell-F": (appell_pde(_P23), "appell-F", _P23),
-    "koornwinder": (appell_pde(_P23), "koornwinder", _P23),
+    "appell-F": (appell_pde(_P23), "appell-F"),
+    "koornwinder": (appell_pde(_P23), "koornwinder"),
 }
 
 
@@ -434,8 +435,8 @@ def _expanded_q_family(fam, axis):
 @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
 def test_layer_routes_equal_polynomial_expansion(name):
     # oracle: expand each left-hand side as a polynomial vector and match it
-    pde, family, params = ORACLE_FAMILIES[name]
-    fam = make_family(pde, family, params, 8)
+    pde, family = ORACLE_FAMILIES[name]
+    fam = make_family(pde, family, 8)
     case = classify_phi(pde)[0]
     for axis, var, phi in ((1, X, case.phi10), (2, Y, case.phi01)):
         qfam = fam.derivative_family(axis)
@@ -456,7 +457,7 @@ def test_layer_routes_equal_polynomial_expansion(name):
 
 @pytest.mark.parametrize("axis", [1, 2])
 def test_derivative_family_layers_equal_expansion(p23, axis):
-    fam = make_family(appell_pde(p23), "koornwinder", p23, 6)
+    fam = make_family(appell_pde(p23), "koornwinder", 6)
     qfam = DerivativeFamily(fam, axis)
     for n in range(6):
         full = expansion_matrices(qfam.vector(n), n)

@@ -10,7 +10,7 @@ from opde.verify import run_verification
 
 
 def test_all_suites_pass_for_monic(p23):
-    results = run_verification(appell_pde(p23), 3, params=p23)
+    results = run_verification(appell_pde(p23), 3)
     assert all(r.passed for r in results), [r.line() for r in results]
     names = [r.name for r in results]
     for expected in ("eigen-residual", "construction-routes", "ttrr-identity",
@@ -23,7 +23,7 @@ def test_all_suites_pass_for_monic(p23):
 def test_family_selectors(p11):
     pde = appell_pde(p11)
     for family in ("appell-F", "koornwinder"):
-        results = run_verification(pde, 3, params=p11, family=family)
+        results = run_verification(pde, 3, family=family)
         assert all(r.passed for r in results), \
             (family, [r.line() for r in results if not r.passed])
         names = [r.name for r in results]
@@ -35,7 +35,7 @@ def test_family_selectors(p11):
 
 
 def test_fault_injection_pinpoints(p11):
-    results = run_verification(appell_pde(p11), 2, params=p11, corrupt="ttrr-b1")
+    results = run_verification(appell_pde(p11), 2, corrupt="ttrr-b1")
     failing = [r for r in results if not r.passed]
     assert len(failing) == 1
     assert failing[0].name == "ttrr-identity"
@@ -46,17 +46,22 @@ def test_fault_injection_pinpoints(p11):
                          ids=["degree-0", "unknown", "empty"])
 def test_fault_that_cannot_be_injected_is_rejected(p11, big_n, corrupt):
     with pytest.raises(ValueError):
-        run_verification(appell_pde(p11), big_n, params=p11, corrupt=corrupt)
+        run_verification(appell_pde(p11), big_n, corrupt=corrupt)
 
 
-@pytest.mark.parametrize("pde", [
-    HypergeometricPDE.from_coeffs(a=-1, c1=1, c2=1, e=-4),
-    appell_pde(AppellParams(1, 1)),
-], ids=["disk", "triangle-1-1"])
-def test_params_of_another_equation_are_rejected(p23, pde):
-    # the instance suites would check the triangle at p23 against pde's family
-    with pytest.raises(ValueError, match="not the triangle equation"):
-        run_verification(pde, 2, params=p23)
+def test_unknown_family_is_rejected(p23):
+    # every name other than monic and appell-F once meant Koornwinder
+    with pytest.raises(ValueError, match="'bogus': choose one of monic, appell-F, koornwinder"):
+        run_verification(appell_pde(p23), 1, "bogus")
+
+
+def test_instance_suites_follow_the_equation(p23):
+    # the triangle's suites run exactly when the equation is the triangle's
+    names = [r.name for r in run_verification(appell_pde(p23), 1)]
+    assert len(names) == 16 and "golden-agreement" in names
+    scaled = HypergeometricPDE(*(3 * c for c in appell_pde(p23)))
+    names = [r.name for r in run_verification(scaled, 1)]
+    assert len(names) == 9 and "classification" not in names
 
 
 def test_non_admissible_stops_early():
@@ -96,7 +101,7 @@ def test_golden_agreement_reuses_solved_relations(p11, monkeypatch):
             calls[_name] = calls.get(_name, 0) + 1
             return _f(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
-    results = run_verification(appell_pde(p11), 3, params=p11)
+    results = run_verification(appell_pde(p11), 3)
     assert all(r.passed for r in results), [r.line() for r in results]
     assert calls == {"general_ttrr": 4, "structure_matrices": 3,
                      "derivative_representation": 4, "monic_appell_vector": 4}
@@ -108,14 +113,14 @@ def test_golden_agreement_reuses_solved_relations(p11, monkeypatch):
 @pytest.mark.parametrize("big_n, pairs", [(0, 1), (4, 225)])
 def test_biorthogonality_respects_degree_bound(big_n, pairs, p11):
     # F and Appell polynomials of degree <= min(N, 4), every pair checked once
-    results = run_verification(appell_pde(p11), big_n, params=p11)
+    results = run_verification(appell_pde(p11), big_n)
     assert {r.name: r.checks for r in results}["biorthogonality"] == pairs
 
 
 def test_suite_seconds_are_recorded_within_the_run(p23):
     # wall time per suite, measured over disjoint stretches of one run
     start = perf_counter()
-    results = run_verification(appell_pde(p23), 3, params=p23)
+    results = run_verification(appell_pde(p23), 3)
     wall = perf_counter() - start
     assert all(r.seconds >= 0 for r in results)
     assert sum(r.seconds for r in results) <= wall
@@ -132,6 +137,6 @@ def test_biorthogonality_catches_a_bumped_F_polynomial(p23, monkeypatch):
         return PolyVector([vec[0] + Fraction(1, 7), *vec[1:]]) if n == 1 else vec
 
     monkeypatch.setattr(verify, "nonmonic_F_vector", bumped)
-    lines = {r.name: r.line() for r in run_verification(appell_pde(p23), 2, params=p23)}
+    lines = {r.name: r.line() for r in run_verification(appell_pde(p23), 2)}
     assert lines["biorthogonality"].startswith(
         "FAIL biorthogonality (1/36 checks): first failure off-diagonal (1,0)x(0,0)=1/7")
