@@ -4,16 +4,18 @@ Two fully independent routes are provided and cross-checked by the test
 suite:
 
   * ``build_monic``: the production route.  ``monic_ttrr`` runs the general
-    recurrence route (``_ttrr_axis``, shared with ``relations``) on the
-    closed-form layers of ``MonicLayers``: the identity and the two
-    subleading matrices, read off the equation's coefficients.  It is a
+    recurrence route (``general_ttrr``, shared with ``relations``) on the
+    equation's closed-form layers, ``monic_layers(pde)``: the identity and
+    the two subleading matrices of every degree, read off the equation's
+    coefficients.  That ``MonicLayers`` family is built once per equation
+    and caches each degree's layers once solved; it is a
     ``PolyVectorFamily`` without vectors, so every relation route runs on it
     as on a built family, its derivative families included.  The vectors
-    are produced by the joint recursive formula, each entry of
-    x_j P_n - B P_n - C P_{n-1} one integer accumulation over one lcm.  The
-    generalized inverse of the stacked shift matrices is not needed: the
-    x-recursion fixes entries 0..n of P_{n+1}, the y-recursion entries
-    1..n+1, and the overlap is checked.
+    are produced by the joint recursive formula,
+    x_j P_n - B P_n - C P_{n-1}, one ``vectors.combine`` per axis with the
+    identity acting on the shifted P_n.  The generalized inverse of the
+    stacked shift matrices is not needed: the x-recursion fixes entries 0..n
+    of P_{n+1}, the y-recursion entries 1..n+1, and the overlap is checked.
 
   * ``solve_monic``: the oracle route.  The monic ansatz is substituted into
     the equation and all expansion matrices are solved for degree by degree,
@@ -26,7 +28,7 @@ the single place where they are translated to 0-based indexing.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm
+from math import inf, lcm
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import (InconsistentRecursion, NotAdmissible, NotSelfAdjoint,
@@ -34,12 +36,11 @@ from .errors import (InconsistentRecursion, NotAdmissible, NotSelfAdjoint,
 from .matrix import RationalMatrix
 from .pde import (HypergeometricPDE, apply_operator, check_admissible,
                   is_potentially_self_adjoint)
-from .poly import BivariatePoly, Exponent
+from .poly import BivariatePoly
 from .vectors import (PolyVector, PolyVectorFamily, combine, expansion_matrices,
                       monomial_vector, peel, times_shift)
 
 
-@lru_cache(maxsize=None)
 def subleading_matrices(pde: HypergeometricPDE, n: int
                         ) -> Tuple[RationalMatrix, Optional[RationalMatrix]]:
     """Closed forms for the two subleading expansion matrices of the monic
@@ -117,14 +118,15 @@ _Triple = Tuple[RationalMatrix, RationalMatrix, Optional[RationalMatrix]]
 
 
 class MonicLayers(PolyVectorFamily):
-    """The top three layers of the monic family through degree ``top``, read
-    off the equation: G_{n,n} = I and the two subleading matrices.  It holds
-    no vectors and no layer below k = n - 2 (ValueError), and its leading
-    inverse is None without reading a layer."""
+    """The top three layers of the monic family at every degree, read off
+    the equation: G_{n,n} = I and the two subleading matrices.  It holds no
+    vectors and no layer below k = n - 2 (ValueError), and its leading
+    inverse is None without reading a layer.  A degree whose closed forms
+    raise is not cached, so asking again raises again."""
 
-    def __init__(self, pde: HypergeometricPDE, top: int):
+    def __init__(self, pde: HypergeometricPDE):
         super().__init__([])
-        self.max_n = top
+        self.max_n = inf
         self.pde = pde
 
     def _layers(self, n: int, count: int) -> List[RationalMatrix]:
@@ -135,6 +137,13 @@ class MonicLayers(PolyVectorFamily):
 
     def leading_inverse(self, k: int) -> None:
         return None
+
+
+@lru_cache(maxsize=None)
+def monic_layers(pde: HypergeometricPDE) -> MonicLayers:
+    """The equation's closed-form layer family, built once per equation, so
+    every closed-form route shares its layers, Q families and inverses."""
+    return MonicLayers(pde)
 
 
 def _ttrr_axis(fam: PolyVectorFamily, n: int, j: int) -> _Triple:
@@ -159,8 +168,7 @@ def monic_ttrr(pde: HypergeometricPDE, n: int) -> TtrrSet:
     matrix."""
     # the verdict is n-free: a k + e vanishes at every k or none (a = 0), else at -e/a
     check_admissible(pde, 0)
-    layers = MonicLayers(pde, n + 1)
-    return TtrrSet(n, *_ttrr_axis(layers, n, 1), *_ttrr_axis(layers, n, 2))
+    return general_ttrr(monic_layers(pde), n)
 
 
 class MonicFamily(PolyVectorFamily):
@@ -169,40 +177,6 @@ class MonicFamily(PolyVectorFamily):
     def __init__(self, pde: HypergeometricPDE, vectors):
         super().__init__(vectors)
         self.pde = pde
-
-
-_Forms = List[Tuple[List[Tuple[Exponent, int]], int]]
-
-
-def _forms(v: PolyVector) -> _Forms:
-    """Each entry's int numerators by exponent, and its denominator."""
-    return [(list(terms.items()), den) for terms, den in map(BivariatePoly.as_integers, v)]
-
-
-def _recursion_rows(axis: int, cur: _Forms, b: RationalMatrix, prev: _Forms,
-                    c: Optional[RationalMatrix]) -> List[BivariatePoly]:
-    """x_axis P_n - B P_n - C P_{n-1} (no C term at n = 0) for the entry
-    forms of P_n and P_{n-1}: one integer accumulation per entry over the
-    lcm of every denominator involved, normalized once per entry."""
-    pairs = [(*b.as_integers(), cur)]
-    if c is not None:
-        pairs.append((*c.as_integers(), prev))
-    scaled = [(num, [(den * d, items) for items, d in forms]) for num, den, forms in pairs]
-    total = lcm(*(d for _, d in cur), *(d for _, cols in scaled for d, _ in cols))
-    di, dj = (1, 0) if axis == 1 else (0, 1)
-    out = []
-    for r, (items, d) in enumerate(cur):
-        s = total // d
-        acc: Dict[Exponent, int] = {(i + di, j + dj): t * s for (i, j), t in items}
-        get = acc.get
-        for num, cols in scaled:
-            for a, (den, terms) in zip(num[r], cols):
-                if a:
-                    a *= total // den
-                    for e, t in terms:
-                        acc[e] = get(e, 0) - a * t
-        out.append(BivariatePoly.from_integers(acc, total))
-    return out
 
 
 def build_monic(pde: HypergeometricPDE, big_n: int) -> MonicFamily:
@@ -217,16 +191,20 @@ def build_monic(pde: HypergeometricPDE, big_n: int) -> MonicFamily:
     if not is_potentially_self_adjoint(pde):
         raise NotSelfAdjoint("no integrating-factor weight exists")
     vectors: List[PolyVector] = [PolyVector([BivariatePoly.const(1)])]
-    prev: _Forms = []
-    cur: _Forms = _forms(vectors[0])
     for n in range(big_n):
         t = monic_ttrr(pde, n)
-        top = _recursion_rows(1, cur, t.b1, prev, t.c1)
-        bot = _recursion_rows(2, cur, t.b2, prev, t.c2)
+        eye = RationalMatrix.identity(n + 1)
+        rows = []
+        for j, shift in ((1, (1, 0)), (2, (0, 1))):
+            _, b, c = t.axis(j)
+            pairs = [(eye, vectors[n], shift), (-b, vectors[n])]
+            if c is not None:
+                pairs.append((-c, vectors[n - 1]))
+            rows.append(combine(pairs).entries)
+        top, bot = rows
         if bot[:n] != top[1:]:
             raise InconsistentRecursion(n + 1)
         vectors.append(PolyVector(top + bot[n:]))
-        prev, cur = cur, _forms(vectors[-1])
     return MonicFamily(pde, vectors)
 
 

@@ -20,6 +20,10 @@ part stays and only the first-order coefficients move,
 
 so the (r, s) derivative of a degree-n eigensolution is a degree-(n-r-s)
 eigensolution of the shifted equation.
+
+The principal part's polynomials (quadratic blocks, discriminant, Pearson
+shifts) depend on a, b1, c1, b2, c2, b3, c3, d3 alone, so ``_principal``
+builds them once for an equation and every equation shifted from it.
 """
 
 from __future__ import annotations
@@ -50,18 +54,6 @@ class HypergeometricPDE(NamedTuple):
                     e=0, f1=0, f2=0) -> "HypergeometricPDE":
         return cls(rat(a), rat(b1), rat(c1), rat(b2), rat(c2), rat(b3),
                    rat(c3), rat(d3), rat(e), rat(f1), rat(f2))
-
-    # quadratic blocks of the principal part
-    def quad_xx(self) -> BivariatePoly:
-        return BivariatePoly({(2, 0): self.a, (1, 0): self.b1, (0, 0): self.c1})
-
-    def quad_xy(self) -> BivariatePoly:
-        """The half mixed coefficient a*xy + b3*x + c3*y + d3 (without the 2)."""
-        return BivariatePoly({(1, 1): self.a, (1, 0): self.b3,
-                              (0, 1): self.c3, (0, 0): self.d3})
-
-    def quad_yy(self) -> BivariatePoly:
-        return BivariatePoly({(0, 2): self.a, (0, 1): self.b2, (0, 0): self.c2})
 
     def varpi(self, k: int) -> Fraction:
         return self.a * k + self.e
@@ -102,22 +94,41 @@ def check_admissible(pde: HypergeometricPDE, n_max: int) -> List[Fraction]:
     return values
 
 
+_Pair = Tuple[BivariatePoly, BivariatePoly]
+
+
+class _Principal(NamedTuple):
+    xx: BivariatePoly     # a x^2 + b1 x + c1
+    xy: BivariatePoly     # the half mixed coefficient a xy + b3 x + c3 y + d3
+    yy: BivariatePoly     # a y^2 + b2 y + c2
+    alpha: BivariatePoly  # the discriminant
+    shifts: Tuple[_Pair, _Pair]
+
+
+@lru_cache(maxsize=None)
+def _principal(coeffs: Tuple[Fraction, ...]) -> _Principal:
+    """The principal part's polynomials for (a, b1, c1, b2, c2, b3, c3, d3)."""
+    a, b1, c1, b2, c2, b3, c3, d3 = coeffs
+    xx = BivariatePoly({(2, 0): a, (1, 0): b1, (0, 0): c1})
+    xy = BivariatePoly({(1, 1): a, (1, 0): b3, (0, 1): c3, (0, 0): d3})
+    yy = BivariatePoly({(0, 2): a, (0, 1): b2, (0, 0): c2})
+    alpha = xx * yy - xy * xy
+    omega = 2 * xx * xy.diff(1) - xy * xx.diff(1)
+    theta = 2 * yy * xy.diff(2) - xy * yy.diff(2)
+    return _Principal(xx, xy, yy, alpha, ((alpha.diff(1), omega), (theta, alpha.diff(2))))
+
+
 def discriminant(pde: HypergeometricPDE) -> BivariatePoly:
-    """(c1 + x(b1 + ax)) (c2 + y(b2 + ay)) - (d3 + b3 x + (c3 + ax) y)^2."""
-    return pde.quad_xx() * pde.quad_yy() - pde.quad_xy() * pde.quad_xy()
+    """(c1 + x(b1 + ax)) (c2 + y(b2 + ay)) - (d3 + b3 x + (c3 + ax) y)^2,
+    one object for every equation with this principal part."""
+    return _principal(pde[:8]).alpha
 
 
-def pearson_shifts(pde: HypergeometricPDE
-                   ) -> Tuple[Tuple[BivariatePoly, BivariatePoly],
-                              Tuple[BivariatePoly, BivariatePoly]]:
+def pearson_shifts(pde: HypergeometricPDE) -> Tuple[_Pair, _Pair]:
     """What one derivative adds to the Pearson numerators (beta, gamma):
     (d(alpha)/dx, omega) per x-derivative, (theta, d(alpha)/dy) per
-    y-derivative."""
-    a_, b_, c_ = pde.quad_xx(), pde.quad_xy(), pde.quad_yy()
-    alpha = discriminant(pde)
-    omega = 2 * a_ * b_.diff(1) - b_ * a_.diff(1)
-    theta = 2 * c_ * b_.diff(2) - b_ * c_.diff(2)
-    return (alpha.diff(1), omega), (theta, alpha.diff(2))
+    y-derivative; one object for every equation with this principal part."""
+    return _principal(pde[:8]).shifts
 
 
 def pearson_numerators(pde: HypergeometricPDE
@@ -127,10 +138,11 @@ def pearson_numerators(pde: HypergeometricPDE
     shifted equation's, beta + r * d(alpha)/dx + s * theta and
     gamma + r * omega + s * d(alpha)/dy."""
     p = pde
+    quad = _principal(p[:8])
     fac_x = BivariatePoly({(1, 0): -3 * p.a + p.e, (0, 0): -p.b1 - p.c3 + p.f1})
     fac_y = BivariatePoly({(0, 1): -3 * p.a + p.e, (0, 0): -p.b2 - p.b3 + p.f2})
-    beta = fac_x * p.quad_yy() - fac_y * p.quad_xy()
-    gamma = p.quad_xx() * fac_y - fac_x * p.quad_xy()
+    beta = fac_x * quad.yy - fac_y * quad.xy
+    gamma = quad.xx * fac_y - fac_x * quad.xy
     return beta, gamma
 
 
@@ -152,7 +164,8 @@ def is_potentially_self_adjoint(pde: HypergeometricPDE) -> bool:
 @lru_cache(maxsize=None)
 def _operator_coefficients(pde: HypergeometricPDE) -> Tuple[BivariatePoly, ...]:
     """The polynomial coefficients of u_xx, u_xy, u_yy, u_x and u_y."""
-    return (pde.quad_xx(), 2 * pde.quad_xy(), pde.quad_yy(),
+    quad = _principal(pde[:8])
+    return (quad.xx, 2 * quad.xy, quad.yy,
             BivariatePoly({(1, 0): pde.e, (0, 0): pde.f1}),
             BivariatePoly({(0, 1): pde.e, (0, 0): pde.f2}))
 

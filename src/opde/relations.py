@@ -26,12 +26,14 @@ inverses (none where G_{k,k} is the identity):
     reads its layers off P_{n+1}'s; for a monic source its leading matrices
     are diagonal
 
-The layers come from one of two sources, both families under the one
-contract of ``vectors.PolyVectorFamily``: a family's cached expansion for
-``general_ttrr``, ``structure_matrices`` and ``derivative_representation``,
-or the closed forms (``monic.MonicLayers``: the identity and the two
-subleading matrices, read off the equation) for ``monic.monic_ttrr``,
-``monic_structure_matrices`` and ``monic_derivative_representation``.
+Each route runs on any family under the one contract of
+``vectors.PolyVectorFamily``: ``general_ttrr``, ``structure_matrices`` and
+``derivative_representation`` read a built family's cached expansion, and
+``monic.monic_ttrr``, ``monic_structure_matrices`` and
+``monic_derivative_representation`` are the same routes run on the
+equation's closed-form family, ``monic.monic_layers(pde)`` (the identity and
+the two subleading matrices, read off the equation), built once per
+equation.
 ``DerivativeFamily`` is defined beside its base in ``vectors`` and
 re-exported here.
 
@@ -54,7 +56,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import NoCaseMatches, PhiDegreeTooHigh
 from .matrix import RationalMatrix
-from .monic import MonicLayers, TtrrSet, _Triple, _ttrr_axis, general_ttrr
+from .monic import TtrrSet, _Triple, _ttrr_axis, general_ttrr, monic_layers
 from .pde import HypergeometricPDE
 from .poly import BivariatePoly
 from .vectors import DerivativeFamily, PolyVectorFamily, peel, times_shift
@@ -158,9 +160,7 @@ def monic_structure_matrices(pde: HypergeometricPDE, phi1: BivariatePoly,
                              phi2: BivariatePoly, n: int) -> StructureSet:
     """Closed-form W, S, T for the monic family (n >= 1): the general route
     run on the closed-form layers."""
-    layers = MonicLayers(pde, n + 1)
-    return StructureSet(n, *_structure_axis(layers, phi1, n, 1),
-                        *_structure_axis(layers, phi2, n, 2))
+    return structure_matrices(monic_layers(pde), phi1, phi2, n)
 
 
 def derivative_representation(fam: PolyVectorFamily, n: int, axis: int) -> DerivRep:
@@ -174,11 +174,6 @@ def derivative_representation(fam: PolyVectorFamily, n: int, axis: int) -> Deriv
     recurrence is only valid when the family's edge entries are univariate,
     which holds for monic families but not in general; see ERRATA.md.)
     """
-    return _derivative_axis(fam, n, axis)
-
-
-def _derivative_axis(fam: PolyVectorFamily, n: int, axis: int) -> DerivRep:
-    """P_n's layers peeled against the axis Q family's."""
     if n < 2:
         raise ValueError("derivative representation starts at n = 2")
     qfam = fam.derivative_family(axis)
@@ -189,7 +184,7 @@ def _derivative_axis(fam: PolyVectorFamily, n: int, axis: int) -> DerivRep:
 def monic_derivative_representation(pde: HypergeometricPDE, n: int, axis: int) -> DerivRep:
     """Closed-form route for the monic family, n >= 2: the general route run
     on the closed-form layers, whose Q family has diagonal leading matrices."""
-    return _derivative_axis(MonicLayers(pde, n + 1), n, axis)
+    return derivative_representation(monic_layers(pde), n, axis)
 
 
 class Relations:

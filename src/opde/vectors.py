@@ -21,9 +21,12 @@ Both boundaries between matrices and polynomials stay on the integers:
 ``expansion_layers`` builds each G_{n,k} from the polynomials' int
 numerators over the lcm of their denominators, and ``combine`` forms
 sum_i M_i @ v_i as one integer accumulation per entry over the lcm of every
-denominator involved, normalized once per entry.  ``apply_matrix`` is the
-one-pair case; the relation right-hand sides, the joint recursion and the
-oracle's assembly all go through ``combine``.
+denominator involved, normalized once per entry.  A pair may shift its
+vector's exponents, so the joint recursion's x_j P_n - B P_n - C P_{n-1} is
+one ``combine`` with the identity on the shifted P_n.  ``apply_matrix`` is
+the one-pair case; the relation right-hand sides, the joint recursion and
+the oracle's assembly all go through ``combine``, the one kernel from
+matrices to polynomials.
 
 ``peel`` is the one coefficient match behind every relation, against one
 family's layers: each coefficient is one integer accumulation.  A leading
@@ -31,16 +34,16 @@ inverse of None stands for the identity, and then nothing is multiplied; a
 diagonal one scales columns, and only a dense one is a matrix product.
 
 ``PolyVectorFamily`` is the one family contract: a degree bound ``max_n``,
-set once, and the expansion matrices G_{n,k} it is asked for, cached: the
-top three layers of a degree, which are all the relations read, and every
-layer once a deeper one is asked for.  A family of layers without vectors
-overrides ``_layers``: ``DerivativeFamily`` reads them off its source's, and
-``monic.MonicLayers`` off the equation.  ``leading_inverse`` caches the
-inverse of each leading matrix G_{k,k} by one rule: a diagonal G_{k,k}
-entry by entry (None for the identity, as in every monic family), any other
-by Gauss-Jordan; the relation solves divide by the same few inverses many
-times.  ``derivative_family`` builds each axis's Q family once, so every
-relation read off it shares its layers and inverses.
+set once (unbounded for the closed forms), and the expansion matrices
+G_{n,k} it is asked for, cached: the top three layers of a degree, which are
+all the relations read, and every layer once a deeper one is asked for.  A
+family of layers without vectors overrides ``_layers``: ``DerivativeFamily``
+reads them off its source's, and ``monic.MonicLayers`` off the equation.
+``leading_inverse`` caches the inverse of each leading matrix G_{k,k} by one
+rule: a diagonal G_{k,k} entry by entry (None for the identity, as in every
+monic family), any other by Gauss-Jordan; the relation solves divide by the
+same few inverses many times.  ``derivative_family`` builds each axis's Q
+family once, so every relation read off it shares its layers and inverses.
 """
 
 from __future__ import annotations
@@ -171,33 +174,40 @@ class PolyVector:
         return "PolyVector(" + ", ".join(str(p) for p in self) + ")"
 
 
-def combine(pairs: Sequence[Tuple[RationalMatrix, PolyVector]]) -> PolyVector:
-    """sum_i M_i @ v_i for matrices M_i with one row count.
+def combine(pairs: Sequence[Tuple]) -> PolyVector:
+    """sum_i M_i @ (x^di y^dj v_i) for matrices M_i with one row count.
 
-    Each entry is one integer accumulation of matrix numerators times
-    polynomial numerators, over the lcm of every matrix-times-entry
-    denominator, normalized once at the end."""
+    A pair is (M, v), or (M, v, (di, dj)) to multiply v's entries by the
+    monomial x^di y^dj first.  Each entry is one integer accumulation of
+    matrix numerators times polynomial numerators, over the lcm of every
+    matrix-times-entry denominator, normalized once at the end."""
     if not pairs:
         raise ValueError("combine needs at least one (matrix, vector) pair")
     nrows = pairs[0][0].nrows
     parts = []
-    for m, v in pairs:
+    for m, v, *shift in pairs:
         if m.ncols != len(v):
             raise ValueError(f"shape mismatch: {m.shape} @ vector of length {len(v)}")
         if m.nrows != nrows:
             raise ValueError(f"row-count mismatch: {m.nrows} rows against {nrows}")
         num, den = m.as_integers()
-        forms = [q.as_integers() for q in v]
-        parts.append((num, [(den * d, list(terms.items())) for terms, d in forms]))
+        forms = [(terms.items(), d) for terms, d in map(BivariatePoly.as_integers, v)]
+        if shift:
+            (di, dj), = shift
+            forms = [([((i + di, j + dj), t) for (i, j), t in items], d) for items, d in forms]
+        parts.append((num, [(den * d, items) for items, d in forms]))
     total = lcm(*(d for _, cols in parts for d, _ in cols))
     out = []
     for r in range(nrows):
         acc: Dict[Exponent, int] = {}
-        get = acc.get
         for num, cols in parts:
             for c, (d, items) in zip(num[r], cols):
                 if c:
                     c *= total // d
+                    if not acc:  # the first nonzero term seeds the row
+                        acc = {e: c * t for e, t in items}
+                        get = acc.get
+                        continue
                     for e, t in items:
                         acc[e] = get(e, 0) + c * t
         out.append(BivariatePoly.from_integers(acc, total))

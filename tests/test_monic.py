@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from opde import monic
+from opde import monic, vectors
 from opde.errors import (InconsistentRecursion, NotAdmissible, NotSelfAdjoint,
                          SingularMatrix)
 from opde.families import AppellParams, appell_pde
@@ -15,7 +15,7 @@ from opde.monic import (build_monic, monic_ttrr, pde_residual, solve_monic,
 from opde.pde import (HypergeometricPDE, check_admissible, discriminant,
                       is_potentially_self_adjoint)
 from opde.poly import BivariatePoly, X, Y
-from opde.relations import StructureSet
+from opde.relations import StructureSet, general_ttrr, monic_derivative_representation
 from opde.serialize import pde_from_json
 from opde.vectors import PolyVector, apply_matrix, combine, joint_left_inverse
 from opde.verify import run_verification
@@ -54,7 +54,6 @@ def test_subleading_band_structure(fam23):
 
 def test_subleading_matrices_run_without_fraction_arithmetic(fraction_ops):
     pde = appell_pde(AppellParams(Fraction(3, 2), Fraction(5, 7)))
-    subleading_matrices.cache_clear()
     with fraction_ops() as count:
         for n in range(1, 14):
             subleading_matrices(pde, n)
@@ -300,14 +299,52 @@ def test_monic_ttrr_rejects_bad_axis():
             st.axis(j)
 
 
-def test_subleading_matrices_once_per_degree():
+def test_subleading_matrices_once_per_degree(monkeypatch):
     pde = appell_pde(AppellParams(Fraction(5, 2), Fraction(1, 3)))
-    subleading_matrices.cache_clear()
+    degrees = []
+
+    def counted(pde, n):
+        degrees.append(n)
+        return subleading_matrices(pde, n)
+    monkeypatch.setattr(monic, "subleading_matrices", counted)
     monic_ttrr.cache_clear()  # a cached recurrence reads no layer
+    monic.monic_layers.cache_clear()  # nor does a cached family
     build_monic(pde, 6)
-    info = subleading_matrices.cache_info()
-    # monic_ttrr(n) reads degree n + 1 for n = 0..5 and degree n from n = 1
-    assert (info.misses, info.hits) == (6, 5)
+    # monic_ttrr(n) reads degree n + 1 for n = 0..5 and degree n from n = 1;
+    # the equation's one closed-form family solves each degree once
+    assert degrees == [1, 2, 3, 4, 5, 6]
+
+
+def test_one_closed_form_family_per_equation(monkeypatch):
+    pde = appell_pde(AppellParams(Fraction(3, 2), Fraction(5, 7)))
+    made, real = [], vectors.DerivativeFamily
+
+    def counted(source, axis):
+        made.append(axis)
+        return real(source, axis)
+    monkeypatch.setattr(vectors, "DerivativeFamily", counted)
+    monic.monic_layers.cache_clear()
+    layers = monic.monic_layers(pde)
+    for n in range(2, 7):
+        for axis in (1, 2):
+            monic_derivative_representation(pde, n, axis)
+    assert monic.monic_layers(pde) is layers
+    assert made == [1, 2]
+    assert sorted(layers._qfams) == [1, 2]
+
+
+def test_closed_form_family_never_caches_a_failed_degree():
+    # varpi(4) = 0: no monic P_3, so the degree-4 representation, whose Z
+    # acts on dP_3/dx, raises at each call while lower degrees still answer
+    pde = P(a=1, c1=1, c2=1, e=-4)
+    for _ in range(2):
+        with pytest.raises(NotAdmissible) as info:
+            monic_derivative_representation(pde, 4, 1)
+        assert info.value.index == 4
+    layers = monic.monic_layers(pde)
+    assert 3 not in layers._gcache
+    t = general_ttrr(layers, 1)
+    assert t.a1 == RationalMatrix([[1, 0, 0], [0, 1, 0]])
 
 
 def test_solve_monic_reports_only_singular_pivots(monkeypatch):
@@ -338,18 +375,19 @@ RECURSION_EQUATIONS = {
 @pytest.mark.parametrize("name", sorted(RECURSION_EQUATIONS))
 def test_recursion_rows_equal_scale_minus_combine(name):
     # the oracle family comes from the ansatz, not from the recursion, and
-    # the old route is the polynomial product minus the matrix combination
+    # each axis's rows, one combine with the identity on the shifted P_n,
+    # equal the polynomial product minus the matrix combination
     pde = RECURSION_EQUATIONS[name]
     fam = solve_monic(pde, 7)
     for n in range(7):
         t = monic_ttrr(pde, n)
         cur = fam.vector(n)
         prev = fam.vector(n - 1) if n else None
-        forms = monic._forms(cur), monic._forms(prev) if n else []
-        for axis, var, b, c in ((1, X, t.b1, t.c1), (2, Y, t.b2, t.c2)):
+        eye = RationalMatrix.identity(n + 1)
+        for axis, var, shift, b, c in ((1, X, (1, 0), t.b1, t.c1), (2, Y, (0, 1), t.b2, t.c2)):
             known = [(b, cur)] + ([(c, prev)] if n else [])
-            rows = monic._recursion_rows(axis, forms[0], b, forms[1], c)
-            assert PolyVector(rows) == cur.scale(var) - combine(known), (n, axis)
+            shifted = combine([(eye, cur, shift)] + [(-m, v) for m, v in known])
+            assert shifted == cur.scale(var) - combine(known), (n, axis)
 
 
 def test_monic_ttrr_solved_once_per_degree():

@@ -140,6 +140,17 @@ def test_apply_operator():
     assert apply_operator(pde, 1, X) == BivariatePoly.const(1)
 
 
+@pytest.mark.parametrize("pde", [appell_pde(AppellParams(Fraction(3, 2), Fraction(5, 7))),
+                                 P(a=-1, c1=1, c2=1, e=-4)], ids=["triangle", "disk"])
+def test_principal_part_shared_across_shifts(pde):
+    # the shifts move only first-order coefficients, so every shifted
+    # equation reads the same principal-part polynomials
+    for r in range(4):
+        for s in range(4):
+            assert discriminant(pde.shifted(r, s)) is discriminant(pde)
+            assert pearson_shifts(pde.shifted(r, s)) is pearson_shifts(pde)
+
+
 _RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 _EQUATIONS = st.builds(P, *([_RATIONALS] * 11))
 _ORDERS = st.integers(min_value=0, max_value=2)

@@ -9,7 +9,7 @@ from opde.errors import NoCaseMatches, NotAdmissible, PhiDegreeTooHigh, Singular
 from opde.families import (AppellParams, appell_pde, appell_phi_case,
                            make_family, nonmonic_F_vector)
 from opde.matrix import RationalMatrix
-from opde.monic import MonicLayers, build_monic, monic_ttrr, solve_monic
+from opde.monic import build_monic, monic_layers, monic_ttrr, solve_monic
 from opde.pde import HypergeometricPDE
 from opde.poly import ONE, X, Y, ZERO
 from opde.relations import (DerivativeFamily, Relations, _structure_axis, _ttrr_axis,
@@ -480,6 +480,7 @@ def test_relations_make_no_shift_products(monkeypatch):
     pde = appell_pde(AppellParams(2, 3))
     fam = build_monic(pde, 9)
     monic_ttrr.cache_clear()  # solve the closed forms under the recorder
+    monic_layers.cache_clear()
     real = RationalMatrix.__matmul__
     products = []
 
@@ -514,7 +515,7 @@ def test_relations_make_no_shift_products(monkeypatch):
 def test_closed_form_layers_are_the_monic_top_layers(name):
     pde = CLOSED_FORM_EQUATIONS[name]
     fam = build_monic(pde, 7)
-    layers = MonicLayers(pde, 7)
+    layers = monic_layers(pde)
     for n in range(8):
         assert [layers.G(n, k) for k in range(n, max(n - 3, -1), -1)] == \
             [fam.G(n, k) for k in range(n, max(n - 3, -1), -1)], n

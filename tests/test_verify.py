@@ -89,16 +89,19 @@ def test_degenerate_discriminant_check_exit(tmp_path, capsys):
     assert report["potentially_self_adjoint"] is None
 
 def test_golden_agreement_reuses_solved_relations(p11, monkeypatch):
-    # the identity suites solve each relation once; the golden tables are
-    # compared against those solutions, not against a second solve
+    # the identity suites solve each relation once on the built family; the
+    # golden tables are compared against those solutions, not against a
+    # second solve (the closed-form routes run on the equation's own family)
     import opde.relations as relations
     import opde.verify as verify
+    from opde.monic import MonicLayers
     calls = {}
     for module, name in ((relations, "general_ttrr"), (relations, "structure_matrices"),
                          (relations, "derivative_representation"),
                          (verify, "monic_appell_vector")):
         def counted(*args, _f=getattr(module, name), _name=name, **kwargs):
-            calls[_name] = calls.get(_name, 0) + 1
+            if not isinstance(args[0], MonicLayers):
+                calls[_name] = calls.get(_name, 0) + 1
             return _f(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
     results = run_verification(appell_pde(p11), 3)
