@@ -17,8 +17,8 @@ pde = appell_pde(params)
 
 print("equation coefficients:", pde_to_json(pde))
 print("discriminant:", discriminant(pde))
-print("eigenvalue gaps a*k + e, k = 0..8:",
-      [str(v) for v in check_admissible(pde, 4)])
+check_admissible(pde)  # raises NotAdmissible if some gap a*k + e vanishes
+print("eigenvalue gaps a*k + e, k = 0..8:", [str(pde.varpi(k)) for k in range(9)])
 print("potentially self-adjoint:", is_potentially_self_adjoint(pde))
 
 # The family comes out of a closed-form-driven recursion ...

@@ -28,8 +28,8 @@ from .errors import (DegenerateDiscriminant, NoCaseMatches, NotAdmissible,
 from .families import (FAMILIES, AppellParams, appell_pde, appell_weight,
                        make_family, triangle_params)
 from .matrix import RationalMatrix
-from .pde import (HypergeometricPDE, check_admissible, discriminant,
-                  is_potentially_self_adjoint)
+from .pde import (HypergeometricPDE, check_admissible, check_class,
+                  discriminant, is_potentially_self_adjoint)
 from .relations import Relations
 from .rodrigues import rodrigues_table
 from .serialize import (format_rational, matrix_to_json, parse_rational,
@@ -178,28 +178,25 @@ def cmd_check(args) -> int:
     pde = _load_pde(args)
     n = _cap_degree(args.degree)
     report: Dict[str, Any] = {"discriminant": discriminant(pde)}
-    code = 0
     try:
-        varpi = check_admissible(pde, n)
-        report["admissible"] = True
-        report["varpi"] = [format_rational(v) for v in varpi]
+        check_admissible(pde)
     except NotAdmissible as ex:
         report["admissible"] = False
         report["offending_index"] = ex.index
-        code = EXIT_NOT_ADMISSIBLE
-    if code == 0:
-        try:
-            sa = is_potentially_self_adjoint(pde)
-        except DegenerateDiscriminant:
-            report["potentially_self_adjoint"] = None
-            report["note"] = "discriminant is identically zero"
-            code = EXIT_NOT_SELF_ADJOINT
-        else:
-            report["potentially_self_adjoint"] = sa
-            if not sa:
-                code = EXIT_NOT_SELF_ADJOINT
+        _emit(args, report)
+        return EXIT_NOT_ADMISSIBLE
+    report["admissible"] = True
+    report["varpi"] = [format_rational(pde.varpi(k)) for k in range(2 * n + 1)]
+    try:
+        sa = is_potentially_self_adjoint(pde)
+    except DegenerateDiscriminant:
+        report["potentially_self_adjoint"] = None
+        report["note"] = "discriminant is identically zero"
+        sa = False
+    else:
+        report["potentially_self_adjoint"] = sa
     _emit(args, report)
-    return code
+    return 0 if sa else EXIT_NOT_SELF_ADJOINT
 
 
 def cmd_classify(args) -> int:
@@ -247,9 +244,7 @@ def cmd_rodrigues(args) -> int:
         if params is None:
             raise CliError(no_weight)
         weight = appell_weight(params)
-    check_admissible(pde, n)
-    if not is_potentially_self_adjoint(pde):
-        raise NotSelfAdjoint("no integrating-factor weight exists")
+    check_class(pde)
     case = classify_phi(pde)[0]
     if not verify_pearson(pde, weight):
         raise CliError("weight does not satisfy the Pearson equations of this equation",

@@ -123,7 +123,7 @@ class RationalMatrix:
         return self._plus(other, -1)
 
     def __neg__(self) -> "RationalMatrix":
-        return _raw(tuple(tuple(-a for a in r) for r in self._num), self._den)
+        return _raw(tuple([tuple([-a for a in r]) for r in self._num]), self._den)
 
     def __mul__(self, c: Scalar) -> "RationalMatrix":
         c = rat(c)

@@ -31,11 +31,9 @@ from functools import lru_cache
 from math import inf, lcm
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .errors import (InconsistentRecursion, NotAdmissible, NotSelfAdjoint,
-                     SingularMatrix)
+from .errors import InconsistentRecursion, NotAdmissible, SingularMatrix
 from .matrix import RationalMatrix
-from .pde import (HypergeometricPDE, apply_operator, check_admissible,
-                  is_potentially_self_adjoint)
+from .pde import HypergeometricPDE, apply_operator, check_admissible, check_class
 from .poly import BivariatePoly
 from .vectors import (PolyVector, PolyVectorFamily, combine, expansion_matrices,
                       monomial_vector, peel, times_shift)
@@ -166,8 +164,7 @@ def monic_ttrr(pde: HypergeometricPDE, n: int) -> TtrrSet:
     route run on the closed-form layers, once per (pde, n), since both
     ``build_monic`` and the recurrence checks read them.  A is the shift
     matrix."""
-    # the verdict is n-free: a k + e vanishes at every k or none (a = 0), else at -e/a
-    check_admissible(pde, 0)
+    check_admissible(pde)
     return general_ttrr(monic_layers(pde), n)
 
 
@@ -187,9 +184,9 @@ def build_monic(pde: HypergeometricPDE, big_n: int) -> MonicFamily:
     shift matrices only select entries, P_{n+1} is read off directly and the
     n entries both recursions determine are checked for agreement
     (InconsistentRecursion otherwise)."""
-    check_admissible(pde, big_n)
-    if not is_potentially_self_adjoint(pde):
-        raise NotSelfAdjoint("no integrating-factor weight exists")
+    if big_n < 0:
+        raise ValueError("degree bound must be nonnegative")
+    check_class(pde)
     vectors: List[PolyVector] = [PolyVector([BivariatePoly.const(1)])]
     for n in range(big_n):
         t = monic_ttrr(pde, n)
@@ -219,7 +216,9 @@ def _operator_expansions(pde: HypergeometricPDE, k: int
 def solve_monic(pde: HypergeometricPDE, big_n: int) -> MonicFamily:
     """Oracle route: substitute the monic ansatz into the equation and solve
     for every expansion matrix, degree by degree from the top down."""
-    check_admissible(pde, big_n)
+    if big_n < 0:
+        raise ValueError("degree bound must be nonnegative")
+    check_admissible(pde)
     op_cache: Dict[int, List[RationalMatrix]] = {
         k: _operator_expansions(pde, k) for k in range(big_n + 1)
     }

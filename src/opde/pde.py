@@ -10,6 +10,9 @@ The eleven coefficients live as exact rationals.  The factor 2 on the mixed
 term is applied when the operator is evaluated, never stored, so the field
 ``d3`` (and b3, c3) can be read straight off the quadratic form.
 
+Admissibility (no eigenvalue gap a k + e, k >= 0, vanishes) is read off a
+and e alone; ``check_class`` adds potential self-adjointness to it.
+
 Differentiating the equation r times in x and s times in y yields an equation
 of the same class for the derivative, ``pde.shifted(r, s)``: the principal
 part stays and only the first-order coefficients move,
@@ -30,9 +33,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, NamedTuple, Tuple
+from typing import NamedTuple, Tuple
 
-from .errors import DegenerateDiscriminant, NotAdmissible
+from .errors import DegenerateDiscriminant, NotAdmissible, NotSelfAdjoint
 from .poly import BivariatePoly, rat
 
 
@@ -71,27 +74,18 @@ class HypergeometricPDE(NamedTuple):
                              f2=self.f2 + 2 * r * self.b3 + s * self.b2)
 
 
-def check_admissible(pde: HypergeometricPDE, n_max: int) -> List[Fraction]:
-    """Return [a*k + e for k = 0..2*n_max], raising NotAdmissible at the first zero.
+def check_admissible(pde: HypergeometricPDE) -> None:
+    """Raise NotAdmissible(k) at the k >= 0 where the gap a*k + e vanishes.
 
-    The closed-form coefficient tables consume these values up to index
-    2*n_max - 2; checking through 2*n_max leaves headroom.  When a != 0 the
-    single possible zero is k = -e/a, so an offending integer beyond the
-    prefix is reported as well.
+    The gap is linear in k: when a != 0 it vanishes only at k = -e/a, when
+    a = e = 0 at every k (reported as k = 0), and otherwise never.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    values = []
-    for k in range(2 * n_max + 1):
-        v = pde.varpi(k)
-        if v == 0:
-            raise NotAdmissible(k)
-        values.append(v)
     if pde.a != 0:
         root = -pde.e / pde.a
         if root.denominator == 1 and root >= 0:
             raise NotAdmissible(int(root))
-    return values
+    elif pde.e == 0:
+        raise NotAdmissible(0)
 
 
 _Pair = Tuple[BivariatePoly, BivariatePoly]
@@ -159,6 +153,15 @@ def is_potentially_self_adjoint(pde: HypergeometricPDE) -> bool:
     lhs = gamma.diff(1) * alpha - gamma * alpha.diff(1)
     rhs = beta.diff(2) * alpha - beta * alpha.diff(2)
     return lhs == rhs
+
+
+def check_class(pde: HypergeometricPDE) -> None:
+    """The gate of the equations opde builds families for: admissible
+    (NotAdmissible), then potentially self-adjoint (NotSelfAdjoint, or
+    DegenerateDiscriminant when the discriminant vanishes identically)."""
+    check_admissible(pde)
+    if not is_potentially_self_adjoint(pde):
+        raise NotSelfAdjoint("no integrating-factor weight exists")
 
 
 @lru_cache(maxsize=None)

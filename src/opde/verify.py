@@ -9,7 +9,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Callable, List, Optional, Sequence
 
-from .errors import DegenerateDiscriminant, OpdeError
+from .errors import DegenerateDiscriminant, NotAdmissible
 from .families import (AppellParams, appell_weight, connection_F,
                        connection_K, koornwinder_vector, make_family,
                        monic_appell_vector, nonmonic_F_vector,
@@ -98,9 +98,9 @@ def run_verification(pde: HypergeometricPDE, big_n: int, family: str = "monic",
 
     adm = SuiteResult("admissibility")
     try:
-        check_admissible(pde, big_n + 2)
+        check_admissible(pde)
         adm.check(True, "")
-    except OpdeError as ex:
+    except NotAdmissible as ex:
         adm.check(False, str(ex))
     results.append(adm.finish())
 

@@ -615,23 +615,39 @@ def test_build_json_digest(argv, digest, tmp_path, monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("argv, digest", [
-    (["build", "-N", "4", "--format", "pretty"],
+TRIANGLE_ARGS = ["--alpha", "3/2", "--beta", "5/7"]
+
+
+@pytest.mark.parametrize("argv, code, digest", [
+    (["build", "-N", "4", "--format", "pretty", *TRIANGLE_ARGS], 0,
      "8ca2ee8fd50c55b79b69c696360091cf7e115ce5abb911151539558230d46e39"),
-    (["build", "-N", "4", "--format", "latex"],
+    (["build", "-N", "4", "--format", "latex", *TRIANGLE_ARGS], 0,
      "eaee27fb3259d3e59d51ff1c71f9e08ac82bb0a4f118955c034e00365b9d0f4a"),
-    (["check", "--format", "pretty"],
+    (["check", "--format", "pretty", *TRIANGLE_ARGS], 0,
      "bb198bf29d835a90f0b6ebbfbfe9c844d447649178a098e04e810314b179e41d"),
-    (["classify", "--format", "pretty"],
+    (["classify", "--format", "pretty", *TRIANGLE_ARGS], 0,
      "8d01d996d5f51f2fc2fadead9d1c6ad488080dba9eb09f963a1fe5eb8f97ca34"),
-    (["rodrigues", "-N", "4", "--format", "pretty"],
+    (["rodrigues", "-N", "4", "--format", "pretty", *TRIANGLE_ARGS], 0,
      "2413670e93dae154ff8e5171cbbae4f943737b37f1b1e735be98091563c98ff7"),
+    # a*k + e vanishes only at k = 50, far past the gaps listed at -N 3:
+    # offending_index = 50
+    (["check", "--pde", "root-50.json", "-N", "3", "--format", "pretty"], 2,
+     "ea5a371b22817aed5e8b0d0e58ecee68f635fa630b0d1f5f229f2be9d2b27f56"),
+    # a = e = 0: every gap vanishes, reported as offending_index = 0
+    (["check", "--pde", "zero-gaps.json", "--format", "pretty"], 2,
+     "5c9e011ffb091f1df3d0d8e3aaa83511f68f16c7287396c98a0a646ec75f44e1"),
+    # -N 0 lists the one gap varpi(0) = e
+    (["check", "-N", "0", "--format", "pretty", *TRIANGLE_ARGS], 0,
+     "cc56c8c1cc23d65e6c695f3af89e4f1e351f47ac970a16a1436960852d38192e"),
 ], ids=["build-pretty", "build-latex", "check-pretty", "classify-pretty",
-        "rodrigues-pretty"])
-def test_text_output_digest(argv, digest, monkeypatch, capsys):
-    # pins the whole text document, byte for byte
+        "rodrigues-pretty", "check-root-50", "check-zero-gaps", "check-N0"])
+def test_text_output_digest(argv, code, digest, tmp_path, monkeypatch, capsys):
+    # pins the whole text document, byte for byte, and the exit code
     monkeypatch.delenv("OPDE_MAX_DEGREE", raising=False)
-    assert main([*argv, "--alpha", "3/2", "--beta", "5/7"]) == 0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "root-50.json").write_text(json.dumps(dict(DISK_PDE, a="1", e="-50")))
+    (tmp_path / "zero-gaps.json").write_text(json.dumps(dict(DISK_PDE, a="0", e="0")))
+    assert main(argv) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

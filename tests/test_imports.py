@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -31,3 +32,22 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_package_imports_only_the_standard_library():
+    # the package declares no runtime dependency: every absolute import in
+    # src/opde names opde itself or a standard-library module, so the test
+    # extra's sympy, hypothesis and pytest stay out of the sources
+    sources = sorted((ROOT / "src" / "opde").glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                assert top == "opde" or top in sys.stdlib_module_names, (path.name, name)

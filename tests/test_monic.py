@@ -81,13 +81,13 @@ def test_monic_ttrr_small_values():
     assert t1.a1 @ t1.a1.transpose() == RationalMatrix.identity(2)
 
 
-def _random_admissible_through_degree_1(rng):
+def _random_admissible(rng):
     while True:
         c = {k: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
              for k in ("a", "b1", "c1", "b2", "c2", "b3", "c3", "d3", "e", "f1", "f2")}
         pde = P(**c)
         try:
-            check_admissible(pde, 1)
+            check_admissible(pde)
         except NotAdmissible:
             continue
         return pde
@@ -99,7 +99,7 @@ def test_monic_ttrr_printed_low_degree_entries():
     # form; these pin them as oracles
     rng = random.Random(20110113)
     for _ in range(12):
-        p = _random_admissible_through_degree_1(rng)
+        p = _random_admissible(rng)
         t0 = monic_ttrr(p, 0)
         assert (t0.b1, t0.b2) == (RationalMatrix([[-p.f1 / p.e]]),
                                   RationalMatrix([[-p.f2 / p.e]]))
@@ -140,6 +140,15 @@ def test_residual_zero_appell23(fam23):
 def test_not_admissible_raises():
     with pytest.raises(NotAdmissible):
         build_monic(P(a=1, e=-2, c1=1, c2=1), 3)
+
+
+def test_negative_degree_bound_rejected():
+    # both routes validate their degree bound before the equation
+    for route in (build_monic, solve_monic):
+        with pytest.raises(ValueError, match="degree bound must be nonnegative"):
+            route(appell_pde(AppellParams(2, 3)), -1)
+        with pytest.raises(ValueError):
+            route(P(a=1, e=-2, c1=1, c2=1), -1)
 
 
 def test_not_self_adjoint_raises():
@@ -402,17 +411,18 @@ def test_monic_ttrr_solved_once_per_degree():
     assert (info.misses, info.hits) == (5, 4)
 
 
-def test_monic_ttrr_checks_admissibility_once_per_degree(monkeypatch):
-    # the verdict of check_admissible does not depend on its degree bound
-    # (varpi is linear), so each recurrence checks the bound-0 prefix only;
-    # build_monic checks its whole range once
+def test_build_monic_runs_the_class_gate_once(monkeypatch):
+    # build_monic runs the class gate once, and each monic_ttrr it solves
+    # (a cache miss) runs the degree-free admissibility check once
     pde = appell_pde(AppellParams(2, 3))
-    bounds = []
-
-    def counted(pde, n_max):
-        bounds.append(n_max)
-        return check_admissible(pde, n_max)
-    monkeypatch.setattr(monic, "check_admissible", counted)
+    calls = {"check_class": 0, "check_admissible": 0}
+    for name in calls:
+        def counted(eq, _f=getattr(monic, name), _name=name):
+            calls[_name] += 1
+            return _f(eq)
+        monkeypatch.setattr(monic, name, counted)
     monic_ttrr.cache_clear()
+    monic.monic_layers.cache_clear()
     build_monic(pde, 12)
-    assert bounds == [12] + [0] * 12
+    assert monic_ttrr.cache_info().misses == 12
+    assert calls == {"check_class": 1, "check_admissible": 12}

@@ -1,39 +1,99 @@
+import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from opde.cli import main
 from opde.errors import DegenerateDiscriminant, NotAdmissible
 from opde.families import AppellParams, appell_pde
 from opde.pde import (HypergeometricPDE, apply_operator, check_admissible,
                       discriminant, is_potentially_self_adjoint,
                       pearson_numerators, pearson_shifts)
 from opde.poly import ONE, BivariatePoly, X, Y, ZERO
+from opde.serialize import pde_to_json
 
 P = HypergeometricPDE.from_coeffs
 
 
-def test_admissibility_appell():
+def _check_report(pde, n, tmp_path, capsys):
+    """The JSON report and exit code of ``opde check -N n`` on ``pde``."""
+    path = tmp_path / "eq.json"
+    path.write_text(json.dumps(pde_to_json(pde)))
+    code = main(["check", "--pde", str(path), "-N", str(n)])
+    return json.loads(capsys.readouterr().out), code
+
+
+def test_admissibility_appell(tmp_path, capsys):
     pde = appell_pde(AppellParams(1, 1))
-    values = check_admissible(pde, 4)
-    assert values == [-(k + 3) for k in range(9)]
+    assert check_admissible(pde) is None
+    report, code = _check_report(pde, 4, tmp_path, capsys)
+    assert code == 0
+    assert report["varpi"] == [str(-(k + 3)) for k in range(9)]
 
 
 def test_admissibility_failure_names_first_index():
     with pytest.raises(NotAdmissible) as err:
-        check_admissible(P(a=1, e=-2), 3)
+        check_admissible(P(a=1, e=-2))
     assert err.value.index == 2
 
 
 def test_admissibility_beyond_prefix():
-    # the zero sits past 2*n_max but is still reported
+    # the zero sits far past the gaps check reports at -N 3, and is found
     with pytest.raises(NotAdmissible) as err:
-        check_admissible(P(a=1, e=-50), 3)
+        check_admissible(P(a=1, e=-50))
     assert err.value.index == 50
 
 
-def test_admissibility_constant_case():
-    assert check_admissible(P(e=1), 2) == [Fraction(1)] * 5
+def test_admissibility_constant_case(tmp_path, capsys):
+    assert check_admissible(P(e=1)) is None
+    report, _ = _check_report(P(e=1), 2, tmp_path, capsys)
+    assert report["admissible"] is True
+    assert report["varpi"] == ["1"] * 5
+
+
+def _bounded_rule(pde, n_max):
+    """The rule check_admissible followed while it took a degree bound: the
+    first zero among the gaps k = 0..2 n_max, else the root -e/a if it is a
+    nonnegative integer; None when no gap vanishes."""
+    for k in range(2 * n_max + 1):
+        if pde.varpi(k) == 0:
+            return k
+    if pde.a != 0:
+        root = -pde.e / pde.a
+        if root.denominator == 1 and root >= 0:
+            return int(root)
+    return None
+
+
+def test_admissibility_is_free_of_the_degree_bound():
+    # the degree-free verdict and index equal the bounded rule's at every
+    # bound 0..8, over a = e = 0, a = 0 alone, and roots -e/a that are
+    # negative, not integers, integers within the bounded prefix and past it
+    rng = random.Random(32)
+    kinds = set()
+    for _ in range(2000):
+        a = Fraction(rng.choice([0, rng.randint(-6, 6)]), rng.randint(1, 4))
+        root = Fraction(rng.randint(-8, 30), rng.choice([1, 1, 2, 3]))
+        e = -a * root if a else Fraction(rng.choice([0, rng.randint(-6, 6)]), rng.randint(1, 4))
+        pde = P(a=a, e=e, c1=rng.randint(-2, 2), f1=rng.randint(-2, 2))
+        try:
+            check_admissible(pde)
+            index = None
+        except NotAdmissible as ex:
+            index = ex.index
+        assert all(_bounded_rule(pde, n) == index for n in range(9)), pde
+        if not a:
+            kinds.add("a = e = 0" if not e else "a = 0")
+        elif root < 0:
+            kinds.add("negative root")
+        elif root.denominator != 1:
+            kinds.add("non-integer root")
+        else:
+            kinds.add("root within 2n" if root <= 16 else "root past 2n")
+    assert kinds == {"a = e = 0", "a = 0", "negative root", "non-integer root",
+                     "root within 2n", "root past 2n"}
 
 
 def test_eigenvalue():
