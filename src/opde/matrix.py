@@ -11,10 +11,11 @@ desk-scale degrees), so dense rows win over anything clever; every operation
 is exact, runs on the integers and normalizes once per result, and the
 values are immutable after construction.  ``rows``, ``row``, ``tolist`` and
 ``m[i, k]`` return Fractions in lowest terms.  The one concession to sparsity
-is in the product, which skips zero entries: most operands are 0/1 shift,
-bidiagonal derivative or banded expansion matrices.  Inverse, determinant,
-rank and nullspace all read their answer off one fraction-free Gauss-Jordan
-reduction (``_reduce``), so there is no rank threshold anywhere.
+is the one product kernel, ``addmul``, which skips zero entries on both
+sides: most operands are 0/1 shift, bidiagonal derivative or banded
+expansion matrices.  ``@`` and ``vectors.peel`` both run on it.  Inverse,
+determinant, rank and nullspace all read their answer off one fraction-free
+Gauss-Jordan reduction (``_reduce``), so there is no rank threshold anywhere.
 """
 
 from __future__ import annotations
@@ -135,18 +136,8 @@ class RationalMatrix:
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        # each nonzero a of a left row scales the nonzero entries of the
-        # matching right row; zero products are never formed
-        right = [[(k, b) for k, b in enumerate(row) if b] for row in other._num]
-        out = []
-        for row in self._num:
-            acc = [0] * other.ncols
-            for a, nonzero in zip(row, right):
-                if a:
-                    for k, b in nonzero:
-                        acc[k] += a * b
-            out.append(acc)
-        return _make(out, self._den * other._den)
+        acc = [[0] * other.ncols for _ in range(self.nrows)]
+        return _make(addmul(acc, self._num, other._num), self._den * other._den)
 
     def transpose(self) -> "RationalMatrix":
         return _raw(tuple(zip(*self._num)), self._den)
@@ -215,6 +206,19 @@ class RationalMatrix:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(v) for v in r) for r in self.rows)
         return f"RationalMatrix[{body}]"
+
+
+def addmul(acc: List[List[int]], left: Sequence[Sequence[int]],
+           right: Sequence[Sequence[int]], scale: int = 1) -> List[List[int]]:
+    """acc += scale * left @ right on int rows, in place; returns acc.  Zero
+    entries of either side form no product, so a 0/1 left selects rows."""
+    nonzero = [[(k, b * scale) for k, b in enumerate(row) if b] for row in right]
+    for out, row in zip(acc, left):
+        for a, terms in zip(row, nonzero):
+            if a:
+                for k, b in terms:
+                    out[k] += a * b
+    return acc
 
 
 def _rectangular(rows: Iterable[Iterable]) -> Tuple[tuple, ...]:

@@ -118,18 +118,16 @@ _Triple = Tuple[RationalMatrix, RationalMatrix, Optional[RationalMatrix]]
 class MonicLayers(PolyVectorFamily):
     """The top three layers of the monic family at every degree, read off
     the equation: G_{n,n} = I and the two subleading matrices.  It holds no
-    vectors and no layer below k = n - 2 (ValueError), and its leading
-    inverse is None without reading a layer.  A degree whose closed forms
-    raise is not cached, so asking again raises again."""
+    vectors, and its leading inverse is None without reading a layer.  A
+    degree whose closed forms raise is not cached, so asking again raises
+    again."""
 
     def __init__(self, pde: HypergeometricPDE):
         super().__init__([])
         self.max_n = inf
         self.pde = pde
 
-    def _layers(self, n: int, count: int) -> List[RationalMatrix]:
-        if count > 3:
-            raise ValueError(f"closed-form layers stop at G({n},{n - 2})")
+    def _layers(self, n: int) -> List[RationalMatrix]:
         sub = subleading_matrices(self.pde, n) if n else ()
         return [RationalMatrix.identity(n + 1), *sub][:n + 1]
 

@@ -29,20 +29,21 @@ the oracle's assembly all go through ``combine``, the one kernel from
 matrices to polynomials.
 
 ``peel`` is the one coefficient match behind every relation, against one
-family's layers: each coefficient is one integer accumulation.  A leading
-inverse of None stands for the identity, and then nothing is multiplied; a
-diagonal one scales columns, and only a dense one is a matrix product.
+family's layers: each coefficient is one integer accumulation on the sparse
+product kernel ``matrix.addmul``, and a leading inverse other than None (the
+identity) is one more ``addmul``, which for a diagonal one scales columns.
 
 ``PolyVectorFamily`` is the one family contract: a degree bound ``max_n``,
-set once (unbounded for the closed forms), and the expansion matrices
-G_{n,k} it is asked for, cached: the top three layers of a degree, which are
-all the relations read, and every layer once a deeper one is asked for.  A
-family of layers without vectors overrides ``_layers``: ``DerivativeFamily``
-reads them off its source's, and ``monic.MonicLayers`` off the equation.
-``leading_inverse`` caches the inverse of each leading matrix G_{k,k} by one
-rule: a diagonal G_{k,k} entry by entry (None for the identity, as in every
-monic family), any other by Gauss-Jordan; the relation solves divide by the
-same few inverses many times.  ``derivative_family`` builds each axis's Q
+set once (unbounded for the closed forms), and the top three expansion
+matrices G_{n,n}, G_{n,n-1}, G_{n,n-2} of each degree, which are all the
+relations read, cached as one list per degree; deeper layers are
+``expansion_matrices(fam.vector(n), n)``.  A family of layers without
+vectors overrides ``_layers``: ``DerivativeFamily`` reads them off its
+source's, and ``monic.MonicLayers`` off the equation.  ``leading_inverse``
+caches the inverse of each leading matrix G_{k,k} by one rule: a diagonal
+G_{k,k} entry by entry (None for the identity, as in every monic family),
+any other by Gauss-Jordan; the relation solves divide by the same few
+inverses many times.  ``derivative_family`` builds each axis's Q
 family once, so every relation read off it shares its layers and inverses.
 """
 
@@ -52,7 +53,7 @@ from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DegreeOverflow, SingularLeading, SingularMatrix
-from .matrix import RationalMatrix
+from .matrix import RationalMatrix, addmul
 from .poly import BivariatePoly, Exponent
 
 def monomial_vector(n: int) -> "PolyVector":
@@ -251,9 +252,8 @@ def peel(layers: Sequence[Optional[RationalMatrix]], fam: "PolyVectorFamily",
         X_i = (H_i - sum_{k<i} X_k G(top-k, top-i)) G(top-i, top-i)^{-1},
 
     where ``fam.leading_inverse(m)`` gives G(m, m)^{-1}.  The bracket is one
-    integer accumulation over the lcm of its denominators, skipping zero
-    entries, so a 0/1 X_0 only selects rows; a diagonal inverse scales its
-    columns, and None stands for the identity, where nothing is multiplied.
+    integer accumulation over the lcm of its denominators, one ``addmul``
+    per term, and the inverse one more; None stands for the identity.
     Layers below degree 0 are ignored; terms past the last layer are None."""
     xs: List[RationalMatrix] = []
     nrows = layers[0].nrows
@@ -270,34 +270,22 @@ def peel(layers: Sequence[Optional[RationalMatrix]], fam: "PolyVectorFamily",
             s = total // hden
             acc = [[a * s for a in r] for r in hnum]
         for ((xnum, _), (gnum, _)), d in zip(terms, dens):
-            s = total // d
-            right = [[(c, g * s) for c, g in enumerate(r) if g] for r in gnum]
-            for out, r in zip(acc, xnum):
-                for a, nonzero in zip(r, right):
-                    if a:
-                        for c, g in nonzero:
-                            out[c] -= a * g
+            addmul(acc, xnum, gnum, -(total // d))
         inv = fam.leading_inverse(m)
-        if inv is None:
-            xs.append(RationalMatrix.from_integers(acc, total))
-            continue
-        inum, iden = inv.as_integers()
-        diag = [r[c] for c, r in enumerate(inum)]
-        if all(r.count(0) == m for r in inum) and all(diag):
-            xs.append(RationalMatrix.from_integers(
-                [[a * d for a, d in zip(r, diag)] for r in acc], total * iden))
-        else:
-            xs.append(RationalMatrix.from_integers(acc, total) @ inv)
+        if inv is not None:
+            inum, iden = inv.as_integers()
+            acc = addmul([[0] * (m + 1) for _ in range(nrows)], acc, inum)
+            total *= iden
+        xs.append(RationalMatrix.from_integers(acc, total))
     return tuple(xs) + (None,) * (3 - len(xs))
 
 
 class PolyVectorFamily:
     """Vectors indexed by total degree, with cached monomial expansions.
 
-    ``G`` caches the layers it is asked for: the top three of a degree on
-    the first request, every layer once a deeper one is asked for.  Both go
-    through ``_layers``, which a family of layers without vectors overrides
-    after calling this constructor with no vectors and setting ``max_n``."""
+    ``G`` caches the top three layers of a degree from ``_layers``, which a
+    family of layers without vectors overrides after calling this
+    constructor with no vectors and setting ``max_n``."""
 
     def __init__(self, vectors: Sequence[PolyVector]):
         self.vectors = list(vectors)
@@ -312,20 +300,22 @@ class PolyVectorFamily:
         self._qfams: Dict[int, DerivativeFamily] = {}
 
     def vector(self, n: int) -> PolyVector:
+        if not 0 <= n <= self.max_n:
+            raise IndexError(f"degree {n} out of range")
         return self.vectors[n]
 
-    def _layers(self, n: int, count: int) -> List[RationalMatrix]:
-        """[G_{n,n}, ..., G_{n,n-count+1}], fewer if n < count - 1."""
-        return expansion_layers(self.vector(n), n, count)
+    def _layers(self, n: int) -> List[RationalMatrix]:
+        """[G_{n,n}, G_{n,n-1}, G_{n,n-2}], fewer if n < 2."""
+        return expansion_layers(self.vector(n), n, 3)
 
     def G(self, n: int, k: int) -> RationalMatrix:
-        """Expansion matrix G_{n,k} of the degree-n vector, 0 <= k <= n."""
-        if not 0 <= k <= n <= self.max_n:
+        """Expansion matrix G_{n,k} of the degree-n vector, for the top
+        three layers max(n - 2, 0) <= k <= n."""
+        if not max(n - 2, 0) <= k <= n <= self.max_n:
             raise ValueError(f"G({n},{k}) out of range")
-        layers = self._gcache.get(n)
-        if layers is None or len(layers) <= n - k:
-            layers = self._gcache[n] = self._layers(n, 3 if n - k < 3 else n + 1)
-        return layers[n - k]
+        if n not in self._gcache:
+            self._gcache[n] = self._layers(n)
+        return self._gcache[n][n - k]
 
     def leading_inverse(self, k: int) -> Optional[RationalMatrix]:
         """Inverse of the leading matrix G_{k,k}, computed once per degree.
@@ -401,6 +391,6 @@ class DerivativeFamily(PolyVectorFamily):
             self._qcache[n] = PolyVector(d.entries[self.axis - 1:n + self.axis])
         return self._qcache[n]
 
-    def _layers(self, n: int, count: int) -> List[RationalMatrix]:
+    def _layers(self, n: int) -> List[RationalMatrix]:
         return [_q_layer(self.source.G(n + 1, k + 1), self.axis)
-                for k in range(n, max(n - count, -1), -1)]
+                for k in range(n, max(n - 3, -1), -1)]

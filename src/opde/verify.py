@@ -54,6 +54,9 @@ class SuiteResult:
     def agree(self, got: PolyVector, want: PolyVector, where: str) -> None:
         """One check that two vectors agree entry by entry; a failure names
         the first entry that differs."""
+        if len(got) != len(want):
+            self.check(False, f"{where} length={len(got)} against {len(want)}")
+            return
         bad = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), None)
         self.check(bad is None, f"{where} entry={bad}")
 
@@ -90,6 +93,8 @@ def run_verification(pde: HypergeometricPDE, big_n: int, family: str = "monic",
     "ttrr-b1" bumps entry (0,0) of the degree-1 recurrence matrix on axis 1,
     so it needs big_n >= 1.  ValueError when the fault cannot be injected.
     """
+    if big_n < 0:
+        raise ValueError("degree bound must be nonnegative")
     if corrupt not in (None, "ttrr-b1"):
         raise ValueError(f"unknown fault {corrupt!r}")
     if corrupt == "ttrr-b1" and big_n < 1:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
 from opde.errors import SingularMatrix
-from opde.matrix import RationalMatrix
+from opde.matrix import RationalMatrix, addmul
 from opde.poly import X
 from opde.vectors import PolyVectorFamily, apply_matrix, expansion_layers, peel
 
@@ -91,19 +91,28 @@ _COLUMN = RationalMatrix.column([5, 0, Fraction(-1, 7), 0])
 
 @seed(11012640)
 @settings(max_examples=150, deadline=None)
-@given(_operands())
-@example((_ONE_BY_ONE, _ONE_BY_ONE))
-@example((_ROW, _COLUMN))
-@example((_COLUMN, _ROW))
-@example((RationalMatrix.zeros(3, 4), _COLUMN))
-@example((_ROW, RationalMatrix.zeros(4, 2)))
-@example((RationalMatrix.zeros(2, 1), RationalMatrix.zeros(1, 3)))
-def test_matmul_matches_textbook_definition(pair):
+@given(_operands(), st.integers(-4, 4).filter(bool))
+@example((_ONE_BY_ONE, _ONE_BY_ONE), 1)
+@example((_ROW, _COLUMN), -1)
+@example((_COLUMN, _ROW), 3)
+@example((RationalMatrix.zeros(3, 4), _COLUMN), 2)
+@example((_ROW, RationalMatrix.zeros(4, 2)), -3)
+@example((RationalMatrix.zeros(2, 1), RationalMatrix.zeros(1, 3)), 4)
+def test_matmul_matches_textbook_definition(pair, scale):
     a, b = pair
     product = a @ b
+    textbook = _textbook_product(a, b)
     assert product.shape == (a.nrows, b.ncols)
-    assert product.tolist() == _textbook_product(a, b)
+    assert product.tolist() == textbook
     assert all(type(v) is Fraction for row in product.rows for v in row)
+    # the kernel under it: acc += scale * A B on the numerators, in place,
+    # into an accumulator with no zero entry
+    (anum, aden), (bnum, bden) = a.as_integers(), b.as_integers()
+    start = [[i + j + 1 for j in range(b.ncols)] for i in range(a.nrows)]
+    acc = [list(r) for r in start]
+    assert addmul(acc, anum, bnum, scale) is acc
+    assert acc == [[s + scale * t * aden * bden for s, t in zip(rs, rt)]
+                   for rs, rt in zip(start, textbook)]
 
 
 @seed(11012640)

@@ -67,15 +67,24 @@ def test_ttrr_uniqueness_perturbation(fam23):
 def test_derivative_family_basics(fam11):
     q1 = DerivativeFamily(fam11, 1)
     assert q1.vector(0) == PolyVector([1 + 0 * X])
-    # expansion matrices factor through the source family's
+    # the top three expansion matrices factor through the source family's
     for n in range(1, 4):
-        for k in range(n + 1):
+        for k in range(n, max(n - 3, -1), -1):
             expected = (shift_matrix(n, 1) @ fam11.G(n + 1, k + 1)
                         @ derivative_matrix(k + 1, 1))
             assert q1.G(n, k) == expected
     # monic source: every entry of Q_n has total degree exactly n
     for n in range(4):
         assert all(p.degree() == n for p in q1.vector(n))
+
+
+def test_vector_rejects_degrees_out_of_range():
+    fam = build_monic(appell_pde(AppellParams(2, 3)), 3)
+    for family in (fam, fam.derivative_family(1)):
+        for n in (-1, family.max_n + 1):
+            with pytest.raises(IndexError, match=f"degree {n} out of range"):
+                family.vector(n)
+    assert fam.vector(3) == fam.vectors[3]
 
 
 def test_derivative_family_leading_matrix(fam11):
@@ -460,23 +469,28 @@ def test_derivative_family_layers_equal_expansion(p23, axis):
     fam = make_family(appell_pde(p23), "koornwinder", 6)
     qfam = DerivativeFamily(fam, axis)
     for n in range(6):
-        full = expansion_matrices(qfam.vector(n), n)
-        assert [qfam.G(n, k) for k in range(n, -1, -1)] == full, n
+        top = expansion_matrices(qfam.vector(n), n)[:3]
+        assert [qfam.G(n, k) for k in range(n, max(n - 3, -1), -1)] == top, n
 
 
-def test_deep_layer_grows_the_cache(p23):
+def test_G_caches_the_top_three_layers(p23):
     fam = PolyVectorFamily([nonmonic_F_vector(p23, n) for n in range(8)])
     full = expansion_matrices(fam.vector(7), 7)
     assert fam.G(7, 7) == full[0]
-    assert len(fam._gcache[7]) == 3
-    assert fam.G(7, 1) == full[6]
-    assert [fam.G(7, k) for k in range(7, -1, -1)] == full
+    assert fam._gcache[7] == full[:3]
+    assert [fam.G(7, k) for k in (7, 6, 5)] == full[:3]
+    with pytest.raises(ValueError):
+        fam.G(7, 4)
+    with pytest.raises(ValueError):
+        fam.derivative_family(1).G(6, 3)
+    assert list(fam._gcache) == [7]
 
 
 def test_relations_make_no_shift_products(monkeypatch):
     # every leading inverse of a monic family is None and every one of its
-    # Q families is diagonal, so the coefficient match makes no product at
-    # all: a 0/1 shift X_0 only selects rows of the accumulation
+    # Q families is diagonal, so the coefficient match makes no
+    # RationalMatrix product at all: a 0/1 shift X_0 only selects rows of the
+    # accumulation, and a diagonal inverse is one pass of the product kernel
     pde = appell_pde(AppellParams(2, 3))
     fam = build_monic(pde, 9)
     monic_ttrr.cache_clear()  # solve the closed forms under the recorder

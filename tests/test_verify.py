@@ -6,7 +6,9 @@ import pytest
 
 from opde.families import AppellParams, appell_pde
 from opde.pde import HypergeometricPDE
-from opde.verify import run_verification
+from opde.poly import X, Y
+from opde.vectors import PolyVector
+from opde.verify import SuiteResult, run_verification
 
 
 def test_all_suites_pass_for_monic(p23):
@@ -47,6 +49,27 @@ def test_fault_injection_pinpoints(p11):
 def test_fault_that_cannot_be_injected_is_rejected(p11, big_n, corrupt):
     with pytest.raises(ValueError):
         run_verification(appell_pde(p11), big_n, corrupt=corrupt)
+
+
+@pytest.mark.parametrize("family", ["monic", "koornwinder"])
+def test_negative_degree_bound_is_rejected(p23, family, monkeypatch):
+    # rejected before any suite runs, as build_monic rejects it
+    def no_suite(self, name, note=None):
+        raise AssertionError(f"suite {name} opened")
+
+    monkeypatch.setattr(SuiteResult, "__init__", no_suite)
+    with pytest.raises(ValueError, match="degree bound must be nonnegative"):
+        run_verification(appell_pde(p23), -1, family=family)
+
+
+def test_agree_fails_on_a_length_mismatch():
+    suite = SuiteResult("lengths")
+    short, long = PolyVector([X, Y]), PolyVector([X, Y, X * Y])
+    suite.agree(short, long, "n=1")
+    suite.agree(long, short, "n=2")
+    suite.agree(long, long, "n=3")
+    assert suite.checks == 3
+    assert suite.failures == ["n=1 length=2 against 3", "n=2 length=3 against 2"]
 
 
 def test_unknown_family_is_rejected(p23):
