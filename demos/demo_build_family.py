@@ -47,8 +47,8 @@ print("second subleading matrix at degree 3:")
 print(matrix_to_json(g2))
 
 # Recurrence matrices in closed form; x * P_2 = A P_3 + B P_2 + C P_1 exactly.
-t = monic_ttrr(pde, 2)
+(_, b1, c1), _ = monic_ttrr(pde, 2)
 print("\ndegree-2 recurrence matrix B (x axis):")
-print(matrix_to_json(t.b1))
+print(matrix_to_json(b1))
 print("degree-2 recurrence matrix C (x axis):")
-print(matrix_to_json(t.c1))
+print(matrix_to_json(c1))

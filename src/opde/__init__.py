@@ -16,11 +16,11 @@ from .poly import ONE, X, Y, ZERO, BivariatePoly, pochhammer, rat
 from .vectors import (PolyVector, PolyVectorFamily, apply_matrix, combine,
                       derivative_matrix, expansion_matrices,
                       joint_left_inverse, monomial_vector, shift_matrix)
-from .monic import (MonicFamily, TtrrSet, build_monic, monic_ttrr,
-                    pde_residual, solve_monic, subleading_matrices)
-from .relations import (DerivRep, DerivativeFamily, QTtrr, Relations,
-                        StructureSet, derivative_representation, derivative_ttrr,
-                        general_ttrr, monic_derivative_representation,
+from .monic import (MonicFamily, build_monic, monic_ttrr, pde_residual,
+                    solve_monic, subleading_matrices)
+from .relations import (DerivativeFamily, Relations, derivative_representation,
+                        derivative_ttrr, general_ttrr,
+                        monic_derivative_representation,
                         monic_structure_matrices, structure_matrices)
 from .weights import (PhiCase, WeightSpec, classify_phi, log_derivative,
                       phi_pair_consistent, shifted_weight, verify_pearson)

@@ -274,53 +274,58 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _parser() -> argparse.ArgumentParser:
+_COMMANDS = {  # command: (handler, help line)
+    "check": (cmd_check, "admissibility / self-adjointness report"),
+    "classify": (cmd_classify, "matching weight-factor cases"),
+    "build": (cmd_build, "family vectors and matrices"),
+    "rodrigues": (cmd_rodrigues, "Rodrigues outputs up to total degree N"),
+    "verify": (cmd_verify, "run all invariant suites"),
+}
+
+
+def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
+    p.add_argument("--pde", help="equation coefficients as JSON (file path or - for stdin)")
+    p.add_argument("--alpha", help="triangle weight exponent parameter, e.g. 3/2")
+    p.add_argument("--beta", help="triangle weight exponent parameter")
+    p.add_argument("-N", "--degree", type=int, default=6,
+                   help="degree bound (default 6)")
+    if command != "verify":
+        p.add_argument("--format", choices=("json", "latex", "pretty"),
+                       default="json")
+    p.add_argument("--out", help="write output to a file instead of stdout")
+    if command in ("build", "verify"):
+        p.add_argument("--family", choices=FAMILIES, default="monic")
+    if command == "rodrigues":
+        p.add_argument("--weight", help="weight specification JSON (with --pde)")
+    if command == "verify":
+        p.add_argument("--corrupt", choices=("ttrr-b1",),
+                       help="testing aid: inject a fault to confirm detection")
+
+
+def _parser(argv: List[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``: every command is registered, but only the
+    one ``argv`` names gets its arguments, since one process runs one
+    command.  argparse dispatches on the first positional token, and the
+    top-level parser takes no option with a value, so the first token that
+    names a command is the one that runs, if any does."""
     top = _ArgumentParser(
         prog="opde",
         description="Exact bivariate orthogonal polynomial families from "
                     "admissible second-order equations of hypergeometric type.")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, family: bool = False,
-               formats: bool = True) -> None:
-        p.add_argument("--pde", help="equation coefficients as JSON (file path or - for stdin)")
-        p.add_argument("--alpha", help="triangle weight exponent parameter, e.g. 3/2")
-        p.add_argument("--beta", help="triangle weight exponent parameter")
-        p.add_argument("-N", "--degree", type=int, default=6,
-                       help="degree bound (default 6)")
-        if formats:
-            p.add_argument("--format", choices=("json", "latex", "pretty"),
-                           default="json")
-        p.add_argument("--out", help="write output to a file instead of stdout")
-        if family:
-            p.add_argument("--family", choices=FAMILIES, default="monic")
-
-    common(sub.add_parser("check", help="admissibility / self-adjointness report"))
-    common(sub.add_parser("classify", help="matching weight-factor cases"))
-    common(sub.add_parser("build", help="family vectors and matrices"), family=True)
-    rod = sub.add_parser("rodrigues", help="Rodrigues outputs up to total degree N")
-    common(rod)
-    rod.add_argument("--weight", help="weight specification JSON (with --pde)")
-    ver = sub.add_parser("verify", help="run all invariant suites")
-    common(ver, family=True, formats=False)
-    ver.add_argument("--corrupt", choices=("ttrr-b1",),
-                     help="testing aid: inject a fault to confirm detection")
+    command = next((a for a in argv if a in _COMMANDS), None)
+    for name, (_, help_line) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if name == command:
+            _add_arguments(p, name)
     return top
-
-
-_COMMANDS = {
-    "check": cmd_check,
-    "classify": cmd_classify,
-    "build": cmd_build,
-    "rodrigues": cmd_rodrigues,
-    "verify": cmd_verify,
-}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     try:
-        args = _parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        argv = sys.argv[1:] if argv is None else argv
+        args = _parser(argv).parse_args(argv)
+        return _COMMANDS[args.command][0](args)
     except CliError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return ex.code

@@ -21,6 +21,10 @@ suite:
     the equation and all expansion matrices are solved for degree by degree,
     using nothing but symbolic differentiation and exact linear algebra.
 
+The recurrence routes (``general_ttrr``, ``monic_ttrr``) return what
+``vectors.peel`` solves, one triple per axis, axis 1 first: (A, B, C) of
+x_j P_n = A P_{n+1} + B P_n + C P_{n-1}, with C None at n = 0.
+
 Entry tables are written 1-based in the classical references; this module is
 the single place where they are translated to 0-based indexing.
 """
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import inf, lcm
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import InconsistentRecursion, NotAdmissible, SingularMatrix
 from .matrix import RationalMatrix
@@ -92,26 +96,6 @@ def subleading_matrices(pde: HypergeometricPDE, n: int
     return gnm1, RationalMatrix.from_integers(g2, 2 * w1 * w2)
 
 
-class TtrrSet(NamedTuple):
-    """Recurrence matrices of x_j * P_n = A P_{n+1} + B P_n + C P_{n-1} on
-    both axes; C is absent at n = 0."""
-
-    n: int
-    a1: RationalMatrix
-    b1: RationalMatrix
-    c1: Optional[RationalMatrix]
-    a2: RationalMatrix
-    b2: RationalMatrix
-    c2: Optional[RationalMatrix]
-
-    def axis(self, j: int):
-        if j == 1:
-            return self.a1, self.b1, self.c1
-        if j == 2:
-            return self.a2, self.b2, self.c2
-        raise ValueError("axis must be 1 or 2")
-
-
 _Triple = Tuple[RationalMatrix, RationalMatrix, Optional[RationalMatrix]]
 
 
@@ -150,14 +134,14 @@ def _ttrr_axis(fam: PolyVectorFamily, n: int, j: int) -> _Triple:
     return peel(layers, fam, n + 1)
 
 
-def general_ttrr(fam: PolyVectorFamily, n: int) -> TtrrSet:
-    """Recurrence matrices of an orthogonal family from its expansion
-    matrices; requires the family through degree n+1."""
-    return TtrrSet(n, *_ttrr_axis(fam, n, 1), *_ttrr_axis(fam, n, 2))
+def general_ttrr(fam: PolyVectorFamily, n: int) -> Tuple[_Triple, _Triple]:
+    """(A, B, C) on axis 1 and on axis 2 for an orthogonal family, from its
+    expansion matrices; requires the family through degree n+1."""
+    return _ttrr_axis(fam, n, 1), _ttrr_axis(fam, n, 2)
 
 
 @lru_cache(maxsize=None)
-def monic_ttrr(pde: HypergeometricPDE, n: int) -> TtrrSet:
+def monic_ttrr(pde: HypergeometricPDE, n: int) -> Tuple[_Triple, _Triple]:
     """Closed-form recurrence matrices of the monic family: the general
     route run on the closed-form layers, once per (pde, n), since both
     ``build_monic`` and the recurrence checks read them.  A is the shift
@@ -187,11 +171,9 @@ def build_monic(pde: HypergeometricPDE, big_n: int) -> MonicFamily:
     check_class(pde)
     vectors: List[PolyVector] = [PolyVector([BivariatePoly.const(1)])]
     for n in range(big_n):
-        t = monic_ttrr(pde, n)
         eye = RationalMatrix.identity(n + 1)
         rows = []
-        for j, shift in ((1, (1, 0)), (2, (0, 1))):
-            _, b, c = t.axis(j)
+        for (_, b, c), shift in zip(monic_ttrr(pde, n), ((1, 0), (0, 1))):
             pairs = [(eye, vectors[n], shift), (-b, vectors[n])]
             if c is not None:
                 pairs.append((-c, vectors[n - 1]))

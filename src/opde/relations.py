@@ -37,10 +37,15 @@ equation.
 ``DerivativeFamily`` is defined beside its base in ``vectors`` and
 re-exported here.
 
-The derivative representation is produced in two layouts: the wide form (V,
-Y, Z) acting on the raw derivative vectors, and the compact form acting on
-the Q vectors.  The compact form is the unique one and is what closed-form
-entry tables list; the wide form follows by composing with shift matrices.
+Every route returns what ``vectors.peel`` solves, the three matrices of one
+axis in the order of the relation's right-hand side: (A, B, C), (W, S, T)
+and (V, Y, Z).  The recurrence and structure routes return one triple per
+axis, axis 1 first; ``derivative_ttrr`` and the derivative representation
+return the triple of their one axis.  The derivative representation is in
+its compact form, acting on Q_n, Q_{n-1}, Q_{n-2}: it is the unique one and
+what closed-form entry tables list.  The wide form acting on the raw
+derivative vectors is the compact one composed with the shift matrices;
+``Relations.matrices`` forms it for printing.
 
 ``Relations`` is the relation table of one family through a degree bound:
 it classifies the weight-shift factors once and solves every general
@@ -52,72 +57,21 @@ commands see the same matrices under the same names.
 from __future__ import annotations
 
 from math import lcm
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import NoCaseMatches, PhiDegreeTooHigh
 from .matrix import RationalMatrix
-from .monic import TtrrSet, _Triple, _ttrr_axis, general_ttrr, monic_layers
+from .monic import _Triple, _ttrr_axis, general_ttrr, monic_layers
 from .pde import HypergeometricPDE
 from .poly import BivariatePoly
 from .vectors import DerivativeFamily, PolyVectorFamily, peel, times_shift
 from .weights import PhiCase, classify_phi
 
 
-class QTtrr(NamedTuple):
-    """Recurrence triple of the derivative family, for its own axis."""
-
-    n: int
-    axis: int
-    a: RationalMatrix
-    b: RationalMatrix
-    c: Optional[RationalMatrix]
-
-
-class StructureSet(NamedTuple):
-    n: int
-    w1: RationalMatrix
-    s1: RationalMatrix
-    t1: RationalMatrix
-    w2: RationalMatrix
-    s2: RationalMatrix
-    t2: RationalMatrix
-
-    def axis(self, j: int):
-        if j not in (1, 2):
-            raise ValueError("axis must be 1 or 2")
-        return (self.w1, self.s1, self.t1) if j == 1 else (self.w2, self.s2, self.t2)
-
-
-class DerivRep(NamedTuple):
-    """Derivative representation along one axis.  The compact triple acts
-    on Q_n, Q_{n-1}, Q_{n-2}; the wide triple (v, y, z) acts on the raw
-    derivatives and is the compact one composed with the shift matrices,
-    since Q_k = shift(k, axis) @ dP_{k+1}."""
-
-    n: int
-    axis: int
-    v_compact: RationalMatrix
-    y_compact: RationalMatrix
-    z_compact: RationalMatrix
-
-    @property
-    def v(self) -> RationalMatrix:
-        return times_shift(self.v_compact, self.axis)
-
-    @property
-    def y(self) -> RationalMatrix:
-        return times_shift(self.y_compact, self.axis)
-
-    @property
-    def z(self) -> RationalMatrix:
-        return times_shift(self.z_compact, self.axis)
-
-
-def derivative_ttrr(qfam: DerivativeFamily, n: int) -> QTtrr:
-    """Unique recurrence of the derivative family along its own axis,
-    read off the Q family's expansion matrices."""
-    a, b, c = _ttrr_axis(qfam, n, qfam.axis)
-    return QTtrr(n, qfam.axis, a, b, c)
+def derivative_ttrr(qfam: DerivativeFamily, n: int) -> _Triple:
+    """Unique recurrence (A~, B~, C~) of the derivative family along its own
+    axis, read off the Q family's expansion matrices."""
+    return _ttrr_axis(qfam, n, qfam.axis)
 
 
 def _structure_axis(fam: PolyVectorFamily, phi: BivariatePoly, n: int, j: int) -> _Triple:
@@ -150,25 +104,23 @@ def _structure_axis(fam: PolyVectorFamily, phi: BivariatePoly, n: int, j: int) -
 
 
 def structure_matrices(fam: PolyVectorFamily, phi1: BivariatePoly,
-                       phi2: BivariatePoly, n: int) -> StructureSet:
-    """W, S, T for both axes by coefficient matching (valid for any
-    orthogonal family, n >= 1; family needed through degree n+1)."""
-    return StructureSet(n, *_structure_axis(fam, phi1, n, 1), *_structure_axis(fam, phi2, n, 2))
+                       phi2: BivariatePoly, n: int) -> Tuple[_Triple, _Triple]:
+    """(W, S, T) on axis 1 and on axis 2 by coefficient matching (valid for
+    any orthogonal family, n >= 1; family needed through degree n+1)."""
+    return _structure_axis(fam, phi1, n, 1), _structure_axis(fam, phi2, n, 2)
 
 
 def monic_structure_matrices(pde: HypergeometricPDE, phi1: BivariatePoly,
-                             phi2: BivariatePoly, n: int) -> StructureSet:
+                             phi2: BivariatePoly, n: int) -> Tuple[_Triple, _Triple]:
     """Closed-form W, S, T for the monic family (n >= 1): the general route
     run on the closed-form layers."""
     return structure_matrices(monic_layers(pde), phi1, phi2, n)
 
 
-def derivative_representation(fam: PolyVectorFamily, n: int, axis: int) -> DerivRep:
-    """General route (any orthogonal family, n >= 2): match coefficients of
-    P_n against the family's Q family, whose leading matrices are
-    invertible; this compact triple is unique.  The wide triple follows by
-    composing with the shift matrix, since Q_k is by definition
-    shift @ dP_{k+1}.
+def derivative_representation(fam: PolyVectorFamily, n: int, axis: int) -> _Triple:
+    """Compact (V, Y, Z) by the general route (any orthogonal family,
+    n >= 2): match coefficients of P_n against the family's Q family, whose
+    leading matrices are invertible; this triple is unique.
 
     (A construction via recurrence differences against a lifted derivative
     recurrence is only valid when the family's edge entries are univariate,
@@ -178,10 +130,10 @@ def derivative_representation(fam: PolyVectorFamily, n: int, axis: int) -> Deriv
         raise ValueError("derivative representation starts at n = 2")
     qfam = fam.derivative_family(axis)
     layers = [fam.G(n, k) for k in (n, n - 1, n - 2)]
-    return DerivRep(n, axis, *peel(layers, qfam, n))
+    return peel(layers, qfam, n)
 
 
-def monic_derivative_representation(pde: HypergeometricPDE, n: int, axis: int) -> DerivRep:
+def monic_derivative_representation(pde: HypergeometricPDE, n: int, axis: int) -> _Triple:
     """Closed-form route for the monic family, n >= 2: the general route run
     on the closed-form layers, whose Q family has diagonal leading matrices."""
     return derivative_representation(monic_layers(pde), n, axis)
@@ -197,9 +149,10 @@ class Relations:
 
     def __init__(self, fam: PolyVectorFamily, pde: HypergeometricPDE, big_n: int):
         self.fam = fam
-        self.ttrr: List[TtrrSet] = [general_ttrr(fam, n) for n in range(big_n + 1)]
+        self.ttrr: List[Tuple[_Triple, _Triple]] = [
+            general_ttrr(fam, n) for n in range(big_n + 1)]
         self.cases: List[PhiCase] = []
-        self.structure: Dict[int, StructureSet] = {}
+        self.structure: Dict[int, Tuple[_Triple, _Triple]] = {}
         self.skipped: Optional[str] = None
         try:
             self.cases = classify_phi(pde)
@@ -209,7 +162,7 @@ class Relations:
                 self.structure[n] = structure_matrices(fam, phi1, phi2, n)
         except (NoCaseMatches, PhiDegreeTooHigh) as ex:
             self.skipped = f"skipped: {ex}"
-        self.deriv: Dict[Tuple[int, int], DerivRep] = {
+        self.deriv: Dict[Tuple[int, int], _Triple] = {
             (n, j): derivative_representation(fam, n, j)
             for n in range(2, big_n + 1) for j in (1, 2)}
 
@@ -217,18 +170,19 @@ class Relations:
         """Every matrix solved at degree n under its printed name: A, B
         (and C from n = 1) per axis, then W, S, T per axis when the
         structure relations were solved, then V, Y, Z per axis from n = 2,
-        in the wide form or, with ``compact``, the compact form."""
-        t = self.ttrr[n]
-        out = {"A1": t.a1, "B1": t.b1, "A2": t.a2, "B2": t.b2}
+        in the wide form or, with ``compact``, the compact form.  The wide
+        form acts on the raw derivatives: it is the compact one composed
+        with the shift, since Q_k = shift(k, axis) @ dP_{k+1}/dx_axis."""
+        (a1, b1, c1), (a2, b2, c2) = self.ttrr[n]
+        out = {"A1": a1, "B1": b1, "A2": a2, "B2": b2}
         if n >= 1:
-            out.update(C1=t.c1, C2=t.c2)
+            out.update(C1=c1, C2=c2)
         if n in self.structure:
-            st = self.structure[n]
-            out.update(W1=st.w1, S1=st.s1, T1=st.t1, W2=st.w2, S2=st.s2, T2=st.t2)
+            for j, st in enumerate(self.structure[n], 1):
+                out[f"W{j}"], out[f"S{j}"], out[f"T{j}"] = st
         if n >= 2:
             for j in (1, 2):
                 dr = self.deriv[n, j]
                 out[f"V{j}"], out[f"Y{j}"], out[f"Z{j}"] = (
-                    (dr.v_compact, dr.y_compact, dr.z_compact) if compact
-                    else (dr.v, dr.y, dr.z))
+                    dr if compact else (times_shift(m, j) for m in dr))
         return out

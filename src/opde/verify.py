@@ -146,42 +146,41 @@ def run_verification(pde: HypergeometricPDE, big_n: int, family: str = "monic",
     for n in range(big_n + 1):
         t = rel.ttrr[n]
         if family == "monic":
-            tc = monic_ttrr(pde, n)
-            for j in (1, 2):
-                ttrr.check(t.axis(j) == tc.axis(j),
-                           f"n={n} axis={j} closed-form/general mismatch")
+            for j, (got, want) in enumerate(zip(t, monic_ttrr(pde, n)), 1):
+                ttrr.check(got == want, f"n={n} axis={j} closed-form/general mismatch")
         if corrupt == "ttrr-b1" and n == 1:
-            t = t._replace(b1=_corrupt_matrix(t.b1))
-        for j, var in ((1, X), (2, Y)):
-            ttrr.agree(fam.vector(n).scale(var),
-                       _three_term(t.axis(j), fam.vector, n + 1), f"n={n} axis={j}")
+            (a1, b1, c1), t2 = t
+            t = (a1, _corrupt_matrix(b1), c1), t2
+        for j, (var, abc) in enumerate(zip((X, Y), t), 1):
+            ttrr.agree(fam.vector(n).scale(var), _three_term(abc, fam.vector, n + 1),
+                       f"n={n} axis={j}")
     results.append(ttrr.finish())
 
     qttrr = SuiteResult("derivative-family-ttrr")
     for j, var in ((1, X), (2, Y)):
         qfam = fam.derivative_family(j)
         for n in range(big_n + 1):
-            qt = derivative_ttrr(qfam, n)
-            rhs = _three_term((qt.a, qt.b, qt.c), qfam.vector, n + 1)
+            rhs = _three_term(derivative_ttrr(qfam, n), qfam.vector, n + 1)
             qttrr.agree(qfam.vector(n).scale(var), rhs, f"n={n} axis={j}")
     results.append(qttrr.finish())
 
     struct = SuiteResult("structure-identity", note=rel.skipped)
     for n, st in rel.structure.items():
-        phi = {1: rel.cases[0].phi10, 2: rel.cases[0].phi01}
-        for j in (1, 2):
-            lhs = fam.vector(n).diff(j).scale(phi[j])
-            struct.agree(lhs, _three_term(st.axis(j), fam.vector, n + 1), f"n={n} axis={j}")
+        phi = (rel.cases[0].phi10, rel.cases[0].phi01)
+        for j, (p, wst) in enumerate(zip(phi, st), 1):
+            lhs = fam.vector(n).diff(j).scale(p)
+            struct.agree(lhs, _three_term(wst, fam.vector, n + 1), f"n={n} axis={j}")
         if family == "monic":
-            sm = monic_structure_matrices(pde, phi[1], phi[2], n)
-            for j in (1, 2):
-                struct.check(sm.axis(j) == st.axis(j),
-                             f"n={n} axis={j} closed-form/general mismatch")
+            sm = monic_structure_matrices(pde, *phi, n)
+            for j, (got, want) in enumerate(zip(sm, st), 1):
+                struct.check(got == want, f"n={n} axis={j} closed-form/general mismatch")
     results.append(struct.finish())
 
+    # P_n = V Q_n + Y Q_{n-1} + Z Q_{n-2} on the compact triple: the same
+    # identity as the wide one on the raw derivatives, as Q_k = shift @ dP_{k+1}
     deriv = SuiteResult("derivative-representation")
     for (n, j), dr in rel.deriv.items():
-        rhs = _three_term((dr.v, dr.y, dr.z), lambda k: fam.vector(k).diff(j), n + 1)
+        rhs = _three_term(dr, fam.derivative_family(j).vector, n)
         deriv.agree(fam.vector(n), rhs, f"n={n} axis={j}")
         if family == "monic":
             deriv.check(monic_derivative_representation(pde, n, j) == dr,

@@ -19,7 +19,7 @@ from opde.monic import build_monic, monic_ttrr, pde_residual, subleading_matrice
 from opde.poly import X, Y
 from opde.relations import (DerivativeFamily, derivative_representation,
                             derivative_ttrr, general_ttrr, structure_matrices)
-from opde.vectors import apply_matrix
+from opde.vectors import apply_matrix, times_shift
 from opde.weights import classify_phi, shifted_weight, verify_pearson
 
 POINTS = (AppellParams(1, 1), AppellParams(2, 3))
@@ -62,34 +62,33 @@ def test_criterion_03_golden_agreement(p11, fam11, p23, fam23):
         for p, fam in ((p11, fam11), (p23, fam23)):
             case = appell_phi_case(p)
             for n in range(8):
-                t = general_ttrr(fam, n)
-                assert golden_matrix(p.alpha, p.beta, n, "B1") == t.b1
-                assert golden_matrix(p.alpha, p.beta, n, "B2") == t.b2
+                (_, b1, c1), (_, b2, c2) = general_ttrr(fam, n)
+                assert golden_matrix(p.alpha, p.beta, n, "B1") == b1
+                assert golden_matrix(p.alpha, p.beta, n, "B2") == b2
                 if n >= 1:
-                    assert golden_matrix(p.alpha, p.beta, n, "C1") == t.c1
-                    assert golden_matrix(p.alpha, p.beta, n, "C2") == t.c2
+                    assert golden_matrix(p.alpha, p.beta, n, "C1") == c1
+                    assert golden_matrix(p.alpha, p.beta, n, "C2") == c2
                     st = structure_matrices(fam, case.phi10, case.phi01, n)
-                    for j in (1, 2):
-                        w, s, tt = st.axis(j)
+                    for j, (w, s, tt) in enumerate(st, 1):
                         assert golden_matrix(p.alpha, p.beta, n, f"W{j}") == w
                         assert golden_matrix(p.alpha, p.beta, n, f"S{j}") == s
                         assert golden_matrix(p.alpha, p.beta, n, f"T{j}") == tt
                 if n >= 2:
                     for j in (1, 2):
-                        dr = derivative_representation(fam, n, j)
-                        assert golden_matrix(p.alpha, p.beta, n, f"V{j}") == dr.v_compact
-                        assert golden_matrix(p.alpha, p.beta, n, f"Y{j}") == dr.y_compact
-                        assert golden_matrix(p.alpha, p.beta, n, f"Z{j}") == dr.z_compact
+                        v, y, z = derivative_representation(fam, n, j)
+                        assert golden_matrix(p.alpha, p.beta, n, f"V{j}") == v
+                        assert golden_matrix(p.alpha, p.beta, n, f"Y{j}") == y
+                        assert golden_matrix(p.alpha, p.beta, n, f"Z{j}") == z
 
 
 def test_criterion_04_spot_values(p11, p23):
     with criterion(4, "recurrence spot values: B_0 entries and the 1/18 corner"):
         for p in (p11, p23):
-            t0 = monic_ttrr(appell_pde(p), 0)
-            assert t0.b1[0, 0] == p.alpha / (p.alpha + p.beta + 1)
-            assert t0.b2[0, 0] == p.beta / (p.alpha + p.beta + 1)
-        t1 = monic_ttrr(appell_pde(p11), 1)
-        assert t1.c1[0, 0] == Fraction(1, 18)
+            (_, b1, _), (_, b2, _) = monic_ttrr(appell_pde(p), 0)
+            assert b1[0, 0] == p.alpha / (p.alpha + p.beta + 1)
+            assert b2[0, 0] == p.beta / (p.alpha + p.beta + 1)
+        (_, _, c1), _ = monic_ttrr(appell_pde(p11), 1)
+        assert c1[0, 0] == Fraction(1, 18)
 
 
 def test_criterion_05_orthogonality(p11, fam11, p23, fam23):
@@ -119,9 +118,7 @@ def test_criterion_06_identity_suites(fam11, fam23):
             case = classify_phi(fam.pde)[0]
             phi = {1: case.phi10, 2: case.phi01}
             for n in range(8):
-                t = general_ttrr(fam, n)
-                for j, var in ((1, X), (2, Y)):
-                    a, b, c = t.axis(j)
+                for j, (var, (a, b, c)) in enumerate(zip((X, Y), general_ttrr(fam, n)), 1):
                     rhs = apply_matrix(a, fam.vector(n + 1)) + apply_matrix(b, fam.vector(n))
                     if c is not None:
                         rhs = rhs + apply_matrix(c, fam.vector(n - 1))
@@ -129,15 +126,14 @@ def test_criterion_06_identity_suites(fam11, fam23):
             for j, var in ((1, X), (2, Y)):
                 qfam = DerivativeFamily(fam, j)
                 for n in range(8):
-                    qt = derivative_ttrr(qfam, n)
-                    rhs = apply_matrix(qt.a, qfam.vector(n + 1)) + apply_matrix(qt.b, qfam.vector(n))
-                    if qt.c is not None:
-                        rhs = rhs + apply_matrix(qt.c, qfam.vector(n - 1))
+                    a, b, c = derivative_ttrr(qfam, n)
+                    rhs = apply_matrix(a, qfam.vector(n + 1)) + apply_matrix(b, qfam.vector(n))
+                    if c is not None:
+                        rhs = rhs + apply_matrix(c, qfam.vector(n - 1))
                     assert qfam.vector(n).scale(var) == rhs, ("q-ttrr", n, j)
             for n in range(1, 8):
                 st = structure_matrices(fam, phi[1], phi[2], n)
-                for j in (1, 2):
-                    w, s, tt = st.axis(j)
+                for j, (w, s, tt) in enumerate(st, 1):
                     lhs = fam.vector(n).diff(j).scale(phi[j])
                     rhs = (apply_matrix(w, fam.vector(n + 1))
                            + apply_matrix(s, fam.vector(n))
@@ -145,10 +141,11 @@ def test_criterion_06_identity_suites(fam11, fam23):
                     assert lhs == rhs, ("structure", n, j)
             for n in range(2, 8):
                 for j in (1, 2):
-                    dr = derivative_representation(fam, n, j)
-                    rhs = (apply_matrix(dr.v, fam.vector(n + 1).diff(j))
-                           + apply_matrix(dr.y, fam.vector(n).diff(j))
-                           + apply_matrix(dr.z, fam.vector(n - 1).diff(j)))
+                    # the wide V, Y, Z act on the raw derivatives
+                    v, y, z = (times_shift(m, j) for m in derivative_representation(fam, n, j))
+                    rhs = (apply_matrix(v, fam.vector(n + 1).diff(j))
+                           + apply_matrix(y, fam.vector(n).diff(j))
+                           + apply_matrix(z, fam.vector(n - 1).diff(j)))
                     assert rhs == fam.vector(n), ("derivrep", n, j)
 
 

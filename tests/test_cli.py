@@ -479,6 +479,51 @@ def test_help_exits_0(capsys):
     assert "--family" in capsys.readouterr().out
 
 
+# sha256 of what each argv prints at an 80-column terminal, on stdout for
+# the help texts and on stderr for the unknown command; argparse's layout and
+# wording vary between Python versions, so these hold for Python 3.11
+HELP_DIGESTS = {
+    "--help": "777f9f01ff8f1aa9b6663d5e55d969cd0a57d46f90d37a45360557f56a0020e9",
+    "check --help": "98ffa664b934d4c7cf0c49cc7106f04d469772896447837df1719c4877a3fd39",
+    "classify --help": "191249dfa4ef5ef3ec9d68893c5e2cdf75ab6ec5ab014e794e75bb878f792bf0",
+    "build --help": "899ccdc5ed14aa45108f0b3e9819c9d1bade8d9a446a54dbc257543b72c70f99",
+    "rodrigues --help": "3f52e09981d803edb2830c63bcd40fe0953aba7ab65905a1777d65d0cde2da86",
+    "verify --help": "7b21895417c5a531676d5f4821ee36c427a8a03c4325ca6090a7543dd5ae62a1",
+    "bogus": "7cd8ae007f89821dae3d061654891db665afd1285c5f4e004e6df2f706f85c07",
+}
+COMMANDS = ("check", "classify", "build", "rodrigues", "verify")
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the digests pin Python 3.11's argparse layout")
+@pytest.mark.parametrize("argv", sorted(HELP_DIGESTS))
+def test_help_and_unknown_command_text_is_pinned(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    if argv == "bogus":
+        assert main(["bogus"]) == 1
+        out, text = capsys.readouterr()
+    else:
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv.split())
+        assert exit_info.value.code == 0
+        text, err = capsys.readouterr()
+        assert err == ""
+    assert hashlib.sha256(text.encode()).hexdigest() == HELP_DIGESTS[argv]
+
+
+def test_parser_gives_arguments_to_the_named_command_only():
+    # one process runs one command: every command is registered, but only
+    # the one the arguments name gets its options
+    for command in COMMANDS:
+        parser = cli._parser([command, "-N", "3"])
+        assert parser.parse_args([command, "-N", "3"]).degree == 3
+        for other in set(COMMANDS) - {command}:
+            with pytest.raises(cli.CliError, match="^unrecognized arguments: -N 3$"):
+                parser.parse_args([other, "-N", "3"])
+    with pytest.raises(cli.CliError, match="invalid choice: 'bogus'"):
+        cli._parser(["bogus"]).parse_args(["bogus"])
+
+
 @pytest.mark.parametrize("family", ["monic", "appell-F", "koornwinder"])
 def test_build_family_one_degree_above_n(family, monkeypatch, capsys):
     # build reads the family up to degree N+1; one degree more changes nothing

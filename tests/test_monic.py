@@ -15,7 +15,8 @@ from opde.monic import (build_monic, monic_ttrr, pde_residual, solve_monic,
 from opde.pde import (HypergeometricPDE, check_admissible, discriminant,
                       is_potentially_self_adjoint)
 from opde.poly import BivariatePoly, X, Y
-from opde.relations import StructureSet, general_ttrr, monic_derivative_representation
+from opde.relations import (_structure_axis, derivative_representation, general_ttrr,
+                            monic_derivative_representation, monic_structure_matrices)
 from opde.serialize import pde_from_json
 from opde.vectors import PolyVector, apply_matrix, combine, joint_left_inverse
 from opde.verify import run_verification
@@ -72,13 +73,13 @@ def test_subleading_matrices_reject_vanishing_varpi(coeffs, root):
 
 def test_monic_ttrr_small_values():
     pde = appell_pde(AppellParams(1, 1))
-    t0 = monic_ttrr(pde, 0)
-    assert t0.b1 == RationalMatrix([[Fraction(1, 3)]])
-    assert t0.b2 == RationalMatrix([[Fraction(1, 3)]])
-    assert t0.c1 is None
-    t1 = monic_ttrr(pde, 1)
-    assert t1.c1[0, 0] == Fraction(1, 18)
-    assert t1.a1 @ t1.a1.transpose() == RationalMatrix.identity(2)
+    (_, b1, c1), (_, b2, _) = monic_ttrr(pde, 0)
+    assert b1 == RationalMatrix([[Fraction(1, 3)]])
+    assert b2 == RationalMatrix([[Fraction(1, 3)]])
+    assert c1 is None
+    (a1, _, c1), _ = monic_ttrr(pde, 1)
+    assert c1[0, 0] == Fraction(1, 18)
+    assert a1 @ a1.transpose() == RationalMatrix.identity(2)
 
 
 def _random_admissible(rng):
@@ -100,16 +101,16 @@ def test_monic_ttrr_printed_low_degree_entries():
     rng = random.Random(20110113)
     for _ in range(12):
         p = _random_admissible(rng)
-        t0 = monic_ttrr(p, 0)
-        assert (t0.b1, t0.b2) == (RationalMatrix([[-p.f1 / p.e]]),
-                                  RationalMatrix([[-p.f2 / p.e]]))
+        (_, b1, _), (_, b2, _) = monic_ttrr(p, 0)
+        assert (b1, b2) == (RationalMatrix([[-p.f1 / p.e]]),
+                            RationalMatrix([[-p.f2 / p.e]]))
         den = p.e**2 * (p.a + p.e)
         mixed = (-p.d3 * p.e**2 + p.b3 * p.e * p.f1 + p.c3 * p.e * p.f2
                  - p.a * p.f1 * p.f2) / den
-        t1 = monic_ttrr(p, 1)
-        assert t1.c1 == RationalMatrix.column([
+        (_, _, c1), (_, _, c2) = monic_ttrr(p, 1)
+        assert c1 == RationalMatrix.column([
             (-p.c1 * p.e**2 + p.f1 * (p.b1 * p.e - p.a * p.f1)) / den, mixed])
-        assert t1.c2 == RationalMatrix.column([
+        assert c2 == RationalMatrix.column([
             mixed, (-p.c2 * p.e**2 + p.f2 * (p.b2 * p.e - p.a * p.f2)) / den])
 
 
@@ -258,9 +259,7 @@ def test_derivative_family_is_the_shifted_monic_family(pde):
 
 def test_closed_form_ttrr_matches_vectors(fam11):
     for n in range(4):
-        t = monic_ttrr(fam11.pde, n)
-        for axis, var in ((1, X), (2, Y)):
-            a, b, c = t.axis(axis)
+        for var, (a, b, c) in zip((X, Y), monic_ttrr(fam11.pde, n)):
             rhs = apply_matrix(a, fam11.vector(n + 1)) + apply_matrix(b, fam11.vector(n))
             if c is not None:
                 rhs = rhs + apply_matrix(c, fam11.vector(n - 1))
@@ -271,10 +270,10 @@ def test_joint_left_inverse_route_agrees(fam23):
     # the generalized-inverse form of the joint recursion, which averages the
     # entries both rows determine, gives the same vectors as build_monic
     for n in range(1, 6):
-        t = monic_ttrr(fam23.pde, n)
+        (_, b1, c1), (_, b2, c2) = monic_ttrr(fam23.pde, n)
         cur, prev = fam23.vector(n), fam23.vector(n - 1)
-        top = cur.scale(X) - apply_matrix(t.b1, cur) - apply_matrix(t.c1, prev)
-        bot = cur.scale(Y) - apply_matrix(t.b2, cur) - apply_matrix(t.c2, prev)
+        top = cur.scale(X) - apply_matrix(b1, cur) - apply_matrix(c1, prev)
+        bot = cur.scale(Y) - apply_matrix(b2, cur) - apply_matrix(c2, prev)
         stacked = PolyVector(list(top) + list(bot))
         assert apply_matrix(joint_left_inverse(n), stacked) == fam23.vector(n + 1)
 
@@ -286,9 +285,10 @@ def test_inconsistent_recursion_detected(monkeypatch):
         t = real(pde, n)
         if n != 2:
             return t
-        rows = t.b1.tolist()
+        (a1, b1, c1), t2 = t
+        rows = b1.tolist()
         rows[1][1] += 1  # row 0 alone would go unseen: only the x-row fixes entry 0
-        return t._replace(b1=RationalMatrix(rows))
+        return (a1, RationalMatrix(rows), c1), t2
 
     monkeypatch.setattr(monic, "monic_ttrr", corrupted)
     with pytest.raises(InconsistentRecursion) as info:
@@ -297,15 +297,24 @@ def test_inconsistent_recursion_detected(monkeypatch):
 
 
 def test_monic_ttrr_rejects_bad_axis():
-    t = monic_ttrr(appell_pde(AppellParams(2, 3)), 1)
-    assert t.axis(2) == (t.a2, t.b2, t.c2)
-    with pytest.raises(ValueError):
-        t.axis(3)
-    st = StructureSet(1, t.a1, t.b1, t.c1, t.a2, t.b2, t.c2)
-    assert st.axis(2) == (t.a2, t.b2, t.c2)
+    # the two-axis routes hold axis 1's triple, then axis 2's, and no third;
+    # the one-axis routes reject an axis other than 1 or 2
+    pde = appell_pde(AppellParams(2, 3))
+    layers = monic.monic_layers(pde)
+    t = monic_ttrr(pde, 1)
+    assert t[1] == monic._ttrr_axis(layers, 1, 2)
+    with pytest.raises(IndexError):
+        t[2]
+    phi = X * (1 - X - Y), Y * (1 - X - Y)
+    st = monic_structure_matrices(pde, *phi, 1)
+    assert st[1] == _structure_axis(layers, phi[1], 1, 2)
+    with pytest.raises(IndexError):
+        st[2]
     for j in (0, 3):
         with pytest.raises(ValueError):
-            st.axis(j)
+            monic_derivative_representation(pde, 2, j)
+        with pytest.raises(ValueError):
+            derivative_representation(build_monic(pde, 3), 2, j)
 
 
 def test_subleading_matrices_once_per_degree(monkeypatch):
@@ -352,8 +361,8 @@ def test_closed_form_family_never_caches_a_failed_degree():
         assert info.value.index == 4
     layers = monic.monic_layers(pde)
     assert 3 not in layers._gcache
-    t = general_ttrr(layers, 1)
-    assert t.a1 == RationalMatrix([[1, 0, 0], [0, 1, 0]])
+    (a1, _, _), _ = general_ttrr(layers, 1)
+    assert a1 == RationalMatrix([[1, 0, 0], [0, 1, 0]])
 
 
 def test_solve_monic_reports_only_singular_pivots(monkeypatch):
@@ -389,11 +398,11 @@ def test_recursion_rows_equal_scale_minus_combine(name):
     pde = RECURSION_EQUATIONS[name]
     fam = solve_monic(pde, 7)
     for n in range(7):
-        t = monic_ttrr(pde, n)
+        (_, b1, c1), (_, b2, c2) = monic_ttrr(pde, n)
         cur = fam.vector(n)
         prev = fam.vector(n - 1) if n else None
         eye = RationalMatrix.identity(n + 1)
-        for axis, var, shift, b, c in ((1, X, (1, 0), t.b1, t.c1), (2, Y, (0, 1), t.b2, t.c2)):
+        for axis, var, shift, b, c in ((1, X, (1, 0), b1, c1), (2, Y, (0, 1), b2, c2)):
             known = [(b, cur)] + ([(c, prev)] if n else [])
             shifted = combine([(eye, cur, shift)] + [(-m, v) for m, v in known])
             assert shifted == cur.scale(var) - combine(known), (n, axis)

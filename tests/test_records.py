@@ -5,20 +5,15 @@ import pytest
 from opde.families import AppellParams, appell_pde
 from opde.monic import monic_ttrr
 from opde.poly import ONE, X, Y
-from opde.relations import DerivRep, QTtrr, StructureSet
+from opde.relations import monic_derivative_representation, monic_structure_matrices
 from opde.rodrigues import WeightedExpr
 from opde.weights import PhiCase, WeightSpec
 
 P23 = AppellParams(2, 3)
 PDE = appell_pde(P23)
-TTRR = monic_ttrr(PDE, 1)
 RECORDS = [
     PDE,
     pytest.param(PDE.shifted(1, 0), id="HypergeometricPDE.shifted"),
-    TTRR,
-    QTtrr(1, 1, TTRR.a1, TTRR.b1, TTRR.c1),
-    StructureSet(1, TTRR.a1, TTRR.b1, TTRR.c1, TTRR.a2, TTRR.b2, TTRR.c2),
-    DerivRep(2, 1, TTRR.a1, TTRR.b1, TTRR.a2),
     PhiCase("-", "rho alone", ONE, ONE),
     P23,
     WeightSpec(1, 2, ((1 - X - Y, 3),)),
@@ -33,6 +28,22 @@ def test_record_fields_are_read_only(record):
         setattr(record, field, getattr(record, field))
     with pytest.raises(AttributeError):
         record.extra = 1  # no instance dict to put it in
+
+
+def test_relation_results_are_immutable():
+    # the closed-form routes cache their results per equation, so a caller
+    # must not be able to change one: each is a tuple of matrix triples
+    phi = X * (1 - X - Y), Y * (1 - X - Y)
+    for pair in (monic_ttrr(PDE, 1), monic_structure_matrices(PDE, *phi, 1)):
+        assert type(pair) is tuple and all(type(t) is tuple for t in pair)
+        with pytest.raises(TypeError):
+            pair[0] = pair[1]
+        with pytest.raises(TypeError):
+            pair[0][1] = pair[0][0]
+    triple = monic_derivative_representation(PDE, 2, 1)
+    assert type(triple) is tuple and len(triple) == 3
+    with pytest.raises(TypeError):
+        triple[0] = triple[1]
 
 
 def test_validated_records_still_validate():

@@ -19,28 +19,27 @@ from opde.relations import (DerivativeFamily, Relations, _structure_axis, _ttrr_
 from opde.serialize import pde_to_json
 from opde.vectors import (PolyVector, PolyVectorFamily, apply_matrix,
                           derivative_matrix, expansion_layers, expansion_matrices,
-                          peel, shift_matrix)
+                          peel, shift_matrix, times_shift)
 from opde.weights import classify_phi
 
 def test_general_ttrr_reduces_to_monic(fam11):
     for n in range(5):
         tg = general_ttrr(fam11, n)
         tm = monic_ttrr(fam11.pde, n)
-        assert tg.a1 == shift_matrix(n, 1) and tg.a2 == shift_matrix(n, 2)
-        for j in (1, 2):
-            assert all(x == y for x, y in zip(tg.axis(j), tm.axis(j)))
+        assert tg[0][0] == shift_matrix(n, 1) and tg[1][0] == shift_matrix(n, 2)
+        for g, m in zip(tg, tm):
+            assert all(x == y for x, y in zip(g, m))
 
 
 def test_general_ttrr_spot_value(fam11):
-    assert general_ttrr(fam11, 1).c1[0, 0] == Fraction(1, 18)
+    (_, _, c1), _ = general_ttrr(fam11, 1)
+    assert c1[0, 0] == Fraction(1, 18)
 
 
 def test_general_ttrr_nonmonic_family(p11):
     fvecs = PolyVectorFamily([nonmonic_F_vector(p11, n) for n in range(4)])
     for n in range(3):
-        t = general_ttrr(fvecs, n)
-        for j, var in ((1, X), (2, Y)):
-            a, b, c = t.axis(j)
+        for var, (a, b, c) in zip((X, Y), general_ttrr(fvecs, n)):
             rhs = apply_matrix(a, fvecs.vector(n + 1)) + apply_matrix(b, fvecs.vector(n))
             if c is not None:
                 rhs = rhs + apply_matrix(c, fvecs.vector(n - 1))
@@ -50,15 +49,15 @@ def test_general_ttrr_nonmonic_family(p11):
 def test_ttrr_uniqueness_perturbation(fam23):
     rng = random.Random(5)
     n = 3
-    t = general_ttrr(fam23, n)
-    for m, src in (("a", t.a1), ("b", t.b1), ("c", t.c1)):
+    (a1, b1, c1), _ = general_ttrr(fam23, n)
+    for m, src in (("a", a1), ("b", b1), ("c", c1)):
         rows = src.tolist()
         i = rng.randrange(src.nrows)
         k = rng.randrange(src.ncols)
         rows[i][k] += 1
         bad = RationalMatrix(rows)
-        a, b, c = (bad if m == "a" else t.a1, bad if m == "b" else t.b1,
-                   bad if m == "c" else t.c1)
+        a, b, c = (bad if m == "a" else a1, bad if m == "b" else b1,
+                   bad if m == "c" else c1)
         rhs = (apply_matrix(a, fam23.vector(n + 1)) + apply_matrix(b, fam23.vector(n))
                + apply_matrix(c, fam23.vector(n - 1)))
         assert fam23.vector(n).scale(X) != rhs
@@ -108,14 +107,14 @@ def test_derivative_ttrr_identity_and_dims(fam23):
     for axis, var in ((1, X), (2, Y)):
         qfam = DerivativeFamily(fam23, axis)
         for n in range(5):
-            qt = derivative_ttrr(qfam, n)
-            assert qt.a.shape == (n + 1, n + 2)
-            assert qt.b.shape == (n + 1, n + 1)
+            a, b, c = derivative_ttrr(qfam, n)
+            assert a.shape == (n + 1, n + 2)
+            assert b.shape == (n + 1, n + 1)
             if n >= 1:
-                assert qt.c.shape == (n + 1, n)
-            rhs = apply_matrix(qt.a, qfam.vector(n + 1)) + apply_matrix(qt.b, qfam.vector(n))
-            if qt.c is not None:
-                rhs = rhs + apply_matrix(qt.c, qfam.vector(n - 1))
+                assert c.shape == (n + 1, n)
+            rhs = apply_matrix(a, qfam.vector(n + 1)) + apply_matrix(b, qfam.vector(n))
+            if c is not None:
+                rhs = rhs + apply_matrix(c, qfam.vector(n - 1))
             assert qfam.vector(n).scale(var) == rhs
 
 
@@ -126,35 +125,35 @@ def test_canonical_lift_satisfies_wide_recurrence(fam23):
     axis, var = 1, X
     qfam = DerivativeFamily(fam23, axis)
     for n in range(1, 4):
-        qt = derivative_ttrr(qfam, n)
+        qa, qb, qc = derivative_ttrr(qfam, n)
         lt = shift_matrix(n, axis).transpose()
-        wide_a = lt @ qt.a @ shift_matrix(n + 1, axis)
-        wide_b = lt @ qt.b @ shift_matrix(n, axis)
-        wide_c = lt @ qt.c @ shift_matrix(n - 1, axis)
+        wide_a = lt @ qa @ shift_matrix(n + 1, axis)
+        wide_b = lt @ qb @ shift_matrix(n, axis)
+        wide_c = lt @ qc @ shift_matrix(n - 1, axis)
         lhs = fam23.vector(n + 1).diff(axis).scale(var)
         rhs = (apply_matrix(wide_a, fam23.vector(n + 2).diff(axis))
                + apply_matrix(wide_b, fam23.vector(n + 1).diff(axis))
                + apply_matrix(wide_c, fam23.vector(n).diff(axis)))
         assert lhs == rhs
-        assert shift_matrix(n, axis) @ wide_a @ shift_matrix(n + 1, axis).transpose() == qt.a
+        assert shift_matrix(n, axis) @ wide_a @ shift_matrix(n + 1, axis).transpose() == qa
 
 
 def test_structure_identity_small_n(fam11):
     case = appell_phi_case(AppellParams(1, 1))
-    st = structure_matrices(fam11, case.phi10, case.phi01, 1)
+    (w1, s1, t1), _ = structure_matrices(fam11, case.phi10, case.phi01, 1)
     lhs = fam11.vector(1).diff(1).scale(case.phi10)
-    rhs = (apply_matrix(st.w1, fam11.vector(2)) + apply_matrix(st.s1, fam11.vector(1))
-           + apply_matrix(st.t1, fam11.vector(0)))
+    rhs = (apply_matrix(w1, fam11.vector(2)) + apply_matrix(s1, fam11.vector(1))
+           + apply_matrix(t1, fam11.vector(0)))
     assert lhs == rhs
 
 
 def test_structure_band_values(fam23):
     case = appell_phi_case(AppellParams(2, 3))
     for n in (2, 4):
-        st = structure_matrices(fam23, case.phi10, case.phi01, n)
+        (w1, _, _), (w2, _, _) = structure_matrices(fam23, case.phi10, case.phi01, n)
         for i in range(n + 1):
-            assert st.w1[i, i] == i - n and st.w1[i, i + 1] == i - n
-            assert st.w2[i, i] == -i and st.w2[i, i + 1] == -i
+            assert w1[i, i] == i - n and w1[i, i + 1] == i - n
+            assert w2[i, i] == -i and w2[i, i + 1] == -i
 
 
 def test_monic_structure_closed_form_route(fam23):
@@ -162,8 +161,7 @@ def test_monic_structure_closed_form_route(fam23):
     for n in (3, 5):
         general = structure_matrices(fam23, case.phi10, case.phi01, n)
         closed = monic_structure_matrices(fam23.pde, case.phi10, case.phi01, n)
-        for j in (1, 2):
-            assert closed.axis(j) == general.axis(j)
+        assert closed == general
 
 
 CLOSED_FORM_EQUATIONS = {
@@ -212,27 +210,26 @@ def test_structure_rejects_quartic_phi(fam23):
 def test_derivative_representation_identity(fam23):
     for n in (2, 3):
         for axis in (1, 2):
-            dr = derivative_representation(fam23, n, axis)
-            rhs = (apply_matrix(dr.v, fam23.vector(n + 1).diff(axis))
-                   + apply_matrix(dr.y, fam23.vector(n).diff(axis))
-                   + apply_matrix(dr.z, fam23.vector(n - 1).diff(axis)))
+            # the wide V, Y, Z act on the raw derivatives
+            v, y, z = (times_shift(m, axis) for m in derivative_representation(fam23, n, axis))
+            rhs = (apply_matrix(v, fam23.vector(n + 1).diff(axis))
+                   + apply_matrix(y, fam23.vector(n).diff(axis))
+                   + apply_matrix(z, fam23.vector(n - 1).diff(axis)))
             assert rhs == fam23.vector(n)
-            assert dr.v.shape == (n + 1, n + 2)
-            assert dr.y.shape == (n + 1, n + 1)
-            assert dr.z.shape == (n + 1, n)
+            assert v.shape == (n + 1, n + 2)
+            assert y.shape == (n + 1, n + 1)
+            assert z.shape == (n + 1, n)
 
 
 def test_monic_derivative_representation_diagonal(fam23):
     n = 4
     dm = monic_derivative_representation(fam23.pde, n, 1)
     for i in range(n + 1):
-        assert dm.v_compact[i, i] == Fraction(1, n + 1 - i)
+        assert dm[0][i, i] == Fraction(1, n + 1 - i)
     dm2 = monic_derivative_representation(fam23.pde, n, 2)
     for i in range(n + 1):
-        assert dm2.v_compact[i, i] == Fraction(1, i + 1)
-    dr = derivative_representation(fam23, n, 1)
-    assert (dm.v_compact, dm.y_compact, dm.z_compact) == \
-        (dr.v_compact, dr.y_compact, dr.z_compact)
+        assert dm2[0][i, i] == Fraction(1, i + 1)
+    assert dm == derivative_representation(fam23, n, 1)
 
 
 def test_derivative_representation_nonmonic_families(p23):
@@ -243,10 +240,11 @@ def test_derivative_representation_nonmonic_families(p23):
         fam = PolyVectorFamily([make(p23, n) for n in range(5)])
         for n in (2, 3):
             for axis in (1, 2):
-                dr = derivative_representation(fam, n, axis)
-                rhs = (apply_matrix(dr.v, fam.vector(n + 1).diff(axis))
-                       + apply_matrix(dr.y, fam.vector(n).diff(axis))
-                       + apply_matrix(dr.z, fam.vector(n - 1).diff(axis)))
+                v, y, z = (times_shift(m, axis)
+                           for m in derivative_representation(fam, n, axis))
+                rhs = (apply_matrix(v, fam.vector(n + 1).diff(axis))
+                       + apply_matrix(y, fam.vector(n).diff(axis))
+                       + apply_matrix(z, fam.vector(n - 1).diff(axis)))
                 assert rhs == fam.vector(n), (make.__name__, n, axis)
 
 
@@ -269,10 +267,10 @@ def test_rank_facts():
             assert shift_matrix(n, j).rank() == n + 1
     pde = appell_pde(AppellParams(2, 3))
     for n in range(1, 6):
-        t = monic_ttrr(pde, n)
-        stacked_c = t.c1.vstack(t.c2)
+        (_, _, c1), (_, _, c2) = monic_ttrr(pde, n)
+        stacked_c = c1.vstack(c2)
         assert stacked_c.rank() == n
-        assert t.c1.rank() == n  # single-axis block already has full column rank
+        assert c1.rank() == n  # single-axis block already has full column rank
 
 
 def test_singular_leading_matrix():
@@ -415,7 +413,7 @@ def test_relations_matrices_names_and_forms():
             assert wide[f"V{j}"] == compact[f"V{j}"] @ shift_matrix(n, j)
             assert wide[f"Y{j}"] == compact[f"Y{j}"] @ shift_matrix(n - 1, j)
             assert wide[f"Z{j}"] == compact[f"Z{j}"] @ shift_matrix(n - 2, j)
-        assert wide["W1"] is rel.structure[n].w1 and wide["B2"] is rel.ttrr[n].b2
+        assert wide["W1"] is rel.structure[n][0][0] and wide["B2"] is rel.ttrr[n][1][1]
 
 
 _P23 = AppellParams(2, 3)
@@ -456,11 +454,10 @@ def test_layer_routes_equal_polynomial_expansion(name):
             if n >= 1:
                 assert _structure_axis(fam, phi, n, axis) == \
                     _match(fam.vector(n).diff(axis).scale(phi), fam, n + 1), (n, axis)
-            assert tuple(derivative_ttrr(qfam, n))[2:] == \
+            assert derivative_ttrr(qfam, n) == \
                 _match(oracle_q.vector(n).scale(var), oracle_q, n + 1), (n, axis)
             if n >= 2:
-                dr = derivative_representation(fam, n, axis)
-                assert (dr.v_compact, dr.y_compact, dr.z_compact) == \
+                assert derivative_representation(fam, n, axis) == \
                     _match(fam.vector(n), oracle_q, n), (n, axis)
 
 
@@ -514,8 +511,8 @@ def test_relations_make_no_shift_products(monkeypatch):
             monic_structure_matrices(pde, phi.phi10, phi.phi01, n)
         if n >= 2:
             for axis in (1, 2):
-                dr = monic_derivative_representation(pde, n, axis)
-                _ = dr.v, dr.y, dr.z  # the wide forms
+                _ = [times_shift(m, axis)  # the wide forms
+                     for m in monic_derivative_representation(pde, n, axis)]
     assert products == []
     assert set(fam._icache.values()) == {None}
     diagonal = [inv for axis in (1, 2)

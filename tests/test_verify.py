@@ -166,3 +166,43 @@ def test_biorthogonality_catches_a_bumped_F_polynomial(p23, monkeypatch):
     lines = {r.name: r.line() for r in run_verification(appell_pde(p23), 2)}
     assert lines["biorthogonality"].startswith(
         "FAIL biorthogonality (1/36 checks): first failure off-diagonal (1,0)x(0,0)=1/7")
+
+
+def _bump(m):
+    rows = m.tolist()
+    rows[0][0] += 1
+    return type(m)(rows)
+
+
+@pytest.mark.parametrize("equation, family, also_failing", [
+    ("disk", "monic", set()),
+    ("triangle", "koornwinder", set()),
+    ("triangle", "monic", {"golden-agreement"}),
+], ids=["disk", "koornwinder", "monic-triangle"])
+def test_bumped_structure_and_derivative_matrices_are_caught(equation, family, also_failing,
+                                                             p23, monkeypatch):
+    # one entry of S at n = 2 on axis 1 and one of Y at n = 3 on axis 2, in
+    # every solve of the general and closed-form routes alike, so only the
+    # identities (and, for the monic triangle, the golden tables) can see them
+    import opde.relations as relations
+    real_structure = relations.structure_matrices
+    real_derivative = relations.derivative_representation
+
+    def structure(fam, phi1, phi2, n):
+        (w1, s1, t1), axis2 = real_structure(fam, phi1, phi2, n)
+        return ((w1, _bump(s1), t1) if n == 2 else (w1, s1, t1)), axis2
+
+    def derivative(fam, n, axis):
+        v, y, z = real_derivative(fam, n, axis)
+        return (v, _bump(y), z) if (n, axis) == (3, 2) else (v, y, z)
+
+    monkeypatch.setattr(relations, "structure_matrices", structure)
+    monkeypatch.setattr(relations, "derivative_representation", derivative)
+    pde = (HypergeometricPDE.from_coeffs(a=-1, c1=1, c2=1, e=-4) if equation == "disk"
+           else appell_pde(p23))
+    failing = {r.name: r for r in run_verification(pde, 4, family=family) if not r.passed}
+    assert set(failing) == {"structure-identity", "derivative-representation", *also_failing}
+    assert failing["structure-identity"].failures[0].startswith("n=2 axis=1 entry=")
+    assert failing["derivative-representation"].failures[0].startswith("n=3 axis=2 entry=")
+    if also_failing:
+        assert failing["golden-agreement"].failures == ["S1 n=2", "Y2 n=3"]
