@@ -90,10 +90,6 @@ class BivariatePoly:
         return cls({(0, 0): rat(c)})
 
     @classmethod
-    def monomial(cls, i: int, j: int, c: Scalar = 1) -> "BivariatePoly":
-        return cls({(i, j): rat(c)})
-
-    @classmethod
     def from_integers(cls, terms: Mapping[Exponent, int], den: int = 1) -> "BivariatePoly":
         """The polynomial ``terms / den`` for int numerators keyed by
         nonnegative exponent pairs and a nonzero int ``den``, in canonical

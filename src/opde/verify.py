@@ -10,10 +10,10 @@ from time import perf_counter
 from typing import Callable, List, Optional, Sequence
 
 from .errors import DegenerateDiscriminant, NotAdmissible
-from .families import (AppellParams, appell_weight, connection_F,
-                       connection_K, koornwinder_vector, make_family,
-                       monic_appell_vector, nonmonic_F_vector,
-                       orthogonality_blocks, pairing, triangle_params)
+from .families import (appell_weight, connection_F, connection_K,
+                       koornwinder_vector, make_family, monic_appell_vector,
+                       nonmonic_F_vector, orthogonality_blocks, pairing,
+                       triangle_params)
 from .golden import golden_matrix
 from .matrix import RationalMatrix
 from .monic import monic_layers, monic_ttrr, pde_residual, solve_monic
@@ -101,51 +101,57 @@ def run_verification(pde: HypergeometricPDE, big_n: int, family: str = "monic",
         raise ValueError("fault ttrr-b1 corrupts the degree-1 recurrence: it needs big_n >= 1")
     results: List[SuiteResult] = []
 
-    adm = SuiteResult("admissibility")
+    def suite(name: str, note: Optional[str] = None) -> SuiteResult:
+        """Finish the open suite and open the next; a suite finished already
+        (its ``seconds`` set) keeps its time."""
+        if results and not results[-1].seconds:
+            results[-1].finish()
+        results.append(SuiteResult(name, note))
+        return results[-1]
+
+    adm = suite("admissibility")
     try:
         check_admissible(pde)
         adm.check(True, "")
     except NotAdmissible as ex:
         adm.check(False, str(ex))
-    results.append(adm.finish())
 
-    sa = SuiteResult("self-adjointness")
+    sa = suite("self-adjointness")
     try:
         sa.check(is_potentially_self_adjoint(pde), "compatibility identity fails")
     except DegenerateDiscriminant as ex:
         sa.check(False, str(ex))
-    results.append(sa.finish())
+    # finished here, so that no suite is charged the relation table's build
+    sa.finish()
     if not (adm.passed and sa.passed):
         return results
 
     rel = Relations(make_family(pde, family, big_n + 2), pde, big_n)
-    fam = rel.fam
+    fam, cases = rel.fam, rel.cases
+    monic = family == "monic"
 
-    if family == "monic":
-        res = SuiteResult("eigen-residual")
+    if monic:
+        res = suite("eigen-residual")
         for n in range(big_n + 1):
             res.agree(pde_residual(fam, n),
                       PolyVector([BivariatePoly.zero()] * (n + 1)), f"n={n}")
-        results.append(res.finish())
 
-        sub = SuiteResult("subleading-closed-form")
+        sub = suite("subleading-closed-form")
         closed = monic_layers(pde)
         for n in range(1, big_n + 1):
             sub.check(closed.G(n, n - 1) == fam.G(n, n - 1), f"n={n} first subleading")
             if n >= 2:
                 sub.check(closed.G(n, n - 2) == fam.G(n, n - 2), f"n={n} second subleading")
-        results.append(sub.finish())
 
-        routes = SuiteResult("construction-routes")
+        routes = suite("construction-routes")
         oracle = solve_monic(pde, big_n)
         for n in range(big_n + 1):
             routes.agree(fam.vector(n), oracle.vector(n), f"n={n}")
-        results.append(routes.finish())
 
-    ttrr = SuiteResult("ttrr-identity")
+    ttrr = suite("ttrr-identity")
     for n in range(big_n + 1):
         t = rel.ttrr[n]
-        if family == "monic":
+        if monic:
             for j, (got, want) in enumerate(zip(t, monic_ttrr(pde, n)), 1):
                 ttrr.check(got == want, f"n={n} axis={j} closed-form/general mismatch")
         if corrupt == "ttrr-b1" and n == 1:
@@ -154,113 +160,93 @@ def run_verification(pde: HypergeometricPDE, big_n: int, family: str = "monic",
         for j, (var, abc) in enumerate(zip((X, Y), t), 1):
             ttrr.agree(fam.vector(n).scale(var), _three_term(abc, fam.vector, n + 1),
                        f"n={n} axis={j}")
-    results.append(ttrr.finish())
 
-    qttrr = SuiteResult("derivative-family-ttrr")
+    qttrr = suite("derivative-family-ttrr")
     for j, var in ((1, X), (2, Y)):
         qfam = fam.derivative_family(j)
         for n in range(big_n + 1):
             rhs = _three_term(derivative_ttrr(qfam, n), qfam.vector, n + 1)
             qttrr.agree(qfam.vector(n).scale(var), rhs, f"n={n} axis={j}")
-    results.append(qttrr.finish())
 
-    struct = SuiteResult("structure-identity", note=rel.skipped)
+    struct = suite("structure-identity", note=rel.skipped)
     for n, st in rel.structure.items():
-        phi = (rel.cases[0].phi10, rel.cases[0].phi01)
-        for j, (p, wst) in enumerate(zip(phi, st), 1):
-            lhs = fam.vector(n).diff(j).scale(p)
+        phi = (cases[0].phi10, cases[0].phi01)
+        for j, (factor, wst) in enumerate(zip(phi, st), 1):
+            lhs = fam.vector(n).diff(j).scale(factor)
             struct.agree(lhs, _three_term(wst, fam.vector, n + 1), f"n={n} axis={j}")
-        if family == "monic":
+        if monic:
             sm = monic_structure_matrices(pde, *phi, n)
             for j, (got, want) in enumerate(zip(sm, st), 1):
                 struct.check(got == want, f"n={n} axis={j} closed-form/general mismatch")
-    results.append(struct.finish())
 
     # P_n = V Q_n + Y Q_{n-1} + Z Q_{n-2} on the compact triple: the same
     # identity as the wide one on the raw derivatives, as Q_k = shift @ dP_{k+1}
-    deriv = SuiteResult("derivative-representation")
+    deriv = suite("derivative-representation")
     for (n, j), dr in rel.deriv.items():
         rhs = _three_term(dr, fam.derivative_family(j).vector, n)
         deriv.agree(fam.vector(n), rhs, f"n={n} axis={j}")
-        if family == "monic":
+        if monic:
             deriv.check(monic_derivative_representation(pde, n, j) == dr,
                         f"n={n} axis={j} closed-form/general mismatch")
-    results.append(deriv.finish())
 
-    if (params := triangle_params(pde)) is not None:
-        results.extend(_instance_suites(pde, params, rel, family, big_n))
-    return results
+    # the triangle's own suites, for pde = appell_pde(p): the classification
+    # and the golden tables are checked against the relation table above
+    p = triangle_params(pde)
+    if p is None:
+        results[-1].finish()
+        return results
 
-
-def _instance_suites(pde: HypergeometricPDE, p: AppellParams, rel: Relations,
-                     label: str, big_n: int) -> List[SuiteResult]:
-    """The triangle's own suites, for pde = appell_pde(p).  The
-    classification and the golden tables are checked against the relation
-    table the identity suites checked."""
-    results: List[SuiteResult] = []
-    fam = rel.fam
-
-    cls = SuiteResult("classification")
-    cases = rel.cases
+    cls = suite("classification")
     cls.check([c.case_id for c in cases] == ["vi", "ix", "x"],
               f"cases={[c.case_id for c in cases]}")
     want10, want01 = X * (1 - X - Y), Y * (1 - X - Y)
     for c in cases:
         cls.check(c.phi10 == want10 and c.phi01 == want01,
                   f"case {c.case_id} factor pair")
-    results.append(cls.finish())
 
-    pear = SuiteResult("pearson")
+    pear = suite("pearson")
     w = appell_weight(p)
     for r in range(4):
         for s in range(4):
             pear.check(verify_pearson(pde.shifted(r, s), shifted_weight(w, cases[0], r, s)),
                        f"(r,s)=({r},{s})")
-    results.append(pear.finish())
 
-    orth = SuiteResult("orthogonality-blocks")
+    orth = suite("orthogonality-blocks")
     for n in range(min(big_n, 6) + 1):
         for m in range(n):
             zero = orthogonality_blocks(p, fam, n, m) == RationalMatrix.zeros(m + 1, n + 1)
             orth.check(zero, f"m={m} n={n} nonzero block")
         hn = orthogonality_blocks(p, fam, n, n)
         orth.check(hn.det() != 0, f"H_{n} singular")
-    results.append(orth.finish())
 
-    if label == "monic":
+    if monic:
         # series-route vectors, shared with the biorthogonality suite
-        series = SuiteResult("series-route")
+        series = suite("series-route")
         appell = [monic_appell_vector(p, n) for n in range(min(big_n, 6) + 1)]
         for n, a_vec in enumerate(appell):
             series.agree(fam.vector(n), a_vec, f"n={n}")
-        results.append(series.finish())
 
         # the printed B tables divide by d0 = 2n - 1 + alpha + beta, which
-        # vanishes at n = 0 when alpha + beta = 1: in lowest terms, equal
-        # denominators that the numerators add up to (int arithmetic, so the
-        # test adds no Fraction operation to a verify run)
-        a, b = p.alpha, p.beta
-        skip_b0 = a.denominator == b.denominator and a.numerator + b.numerator == a.denominator
-        golden = SuiteResult("golden-agreement",
-                             note="B1, B2 at n=0 skipped: d0 = 0" if skip_b0 else None)
+        # vanishes at n = 0 when alpha + beta = 1
+        skip_b0 = p.alpha + p.beta == 1
+        golden = suite("golden-agreement",
+                       note="B1, B2 at n=0 skipped: d0 = 0" if skip_b0 else None)
         for n in range(min(big_n, 7) + 1):
             for name, m in rel.matrices(n, compact=True).items():
                 if name.startswith("A") or (skip_b0 and n == 0 and name in ("B1", "B2")):
                     continue
                 golden.check(golden_matrix(p.alpha, p.beta, n, name) == m,
                              f"{name} n={n}")
-        results.append(golden.finish())
 
         # Rodrigues-normalized vectors, shared with the biorthogonality suite
-        conn = SuiteResult("connections")
+        conn = suite("connections")
         rodrigues = [nonmonic_F_vector(p, n) for n in range(min(big_n, 5) + 1)]
         for n, f_vec in enumerate(rodrigues):
             conn.agree(apply_matrix(connection_F(p, n), fam.vector(n)), f_vec, f"F n={n}")
             conn.agree(apply_matrix(connection_K(p, n), fam.vector(n)),
                        koornwinder_vector(p, n), f"K n={n}")
-        results.append(conn.finish())
 
-        bio = SuiteResult("biorthogonality")
+        bio = suite("biorthogonality")
         degrees = range(min(big_n, 4) + 1)
         index = [(big, nm) for big in degrees for nm in range(big + 1)]
         vals = pairing(p, [f for big in degrees for f in rodrigues[big]],
@@ -272,5 +258,5 @@ def _instance_suites(pde: HypergeometricPDE, p: AppellParams, rel: Relations,
                     bio.check(val != 0, f"diagonal ({big},{nm}) vanished")
                 else:
                     bio.check(val == 0, f"off-diagonal ({big},{nm})x({big2},{kl})={val}")
-        results.append(bio.finish())
+    results[-1].finish()
     return results

@@ -11,6 +11,11 @@ diagonal this is ERRATA.md section 1's corrected entry, proven for every
 equation and every degree.  ``subleading_matrices`` itself, run on symbolic
 coefficients, equals these forms entry by entry at n = 1..8.
 
+``HypergeometricPDE.shifted`` is proven the equation of the derivatives:
+differentiating D u + lambda_n u once in x (or y) for a symbolic function u
+gives the shifted operator plus lambda_(n-1) on u_x (or u_y), and
+``shifted(r, s)`` is r such x-steps followed by s y-steps.
+
 The package imports no ``sympy``; it is a test-only oracle, listed in the
 ``test`` extra, and this module is skipped where it is not installed.
 """
@@ -25,17 +30,23 @@ from opde.pde import HypergeometricPDE  # noqa: E402
 COEFFS = sp.symbols("a b1 c1 b2 c2 b3 c3 d3 e f1 f2")
 a, b1, c1, b2, c2, b3, c3, d3, e, f1, f2 = COEFFS
 n, i, p, q, x, y, u, v = sp.symbols("n i p q x y u v")
+PDE = HypergeometricPDE(*COEFFS)
+
+
+def _operator(pde, w):
+    """D w for the equation ``pde``, on any expression w in x and y."""
+    a, b1, c1, b2, c2, b3, c3, d3, e, f1, f2 = pde
+    return ((a * x**2 + b1 * x + c1) * sp.diff(w, x, 2)
+            + 2 * (a * x * y + b3 * x + c3 * y + d3) * sp.diff(w, x, y)
+            + (a * y**2 + b2 * y + c2) * sp.diff(w, y, 2)
+            + (e * x + f1) * sp.diff(w, x) + (e * y + f2) * sp.diff(w, y))
 
 
 def _stencil():
     """D x^p y^q for symbolic exponents, as {(dk, dl): c} for the terms
     c x^(p-dk) y^(q-dl); read off by differentiating, not by hand."""
     mono = x**p * y**q
-    image = ((a * x**2 + b1 * x + c1) * sp.diff(mono, x, 2)
-             + 2 * (a * x * y + b3 * x + c3 * y + d3) * sp.diff(mono, x, y)
-             + (a * y**2 + b2 * y + c2) * sp.diff(mono, y, 2)
-             + (e * x + f1) * sp.diff(mono, x) + (e * y + f2) * sp.diff(mono, y))
-    laurent = sp.expand(sp.powsimp(sp.expand(image / mono)))
+    laurent = sp.expand(sp.powsimp(sp.expand(_operator(PDE, mono) / mono)))
     return dict(sp.Poly(sp.expand(laurent.subs({x: 1 / u, y: 1 / v})), u, v).terms())
 
 
@@ -43,7 +54,7 @@ STENCIL = _stencil()
 
 
 def _eigenvalue(t):
-    return HypergeometricPDE(*COEFFS).eigenvalue(t)
+    return PDE.eigenvalue(t)
 
 
 def _closed_forms(b3_step=1, c1_weight=1):
@@ -133,3 +144,43 @@ def test_subleading_matrices_is_the_proven_closed_form(monkeypatch):
                     form_num, form_den = sp.fraction(sp.together(
                         form.subs({n: deg, i: row}, simultaneous=True)))
                     assert sp.expand(num * form_den - form_num * den) == 0, (deg, s, row, col)
+
+
+def _step_residual(axis):
+    """d/dx_axis (D u + lambda_n u) minus D' u' + lambda'_(n-1) u', for a
+    symbolic function u, u' its derivative along the axis and D', lambda'
+    read off ``PDE.shifted`` one step along that axis."""
+    func = sp.Function("u")(x, y)
+    var, step = ((x, (1, 0)), (y, (0, 1)))[axis - 1]
+    shifted = PDE.shifted(*step)
+    du = sp.diff(func, var)
+    lhs = sp.diff(_operator(PDE, func) + PDE.eigenvalue(n) * func, var)
+    return sp.expand(lhs - _operator(shifted, du) - shifted.eigenvalue(n - 1) * du)
+
+
+@pytest.mark.parametrize("axis", [1, 2])
+def test_shifted_is_the_derivative_equation(axis):
+    assert _step_residual(axis) == 0
+
+
+def test_shifted_is_one_step_at_a_time():
+    # shifted(r, s) is r x-steps, then s y-steps
+    for r in range(4):
+        for s in range(4):
+            stepped = PDE
+            for step in [(1, 0)] * r + [(0, 1)] * s:
+                stepped = stepped.shifted(*step)
+            for got, want in zip(PDE.shifted(r, s), stepped):
+                assert sp.expand(got - want) == 0, (r, s)
+
+
+def test_mutated_shift_leaves_a_residual(monkeypatch):
+    # f1 shifted by 2 r b1 instead of r b1
+    exact = HypergeometricPDE.shifted
+
+    def mutated(self, r, s):
+        return exact(self, r, s)._replace(f1=self.f1 + 2 * r * self.b1 + 2 * s * self.c3)
+
+    monkeypatch.setattr(HypergeometricPDE, "shifted", mutated)
+    point = dict(zip(COEFFS, [-1, 2, 3, 5, 7, 11, 13, 17, -19, 23, 29]), n=6)
+    assert _step_residual(1).subs(point) != 0

@@ -219,6 +219,32 @@ def test_verify_corrupt_exits_4(capsys):
     assert "n=1 axis=1" in out
 
 
+def test_verify_corrupt_prints_every_suite_line(capsys):
+    # the fault fails one check of one suite; every other suite still runs
+    assert main(["verify", "--alpha", "3/2", "--beta", "5/7", "-N", "2",
+                 "--corrupt", "ttrr-b1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == [
+        "PASS admissibility (1 checks)",
+        "PASS self-adjointness (1 checks)",
+        "PASS eigen-residual (3 checks)",
+        "PASS subleading-closed-form (3 checks)",
+        "PASS construction-routes (3 checks)",
+        "FAIL ttrr-identity (1/12 checks): first failure n=1 axis=1 entry=0",
+        "PASS derivative-family-ttrr (6 checks)",
+        "PASS structure-identity (8 checks)",
+        "PASS derivative-representation (4 checks)",
+        "PASS classification (4 checks)",
+        "PASS pearson (16 checks)",
+        "PASS orthogonality-blocks (6 checks)",
+        "PASS series-route (3 checks)",
+        "PASS golden-agreement (28 checks)",
+        "PASS connections (6 checks)",
+        "PASS biorthogonality (36 checks)",
+    ]
+
+
 def test_verify_corrupt_needs_degree_one(capsys):
     # the fault bumps the degree-1 recurrence matrix, which -N 0 never checks
     assert main(["verify", "--alpha", "2", "--beta", "3", "-N", "0",
@@ -747,8 +773,14 @@ def test_rodrigues_json_digest(argv, digest, tmp_path, monkeypatch, capsys):
      "0ecca5c9fe7cd4206bf80bcfaf20ebdbe57e1971e75ff58f9881ac05e126accf"),
     (["--pde", "triangle.json", "-N", "5", "--family", "koornwinder"],
      "5acb7670c4282fbadf14a292c137e9c3ab35b696531db8080ecd6e6fab4f8a9d"),
+    # a non-monic family: the triangle's suites stop after orthogonality-blocks
+    (["--alpha", "3/2", "--beta", "5/7", "-N", "4", "--family", "appell-F"],
+     "d9600682d84eb354e94c701e0eb4cc3b0fa3f41082a44235e461194364b2d385"),
+    # alpha + beta = 1: golden-agreement notes the B1, B2 tables it skips at n = 0
+    (["--alpha", "1/3", "--beta", "2/3", "-N", "2"],
+     "c5e19134de957f9208e6564c83f365acd85041600a200c414ae2c7a4044387d3"),
 ], ids=["triangle", "disk", "koornwinder", "triangle-build", "triangle-pde",
-        "koornwinder-pde"])
+        "koornwinder-pde", "appell-F", "golden-skip"])
 def test_verify_digest(argv, digest, tmp_path, monkeypatch, capsys):
     # pins every suite line: names, check counts and notes
     monkeypatch.delenv("OPDE_MAX_DEGREE", raising=False)

@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction
-from time import perf_counter
+from time import perf_counter, sleep
 
 import pytest
 
@@ -150,6 +150,23 @@ def test_suite_seconds_are_recorded_within_the_run(p23):
     wall = perf_counter() - start
     assert all(r.seconds >= 0 for r in results)
     assert sum(r.seconds for r in results) <= wall
+
+
+def test_relation_table_build_is_charged_to_no_suite(p23, monkeypatch):
+    # the gate suites finish before the relation table is built, and the
+    # first identity suite opens after it
+    import opde.verify as verify
+
+    def slow(*args, _build=verify.Relations):
+        sleep(0.2)
+        return _build(*args)
+
+    monkeypatch.setattr(verify, "Relations", slow)
+    start = perf_counter()
+    results = run_verification(appell_pde(p23), 1)
+    assert perf_counter() - start >= 0.2
+    assert len(results) == 16
+    assert sum(r.seconds for r in results) < 0.2, [(r.name, r.seconds) for r in results]
 
 
 def test_biorthogonality_catches_a_bumped_F_polynomial(p23, monkeypatch):
