@@ -21,7 +21,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Dict, List, NoReturn, Optional
+from typing import Any, Callable, Dict, List, NoReturn, Optional
 
 from .errors import (DegenerateDiscriminant, NoCaseMatches, NotAdmissible,
                      NotSelfAdjoint, OpdeError)
@@ -40,6 +40,13 @@ from .weights import classify_phi, verify_pearson
 
 EXIT_PARSE, EXIT_NOT_ADMISSIBLE, EXIT_NOT_SELF_ADJOINT, EXIT_VERIFY = 1, 2, 3, 4
 
+# the exit code of a library error by its class, and of ``verify`` by its
+# first failing suite; any other error or suite is a verification failure
+_EXIT_CODES: Dict[Any, int] = {
+    NotAdmissible: EXIT_NOT_ADMISSIBLE, "admissibility": EXIT_NOT_ADMISSIBLE,
+    NotSelfAdjoint: EXIT_NOT_SELF_ADJOINT, DegenerateDiscriminant: EXIT_NOT_SELF_ADJOINT,
+    "self-adjointness": EXIT_NOT_SELF_ADJOINT}
+
 
 class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_PARSE):
@@ -56,7 +63,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _read_json(path: str) -> Any:
+def _load(path: str, parse: Callable[[Any], Any]) -> Any:
+    """``parse`` of the JSON in ``path`` (``-`` reads stdin); a fault in the
+    file, its JSON or its content is a usage error."""
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -66,11 +75,13 @@ def _read_json(path: str) -> Any:
     except (OSError, UnicodeDecodeError) as ex:
         raise CliError(f"cannot read {path}: {ex}")
     try:
-        return json.loads(text)
+        return parse(json.loads(text))
     except json.JSONDecodeError as ex:
         raise CliError(f"malformed JSON in {path} at line {ex.lineno} column {ex.colno}: {ex.msg}")
     except RecursionError:
         raise CliError(f"malformed JSON in {path}: nested too deeply") from None
+    except ValueError as ex:
+        raise CliError(str(ex))
 
 
 def _load_pde(args) -> HypergeometricPDE:
@@ -78,9 +89,9 @@ def _load_pde(args) -> HypergeometricPDE:
         raise CliError("choose one input: --pde FILE, or --alpha with --beta")
     if not args.pde and (args.alpha is None or args.beta is None):
         raise CliError("provide --pde FILE or both --alpha and --beta")
+    if args.pde:
+        return _load(args.pde, pde_from_json)
     try:
-        if args.pde:
-            return pde_from_json(_read_json(args.pde))
         return appell_pde(AppellParams(parse_rational(args.alpha), parse_rational(args.beta)))
     except ValueError as ex:
         raise CliError(str(ex))
@@ -150,7 +161,7 @@ def _render(payload: Dict[str, Any], fmt: str) -> str:
 
 
 def _output(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         try:
             with open(args.out, "w") as fh:
                 fh.write(text + "\n")
@@ -168,10 +179,8 @@ def _output(args, text: str) -> None:
 
 def _emit(args, payload: Dict[str, Any]) -> None:
     """Write a command's payload in the requested format."""
-    if args.format == "json":
-        _output(args, to_json_text(payload))
-    else:
-        _output(args, _render(payload, args.format))
+    _output(args, to_json_text(payload) if args.format == "json"
+            else _render(payload, args.format))
 
 
 def cmd_check(args) -> int:
@@ -205,14 +214,8 @@ def cmd_classify(args) -> int:
         cases = classify_phi(pde)
     except NoCaseMatches:
         cases = []
-    report = {
-        "cases": [
-            {"case": c.case_id, "condition": c.condition,
-             "phi10": c.phi10, "phi01": c.phi01}
-            for c in cases
-        ]
-    }
-    _emit(args, report)
+    _emit(args, {"cases": [{"case": c.case_id, "condition": c.condition,
+                            "phi10": c.phi10, "phi01": c.phi01} for c in cases]})
     return 0
 
 
@@ -233,12 +236,11 @@ def cmd_rodrigues(args) -> int:
     no_weight = "provide --weight with --pde, or --alpha and --beta"
     if not (args.pde or args.weight) and (args.alpha is None or args.beta is None):
         raise CliError(no_weight)
+    if args.pde == "-" and args.weight == "-":
+        raise CliError("--pde and --weight cannot both read stdin")
     pde = _load_pde(args)
     if args.weight:
-        try:
-            weight = weight_from_json(_read_json(args.weight))
-        except ValueError as ex:
-            raise CliError(str(ex))
+        weight = _load(args.weight, weight_from_json)
     else:
         params = triangle_params(pde)
         if params is None:
@@ -262,16 +264,9 @@ def cmd_verify(args) -> int:
         raise CliError("fault ttrr-b1 corrupts the degree-1 recurrence: it needs -N >= 1")
     _check_family(args, pde)
     results = run_verification(pde, n, family=args.family, corrupt=args.corrupt)
-    lines = [r.line() for r in results]
-    _output(args, "\n".join(lines))
-    for r in results:
-        if not r.passed:
-            if r.name == "admissibility":
-                return EXIT_NOT_ADMISSIBLE
-            if r.name == "self-adjointness":
-                return EXIT_NOT_SELF_ADJOINT
-            return EXIT_VERIFY
-    return 0
+    _output(args, "\n".join(r.line() for r in results))
+    failed = next((r.name for r in results if not r.passed), None)
+    return 0 if failed is None else _EXIT_CODES.get(failed, EXIT_VERIFY)
 
 
 _COMMANDS = {  # command: (handler, help line)
@@ -287,8 +282,9 @@ def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
     p.add_argument("--pde", help="equation coefficients as JSON (file path or - for stdin)")
     p.add_argument("--alpha", help="triangle weight exponent parameter, e.g. 3/2")
     p.add_argument("--beta", help="triangle weight exponent parameter")
-    p.add_argument("-N", "--degree", type=int, default=6,
-                   help="degree bound (default 6)")
+    if command != "classify":
+        p.add_argument("-N", "--degree", type=int, default=6,
+                       help="degree bound (default 6)")
     if command != "verify":
         p.add_argument("--format", choices=("json", "latex", "pretty"),
                        default="json")
@@ -302,42 +298,24 @@ def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
                        help="testing aid: inject a fault to confirm detection")
 
 
-def _parser(argv: List[str]) -> argparse.ArgumentParser:
-    """The parser for ``argv``: every command is registered, but only the
-    one ``argv`` names gets its arguments, since one process runs one
-    command.  argparse dispatches on the first positional token, and the
-    top-level parser takes no option with a value, so the first token that
-    names a command is the one that runs, if any does."""
+def _parser() -> argparse.ArgumentParser:
     top = _ArgumentParser(
         prog="opde",
         description="Exact bivariate orthogonal polynomial families from "
                     "admissible second-order equations of hypergeometric type.")
     sub = top.add_subparsers(dest="command", required=True)
-    command = next((a for a in argv if a in _COMMANDS), None)
     for name, (_, help_line) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
-        if name == command:
-            _add_arguments(p, name)
+        _add_arguments(sub.add_parser(name, help=help_line), name)
     return top
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     try:
-        argv = sys.argv[1:] if argv is None else argv
-        args = _parser(argv).parse_args(argv)
+        args = _parser().parse_args(argv)
         return _COMMANDS[args.command][0](args)
-    except CliError as ex:
+    except (CliError, OpdeError) as ex:
         print(f"error: {ex}", file=sys.stderr)
-        return ex.code
-    except NotAdmissible as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_NOT_ADMISSIBLE
-    except (NotSelfAdjoint, DegenerateDiscriminant) as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_NOT_SELF_ADJOINT
-    except OpdeError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_VERIFY
+        return ex.code if isinstance(ex, CliError) else _EXIT_CODES.get(type(ex), EXIT_VERIFY)
 
 
 def run(argv: Optional[List[str]] = None) -> NoReturn:

@@ -16,12 +16,11 @@ every moment is an exact rational.
 
 ``moment`` is the closed form of one moment, kept as the oracle.  The
 checks read ``moment_table`` instead: every moment through a degree as int
-numerators over one common denominator, memoised per degree.  ``functional``
-is one integer dot product of a polynomial's numerators with that table, and
-``pairing`` gives the whole matrix L[f q] of two lists of polynomials from
-the moment row of each f; ``orthogonality_blocks`` is the pairing of P_n with
-the monomials of degree m.  None of them forms a polynomial product or sums
-Fractions.
+numerators over one common denominator, memoised per degree.  ``pairing``
+gives the whole matrix L[f q] of two lists of polynomials from the moment row
+of each f; ``functional`` is the pairing of a polynomial with 1, and
+``orthogonality_blocks`` the pairing of P_n with the monomials of degree m.
+None of them forms a polynomial product or sums Fractions.
 
 The series route and the connection matrices keep their printed
 rising-factorial formulas but evaluate them on ints: every rising factorial
@@ -43,7 +42,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .matrix import IntRows, RationalMatrix
 from .monic import build_monic
 from .pde import HypergeometricPDE
-from .poly import BivariatePoly, Scalar, pochhammer, rat
+from .poly import ONE, BivariatePoly, Scalar, pochhammer, rat
 from .rodrigues import rodrigues_eval
 from .vectors import PolyVector, PolyVectorFamily, monomial_vector
 from .weights import PhiCase, WeightSpec, classify_phi
@@ -81,7 +80,6 @@ def appell_phi_case(p: AppellParams) -> PhiCase:
 
 # -- moment functional ------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def moment(p: AppellParams, i: int, j: int) -> Fraction:
     """L[x^i y^j] with L normalized to L[1] = 1: a ratio of rising
     factorials.  The closed form is pinned against a brute-force iterated
@@ -134,11 +132,8 @@ def _rising_ints(x: Fraction, k: int) -> List[int]:
 
 
 def functional(p: AppellParams, poly: BivariatePoly) -> Fraction:
-    """L applied to an arbitrary polynomial: one integer dot product of its
-    numerators with the moment table."""
-    terms, den = poly.as_integers()
-    table, tden = moment_table(p, max((i + j for i, j in terms), default=0))
-    return Fraction(sum(c * table[i][j] for (i, j), c in terms.items()), den * tden)
+    """L applied to an arbitrary polynomial: its pairing with 1."""
+    return pairing(p, [poly], [ONE])[0, 0]
 
 
 def pairing(p: AppellParams, left: Sequence[BivariatePoly],

@@ -31,7 +31,7 @@ from .poly import Scalar, rat
 
 class _Q:
     """p/q for ints p and q != 0, never reduced; arithmetic with ints and
-    other ``_Q`` only."""
+    other ``_Q`` only; it divides only by a ``_Q``."""
 
     __slots__ = ("p", "q")
 
@@ -74,13 +74,6 @@ class _Q:
     def __truediv__(self, o):
         if type(o) is _Q:
             return _Q(self.p * o.q, self.q * o.p)
-        if type(o) is int:
-            return _Q(self.p, self.q * o)
-        return NotImplemented
-
-    def __rtruediv__(self, o):
-        if type(o) is int:
-            return _Q(o * self.q, self.p)
         return NotImplemented
 
     def __neg__(self):

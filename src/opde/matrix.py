@@ -39,15 +39,12 @@ class RationalMatrix:
 
     def __init__(self, rows: Iterable[Iterable[Scalar]]):
         data = _rectangular(rows)
-        if all(type(x) is int for r in data for x in r):
-            self._num, self._den = data, 1
-        else:
-            fracs = [[rat(x) for x in r] for r in data]
-            # over the lcm of lowest-terms denominators no factor is common to all
-            den = lcm(*(x.denominator for r in fracs for x in r))
-            self._num = tuple(tuple(x.numerator * (den // x.denominator) for x in r)
-                              for r in fracs)
-            self._den = den
+        fracs = [[rat(x) for x in r] for r in data]
+        # over the lcm of lowest-terms denominators no factor is common to all
+        den = lcm(*(x.denominator for r in fracs for x in r))
+        self._num = tuple(tuple(x.numerator * (den // x.denominator) for x in r)
+                          for r in fracs)
+        self._den = den
         self.nrows = len(data)
         self.ncols = len(data[0])
 

@@ -16,6 +16,14 @@ differentiating D u + lambda_n u once in x (or y) for a symbolic function u
 gives the shifted operator plus lambda_(n-1) on u_x (or u_y), and
 ``shifted(r, s)`` is r such x-steps followed by s y-steps.
 
+``pearson_numerators`` and ``pearson_shifts`` are pinned to symbolic forms:
+(beta, gamma) = adj(A) v solves the Pearson system A (beta, gamma)^T =
+alpha v of the self-adjoint form, and one step of ``shifted`` adds the pair
+of ``pearson_shifts``.  Every coefficient of those polynomials has degree at
+most 2 in the eleven coefficients, so agreement on the 78 points of the
+order-2 simplex lattice (nonnegative integer coefficients summing to at most
+2), which is unisolvent for such polynomials, is agreement everywhere.
+
 The package imports no ``sympy``; it is a test-only oracle, listed in the
 ``test`` extra, and this module is skipped where it is not installed.
 """
@@ -24,8 +32,11 @@ import pytest
 
 sp = pytest.importorskip("sympy")
 
+from itertools import combinations_with_replacement  # noqa: E402
+
 from opde import monic  # noqa: E402
-from opde.pde import HypergeometricPDE  # noqa: E402
+from opde.pde import (HypergeometricPDE, pearson_numerators,  # noqa: E402
+                      pearson_shifts)
 
 COEFFS = sp.symbols("a b1 c1 b2 c2 b3 c3 d3 e f1 f2")
 a, b1, c1, b2, c2, b3, c3, d3, e, f1, f2 = COEFFS
@@ -182,5 +193,87 @@ def test_mutated_shift_leaves_a_residual(monkeypatch):
         return exact(self, r, s)._replace(f1=self.f1 + 2 * r * self.b1 + 2 * s * self.c3)
 
     monkeypatch.setattr(HypergeometricPDE, "shifted", mutated)
-    point = dict(zip(COEFFS, [-1, 2, 3, 5, 7, 11, 13, 17, -19, 23, 29]), n=6)
+    point = dict(zip(COEFFS, [-1, 2, 3, 5, 7, 11, 13, 17, -19, 23, 29]), n=6, x=3, y=5)
     assert _step_residual(1).subs(point) != 0
+    # nor does one step add the x-pair of pearson_shifts to beta
+    pearson_step = _step(PDE, (1, 0))[0] - sp.diff(_principal_part(PDE).det(), x)
+    assert pearson_step.subs(point) != 0
+
+
+def _principal_part(pde):
+    """A = [[xx, xy], [xy, yy]], the halved second-order coefficients."""
+    a, b1, c1, b2, c2, b3, c3, d3 = pde[:8]
+    return sp.Matrix([[a * x**2 + b1 * x + c1, a * x * y + b3 * x + c3 * y + d3],
+                      [a * x * y + b3 * x + c3 * y + d3, a * y**2 + b2 * y + c2]])
+
+
+def _pearson_system(pde):
+    """(A, v) of the self-adjoint form's Pearson system A (beta, gamma)^T =
+    alpha v: v is the first-order coefficients minus the divergence of A's
+    rows."""
+    big_a = _principal_part(pde)
+    v = sp.Matrix([pde.e * x + pde.f1, pde.e * y + pde.f2]) - sp.Matrix(
+        [sp.diff(big_a[k, 0], x) + sp.diff(big_a[k, 1], y) for k in range(2)])
+    return big_a, v
+
+
+def _pearson(pde):
+    """(beta, gamma) = adj(A) v."""
+    big_a, v = _pearson_system(pde)
+    return big_a.adjugate() * v
+
+
+def _step(pde, step):
+    """What one step of ``shifted`` adds to the symbolic (beta, gamma)."""
+    return (_pearson(pde.shifted(*step)) - _pearson(pde)).applyfunc(sp.expand)
+
+
+def test_pearson_numerators_solve_the_pearson_system():
+    big_a, v = _pearson_system(PDE)
+    residual = big_a * _pearson(PDE) - big_a.det() * v
+    assert residual.applyfunc(sp.expand) == sp.zeros(2, 1)
+
+
+def test_one_shift_step_adds_a_principal_part_pair():
+    # the x-pair is (d(alpha)/dx, 2 xx d(xy)/dx - xy d(xx)/dx), the y-pair
+    # (2 yy d(xy)/dy - xy d(yy)/dy, d(alpha)/dy): free of e, f1 and f2
+    big_a = _principal_part(PDE)
+    alpha = big_a.det()
+    xx, xy, yy = big_a[0, 0], big_a[0, 1], big_a[1, 1]
+    want = {(1, 0): [sp.diff(alpha, x), 2 * xx * sp.diff(xy, x) - xy * sp.diff(xx, x)],
+            (0, 1): [2 * yy * sp.diff(xy, y) - xy * sp.diff(yy, y), sp.diff(alpha, y)]}
+    for step, pair in want.items():
+        assert list(_step(PDE, step)) == [sp.expand(w) for w in pair], step
+    # shifted(r, s) adds r x-pairs and s y-pairs
+    for r in range(3):
+        for s in range(3):
+            got = _pearson(PDE.shifted(r, s)) - _pearson(PDE)
+            stepped = r * _step(PDE, (1, 0)) + s * _step(PDE, (0, 1))
+            assert (got - stepped).applyfunc(sp.expand) == sp.zeros(2, 1), (r, s)
+
+
+def _simplex_points():
+    """The 78 coefficient points with nonnegative entries summing to at most 2."""
+    for picks in [()] + [c for k in (1, 2) for c in combinations_with_replacement(range(11), k)]:
+        point = [0] * 11
+        for k in picks:
+            point[k] += 1
+        yield point
+
+
+def _as_sympy(poly):
+    return sum((sp.Rational(c.numerator, c.denominator) * x**i * y**j
+                for (i, j), c in poly.terms()), sp.Integer(0))
+
+
+def test_production_pearson_forms_match_on_a_unisolvent_set():
+    points = list(_simplex_points())
+    assert len(points) == 78 == len({tuple(pt) for pt in points})
+    forms = [_pearson(PDE), _step(PDE, (1, 0)), _step(PDE, (0, 1))]
+    for point in points:
+        values = dict(zip(COEFFS, point))
+        pde = HypergeometricPDE.from_coeffs(*point)
+        produced = [pearson_numerators(pde), *pearson_shifts(pde)]
+        for form, pair in zip(forms, produced):
+            for want, got in zip(form, pair):
+                assert sp.expand(want.subs(values) - _as_sympy(got)) == 0, point

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -511,7 +512,7 @@ def test_help_exits_0(capsys):
 HELP_DIGESTS = {
     "--help": "777f9f01ff8f1aa9b6663d5e55d969cd0a57d46f90d37a45360557f56a0020e9",
     "check --help": "98ffa664b934d4c7cf0c49cc7106f04d469772896447837df1719c4877a3fd39",
-    "classify --help": "191249dfa4ef5ef3ec9d68893c5e2cdf75ab6ec5ab014e794e75bb878f792bf0",
+    "classify --help": "bc68acfcc12f7f8be99a906a84582ba7b5ef1d4c77c6639d4c25710d54c04611",
     "build --help": "899ccdc5ed14aa45108f0b3e9819c9d1bade8d9a446a54dbc257543b72c70f99",
     "rodrigues --help": "3f52e09981d803edb2830c63bcd40fe0953aba7ab65905a1777d65d0cde2da86",
     "verify --help": "7b21895417c5a531676d5f4821ee36c427a8a03c4325ca6090a7543dd5ae62a1",
@@ -537,17 +538,51 @@ def test_help_and_unknown_command_text_is_pinned(argv, monkeypatch, capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == HELP_DIGESTS[argv]
 
 
-def test_parser_gives_arguments_to_the_named_command_only():
-    # one process runs one command: every command is registered, but only
-    # the one the arguments name gets its options
-    for command in COMMANDS:
-        parser = cli._parser([command, "-N", "3"])
-        assert parser.parse_args([command, "-N", "3"]).degree == 3
-        for other in set(COMMANDS) - {command}:
-            with pytest.raises(cli.CliError, match="^unrecognized arguments: -N 3$"):
-                parser.parse_args([other, "-N", "3"])
-    with pytest.raises(cli.CliError, match="invalid choice: 'bogus'"):
-        cli._parser(["bogus"]).parse_args(["bogus"])
+# the options each command reads; one value each for the rejection test
+READS = {
+    "check": {"--pde", "--alpha", "--beta", "-N", "--format", "--out"},
+    "classify": {"--pde", "--alpha", "--beta", "--format", "--out"},
+    "build": {"--pde", "--alpha", "--beta", "-N", "--format", "--out", "--family"},
+    "rodrigues": {"--pde", "--alpha", "--beta", "-N", "--format", "--out", "--weight"},
+    "verify": {"--pde", "--alpha", "--beta", "-N", "--out", "--family", "--corrupt"},
+}
+VALUES = {"--pde": "pde.json", "--alpha": "2", "--beta": "3", "-N": "3", "--format": "json",
+          "--out": "out.json", "--family": "monic", "--weight": "weight.json",
+          "--corrupt": "ttrr-b1"}
+
+
+def test_each_command_takes_the_options_it_reads():
+    # -h is argparse's own; every other option string of a command is one it reads
+    sub = next(a for a in cli._parser()._actions if a.dest == "command")
+    for command, parser in sub.choices.items():
+        options = {o for a in parser._actions for o in a.option_strings if o.startswith("-")}
+        assert options - {"-h", "--help", "--degree"} == READS[command]
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command in COMMANDS
+    for option in sorted(set(VALUES) - READS[command])])
+def test_command_rejects_an_option_it_does_not_read(command, option, monkeypatch, capsys):
+    # e.g. classify builds nothing by degree, so it refuses -N; it says so
+    # before it reads its input
+    stdin = io.StringIO(APPELL11)
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert main([command, "--pde", "-", option, VALUES[option]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unrecognized arguments: {option} {VALUES[option]}\n"
+    assert stdin.tell() == 0
+
+
+def test_pde_and_weight_cannot_both_read_stdin(monkeypatch, capsys):
+    # refused before either is read: stdin stays unread
+    stdin = io.StringIO(APPELL11)
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert main(["rodrigues", "--pde", "-", "--weight", "-", "-N", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --pde and --weight cannot both read stdin\n"
+    assert stdin.tell() == 0
 
 
 @pytest.mark.parametrize("family", ["monic", "appell-F", "koornwinder"])
@@ -818,3 +853,56 @@ def test_zero_discriminant_exits_3(argv, tmp_path, monkeypatch, capsys):
     else:
         assert captured.out == ""
         assert captured.err == "error: discriminant is identically zero\n"
+
+
+# the exit-code contract over random equations: every coefficient drawn from
+# a small set, with three named instances; ROADMAP item 17's example passes
+# the class gate but its recursions disagree, an error exit 4
+ITEM17_PDE = dict(DISK_PDE, a="0", b1="1/2", c1="1", c2="-1", c3="1/2", e="1/2", f1="2")
+
+
+def test_item17_example_passes_the_gate_and_exits_4(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pde.json").write_text(json.dumps(ITEM17_PDE))
+    assert main(["check", "--pde", "pde.json"]) == 0
+    assert json.loads(capsys.readouterr().out)["potentially_self_adjoint"] is True
+    assert main(["classify", "--pde", "pde.json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"cases": []}
+    for command in ("build", "verify"):
+        assert main([command, "--pde", "pde.json", "-N", "4"]) == 4
+        assert capsys.readouterr() == ("", "error: x- and y-recursions disagree at degree 3\n")
+
+
+def _contract_equations(count):
+    rng = random.Random(0)
+    values = ("0",) * 6 + ("1", "-1", "2", "-2", "1/2", "-3/2")
+    drawn = [{k: rng.choice(values) for k in DISK_PDE} for _ in range(count)]
+    return [pde_to_json(appell_pde(AppellParams(2, 3))), DISK_PDE, ITEM17_PDE, *drawn]
+
+
+def test_exit_code_contract_on_random_equations(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("OPDE_MAX_DEGREE", raising=False)
+    (tmp_path / "weight.json").write_text(json.dumps(DISK_WEIGHT))
+    codes = set()
+    for data in _contract_equations(150):
+        (tmp_path / "pde.json").write_text(json.dumps(data))
+        for command in COMMANDS:
+            extra = ["--weight", "weight.json"] if command == "rodrigues" else []
+            if command != "classify":
+                extra += ["-N", "2"]
+            code = main([command, "--pde", "pde.json", *extra])
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2, 3, 4), (command, data)
+            codes.add(code)
+            if code == 0 or err == "":
+                # a report: check's verdict or verify's first failing suite
+                assert err == "" and out
+                if command == "verify" and code:
+                    failed = next(ln for ln in out.splitlines() if ln.startswith("FAIL"))
+                    assert cli._EXIT_CODES.get(failed.split()[1], cli.EXIT_VERIFY) == code
+                else:
+                    assert code == 0 or command == "check", (command, data)
+            else:
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert codes == {0, 2, 3, 4}

@@ -439,6 +439,35 @@ def test_rodrigues_derivative_mixed_orders_pick_other_eigensolutions(p11):
     assert via_formula != direct * ratio
 
 
+@pytest.mark.parametrize("which, step", [("triangle", 1), ("disk", 2)])
+def test_rodrigues_derivative_is_a_band_of_shifted_outputs(which, step):
+    # d_x^r d_y^s R_{n,m} = sum_a c_a R^{(r,s)}_{a, d-a} with d = n + m - r - s
+    # and R^{(r,s)} the outputs of the shifted weight; c is read off the top
+    # layer by one solve and the sum is checked as an exact identity.  The
+    # offsets a - (n - r) of the nonzero c_a fill the band -s*step .. r*step
+    # in steps of ``step``: on the disk (2, 0) gives 0, 2, 4, and (2, 1) the
+    # four offsets -2 .. 4 over all (n, m), at most three in one expansion
+    w, case = _instance(which, AppellParams(Fraction(3, 2), Fraction(5, 7)))
+    base = rodrigues_table(w, case, 8)
+    for r, s in [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1)]:
+        shifted = rodrigues_table(shifted_weight(w, case, r, s), case, 8 - r - s)
+        offsets = set()
+        for (n, m), out in base.items():
+            if n < r or m < s:
+                continue
+            d = n + m - r - s
+            direct = out
+            for axis, order in ((1, r), (2, s)):
+                for _ in range(order):
+                    direct = direct.diff(axis)
+            vec = PolyVector([shifted[a, d - a] for a in range(d + 1)])
+            c = (expansion_matrices(PolyVector([direct]), d)[0]
+                 @ expansion_matrices(vec, d)[0].inverse())
+            assert sum((c[0, a] * q for a, q in enumerate(vec)), ZERO) == direct
+            offsets.update(a - (n - r) for a in range(d + 1) if c[0, a])
+        assert offsets == set(range(-s * step, r * step + 1, step)), (r, s)
+
+
 @pytest.mark.parametrize("which, digest", [
     ("disk", "94a38bf50d977a1af0f2d0c4b8475fdbb0cbcfa97864e0cdd84a243ec21c96a3"),
     ("triangle", "1a14403a900b9fa9538880a0b628ebadadd106a9b1c1a21471e821fb2d5268b4"),
@@ -481,6 +510,13 @@ def test_not_reducible_outside_supported_class():
     case = PhiCase("synthetic", "", X, Y)
     with pytest.raises(NotReducible):
         rodrigues_eval(w, case, 1, 0)
+
+
+def test_not_reducible_on_a_fractional_residual_exponent():
+    # dividing x^(1/2) by the weight x^0 leaves x^(1/2): no polynomial part
+    expr = WeightedExpr((X,), (Fraction(1, 2),), X + 1)
+    with pytest.raises(NotReducible, match="^residual exponent 1/2 on factor x is not an integer$"):
+        rodrigues._divide_out(expr, (Fraction(0),), 1)
 
 
 def test_not_reducible_names_the_factor_power():

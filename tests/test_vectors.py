@@ -6,10 +6,10 @@ from hypothesis import given, seed, settings, strategies as st
 
 from opde.errors import DegreeOverflow
 from opde.matrix import RationalMatrix
-from opde.poly import BivariatePoly, X, Y
-from opde.vectors import (PolyVector, apply_matrix, combine, derivative_matrix,
-                          expansion_layers, expansion_matrices, joint_left_inverse,
-                          monomial_vector, peel, shift_matrix)
+from opde.poly import ONE, BivariatePoly, X, Y
+from opde.vectors import (PolyVector, PolyVectorFamily, apply_matrix, combine,
+                          derivative_matrix, expansion_layers, expansion_matrices,
+                          joint_left_inverse, monomial_vector, peel, shift_matrix)
 
 
 def stacked_shift(n: int) -> RationalMatrix:
@@ -111,6 +111,13 @@ def test_expansion_layers_are_the_top_of_the_expansion(n, count):
 def test_expansion_layers_check_the_whole_vector():
     with pytest.raises(DegreeOverflow):
         expansion_layers(PolyVector([X**5]), 3, 1)
+
+
+def test_family_rejects_a_vector_of_the_wrong_length_or_degree():
+    with pytest.raises(ValueError, match="^vector at degree 1 has length 1$"):
+        PolyVectorFamily([PolyVector([ONE]), PolyVector([X])])
+    with pytest.raises(DegreeOverflow, match="^vector at degree 1 has degree 2$"):
+        PolyVectorFamily([PolyVector([ONE]), PolyVector([X, X * Y])])
 
 
 def test_expansion_layers_over_mixed_denominators():

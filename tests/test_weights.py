@@ -9,7 +9,7 @@ from pathlib import Path
 
 from opde import rodrigues, weights
 from opde.cli import main
-from opde.errors import NoCaseMatches, NonPolynomialPhi
+from opde.errors import DegenerateDiscriminant, NoCaseMatches, NonPolynomialPhi
 from opde.families import AppellParams, appell_pde, appell_weight
 from opde.pde import HypergeometricPDE, discriminant, is_potentially_self_adjoint
 from opde.poly import BivariatePoly, ONE, X, Y
@@ -361,6 +361,16 @@ def test_verify_pearson_rejects_wrong_weight(p23):
     pde = appell_pde(p23)
     wrong = WeightSpec(p23.alpha, p23.beta - 1)  # exponent off by one in x
     assert not verify_pearson(pde, wrong)
+
+
+def test_zero_discriminant_has_no_weight_checks():
+    # a zero principal part: the discriminant vanishes identically
+    pde = P(e=-1)
+    assert discriminant(pde).is_zero()
+    for check in (lambda: verify_pearson(pde, WeightSpec(0, 0)),
+                  lambda: phi_pair_consistent(pde, X, Y)):
+        with pytest.raises(DegenerateDiscriminant, match="^discriminant is identically zero$"):
+            check()
 
 
 def test_weight_spec_validation():
